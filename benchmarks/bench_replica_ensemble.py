@@ -121,12 +121,7 @@ def _run_solo(family, scheduler_factory, max_rounds):
         )
         run = execution.run(max_rounds=max_rounds, until=lambda e: e.graph_is_good())
         if run.stopped_by_predicate:
-            at_boundary = execution.t == execution.rounds.boundaries[-1]
-            outcome = (
-                True,
-                execution.completed_rounds + (0 if at_boundary else 1),
-                execution.t,
-            )
+            outcome = (True, execution.rounds.round_of_time(execution.t), execution.t)
         else:
             outcome = (False, execution.completed_rounds, execution.t)
         outcomes.append(outcome)

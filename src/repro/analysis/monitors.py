@@ -88,9 +88,8 @@ class GoodGraphMonitor(Monitor):
         good = execution.graph_is_good()
         if good and self.first_good_time is None:
             self.first_good_time = t
-            self.first_good_round = execution.rounds.round_of_time(
-                min(t, execution.rounds.boundaries[-1])
-            ) if t <= execution.rounds.boundaries[-1] else None
+            rounds = execution.rounds
+            self.first_good_round = rounds.round_of_time(rounds.time)
         if not good and self.first_good_time is not None:
             self.goodness_lost_at = t
 

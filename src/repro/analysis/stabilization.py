@@ -83,11 +83,7 @@ def measure_au_stabilization(
             False, result.rounds, result.steps, "good graph not reached",
             moves=moves.moves,
         )
-    stabilization_round = execution.completed_rounds + (
-        0
-        if execution.t == execution.rounds.boundaries[-1]
-        else 1
-    )
+    stabilization_round = execution.rounds.round_of_time(execution.rounds.time)
     if confirm_rounds:
         execution.run_rounds(confirm_rounds)
         if not good(execution):
@@ -148,7 +144,7 @@ def measure_static_task_stabilization(
         change_marker = monitor.last_change_time
         execution.run_rounds(confirm_rounds)
         if monitor.last_change_time == change_marker and looks_stable(execution):
-            rounds = _round_of_time(execution, monitor.last_change_time)
+            rounds = execution.rounds.round_of_time(monitor.last_change_time)
             return StabilizationResult(
                 True, rounds, execution.t, moves=moves.moves
             )
@@ -160,13 +156,6 @@ def measure_static_task_stabilization(
         "output kept changing within the round budget",
         moves=moves.moves,
     )
-
-
-def _round_of_time(execution: Execution, t: int) -> int:
-    boundaries = execution.rounds.boundaries
-    if t > boundaries[-1]:
-        return execution.completed_rounds + 1
-    return execution.rounds.round_of_time(t)
 
 
 def run_trials(

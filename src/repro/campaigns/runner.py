@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
+import linecache
 import logging
 import os
 import time
@@ -50,7 +51,6 @@ from repro.campaigns.cache import ResultCache
 from repro.campaigns.dispatch import make_dispatcher
 from repro.campaigns.spec import (
     ALGORITHM_FACTORIES,
-    DYNAMIC_FAULT_KINDS,
     PERMANENT_FAULT_KINDS,
     AlgorithmSpec,
     Scenario,
@@ -121,57 +121,19 @@ def _state_bits(algorithm) -> Optional[float]:
 
 
 def _result(
-    scenario: Scenario,
-    topology: Topology,
-    *,
-    stabilized: bool,
-    rounds: int,
-    steps: int,
-    recovered: Optional[bool] = None,
-    recovery_rounds: Optional[int] = None,
-    containment_radius: Optional[int] = None,
-    clean_fraction: Optional[float] = None,
-    state_bits: Optional[float] = None,
-    moves: Optional[int] = None,
-    churn_events: Optional[int] = None,
-    pulse_tightness: Optional[float] = None,
-    detail: str = "",
-    started: float = 0.0,
+    scenario: Scenario, topology: Topology, started: float, **columns
 ) -> ScenarioResult:
+    """A measured row: ``columns`` are :class:`ScenarioResult` fields."""
     return ScenarioResult(
         scenario_id=scenario.scenario_id,
         index=scenario.index,
         group=scenario.group,
-        stabilized=stabilized,
-        rounds=rounds,
-        steps=steps,
         n=topology.n,
         m=topology.m,
-        recovered=recovered,
-        recovery_rounds=recovery_rounds,
-        containment_radius=containment_radius,
-        clean_fraction=clean_fraction,
-        state_bits=state_bits,
-        moves=moves,
-        churn_events=churn_events,
-        pulse_tightness=pulse_tightness,
-        detail=detail,
         tags=scenario.tags,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        **columns,
     )
-
-
-def _stabilization_round(execution) -> int:
-    """The paper's unit: smallest ``i`` with stabilization by ``R(i)``
-    (mirrors :func:`repro.analysis.stabilization.measure_au_stabilization`).
-
-    Measured on the tracker's own clock (``rounds.time``), not the
-    engine step counter: after a ``reset_schedule`` the tracker counts
-    from the structural event while ``t`` keeps counting total work,
-    and this is the number that must align with the boundaries.
-    """
-    at_boundary = execution.rounds.time == execution.rounds.boundaries[-1]
-    return execution.completed_rounds + (0 if at_boundary else 1)
 
 
 class ScenarioTimeout(Exception):
@@ -276,114 +238,213 @@ def _close_execution(execution) -> None:
         close()
 
 
-def _run_permanent(
-    scenario: Scenario,
-    topology: Topology,
-    rng,
-    extra_monitors: Tuple[Monitor, ...] = (),
-) -> ScenarioResult:
-    """Permanent-fault scenario: run under a Byzantine/crash adversary
-    until the containment predicate (every correct node at hop distance
-    > ``plan.radius`` from the faulty set is clean) holds and survives a
-    confirmation window — the ``stabilized_outside`` check replacing the
-    all-nodes stabilization predicate."""
-    started = time.perf_counter()
-    algorithm = _make_algorithm(scenario, topology)
-    bits = _state_bits(algorithm)
-    mover = MoveCounter()
-    initial = _initial_configuration(scenario, algorithm, topology, rng)
+#: The ``detail`` of a row whose run never reached its stabilization
+#: predicate (shared with the replica-batch path, which must match it).
+_NOT_STABILIZED = "good graph not reached within the round budget"
+
+
+def _stable_predicate(scenario: Scenario, algorithm) -> Callable[[object], bool]:
+    """The scenario's stabilization predicate: thin unison (``stable``
+    None) uses the engines' incrementally counted goodness; the zoo
+    algorithms declare a closed configuration predicate."""
+    stable = _algorithm_spec(scenario).stable
+    if stable is None:
+        return lambda e: e.graph_is_good()
+    return lambda e: stable(algorithm, e.configuration)
+
+
+def _settle(execution, scenario: Scenario, until) -> Optional[int]:
+    """Run until ``until`` holds; the paper's stabilization round
+    (:meth:`~repro.model.rounds.RoundTracker.round_of_time` of *now*, on
+    the tracker's own clock, which ``reset_schedule`` restarts), or
+    ``None`` if the round budget ran out first."""
+    run = execution.run(max_rounds=scenario.max_rounds, until=until)
+    if not run.stopped_by_predicate:
+        return None
+    return execution.rounds.round_of_time(execution.rounds.time)
+
+
+def _recover(scenario: Scenario, execution, stable, event: str) -> Dict:
+    """Re-stabilize after a structural ``event`` on a fresh round clock
+    and scheduler, exactly as a from-scratch execution on the changed
+    graph would count it; ``t`` keeps accumulating total work."""
+    execution.reset_schedule(make_scheduler(scenario.scheduler))
+    rounds = _settle(execution, scenario, stable)
+    if rounds is None:
+        return {
+            "recovered": False,
+            "detail": f"post-{event} recovery exceeded the round budget",
+        }
+    return {"recovered": True, "recovery_rounds": rounds}
+
+
+def _bursts(scenario, topology, algorithm, execution, rng, stable) -> Dict:
+    """Corrupt a ``plan.fraction`` of the nodes ``plan.bursts`` times,
+    re-stabilizing after each; ``recovery_rounds`` is the worst burst."""
     plan = scenario.faults
+    worst = 0
+    for _ in range(plan.bursts):
+        count = max(1, int(np.ceil(plan.fraction * topology.n)))
+        victims = rng.choice(topology.n, size=count, replace=False)
+        execution.replace_configuration(
+            execution.configuration.replace(
+                {int(v): algorithm.random_state(rng) for v in victims}
+            )
+        )
+        start = execution.completed_rounds
+        recovery = execution.run(max_rounds=start + scenario.max_rounds, until=stable)
+        if not recovery.stopped_by_predicate:
+            return {
+                "recovered": False,
+                "detail": "burst recovery exceeded the round budget",
+            }
+        worst = max(worst, execution.completed_rounds - start + 1)
+    return {"recovered": True, "recovery_rounds": worst}
 
-    faulty = select_faulty_nodes(topology, plan.density, rng)
-    if plan.kind == "crash":
-        strategy = Crash(at=plan.times[0] if plan.times else 0)
-    else:
-        strategy = make_strategy(plan.strategy)
-    adversary = PermanentFaultAdversary(strategy, faulty, rng=rng)
-    distances = hop_distances(topology, faulty)
 
-    execution = _create_scenario_execution(
-        scenario,
+def _rewire(scenario, topology, algorithm, execution, rng, stable) -> Dict:
+    """Land a :func:`perturb_topology` rewiring on the running execution
+    as an incremental delta, then recover."""
+    plan = scenario.faults
+    perturbation = perturb_topology(
         topology,
-        algorithm,
-        initial,
         rng,
-        intervention=adversary,
-        monitors=(mover, *extra_monitors),
+        remove=plan.remove,
+        add=plan.add,
+        diameter_bound=scenario.diameter_bound,
     )
+    execution.mutate_topology(
+        TopologyDelta(add_edges=perturbation.added, remove_edges=perturbation.removed)
+    )
+    # Nodes whose contact set changed re-enter from arbitrary states: the
+    # rewiring invalidated exactly their neighborhood assumptions (pure
+    # edge changes often leave a good configuration good, which would
+    # make the recovery measurement vacuous).
+    touched = sorted(
+        {v for edge in perturbation.removed + perturbation.added for v in edge}
+    )
+    if touched:
+        execution.poke_states({v: algorithm.random_state(rng) for v in touched})
+    return _recover(scenario, execution, stable, "rewire")
+
+
+def _churn(scenario, topology, algorithm, execution, rng, stable) -> Dict:
+    """Survive a churn window, then recover.
+
+    ``plan.times[0]`` engine steps run under a
+    :class:`~repro.faults.churn.ChurnProcess` seeded purely from the
+    scenario seed, so every lane of a differential pair sees the
+    bit-identical delta stream.  ``churn`` splits ``plan.rate`` evenly
+    between edge additions and removals; ``membership`` between joins
+    (fresh nodes at the algorithm's rest state) and
+    connectivity-preserving leaves.  ``clean_fraction`` is the fraction
+    of window steps spent stable (the sustainable-churn order
+    parameter); ``pulse_tightness`` is measured on the surviving clocks
+    after recovery.
+    """
+    plan = scenario.faults
+    half = plan.rate / 2.0
+    if plan.kind == "churn":
+        rates = {"edge_add_rate": half, "edge_remove_rate": half}
+    else:
+        rates = {
+            "join_rate": half,
+            "leave_rate": half,
+            "initial_state": algorithm.initial_state,
+        }
+    churn = ChurnProcess(execution.topology, seed=scenario.seed, **rates)
+    window = int(plan.times[0])
+    tracker = RestabilizationTracker()
+    good_steps = 0
+    for delta in churn.deltas(window):
+        if delta is not None:
+            execution.mutate_topology(delta)
+            tracker.on_event(execution.t)
+        execution.step()
+        is_good = stable(execution)
+        if is_good:
+            good_steps += 1
+        tracker.on_step(execution.t, is_good)
+    columns = _recover(scenario, execution, stable, "churn")
+    if columns["recovered"] and tracker.episodes:
+        columns["detail"] = (
+            f"{len(tracker.episodes)} restabilization episodes, "
+            f"mean {tracker.mean_time():.1f} steps"
+        )
+    alive = getattr(execution.topology, "alive_nodes", execution.topology.nodes)
+    return dict(
+        columns,
+        clean_fraction=good_steps / window,
+        churn_events=churn.events,
+        pulse_tightness=pulse_tightness(
+            algorithm, (execution.state_of(v) for v in alive)
+        ),
+    )
+
+
+#: Post-stabilization disturbances by fault kind; each returns only its
+#: extra result columns.  Kinds absent here (``none``, ``storm``, whose
+#: injector strikes during stabilization) have none.
+_DISTURBANCES = {
+    "bursts": _bursts,
+    "rewire": _rewire,
+    "churn": _churn,
+    "membership": _churn,
+}
+
+
+def _contain(scenario: Scenario, execution, distances, row) -> ScenarioResult:
+    """Permanent faults: run until the containment predicate (every
+    correct node at hop distance > ``plan.radius`` from the faulty set
+    is clean) holds and survives a confirmation window — the
+    ``stabilized_outside`` check replacing the all-nodes stabilization
+    predicate."""
+    radius = scenario.faults.radius
 
     def outside_clean(e) -> bool:
         """Containment holds at the plan's radius right now."""
-        return (
-            radius_of_mask(execution_clean_mask(e, distances), distances)
-            <= plan.radius
-        )
+        return radius_of_mask(execution_clean_mask(e, distances), distances) <= radius
 
     # Disruption travels in waves, so a single clean instant is not
     # containment: the predicate must also hold at every boundary of a
     # confirmation window before the scenario counts as contained.
     confirm = 4 * (scenario.diameter_bound + 1)
-    try:
-        while execution.completed_rounds < scenario.max_rounds:
-            run = execution.run(
-                max_rounds=scenario.max_rounds,
-                until=outside_clean,
-                check_until_each_step=False,
-            )
-            if not run.stopped_by_predicate:
-                break
-            contained_round = _stabilization_round(execution)
-            held = True
-            always_clean = execution_clean_mask(execution, distances)
-            worst_radius = radius_of_mask(always_clean, distances)
-            for _ in range(confirm):
-                execution.run_rounds(1)
-                clean = execution_clean_mask(execution, distances)
-                always_clean &= clean
-                radius = radius_of_mask(clean, distances)
-                worst_radius = max(worst_radius, radius)
-                if radius > plan.radius:
-                    held = False
-                    break
-            if held:
-                correct = distances > 0
-                return _result(
-                    scenario,
-                    topology,
-                    stabilized=True,
-                    rounds=contained_round,
-                    steps=execution.t,
-                    containment_radius=worst_radius,
-                    # Settled through the window, matching the semantics of
-                    # ContainmentMeasurement.clean_fraction().
-                    clean_fraction=float(
-                        (always_clean & correct).sum() / correct.sum()
-                    ),
-                    state_bits=bits,
-                    moves=mover.moves,
-                    started=started,
-                )
-        return _result(
-            scenario,
-            topology,
-            stabilized=False,
-            rounds=execution.completed_rounds,
-            steps=execution.t,
-            containment_radius=int(
-                radius_of_mask(
-                    execution_clean_mask(execution, distances), distances
-                )
-            ),
-            state_bits=bits,
-            moves=mover.moves,
-            detail=(
-                f"containment at radius {plan.radius} not reached within the "
-                f"round budget"
-            ),
-            started=started,
+    while execution.completed_rounds < scenario.max_rounds:
+        run = execution.run(
+            max_rounds=scenario.max_rounds,
+            until=outside_clean,
+            check_until_each_step=False,
         )
-    finally:
-        _close_execution(execution)
+        if not run.stopped_by_predicate:
+            break
+        contained_round = execution.rounds.round_of_time(execution.rounds.time)
+        always_clean = execution_clean_mask(execution, distances)
+        worst = radius_of_mask(always_clean, distances)
+        for _ in range(confirm):
+            execution.run_rounds(1)
+            clean = execution_clean_mask(execution, distances)
+            always_clean &= clean
+            worst = max(worst, radius_of_mask(clean, distances))
+            if worst > radius:
+                break
+        else:
+            correct = distances > 0
+            return row(
+                stabilized=True,
+                rounds=contained_round,
+                containment_radius=worst,
+                # Settled through the window, matching the semantics of
+                # ContainmentMeasurement.clean_fraction().
+                clean_fraction=float((always_clean & correct).sum() / correct.sum()),
+            )
+    return row(
+        stabilized=False,
+        rounds=execution.completed_rounds,
+        containment_radius=int(
+            radius_of_mask(execution_clean_mask(execution, distances), distances)
+        ),
+        detail=f"containment at radius {radius} not reached within the round budget",
+    )
 
 
 def _run_au(
@@ -392,26 +453,29 @@ def _run_au(
     rng,
     extra_monitors: Tuple[Monitor, ...] = (),
 ) -> ScenarioResult:
-    if scenario.faults.kind in PERMANENT_FAULT_KINDS:
-        return _run_permanent(scenario, topology, rng, extra_monitors)
-    if scenario.faults.kind in DYNAMIC_FAULT_KINDS:
-        return _run_churn(scenario, topology, rng, extra_monitors)
+    """One AU scenario: set up, stabilize (containment for permanent
+    faults), apply the fault kind's disturbance, recover, one row."""
     started = time.perf_counter()
-    spec = _algorithm_spec(scenario)
     algorithm = _make_algorithm(scenario, topology)
     bits = _state_bits(algorithm)
-    mover = MoveCounter()
     initial = _initial_configuration(scenario, algorithm, topology, rng)
     plan = scenario.faults
 
-    intervention = None
-    injector = None
-    if plan.kind == "storm":
-        injector = TransientFaultInjector(
+    intervention = distances = None
+    if plan.kind in PERMANENT_FAULT_KINDS:
+        faulty = select_faulty_nodes(topology, plan.density, rng)
+        if plan.kind == "crash":
+            strategy = Crash(at=plan.times[0] if plan.times else 0)
+        else:
+            strategy = make_strategy(plan.strategy)
+        intervention = PermanentFaultAdversary(strategy, faulty, rng=rng)
+        distances = hop_distances(topology, faulty)
+    elif plan.kind == "storm":
+        intervention = TransientFaultInjector(
             algorithm, plan.times, fraction=plan.fraction, rng=rng
         )
-        intervention = injector
 
+    mover = MoveCounter()
     execution = _create_scenario_execution(
         scenario,
         topology,
@@ -422,301 +486,44 @@ def _run_au(
         monitors=(mover, *extra_monitors),
     )
 
-    # The stabilization predicate: thin unison (spec.stable None) uses
-    # the engines' incrementally counted goodness fast path; the zoo
-    # algorithms declare a closed configuration predicate.
-    if spec.stable is None:
-        def stable_now(e) -> bool:
-            """Goodness via the engine's incremental counters."""
-            return e.graph_is_good()
-    else:
-        def stable_now(e) -> bool:
-            """The algorithm's declared closed-configuration predicate."""
-            return spec.stable(algorithm, e.configuration)
-
-    def good(e) -> bool:
-        """Stability, ignored while a fault storm is still scheduled."""
-        if injector is not None and e.t <= max(plan.times):
-            return False  # the storm is still raging; don't stop early
-        return stable_now(e)
-
-    try:
-        run = execution.run(max_rounds=scenario.max_rounds, until=good)
-        if not run.stopped_by_predicate:
-            return _result(
-                scenario,
-                topology,
-                stabilized=False,
-                rounds=execution.completed_rounds,
-                steps=execution.t,
-                state_bits=bits,
-                moves=mover.moves,
-                detail="good graph not reached within the round budget",
-                started=started,
-            )
-        rounds = _stabilization_round(execution)
-
-        if plan.kind == "bursts":
-            worst_recovery = 0
-            for _ in range(plan.bursts):
-                count = max(1, int(np.ceil(plan.fraction * topology.n)))
-                victims = rng.choice(topology.n, size=count, replace=False)
-                corrupted = execution.configuration.replace(
-                    {int(v): algorithm.random_state(rng) for v in victims}
-                )
-                execution.replace_configuration(corrupted)
-                start_round = execution.completed_rounds
-                recovery = execution.run(
-                    max_rounds=execution.completed_rounds + scenario.max_rounds,
-                    until=stable_now,
-                )
-                if not recovery.stopped_by_predicate:
-                    return _result(
-                        scenario,
-                        topology,
-                        stabilized=True,
-                        rounds=rounds,
-                        steps=execution.t,
-                        recovered=False,
-                        state_bits=bits,
-                        moves=mover.moves,
-                        detail="burst recovery exceeded the round budget",
-                        started=started,
-                    )
-                worst_recovery = max(
-                    worst_recovery, execution.completed_rounds - start_round + 1
-                )
-            return _result(
-                scenario,
-                topology,
-                stabilized=True,
-                rounds=rounds,
-                steps=execution.t,
-                recovered=True,
-                recovery_rounds=worst_recovery,
-                state_bits=bits,
-                moves=mover.moves,
-                started=started,
-            )
-
-        if plan.kind == "rewire":
-            perturbation = perturb_topology(
-                topology,
-                rng,
-                remove=plan.remove,
-                add=plan.add,
-                diameter_bound=scenario.diameter_bound,
-            )
-            # The rewiring lands on the *running* execution as an
-            # incremental delta — the engine patches its structure in
-            # place instead of being rebuilt around a carried
-            # configuration.
-            execution.mutate_topology(
-                TopologyDelta(
-                    add_edges=perturbation.added,
-                    remove_edges=perturbation.removed,
-                )
-            )
-            # Nodes whose contact set changed re-enter from arbitrary
-            # states: the rewiring invalidated exactly their neighborhood
-            # assumptions (pure edge changes often leave a good
-            # configuration good, which would make the recovery
-            # measurement vacuous).
-            touched = sorted(
-                {v for edge in perturbation.removed + perturbation.added for v in edge}
-            )
-            if touched:
-                execution.poke_states(
-                    {v: algorithm.random_state(rng) for v in touched}
-                )
-            # Recovery is measured on a fresh round clock and scheduler,
-            # exactly as a from-scratch execution on the perturbed graph
-            # would count it; ``t`` keeps accumulating total work.
-            execution.reset_schedule(make_scheduler(scenario.scheduler))
-            recovery = execution.run(
-                max_rounds=scenario.max_rounds,
-                until=stable_now,
-            )
-            if not recovery.stopped_by_predicate:
-                return _result(
-                    scenario,
-                    topology,
-                    stabilized=True,
-                    rounds=rounds,
-                    steps=execution.t,
-                    recovered=False,
-                    state_bits=bits,
-                    moves=mover.moves,
-                    detail="post-rewire recovery exceeded the round budget",
-                    started=started,
-                )
-            return _result(
-                scenario,
-                topology,
-                stabilized=True,
-                rounds=rounds,
-                steps=execution.t,
-                recovered=True,
-                recovery_rounds=_stabilization_round(execution),
-                state_bits=bits,
-                moves=mover.moves,
-                started=started,
-            )
-
+    def row(**columns) -> ScenarioResult:
+        """This scenario's result row with its shared columns filled in."""
         return _result(
             scenario,
             topology,
-            stabilized=True,
-            rounds=rounds,
+            started,
             steps=execution.t,
             state_bits=bits,
             moves=mover.moves,
-            started=started,
+            **columns,
         )
-    finally:
-        _close_execution(execution)
 
+    stable = _stable_predicate(scenario, algorithm)
+    until = stable
+    if plan.kind == "storm":
+        last_strike = max(plan.times)
 
-def _run_churn(
-    scenario: Scenario,
-    topology: Topology,
-    rng,
-    extra_monitors: Tuple[Monitor, ...] = (),
-) -> ScenarioResult:
-    """Dynamic-topology scenario: stabilize, survive a churn window,
-    re-stabilize.
-
-    The three phases map onto the result columns:
-
-    1. **Stabilize** on the initial graph (``rounds``), as any static
-       scenario would.
-    2. **Churn window** — ``plan.times[0]`` engine steps driven by a
-       :class:`~repro.faults.churn.ChurnProcess` seeded purely from the
-       scenario seed, so every engine lane of a differential pair sees
-       the bit-identical delta stream.  ``kind="churn"`` splits
-       ``plan.rate`` evenly between edge additions and removals;
-       ``kind="membership"`` splits it between joins (fresh nodes at
-       the algorithm's rest state) and connectivity-preserving leaves.
-       ``clean_fraction`` is the fraction of window steps spent good —
-       the sustainable-churn order parameter — and the per-event
-       re-stabilization episodes are summarized into ``detail``.
-    3. **Re-stabilize** after the window closes (``recovered`` /
-       ``recovery_rounds``, on a fresh round clock), then measure the
-       final ``pulse_tightness`` of the surviving clocks.
-    """
-    started = time.perf_counter()
-    spec = _algorithm_spec(scenario)
-    algorithm = _make_algorithm(scenario, topology)
-    bits = _state_bits(algorithm)
-    mover = MoveCounter()
-    initial = _initial_configuration(scenario, algorithm, topology, rng)
-    plan = scenario.faults
-
-    execution = _create_scenario_execution(
-        scenario,
-        topology,
-        algorithm,
-        initial,
-        rng,
-        monitors=(mover, *extra_monitors),
-    )
-
-    if spec.stable is None:
-        def stable_now(e) -> bool:
-            """Goodness via the engine's incremental counters."""
-            return e.graph_is_good()
-    else:
-        def stable_now(e) -> bool:
-            """The algorithm's declared closed-configuration predicate."""
-            return spec.stable(algorithm, e.configuration)
+        def until(e) -> bool:
+            """Stability, ignored while the storm is still scheduled."""
+            return e.t > last_strike and stable(e)
 
     try:
-        run = execution.run(max_rounds=scenario.max_rounds, until=stable_now)
-        if not run.stopped_by_predicate:
-            return _result(
-                scenario,
-                topology,
+        if distances is not None:
+            return _contain(scenario, execution, distances, row)
+        rounds = _settle(execution, scenario, until)
+        if rounds is None:
+            return row(
                 stabilized=False,
                 rounds=execution.completed_rounds,
-                steps=execution.t,
-                state_bits=bits,
-                moves=mover.moves,
-                detail="good graph not reached within the round budget",
-                started=started,
+                detail=_NOT_STABILIZED,
             )
-        rounds = _stabilization_round(execution)
-
-        half = plan.rate / 2.0
-        if plan.kind == "churn":
-            churn = ChurnProcess(
-                execution.topology,
-                seed=scenario.seed,
-                edge_add_rate=half,
-                edge_remove_rate=half,
-            )
-        else:  # membership
-            churn = ChurnProcess(
-                execution.topology,
-                seed=scenario.seed,
-                join_rate=half,
-                leave_rate=half,
-                initial_state=algorithm.initial_state,
-            )
-
-        window = int(plan.times[0])
-        tracker = RestabilizationTracker()
-        good_steps = 0
-        for delta in churn.deltas(window):
-            if delta is not None:
-                execution.mutate_topology(delta)
-                tracker.on_event(execution.t)
-            execution.step()
-            is_good = stable_now(execution)
-            if is_good:
-                good_steps += 1
-            tracker.on_step(execution.t, is_good)
-        clean = good_steps / window
-
-        # Post-window recovery on a fresh round clock, so
-        # ``recovery_rounds`` counts from the end of the churn window
-        # the way ``rounds`` counts from the start.
-        execution.reset_schedule(make_scheduler(scenario.scheduler))
-        recovery = execution.run(max_rounds=scenario.max_rounds, until=stable_now)
-        recovered = recovery.stopped_by_predicate
-
-        alive = getattr(
-            execution.topology, "alive_nodes", execution.topology.nodes
+        disturb = _DISTURBANCES.get(plan.kind)
+        extra = (
+            disturb(scenario, topology, algorithm, execution, rng, stable)
+            if disturb
+            else {}
         )
-        tightness = pulse_tightness(
-            algorithm, (execution.state_of(v) for v in alive)
-        )
-
-        detail = ""
-        if not recovered:
-            detail = "post-churn recovery exceeded the round budget"
-        elif tracker.episodes:
-            detail = (
-                f"{len(tracker.episodes)} restabilization episodes, "
-                f"mean {tracker.mean_time():.1f} steps"
-            )
-        return _result(
-            scenario,
-            topology,
-            stabilized=True,
-            rounds=rounds,
-            steps=execution.t,
-            recovered=recovered,
-            recovery_rounds=(
-                _stabilization_round(execution) if recovered else None
-            ),
-            clean_fraction=clean,
-            churn_events=churn.events,
-            pulse_tightness=tightness,
-            state_bits=bits,
-            moves=mover.moves,
-            detail=detail,
-            started=started,
-        )
+        return row(stabilized=True, rounds=rounds, **extra)
     finally:
         _close_execution(execution)
 
@@ -758,13 +565,13 @@ def _run_static(
     return _result(
         scenario,
         topology,
+        started,
         stabilized=measurement.stabilized,
         rounds=measurement.rounds,
         steps=measurement.steps,
         state_bits=_state_bits(algorithm),
         moves=measurement.moves,
         detail=measurement.detail,
-        started=started,
     )
 
 
@@ -772,6 +579,32 @@ def _run_static(
 #: characters: enough to keep the raising frame and the error line, not
 #: enough to bloat checkpoint rows when a deep stack fails repeatedly.
 TRACEBACK_LIMIT = 1200
+
+
+def _traceback_text(error: BaseException) -> str:
+    """``error``'s traceback, independent of the checkout and interpreter.
+
+    Each frame is rendered as its package-relative path (derived from the
+    frame's module name) and function name, plus its source line, then
+    the exception line.  ``traceback.format_exc`` would embed absolute
+    file paths and, from Python 3.11, ``^^^`` position markers.  Frames
+    of generated code (``<...>`` file names) are skipped: their names
+    carry process-local compilation counters.
+    """
+    lines = ["Traceback (most recent call last):"]
+    for frame, lineno in traceback.walk_tb(error.__traceback__):
+        code = frame.f_code
+        if code.co_filename.startswith("<"):
+            continue
+        depth = frame.f_globals.get("__name__", "").count(".")
+        depth += code.co_filename.endswith("__init__.py")
+        parts = os.path.normpath(code.co_filename).split(os.sep)
+        lines.append(f"  {'/'.join(parts[-depth - 1 :])}, in {code.co_name}")
+        source = linecache.getline(code.co_filename, lineno).strip()
+        if source:
+            lines.append(f"    {source}")
+    lines.append("".join(traceback.format_exception_only(type(error), error)).rstrip())
+    return "\n".join(lines)
 
 
 def _failed_result(
@@ -782,10 +615,10 @@ def _failed_result(
     ``detail`` carries a truncated traceback alongside the message —
     ``str(exc)`` alone loses the raising frame, which made campaign
     failures undebuggable from the artifact.  The traceback is a pure
-    function of the code, so failure rows still aggregate bit-identically
-    across worker counts.
+    function of the code (:func:`_traceback_text`), so failure rows
+    aggregate bit-identically across worker counts and checkouts.
     """
-    tb = traceback.format_exc()
+    tb = _traceback_text(error)
     if len(tb) > TRACEBACK_LIMIT:
         tb = "...\n" + tb[-TRACEBACK_LIMIT:]
     return ScenarioResult(
@@ -898,17 +731,13 @@ def run_scenario_batch(
             by_id[scenario.scenario_id] = _result(
                 scenario,
                 topology,
+                started,
                 stabilized=outcome.stabilized,
                 rounds=outcome.rounds,
                 steps=outcome.steps,
                 state_bits=bits,
                 moves=outcome.moves,
-                detail=(
-                    ""
-                    if outcome.stabilized
-                    else "good graph not reached within the round budget"
-                ),
-                started=started,
+                detail="" if outcome.stabilized else _NOT_STABILIZED,
             )
     return [by_id[scenario.scenario_id] for scenario in scenarios]
 

@@ -81,9 +81,9 @@ class ReplicaSpec(NamedTuple):
 @dataclass(frozen=True)
 class ReplicaOutcome:
     """The measured outcome of one replica — the same quantities the
-    per-scenario AU path reports (`repro.campaigns.runner._run_au`,
-    fault-free branch), bit-identical to a solo run from the same
-    seed."""
+    per-scenario AU pipeline reports for a fault-free scenario
+    (`repro.campaigns.runner.run_scenario`), bit-identical to a solo
+    run from the same seed."""
 
     index: int
     n: int
@@ -163,10 +163,9 @@ class _Replica:
         self.rounds = rounds
 
     def stabilization_round(self) -> int:
-        """Mirrors ``repro.campaigns.runner._stabilization_round``."""
-        completed = self.tracker.completed_rounds
-        at_boundary = self.t == self.tracker.boundary(completed)
-        return completed + (0 if at_boundary else 1)
+        """The paper's stabilization round of *now*, on the replica's
+        own round clock."""
+        return self.tracker.round_of_time(self.tracker.time)
 
     def queue_stabilization_round(self) -> int:
         at_boundary = self.t == self.round_start + self.n

@@ -97,14 +97,17 @@ class RoundTracker:
         """The smallest ``i`` with ``R(i) ≥ t`` (the paper's unit for
         "stabilized by time ``R(i)``").
 
-        Raises :class:`IndexError` if ``t`` lies beyond the last known
-        boundary (the execution has not yet completed enough rounds).
+        This is the one definition of the stabilization round: a time
+        inside the round still in progress belongs to round
+        ``completed_rounds + 1``, whose boundary is not yet known but
+        must lie at or after ``t``.  Times are on this tracker's clock
+        (:attr:`time`, which a ``reset_schedule`` restarts).  Raises
+        :class:`IndexError` if ``t`` lies beyond :attr:`time`.
         """
+        if t > self._time:
+            raise IndexError(f"time {t} lies beyond the tracker's clock {self._time}")
         if t > self._boundaries[-1]:
-            raise IndexError(
-                f"time {t} lies beyond the last completed round boundary "
-                f"{self._boundaries[-1]}"
-            )
+            return self.completed_rounds + 1
         # First index with boundary >= t.
         return bisect_right(self._boundaries, t - 1)
 

@@ -199,6 +199,27 @@ class TestPostStabilizationBehavior:
         assert monitor.first_good_time is not None
         assert monitor.goodness_lost_at is None  # Lem 2.10
 
+    def test_good_graph_monitor_rounds_goodness_reached_mid_round(self):
+        """Regression: goodness first holding partway through a round
+        reported ``first_good_round=None``; the round in progress counts
+        (the paper's smallest ``i`` with a good graph by ``R(i)``)."""
+        rng = np.random.default_rng(0)
+        alg = ThinUnison(1)
+        topology = complete_graph(5)
+        monitor = GoodGraphMonitor(check_every_step=True)
+        execution = Execution(
+            topology,
+            alg,
+            random_configuration(alg, topology, rng),
+            ShuffledRoundRobinScheduler(),
+            rng=rng,
+            monitors=(monitor,),
+        )
+        execution.run(max_rounds=50)
+        assert monitor.first_good_time == 39  # mid-round: R(7) < 39 < R(8)
+        assert execution.rounds.boundary(7) < 39 < execution.rounds.boundary(8)
+        assert monitor.first_good_round == 8
+
 
 class TestAdversarialRotatingScheduler:
     """AlgAU stabilizes even under the rotating adversary that

@@ -11,6 +11,7 @@ bit-identity, hit/miss stats), and the ``repro cache`` CLI.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -33,6 +34,7 @@ from repro.campaigns import (
     make_dispatcher,
     measured_payload,
     run_campaign,
+    run_scenario,
 )
 from repro.campaigns import runner as runner_module
 from repro.campaigns.cache import UNCACHEABLE_STATUS
@@ -86,6 +88,36 @@ GOLDEN_HASHES = {
     "le-task": "fc88c0c2db210c030f39305c4e90e8c5f716c9cba7dd0b7a7503b801bf5d27fb",
     "mis-baseline": "d751f6ca24b50b379cab496b36e4d5ee338d9add646906e6f8dd7ed55a908394",
     "reset-tail": "92c7c5b4259282497f1cbcd3fb1030004f03247c69369c2877f4e776fdc65f40",
+    "storm": "956b162b95d64a618c84ab722305736052badcdcf75c5caf8deaac98964ba168",
+    "rewire": "008ec8bbc8aac07377f4ebdd4b37b7d720b673d2a2c270e42d083eb031caa536",
+    "churn": "ef5c945ed248ceea47f8bcee9269d295117cede47a04437af04fde747fc981fb",
+    "membership": "e23dff58ca664c8cdc473b41917322df3f4d75d5bc7a38b8b904e83a19b4a48c",
+}
+
+#: Pinned SHA-256 digests of ``measured_payload(run_scenario(s))`` (as
+#: canonical JSON) for every golden scenario.  The cache serves a stored
+#: row for as long as the scenario's content hash matches, so a code
+#: change that moves any measured column must fail here: either it is a
+#: regression, or CONTENT_HASH_VERSION must be bumped (invalidating every
+#: stale cached row) and these payloads re-pinned.
+GOLDEN_PAYLOADS = {
+    "object-sync": "83d3f8f4f2cb30609a5dddc5048de9670e7682d42612240661e114df40973be2",
+    "array-engine": "83d3f8f4f2cb30609a5dddc5048de9670e7682d42612240661e114df40973be2",
+    "replica-batch-engine": "c238f952deb3bbff2e3107da93d49b675c20a9a980262c51f06c893c826313a2",
+    "native-engine": "83d3f8f4f2cb30609a5dddc5048de9670e7682d42612240661e114df40973be2",
+    "ring-laggard": "ac0e53a8139f313ffb69c72baceb7977fd6a733eac91bf04aa1ee6635bbe2dab",
+    "net-ideal": "c238f952deb3bbff2e3107da93d49b675c20a9a980262c51f06c893c826313a2",
+    "net-lossy": "339088f8e16576d51e91f74eb3869eee7877f838759c98ace509ecd1de4b1598",
+    "byzantine": "802c515bc1bf035ec484725843eaff1f03dac13117e51b39ea699bffbc54abd7",
+    "crash": "5511aa15b243bf619c9776482d353ea4e4076d3ab1fc749933884d1dc41b7162",
+    "bursts": "b741c821689565ea45d82039fc245da527cab92d1ab336d2cae6ad626070de85",
+    "le-task": "bce6c9b8d006cbf961da2955655db2795e15b20832c94cdab22b060b9392fb5c",
+    "mis-baseline": "bb890a6b88981f6efcfbff6bd86f9a133dd473f7a8c42c8eb4d26fcfb2c72388",
+    "reset-tail": "8b13f26c4fc6d11a10861016e78ff753deb7771ef03efb85c7387ad84b63d99d",
+    "storm": "52baa33e1f6a594a2c865f13c5a95b9f4a2234082dfdfe3dcc5286d77f65b583",
+    "rewire": "231187e72af1ab7492f7a4f1678b5c3c65d7ce05af3dad57052fd5bcd85c41b2",
+    "churn": "86f0b9cc3dcc921dcc21621aeaa4a1e6edf116746e16ea75ec71cd9a9061e608",
+    "membership": "2ba712b4ed59292fa1c90c2090103e3778c4ac55aa3d28645297e1a431fd6908",
 }
 
 
@@ -137,6 +169,29 @@ def golden_scenarios():
         "reset-tail": scenario(
             algorithm="reset-tail-unison", start="random", engine="array"
         ),
+        "storm": scenario(
+            scheduler="round-robin",
+            faults=FaultPlan(kind="storm", times=(4, 9), fraction=0.25),
+        ),
+        # perturb_topology needs a non-edge to add: not a complete graph.
+        "rewire": scenario(
+            graph="grid",
+            graph_params=(("rows", 3), ("cols", 3)),
+            diameter_bound=4,
+            scheduler="round-robin",
+            faults=FaultPlan(kind="rewire", remove=1, add=1),
+        ),
+        "churn": scenario(
+            graph="ring",
+            graph_params=(("n", 12),),
+            diameter_bound=6,
+            start="random",
+            faults=FaultPlan(kind="churn", rate=2.0, times=(12,)),
+        ),
+        "membership": scenario(
+            start="random",
+            faults=FaultPlan(kind="membership", rate=2.0, times=(12,)),
+        ),
     }
 
 
@@ -146,6 +201,16 @@ class TestContentHash:
         assert set(scenarios) == set(GOLDEN_HASHES)
         for name, scn in scenarios.items():
             assert scn.content_hash() == GOLDEN_HASHES[name], name
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
+    def test_golden_measured_payloads(self, name):
+        result = run_scenario(golden_scenarios()[name])
+        text = json.dumps(measured_payload(result), sort_keys=True)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_PAYLOADS[name]
+
+    def test_golden_payloads_cover_every_golden_scenario(self):
+        assert set(GOLDEN_PAYLOADS) == set(golden_scenarios())
 
     def test_golden_scenarios_collision_free(self):
         hashes = list(GOLDEN_HASHES.values())

@@ -429,6 +429,52 @@ class TestRunner:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["failure_count"] == 3
 
+    def test_error_detail_is_checkout_independent(self, tmp_path):
+        """Regression: error rows embedded ``traceback.format_exc()``,
+        whose absolute file paths made ``detail`` (an aggregate column)
+        depend on where the code was checked out.  The same failing cell
+        run from two copies of the package must fold identically."""
+        import shutil
+        import subprocess
+        import sys
+
+        import repro
+
+        # On a complete graph, perturb_topology has no non-edge to add.
+        scenario = _scenario(
+            graph_params=(("n", 8),), faults=FaultPlan("rewire", add=1)
+        )
+        script = (
+            "import json, sys\n"
+            "import repro\n"
+            "from repro.campaigns import Scenario, run_scenario\n"
+            "scenario = Scenario.from_dict(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([repro.__file__, run_scenario(scenario).detail]))\n"
+        )
+        package = os.path.dirname(repro.__file__)
+        details = []
+        for name in ("one", "two"):
+            root = tmp_path / name / "src"
+            shutil.copytree(
+                package, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(scenario.to_dict())],
+                env=dict(os.environ, PYTHONPATH=str(root)),
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            imported_from, detail = json.loads(out.stdout)
+            assert imported_from.startswith(str(root))
+            details.append(detail)
+        assert details[0] == details[1]
+        assert details[0].startswith("error: ModelError: could not perturb")
+        assert "repro/campaigns/runner.py, in _rewire" in details[0]
+        assert str(tmp_path) not in details[0]
+        assert not any(token.startswith("/") for token in details[0].split())
+
 
 class TestNewAxes:
     def test_perturb_topology_keeps_connectivity_and_nodes(self):

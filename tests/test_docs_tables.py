@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import re
 
-from repro.campaigns.spec import ALGORITHM_FACTORIES, algorithm_names
+from repro.campaigns.spec import ALGORITHM_FACTORIES, FAULT_KINDS, algorithm_names
 from repro.model.engine import ENGINE_FACTORIES, engine_class
 
 DOCS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "docs")
@@ -116,6 +116,16 @@ class TestEngineTable:
     def test_class_column_names_the_real_engine_classes(self):
         for row in self.table():
             assert _code(row[1]) == engine_class(_code(row[0])).__name__, row[0]
+
+
+class TestScenarioAxisTable:
+    """docs/campaigns.md's axis table names every fault kind."""
+
+    def test_faults_row_lists_every_fault_kind(self):
+        _, rows = _parse_table(_read("campaigns.md"), "field")
+        (faults,) = [row[1] for row in rows if _code(row[0]) == "faults"]
+        missing = [kind for kind in FAULT_KINDS if f"`{kind}`" not in faults]
+        assert not missing, f"fault kinds missing from the faults row: {missing}"
 
 
 class TestNavCoverage:

@@ -56,6 +56,15 @@ class TestRoundTracker:
         assert tracker.round_of_time(3) == 2
         with pytest.raises(IndexError):
             tracker.round_of_time(4)
+        # A time inside the round still in progress (past R(2) = 3 but
+        # within the clock) belongs to the next round, R(3) >= t.
+        tracker.observe((0,))
+        tracker.observe((0,))  # time 5, R(3) not yet determined
+        assert tracker.completed_rounds == 2
+        assert tracker.round_of_time(4) == 3
+        assert tracker.round_of_time(5) == 3
+        with pytest.raises(IndexError):
+            tracker.round_of_time(6)
 
 
 class TestSchedulers:

@@ -186,9 +186,9 @@ class TestSingleReplicaEnginePath:
 
 
 def _solo_outcome(algorithm, family, sched_factory, seed, max_rounds, engine="array"):
-    """The per-scenario measurement (`runner._run_au`, fault-free
-    branch) from one seed: rng → graph sample → random start →
-    run-until-good."""
+    """The per-scenario measurement (the runner's AU pipeline for a
+    fault-free scenario) from one seed: rng → graph sample → random
+    start → run-until-good."""
     rng = np.random.default_rng(seed)
     topology = family(rng)
     initial = random_configuration(algorithm, topology, rng)
@@ -202,8 +202,7 @@ def _solo_outcome(algorithm, family, sched_factory, seed, max_rounds, engine="ar
     )
     run = execution.run(max_rounds=max_rounds, until=lambda e: e.graph_is_good())
     if run.stopped_by_predicate:
-        at_boundary = execution.t == execution.rounds.boundaries[-1]
-        rounds = execution.completed_rounds + (0 if at_boundary else 1)
+        rounds = execution.rounds.round_of_time(execution.t)
         stabilized = True
     else:
         rounds = execution.completed_rounds
