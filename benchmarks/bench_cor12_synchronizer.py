@@ -1,31 +1,33 @@
 """Corollary 1.2 — the synchronizer: Π (synchronous) vs Π* (asynchronous).
 
-For AlgMIS and AlgLE the sweep compares stabilization rounds of the
-synchronous original against its synchronizer lift under an adversarial
-asynchronous scheduler, and verifies the exact product state-space
-accounting ``|Q*| = |Q|^2 · (4k − 2) = O(D · |Q|^2)``.  The timed kernel
-is one asynchronous Sync[AlgMIS] stabilization.
+The sweep is the ``cor12-synchronizer`` campaign.  For AlgMIS and AlgLE
+it compares stabilization rounds of the synchronous original against
+its synchronizer lift under an adversarial asynchronous scheduler, each
+trial a seed-paired couple of rows on one graph sample, and verifies
+the exact product state-space accounting
+``|Q*| = |Q|^2 · (4k − 2) = O(D · |Q|^2)``.  The timed kernel is one
+asynchronous Sync[AlgMIS] stabilization.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from conftest import emit
+from conftest import emit, run_registry_campaign
 
-from repro.analysis.experiments import synchronizer_experiment
 from repro.analysis.stabilization import measure_static_task_stabilization
+from repro.analysis.stats import Summary
 from repro.analysis.tables import render_table
+from repro.campaigns import state_count
 from repro.core.algau import ThinUnison
 from repro.faults.injection import random_configuration
 from repro.graphs.generators import damaged_clique
 from repro.model.scheduler import ShuffledRoundRobinScheduler
 from repro.sync.synchronizer import Synchronizer
 from repro.tasks.mis import AlgMIS
-from repro.tasks.spec import check_mis_output
+from repro.tasks.spec import output_validator
 
+REGISTRY = "cor12-synchronizer"
 D = 2
-NS = (6, 10, 14)
-TRIALS = 3
 
 
 def kernel():
@@ -39,7 +41,7 @@ def kernel():
         random_configuration(wrapped, topology, rng),
         ShuffledRoundRobinScheduler(),
         rng,
-        lambda out: check_mis_output(topology, out).valid,
+        output_validator("mis", topology),
         max_rounds=150_000,
         confirm_rounds=36,
     )
@@ -48,13 +50,26 @@ def kernel():
 
 
 def test_cor12_synchronizer(benchmark):
-    all_rows = []
-    for task in ("mis", "le"):
-        all_rows.extend(
-            synchronizer_experiment(task=task, ns=NS, diameter_bound=D, trials=TRIALS)
-        )
+    aggregates = run_registry_campaign(REGISTRY)
+    rows = aggregates["rows"]
+    trials = len({row["tags"]["trial"] for row in rows})
+    # (task, n) -> {"sync": rows of Π, "async": rows of Π*}
+    cells = {}
+    for row in rows:
+        lane = "async" if row["algorithm"].startswith("sync-") else "sync"
+        n = row["graph_params"]["n"]
+        cells.setdefault((row["task"], n), {"sync": [], "async": []})[lane].append(row)
 
     unison_states = ThinUnison(D).state_space_size()
+    table_rows = []
+    for (task, n), lanes in cells.items():
+        sync_rounds = Summary.of([r["rounds"] for r in lanes["sync"]])
+        async_rounds = Summary.of([r["rounds"] for r in lanes["async"]])
+        inner_states = state_count(lanes["sync"][0])
+        product_states = state_count(lanes["async"][0])
+        table_rows.append(
+            (task, n, sync_rounds, async_rounds, inner_states, product_states)
+        )
     table = render_table(
         [
             "task",
@@ -65,33 +80,24 @@ def test_cor12_synchronizer(benchmark):
             "|Q*| = |Q|²·(12D+6)",
         ],
         [
-            (
-                row.task.upper(),
-                row.n,
-                str(row.sync_rounds),
-                str(row.async_rounds),
-                row.inner_states,
-                row.product_states,
-            )
-            for row in all_rows
+            (task.upper(), n, str(sync), str(lifted), inner, product)
+            for task, n, sync, lifted, inner, product in table_rows
         ],
         title=(
-            f"Cor 1.2 — synchronizer overhead at D={D} (async = "
-            f"shuffled-round-robin, {TRIALS} adversarial-start trials); "
-            f"AU factor 12D+6 = {unison_states}"
+            f"Cor 1.2 — synchronizer overhead at D={D} (campaign "
+            f"'{REGISTRY}': async = shuffled-round-robin, {trials} "
+            f"seed-paired random-start trials); AU factor 12D+6 = "
+            f"{unison_states}"
         ),
     )
     emit("cor12_synchronizer", table)
 
-    for row in all_rows:
+    for _, _, sync, lifted, inner, product in table_rows:
         # Exact product accounting.
-        assert (
-            row.product_states
-            == row.inner_states * row.inner_states * unison_states
-        )
+        assert product == inner * inner * unison_states
         # Shape: asynchrony costs a bounded multiplicative overhead plus
         # the O(D^3) AU additive term — nowhere near, say, Ω(n) blowup.
         additive = (3 * D + 2) ** 3
-        assert row.async_rounds.mean <= 6 * row.sync_rounds.mean + additive
+        assert lifted.mean <= 6 * sync.mean + additive
 
     benchmark.pedantic(kernel, rounds=3, iterations=1)

@@ -13,7 +13,7 @@ Two experiments on biological topologies:
    AlgMIS always converges to a valid SOP pattern, the baseline stays
    broken.
 
-The timed kernel is one AU fault-burst recovery.
+The timed kernel is one `fault-recovery` scenario through `run_scenario`.
 """
 
 from __future__ import annotations
@@ -21,27 +21,25 @@ from __future__ import annotations
 import numpy as np
 from conftest import emit, run_registry_campaign
 
-from repro.analysis.experiments import au_fault_recovery_experiment
 from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.analysis.stats import Summary
 from repro.analysis.tables import render_table
 from repro.baselines.luby_mis import IDGreedyMIS
+from repro.campaigns import build_campaign, run_scenario
 from repro.faults.injection import random_configuration
 from repro.graphs.biological import proneural_cluster
 from repro.model.execution import Execution
 from repro.model.scheduler import SynchronousScheduler
 from repro.tasks.mis import AlgMIS
-from repro.tasks.spec import check_mis_output
+from repro.tasks.spec import output_validator
 
 TRIALS = 8
 REGISTRY = "fault-recovery"
 
 
 def kernel():
-    row = au_fault_recovery_experiment(
-        diameter_bound=2, n=12, bursts=1, fraction=0.3, trials=1
-    )
-    assert row.recovered == 1
+    result = run_scenario(build_campaign(REGISTRY)[0])
+    assert result.recovered
 
 
 def mis_contrast(trials: int):
@@ -52,6 +50,7 @@ def mis_contrast(trials: int):
         rng = np.random.default_rng(1000 + trial)
         tissue = proneural_cluster(4, 3)
         d = tissue.diameter
+        is_valid = output_validator("mis", tissue)
 
         algorithm = AlgMIS(d)
         result = measure_static_task_stabilization(
@@ -60,7 +59,7 @@ def mis_contrast(trials: int):
             random_configuration(algorithm, tissue, rng),
             SynchronousScheduler(),
             rng,
-            lambda out: check_mis_output(tissue, out).valid,
+            is_valid,
             max_rounds=80_000,
             confirm_rounds=10 * (d + 3),
         )
@@ -77,7 +76,7 @@ def mis_contrast(trials: int):
         )
         execution.run(max_rounds=200)
         out = execution.configuration.output_vector(baseline)
-        if all(o is not None for o in out) and check_mis_output(tissue, out).valid:
+        if all(o is not None for o in out) and is_valid(out):
             baseline_ok += 1
     return algmis_ok, baseline_ok
 

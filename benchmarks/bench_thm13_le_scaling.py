@@ -1,28 +1,28 @@
 """Theorem 1.3 — AlgLE: O(D) states, O(D log n) rounds whp.
 
-Two sweeps: rounds vs ``n`` at fixed ``D`` (the ratio rounds/log2(n)
-must stay roughly flat) and rounds vs ``D`` at fixed ``n`` (roughly
-linear growth, since an epoch is D + 1 rounds).  The timed kernel is a
-single adversarial-start election on the largest instance.
+The sweep is the ``thm13-le-scaling`` campaign: rounds vs ``n`` at
+fixed ``D`` (the ratio rounds/log2(n) must stay roughly flat) and
+rounds vs ``D`` at fixed ``n`` (roughly linear growth, since an epoch is
+D + 1 rounds), four synchronous random-start trials per point.  The
+timed kernel is a single adversarial-start election.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from conftest import emit
+from conftest import emit, run_registry_campaign
 
-from repro.analysis.experiments import le_scaling_experiment, per_log_n
 from repro.analysis.stabilization import measure_static_task_stabilization
+from repro.analysis.stats import ratio_to_log
 from repro.analysis.tables import render_table
+from repro.campaigns import state_count, sweep_summaries
 from repro.faults.injection import random_configuration
 from repro.graphs.generators import damaged_clique
 from repro.model.scheduler import SynchronousScheduler
 from repro.tasks.le import AlgLE
-from repro.tasks.spec import check_le_output
+from repro.tasks.spec import output_validator
 
-NS = (4, 8, 16, 32)
-DS = (1, 2, 3)
-TRIALS = 4
+REGISTRY = "thm13-le-scaling"
 
 
 def kernel():
@@ -35,7 +35,7 @@ def kernel():
         random_configuration(algorithm, topology, rng),
         SynchronousScheduler(),
         rng,
-        lambda out: check_le_output(out).valid,
+        output_validator("le", topology),
         max_rounds=60_000,
         confirm_rounds=24,
     )
@@ -44,34 +44,29 @@ def kernel():
 
 
 def test_thm13_le_scaling(benchmark):
-    # Sweep n at fixed D = 2.
-    rows_n = le_scaling_experiment(ns=NS, diameter_bound=2, trials=TRIALS)
-    ratios = per_log_n(rows_n)
-
-    # Sweep D at fixed n = 12.
-    rows_d = []
-    for d in DS:
-        rows_d.extend(le_scaling_experiment(ns=(12,), diameter_bound=d, trials=TRIALS))
+    aggregates = run_registry_campaign(REGISTRY)
+    rows = aggregates["rows"]
+    trials = len({row["tags"]["trial"] for row in rows})
+    by_n = sweep_summaries(rows, "n")
+    by_d = sweep_summaries(rows, "D")
+    ratios = ratio_to_log(list(by_n), [s.mean for s in by_n.values()])
+    states = {row["group"]: state_count(row) for row in rows}
 
     table_n = render_table(
         ["n", "states |Q|", "rounds", "rounds / log2(n)"],
         [
-            (
-                row.params["n"],
-                row.extra["states"],
-                str(row.rounds),
-                f"{ratio:.1f}",
-            )
-            for row, ratio in zip(rows_n, ratios)
+            (n, states[f"n={n}"], str(summary), f"{ratio:.1f}")
+            for (n, summary), ratio in zip(by_n.items(), ratios)
         ],
         title=(
-            "Thm 1.3 — AlgLE rounds vs n at D=2 (synchronous schedule, "
-            f"{TRIALS} adversarial-start trials; O(D log n) ⇒ flat ratio)"
+            f"Thm 1.3 — AlgLE rounds vs n at D=2 (campaign '{REGISTRY}': "
+            f"synchronous schedule, {trials} random-start trials; "
+            "O(D log n) ⇒ flat ratio)"
         ),
     )
     table_d = render_table(
         ["D", "states |Q|", "rounds"],
-        [(row.params["D"], row.extra["states"], str(row.rounds)) for row in rows_d],
+        [(d, states[f"D={d}"], str(summary)) for d, summary in by_d.items()],
         title="Thm 1.3 — AlgLE rounds vs D at n=12 (epoch length = D + 1)",
     )
     emit("thm13_le_scaling", table_n + "\n\n" + table_d)
@@ -81,6 +76,6 @@ def test_thm13_le_scaling(benchmark):
     # growth like Θ(n) would drift ~10x).
     assert max(ratios) <= 4.0 * max(min(ratios), 1.0)
     # State space independent of n at fixed D:
-    assert len({row.extra["states"] for row in rows_n}) == 1
+    assert len({state_count(row) for row in rows if row["group"].startswith("n=")}) == 1
 
     benchmark.pedantic(kernel, rounds=3, iterations=1)

@@ -1,8 +1,9 @@
 """Theorem 1.4 — AlgMIS: O(D) states, O((D + log n) log n) rounds whp.
 
-Sweeps ``n`` at fixed ``D``: the measured rounds divided by
-``(D + log2 n) · log2 n`` must stay roughly flat.  The timed kernel is
-one adversarial-start MIS computation.
+The sweep is the ``thm14-mis-scaling`` campaign: ``n`` at fixed ``D``,
+four synchronous random-start trials per point.  The measured rounds
+divided by ``(D + log2 n) · log2 n`` must stay roughly flat.  The timed
+kernel is one adversarial-start MIS computation.
 """
 
 from __future__ import annotations
@@ -10,20 +11,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from conftest import emit
+from conftest import emit, run_registry_campaign
 
-from repro.analysis.experiments import mis_scaling_experiment
 from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.analysis.tables import render_table
+from repro.campaigns import state_count, sweep_summaries
 from repro.faults.injection import random_configuration
 from repro.graphs.generators import damaged_clique
 from repro.model.scheduler import SynchronousScheduler
 from repro.tasks.mis import AlgMIS
-from repro.tasks.spec import check_mis_output
+from repro.tasks.spec import output_validator
 
-NS = (4, 8, 16, 32)
+REGISTRY = "thm14-mis-scaling"
 D = 2
-TRIALS = 4
 
 
 def kernel():
@@ -36,7 +36,7 @@ def kernel():
         random_configuration(algorithm, topology, rng),
         SynchronousScheduler(),
         rng,
-        lambda out: check_mis_output(topology, out).valid,
+        output_validator("mis", topology),
         max_rounds=60_000,
         confirm_rounds=30,
     )
@@ -45,29 +45,33 @@ def kernel():
 
 
 def test_thm14_mis_scaling(benchmark):
-    rows = mis_scaling_experiment(ns=NS, diameter_bound=D, trials=TRIALS)
+    aggregates = run_registry_campaign(REGISTRY)
+    rows = aggregates["rows"]
+    trials = len({row["tags"]["trial"] for row in rows})
+    by_n = sweep_summaries(rows, "n")
+    states = {row["group"]: state_count(row) for row in rows}
 
     def bound(n: int) -> float:
         log_n = max(1.0, math.log2(n))
         return (D + log_n) * log_n
 
-    ratios = [row.rounds.mean / bound(row.params["n"]) for row in rows]
+    ratios = [summary.mean / bound(n) for n, summary in by_n.items()]
     table = render_table(
         ["n", "states |Q|", "rounds", "(D+log n)·log n", "ratio"],
         [
             (
-                row.params["n"],
-                row.extra["states"],
-                str(row.rounds),
-                f"{bound(row.params['n']):.0f}",
+                n,
+                states[f"n={n}"],
+                str(summary),
+                f"{bound(n):.0f}",
                 f"{ratio:.2f}",
             )
-            for row, ratio in zip(rows, ratios)
+            for (n, summary), ratio in zip(by_n.items(), ratios)
         ],
         title=(
-            f"Thm 1.4 — AlgMIS rounds vs n at D={D} (synchronous "
-            f"schedule, {TRIALS} adversarial-start trials; "
-            "O((D + log n) log n) ⇒ flat ratio)"
+            f"Thm 1.4 — AlgMIS rounds vs n at D={D} (campaign "
+            f"'{REGISTRY}': synchronous schedule, {trials} random-start "
+            "trials; O((D + log n) log n) ⇒ flat ratio)"
         ),
     )
     emit("thm14_mis_scaling", table)
@@ -75,6 +79,6 @@ def test_thm14_mis_scaling(benchmark):
     # Shape: the normalized ratio stays bounded (no super-bound growth).
     assert max(ratios) <= 5.0 * max(min(ratios), 0.2)
     # State space independent of n:
-    assert len({row.extra["states"] for row in rows}) == 1
+    assert len({state_count(row) for row in rows}) == 1
 
     benchmark.pedantic(kernel, rounds=3, iterations=1)

@@ -11,58 +11,46 @@ from __future__ import annotations
 import numpy as np
 from conftest import emit
 
-from repro.analysis.experiments import restart_experiment
-from repro.analysis.stats import loglog_slope
+from repro.analysis.stats import Summary, loglog_slope
 from repro.analysis.tables import render_table
-from repro.faults.injection import random_configuration
-from repro.graphs.generators import bounded_diameter_family
-from repro.model.execution import Execution
-from repro.model.scheduler import SynchronousScheduler
-from repro.tasks.restart import IdleState, RestartState, StandaloneRestart
+from repro.tasks.restart import restart_exit_time
 
 DIAMETER_BOUNDS = (1, 2, 3, 4, 6, 8)
 TRIALS = 15
 
 
 def kernel():
-    d = 4
-    rng = np.random.default_rng(0)
-    algorithm = StandaloneRestart(d)
-    topology = bounded_diameter_family(d, 14, rng)
-    initial = random_configuration(algorithm, topology, rng).replace(
-        {0: RestartState(0)}
-    )
-    execution = Execution(topology, algorithm, initial, SynchronousScheduler(), rng=rng)
-    for _ in range(10 * d + 20):
-        record = execution.step()
-        exits = [
-            v
-            for v, old, new in record.changed
-            if isinstance(old, RestartState) and isinstance(new, IdleState)
-        ]
-        if len(exits) == topology.n:
-            return record.t + 1
-    raise AssertionError("no concurrent exit")
+    exit_time = restart_exit_time(4, 14, np.random.default_rng(0))
+    assert exit_time is not None, "no concurrent exit"
+    return exit_time
 
 
 def test_thm31_restart(benchmark):
-    rows = restart_experiment(diameter_bounds=DIAMETER_BOUNDS, n=14, trials=TRIALS)
-    slope = loglog_slope(
-        [row.diameter_bound for row in rows],
-        [row.exit_times.mean for row in rows],
-    )
+    times = {
+        d: [
+            restart_exit_time(d, 14, np.random.default_rng(100 * d + trial))
+            for trial in range(TRIALS)
+        ]
+        for d in DIAMETER_BOUNDS
+    }
+    # A trial without a concurrent exit counts at the 10D + 20 budget.
+    summaries = {
+        d: Summary.of([10 * d + 20 if t is None else t for t in ts])
+        for d, ts in times.items()
+    }
+    slope = loglog_slope(DIAMETER_BOUNDS, [summaries[d].mean for d in DIAMETER_BOUNDS])
 
     table = render_table(
         ["D", "σ-states (2D+1)", "exit time (rounds)", "bound 6D+4", "concurrent"],
         [
             (
-                row.diameter_bound,
-                2 * row.diameter_bound + 1,
-                str(row.exit_times),
-                row.bound_6d,
-                "yes" if row.all_concurrent else "NO",
+                d,
+                2 * d + 1,
+                str(summaries[d]),
+                6 * d + 4,
+                "NO" if None in times[d] else "yes",
             )
-            for row in rows
+            for d in DIAMETER_BOUNDS
         ],
         title=(
             "Thm 3.1 — Restart: all nodes exit concurrently within O(D) "
@@ -72,9 +60,9 @@ def test_thm31_restart(benchmark):
     )
     emit("thm31_restart", table)
 
-    for row in rows:
-        assert row.all_concurrent
-        assert row.exit_times.maximum <= row.bound_6d
+    for d in DIAMETER_BOUNDS:
+        assert None not in times[d]
+        assert summaries[d].maximum <= 6 * d + 4
     assert slope <= 1.25  # linear in D
 
     benchmark.pedantic(kernel, rounds=5, iterations=1)

@@ -1,6 +1,5 @@
 """Analysis layer: monitors, stabilization measurement, permanent-fault
-containment analytics, statistics, experiment harness and table
-rendering."""
+containment analytics, statistics and table rendering."""
 
 from repro.analysis.containment import (
     ContainmentMeasurement,
@@ -13,20 +12,6 @@ from repro.analysis.containment import (
     measure_containment,
     radius_of_mask,
     stabilized_outside,
-)
-from repro.analysis.experiments import (
-    RecoveryRow,
-    RestartRow,
-    SweepRow,
-    SynchronizerRow,
-    au_fault_recovery_experiment,
-    au_scaling_experiment,
-    au_scaling_slope,
-    le_scaling_experiment,
-    mis_scaling_experiment,
-    per_log_n,
-    restart_experiment,
-    synchronizer_experiment,
 )
 from repro.analysis.monitors import (
     AlgAUInvariantMonitor,
@@ -68,44 +53,32 @@ __all__ = [
     "InvariantViolation",
     "OutputChangeMonitor",
     "PredicateTimeline",
-    "RecoveryRow",
-    "RestartRow",
     "ScheduleRecorder",
     "StabilizationResult",
     "Summary",
-    "SweepRow",
-    "SynchronizerRow",
     "Trace",
     "TraceRecorder",
     "TraceStep",
     "TransitionCounter",
-    "au_fault_recovery_experiment",
-    "au_scaling_experiment",
-    "au_scaling_slope",
     "clean_node_mask",
     "containment_radius",
     "execution_clean_mask",
     "execution_stabilized_outside",
     "geometric_max_statistics",
     "hop_distances",
-    "le_scaling_experiment",
     "load_trace",
     "loglog_slope",
     "max_geometric_sample",
     "measure_au_stabilization",
     "measure_containment",
     "measure_static_task_stabilization",
-    "mis_scaling_experiment",
-    "per_log_n",
     "persist_table",
     "radius_of_mask",
     "ratio_to_log",
     "stabilized_outside",
     "render_table",
-    "restart_experiment",
     "results_dir",
     "run_trials",
     "save_trace",
-    "synchronizer_experiment",
     "within_factor",
 ]

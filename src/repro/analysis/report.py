@@ -1,35 +1,39 @@
 """One-shot reproduction report.
 
 :func:`generate_report` runs a (configurable-size) version of every
-experiment in the harness and assembles a single markdown document —
-the "does the whole reproduction hold together?" artifact, exposed on
-the command line as ``repro report``.
-
-The default sizes are deliberately small so the full report finishes in
-about a minute; the benchmarks under ``benchmarks/`` are the
-full-resolution versions of the same tables.
+paper claim and assembles a single markdown document — the "does the
+whole reproduction hold together?" artifact, exposed on the command
+line as ``repro report``.  The scaling and recovery sections run the
+same campaign registries as the benchmarks under ``benchmarks/``,
+restricted to their first ``trials`` trials, so the report stays small
+while the benchmarks are the full-resolution versions of the tables.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.experiments import (
-    au_fault_recovery_experiment,
-    au_scaling_experiment,
-    au_scaling_slope,
-    le_scaling_experiment,
-    mis_scaling_experiment,
-    per_log_n,
-    restart_experiment,
+from repro.analysis.stats import (
+    Summary,
+    geometric_max_statistics,
+    loglog_slope,
+    ratio_to_log,
 )
-from repro.analysis.stats import geometric_max_statistics
 from repro.analysis.tables import render_table
+from repro.campaigns import (
+    aggregate_results,
+    build_campaign,
+    fold_worst_rounds,
+    run_campaign,
+    state_count,
+    sweep_summaries,
+)
 from repro.core.algau import ThinUnison
+from repro.tasks.restart import restart_exit_time
 from repro.viz.state_diagram import state_diagram, verify_figure1_structure
 
 
@@ -85,23 +89,35 @@ def _figure2_section() -> ReportSection:
     return ReportSection("Figure 2 — Appendix-A live-lock", body, ok)
 
 
-def _thm11_section(trials: int) -> ReportSection:
-    rows = au_scaling_experiment(diameter_bounds=(1, 2, 3), n=10, trials=trials)
-    slope = au_scaling_slope(rows)
-    ok = slope <= 3.2 and all(
-        row.extra["states"] == 12 * row.params["D"] + 6 for row in rows
+def paper_campaign(name: str, trials: int) -> Dict[str, object]:
+    """The aggregates of registry ``name`` over the scenarios whose
+    ``trial`` tag is below ``trials`` (serial run, seed 0)."""
+    scenarios = [s for s in build_campaign(name) if int(s.tag("trial")) < trials]
+    return aggregate_results(name, scenarios, run_campaign(scenarios), 0)
+
+
+def _thm11_section(aggregates: Dict[str, object]) -> ReportSection:
+    rows = aggregates["rows"]
+    worst = fold_worst_rounds(rows)
+    bounds = sorted({int(row["diameter_bound"]) for row in rows})
+    summaries = {
+        d: Summary.of([r for (group, _), r in worst.items() if group == f"D={d}"])
+        for d in bounds
+    }
+    slope = loglog_slope(bounds, [summaries[d].mean for d in bounds])
+    states = {row["diameter_bound"]: state_count(row) for row in rows}
+    ok = (
+        aggregates["failure_count"] == 0
+        and slope <= 3.2
+        and all(
+            state_count(row) == 12 * row["diameter_bound"] + 6
+            and row["rounds"] <= (3 * row["diameter_bound"] + 2) ** 3
+            for row in rows
+        )
     )
     table = render_table(
         ["D", "states", "rounds", "k^3"],
-        [
-            (
-                r.params["D"],
-                r.extra["states"],
-                str(r.rounds),
-                r.extra["rounds_bound_k^3"],
-            )
-            for r in rows
-        ],
+        [(d, states[d], str(summaries[d]), (3 * d + 2) ** 3) for d in bounds],
     )
     return ReportSection(
         "Thm 1.1 — AlgAU (O(D) states, O(D^3) rounds)",
@@ -110,38 +126,45 @@ def _thm11_section(trials: int) -> ReportSection:
     )
 
 
-def _thm13_section(trials: int) -> ReportSection:
-    rows = le_scaling_experiment(ns=(4, 8, 16), diameter_bound=2, trials=trials)
-    ratios = per_log_n(rows)
-    ok = max(ratios) <= 4.0 * max(min(ratios), 1.0)
+def _thm13_section(aggregates: Dict[str, object]) -> ReportSection:
+    points = sweep_summaries(aggregates["rows"], "n")
+    ratios = ratio_to_log(list(points), [s.mean for s in points.values()])
+    ok = aggregates["failure_count"] == 0 and max(ratios) <= 4.0 * max(min(ratios), 1.0)
     table = render_table(
         ["n", "rounds", "rounds/log2(n)"],
         [
-            (r.params["n"], str(r.rounds), f"{ratio:.1f}")
-            for r, ratio in zip(rows, ratios)
+            (n, str(summary), f"{ratio:.1f}")
+            for (n, summary), ratio in zip(points.items(), ratios)
         ],
     )
     return ReportSection("Thm 1.3 — AlgLE (O(D log n))", table, ok)
 
 
-def _thm14_section(trials: int) -> ReportSection:
-    rows = mis_scaling_experiment(ns=(4, 8, 16), diameter_bound=2, trials=trials)
+def _thm14_section(aggregates: Dict[str, object]) -> ReportSection:
+    """Passes when no row failed and ``|Q|`` does not depend on ``n``."""
+    rows = aggregates["rows"]
+    points = sweep_summaries(rows, "n")
+    ok = aggregates["failure_count"] == 0 and len({state_count(r) for r in rows}) == 1
     table = render_table(
         ["n", "rounds"],
-        [(r.params["n"], str(r.rounds)) for r in rows],
+        [(n, str(summary)) for n, summary in points.items()],
     )
-    return ReportSection("Thm 1.4 — AlgMIS (O((D + log n) log n))", table, True)
+    return ReportSection("Thm 1.4 — AlgMIS (O((D + log n) log n))", table, ok)
 
 
 def _thm31_section(trials: int) -> ReportSection:
-    rows = restart_experiment(diameter_bounds=(1, 2, 4), n=10, trials=trials)
-    ok = all(r.all_concurrent for r in rows) and all(
-        r.exit_times.maximum <= r.bound_6d for r in rows
-    )
-    table = render_table(
-        ["D", "exit rounds", "bound 6D+4"],
-        [(r.diameter_bound, str(r.exit_times), r.bound_6d) for r in rows],
-    )
+    rows = []
+    ok = True
+    for d in (1, 2, 4):
+        times = [
+            restart_exit_time(d, 10, np.random.default_rng(100 * d + trial))
+            for trial in range(trials)
+        ]
+        concurrent = [t for t in times if t is not None]
+        ok = ok and len(concurrent) == trials and max(concurrent) <= 6 * d + 4
+        summary = Summary.of(concurrent) if concurrent else "—"
+        rows.append((d, str(summary), 6 * d + 4))
+    table = render_table(["D", "exit rounds", "bound 6D+4"], rows)
     return ReportSection("Thm 3.1 — Restart (O(D) concurrent exit)", table, ok)
 
 
@@ -156,16 +179,22 @@ def _obs32_section() -> ReportSection:
     return ReportSection("Obs 3.2 — max-geometric growth", body, ok)
 
 
-def _recovery_section(trials: int) -> ReportSection:
-    row = au_fault_recovery_experiment(
-        diameter_bound=2, n=12, bursts=2, fraction=0.3, trials=trials
-    )
-    ok = row.recovered == row.trials
+def _recovery_section(aggregates: Dict[str, object]) -> ReportSection:
+    rows = aggregates["rows"]
+    recovered = sum(1 for row in rows if row["recovered"])
+    recoveries = [
+        row["recovery_rounds"] for row in rows if row["recovery_rounds"] is not None
+    ]
     body = (
-        f"{row.label}: {row.recovered}/{row.trials} runs recovered; "
-        f"recovery rounds {row.recovery_rounds}"
+        f"AlgAU(D=2) on quorum colonies (n=16), 3 bursts @30%: "
+        f"{recovered}/{len(rows)} runs recovered; worst recovery rounds "
+        f"{Summary.of(recoveries) if recoveries else '—'}"
     )
-    return ReportSection("Application — transient-fault recovery", body, ok)
+    return ReportSection(
+        "Application — transient-fault recovery",
+        body,
+        aggregates["failure_count"] == 0 and recovered == len(rows),
+    )
 
 
 def campaign_report(artifact: dict) -> str:
@@ -217,17 +246,17 @@ def campaign_report(artifact: dict) -> str:
     return table
 
 
-def generate_report(trials: int = 3, seed: int = 0) -> str:
+def generate_report(trials: int = 3) -> str:
     """Run the full battery and return the markdown report."""
     sections: List[ReportSection] = [
         _figure1_section(2),
         _figure2_section(),
-        _thm11_section(trials),
-        _thm13_section(trials),
-        _thm14_section(trials),
+        _thm11_section(paper_campaign("thm11-scaling", trials)),
+        _thm13_section(paper_campaign("thm13-le-scaling", trials)),
+        _thm14_section(paper_campaign("thm14-mis-scaling", trials)),
         _thm31_section(max(trials, 5)),
         _obs32_section(),
-        _recovery_section(trials),
+        _recovery_section(paper_campaign("fault-recovery", trials)),
     ]
     out = io.StringIO()
     passed = sum(1 for s in sections if s.passed)

@@ -17,6 +17,8 @@ from repro.campaigns.aggregate import (
     default_artifact_path,
     fold_worst_rounds,
     measured_payload,
+    state_count,
+    sweep_summaries,
     verify_engine_pairing,
     write_campaign_artifact,
 )
@@ -86,6 +88,8 @@ __all__ = [
     "run_scenario",
     "run_scenario_batch",
     "scheduler_names",
+    "state_count",
+    "sweep_summaries",
     "verify_engine_pairing",
     "write_campaign_artifact",
 ]

@@ -273,6 +273,29 @@ def fold_worst_rounds(
     return worst
 
 
+def state_count(row: Dict[str, object]) -> Optional[int]:
+    """``|Q|`` of an aggregate row, from its exact ``state_bits``
+    (``None`` when the row has none: unbounded or errored)."""
+    bits = row["state_bits"]
+    return None if bits is None else round(2.0**bits)
+
+
+def sweep_summaries(rows: Sequence[Dict[str, object]], axis: str) -> Dict[int, Summary]:
+    """Stabilization-rounds summaries of the sweep groups named
+    ``<axis>=<value>``, keyed by the integer value in ascending order.
+
+    Only stabilized rows enter a summary (as in the per-group
+    aggregates), so a point whose every row failed is absent.
+    """
+    prefix = f"{axis}="
+    rounds: Dict[int, List[int]] = {}
+    for row in rows:
+        group = str(row["group"])
+        if group.startswith(prefix) and row["stabilized"]:
+            rounds.setdefault(int(group[len(prefix) :]), []).append(int(row["rounds"]))
+    return {value: Summary.of(rounds[value]) for value in sorted(rounds)}
+
+
 #: The measured (engine-independent) columns of an aggregate row —
 #: everything except the identity/axis columns.
 MEASURED_COLUMNS = (

@@ -28,8 +28,13 @@ Shipped registries:
   both the ``array`` and ``native`` engines with a shared seed so the
   nightly aggregation cross-checks the compiled kernels bit for bit;
 * ``thm11-scaling`` / ``thm11-n-independence`` / ``fault-recovery`` —
-  registry-driven replacements for the former ad-hoc sweep loops of
+  the Thm 1.1 sweeps and the title application behind
   ``benchmarks/bench_thm11_*`` and ``bench_fault_recovery``;
+* ``thm13-le-scaling`` / ``thm14-mis-scaling`` — AlgLE and AlgMIS
+  stabilization rounds as ``n`` (and, for LE, ``D``) grows;
+* ``cor12-synchronizer`` — each static task synchronously against its
+  synchronizer lift under an asynchronous daemon, seed-paired so both
+  rows of a trial see the same graph sample;
 * ``pareto-unison`` — the algorithm-zoo Pareto grid: every unison
   baseline × graph family × daemon, engine-paired where an algorithm
   ships both lanes, aggregated into per-cell ``{rounds, state_bits,
@@ -560,6 +565,87 @@ def _fault_recovery(builder: CampaignBuilder) -> None:
             group="au-recovery",
             tags=(("trial", str(trial)),),
         )
+
+
+def _static_task_graph(n: int, diameter_bound: int) -> Tuple[str, Tuple]:
+    """The static-task sweep workload: a damaged clique within the
+    diameter bound, degenerating to the complete graph at ``D = 1``
+    (removing any edge from a clique already exceeds diameter 1)."""
+    if diameter_bound == 1:
+        return "complete", (("n", n),)
+    params = (("n", n), ("diameter_bound", diameter_bound), ("damage", 0.4))
+    return "damaged-clique", params
+
+
+def _static_task_scaling(builder: CampaignBuilder, task: str, sweep) -> None:
+    """Four synchronous random-start trials per ``(n, D, group)`` point."""
+    for n, d, group in sweep:
+        graph, params = _static_task_graph(n, d)
+        for trial in range(4):
+            builder.add(
+                task,
+                graph,
+                params,
+                d,
+                scheduler="synchronous",
+                engine="object",
+                start="random",
+                max_rounds=40_000,
+                group=group,
+                tags=(("trial", str(trial)),),
+            )
+
+
+#: The ``n`` sweep of the static-task scaling registries, at ``D = 2``.
+STATIC_N_SWEEP = tuple((n, 2, f"n={n}") for n in (4, 8, 16, 32))
+
+
+@campaign(
+    "thm13-le-scaling",
+    "Thm 1.3 — AlgLE rounds vs n at D=2 and vs D at n=12",
+)
+def _thm13_le_scaling(builder: CampaignBuilder) -> None:
+    sweep_d = tuple((12, d, f"D={d}") for d in (1, 2, 3))
+    _static_task_scaling(builder, "le", STATIC_N_SWEEP + sweep_d)
+
+
+@campaign("thm14-mis-scaling", "Thm 1.4 — AlgMIS rounds vs n at D=2")
+def _thm14_mis_scaling(builder: CampaignBuilder) -> None:
+    _static_task_scaling(builder, "mis", STATIC_N_SWEEP)
+
+
+@campaign(
+    "cor12-synchronizer",
+    "Cor 1.2 — synchronous Π vs its asynchronous synchronizer lift Π*",
+)
+def _cor12_synchronizer(builder: CampaignBuilder) -> None:
+    """Each trial is a pair sharing one ``seed_index``: the paper's
+    algorithm under the synchronous daemon and its ``sync-alg-*`` lift
+    under the shuffled round-robin daemon, on the same graph sample."""
+    pair = 0
+    for task in ("mis", "le"):
+        for n in (6, 10, 14):
+            graph, params = _static_task_graph(n, 2)
+            for trial in range(3):
+                for algorithm, scheduler in (
+                    (f"alg-{task}", "synchronous"),
+                    (f"sync-alg-{task}", "shuffled-round-robin"),
+                ):
+                    builder.add(
+                        task,
+                        graph,
+                        params,
+                        2,
+                        scheduler=scheduler,
+                        engine="object",
+                        start="random",
+                        max_rounds=120_000,
+                        algorithm=algorithm,
+                        group=f"{algorithm}@n={n}",
+                        tags=(("pairing", str(pair)), ("trial", str(trial))),
+                        seed_index=pair,
+                    )
+                pair += 1
 
 
 #: Large-hop-distance workloads for the permanent-fault campaign —

@@ -76,7 +76,7 @@ from repro.resilience.adversary import (
     select_faulty_nodes,
 )
 from repro.resilience.strategies import Crash, make_strategy
-from repro.tasks.spec import check_le_output, check_mis_output
+from repro.tasks.spec import output_validator
 
 logger = logging.getLogger(__name__)
 
@@ -538,18 +538,6 @@ def _run_static(
 
     started = time.perf_counter()
     algorithm = _make_algorithm(scenario, topology)
-    if scenario.task == "le":
-
-        def is_valid(out):
-            """A unique leader has been elected."""
-            return check_le_output(out).valid
-
-    else:
-
-        def is_valid(out):
-            """The output set is a maximal independent set."""
-            return check_mis_output(topology, out).valid
-
     initial = _initial_configuration(scenario, algorithm, topology, rng)
     measurement = measure_static_task_stabilization(
         algorithm,
@@ -557,7 +545,7 @@ def _run_static(
         initial,
         make_scheduler(scenario.scheduler),
         rng,
-        is_valid,
+        output_validator(scenario.task, topology),
         max_rounds=scenario.max_rounds,
         confirm_rounds=8 * (scenario.diameter_bound + 1),
         monitors=extra_monitors,

@@ -186,6 +186,18 @@ def _alg_mis(diameter_bound: int, n_hint: int):
     return AlgMIS(diameter_bound)
 
 
+def _sync_alg_le(diameter_bound: int, n_hint: int):
+    from repro.sync.synchronizer import Synchronizer
+
+    return Synchronizer(_alg_le(diameter_bound, n_hint), diameter_bound)
+
+
+def _sync_alg_mis(diameter_bound: int, n_hint: int):
+    from repro.sync.synchronizer import Synchronizer
+
+    return Synchronizer(_alg_mis(diameter_bound, n_hint), diameter_bound)
+
+
 def _min_unison(diameter_bound: int, n_hint: int):
     from repro.baselines.min_unison import MinUnison
 
@@ -372,6 +384,36 @@ ALGORITHM_FACTORIES: Dict[str, AlgorithmSpec] = {
             summary=(
                 "The paper's maximal independent set composed over the "
                 "AU synchronizer (Theorem 14)."
+            ),
+        ),
+        AlgorithmSpec(
+            name="sync-alg-le",
+            task="le",
+            factory=_sync_alg_le,
+            engines=("object",),
+            schedulers=_ALL_SCHEDULERS,
+            starts=("random",),
+            fault_kinds=("none",),
+            self_stabilizing=True,
+            state_bits_formula="2*log2 |Q_LE(D)| + log2(12D+6)",
+            summary=(
+                "AlgLE lifted by the Cor 1.2 synchronizer: runs under "
+                "asynchronous daemons, |Q*| = |Q|^2 * (12D+6)."
+            ),
+        ),
+        AlgorithmSpec(
+            name="sync-alg-mis",
+            task="mis",
+            factory=_sync_alg_mis,
+            engines=("object",),
+            schedulers=_ALL_SCHEDULERS,
+            starts=("random",),
+            fault_kinds=("none",),
+            self_stabilizing=True,
+            state_bits_formula="2*log2 |Q_MIS(D)| + log2(12D+6)",
+            summary=(
+                "AlgMIS lifted by the Cor 1.2 synchronizer: runs under "
+                "asynchronous daemons, |Q*| = |Q|^2 * (12D+6)."
             ),
         ),
         AlgorithmSpec(

@@ -8,7 +8,7 @@ Subcommands regenerate the paper's artifacts from the terminal:
 * ``repro table1`` — the transition-type table extracted from ``δ``;
 * ``repro au --diameter-bound 3`` — one adversarial AlgAU run with a
   per-round goodness trace;
-* ``repro experiment {au,le,mis,restart}`` — the scaling sweeps;
+* ``repro report`` — the whole reproduction battery at small sizes;
 * ``repro engines`` — the execution-engine registry with a per-engine
   availability probe (the ``native`` row reports which compiled backend
   resolved, or why it fell back);
@@ -22,7 +22,9 @@ Subcommands regenerate the paper's artifacts from the terminal:
   ``byzantine`` registry exercises the permanent-fault resilience
   subsystem (engine-paired containment sweeps); ``pareto-unison``
   sweeps the algorithm zoo into a time/space/workload frontier;
-  ``net-smoke`` pairs the simulation and message-passing lanes;
+  ``net-smoke`` pairs the simulation and message-passing lanes; the
+  ``thm11-*``, ``thm13-le-scaling``, ``thm14-mis-scaling`` and
+  ``cor12-synchronizer`` registries are the paper's scaling sweeps;
 * ``repro net run`` — one AlgAU run on the asyncio message-passing
   runtime: per-node actors exchanging clock messages over fair-lossy
   links (``--delay/--jitter/--loss/--duplicate``), with a per-round
@@ -223,74 +225,6 @@ def _cmd_net_run(args: argparse.Namespace) -> int:
         )
     finally:
         execution.close()
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.analysis import experiments
-    from repro.analysis.tables import render_table
-
-    if args.which == "au":
-        rows = experiments.au_scaling_experiment(trials=args.trials, engine=args.engine)
-        print(
-            render_table(
-                ["D", "states", "12D+6", "rounds", "k^3"],
-                [
-                    (
-                        r.params["D"],
-                        r.extra["states"],
-                        r.extra["states_bound_12D+6"],
-                        str(r.rounds),
-                        r.extra["rounds_bound_k^3"],
-                    )
-                    for r in rows
-                ],
-                title="Thm 1.1 — AlgAU scaling",
-            )
-        )
-        print(
-            f"log-log slope of rounds vs D: "
-            f"{experiments.au_scaling_slope(rows):.2f} (bound: 3)"
-        )
-    elif args.which in ("le", "mis"):
-        fn = (
-            experiments.le_scaling_experiment
-            if args.which == "le"
-            else experiments.mis_scaling_experiment
-        )
-        rows = fn(trials=args.trials)
-        ratios = experiments.per_log_n(rows)
-        print(
-            render_table(
-                ["n", "rounds", "rounds/log2(n)"],
-                [
-                    (r.params["n"], str(r.rounds), f"{ratio:.1f}")
-                    for r, ratio in zip(rows, ratios)
-                ],
-                title=f"Thm 1.{3 if args.which == 'le' else 4} — "
-                f"Alg{args.which.upper()} scaling (D=2)",
-            )
-        )
-    elif args.which == "restart":
-        rows = experiments.restart_experiment(trials=args.trials)
-        print(
-            render_table(
-                ["D", "exit time", "bound 6D+4", "concurrent"],
-                [
-                    (
-                        r.diameter_bound,
-                        str(r.exit_times),
-                        r.bound_6d,
-                        "yes" if r.all_concurrent else "NO",
-                    )
-                    for r in rows
-                ],
-                title="Thm 3.1 — Restart",
-            )
-        )
-    else:
-        print(f"unknown experiment {args.which!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -606,18 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend: readable object model or vectorized arrays",
     )
     p.set_defaults(fn=_cmd_au)
-
-    p = sub.add_parser("experiment", help="run a scaling sweep")
-    p.add_argument("which", choices=["au", "le", "mis", "restart"])
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument(
-        "--engine",
-        choices=engines,
-        default="object",
-        help="execution backend for the AlgAU sweep (le/mis/restart "
-        "always use the object engine)",
-    )
-    p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("report", help="run the full reproduction battery (small sizes)")
     p.add_argument("--trials", type=int, default=3)

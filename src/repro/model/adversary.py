@@ -23,10 +23,7 @@ Implementation note: schedulers normally see only ``(t, nodes, rng)``;
 an adaptive adversary additionally needs the current configuration.
 The execution engine calls :meth:`Scheduler.bind` at construction time,
 which the adversary overrides to capture its execution — no manual
-wiring required.  (The old post-construction ``attach`` alias finished
-its deprecation cycle and was removed; the
-:class:`~repro.model.scheduler.Scheduler` base class points stale
-callers at :meth:`~repro.model.scheduler.Scheduler.bind`.)
+wiring required.
 """
 
 from __future__ import annotations

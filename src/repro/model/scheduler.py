@@ -105,26 +105,6 @@ class Scheduler(ABC):
         capture the execution whose configuration they inspect.
         """
 
-    def __getattr__(self, name: str):
-        """Give the removed ``attach`` alias a pointed error message.
-
-        ``attach`` went through a deprecation cycle as an alias for
-        :meth:`bind` and is now gone; since executions bind their
-        scheduler at construction time, stale callers should simply
-        drop the call (or use :meth:`bind` for manual wiring).
-        ``__getattr__`` only runs after normal lookup fails, so present
-        attributes pay nothing.
-        """
-        if name == "attach":
-            raise AttributeError(
-                f"{type(self).__name__}.attach() was removed: the "
-                "execution engine binds its scheduler at construction "
-                "time; drop the call (or use bind() for manual wiring)"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     def _validate(
         self, activated: Iterable[int], nodes: Sequence[int]
     ) -> FrozenSet[int]:

@@ -8,6 +8,7 @@ from repro.tasks.restart import (
     RestartMixin,
     RestartState,
     StandaloneRestart,
+    restart_exit_time,
 )
 from repro.tasks.spec import (
     TaskVerdict,
@@ -17,6 +18,7 @@ from repro.tasks.spec import (
     check_le_output,
     check_mis_output,
     greedy_mis,
+    output_validator,
 )
 
 __all__ = [
@@ -41,4 +43,6 @@ __all__ = [
     "check_le_output",
     "check_mis_output",
     "greedy_mis",
+    "output_validator",
+    "restart_exit_time",
 ]

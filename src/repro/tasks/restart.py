@@ -20,7 +20,8 @@ proof gives ``t ≤ t0 + 4D`` once ``σ(0)`` is present).
 :class:`RestartMixin` packages the rules for composition with the main
 modules of AlgLE/AlgMIS; :class:`StandaloneRestart` is a minimal
 algorithm (Restart states plus one idle state) used to validate
-Thm 3.1 and Lemmas 3.9–3.11 in isolation.
+Thm 3.1 and Lemmas 3.9–3.11 in isolation, one trial at a time via
+:func:`restart_exit_time`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ from typing import FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.faults.injection import random_configuration
+from repro.graphs.generators import bounded_diameter_family
 from repro.model.algorithm import Algorithm, TransitionResult
 from repro.model.errors import ModelError
+from repro.model.execution import Execution
+from repro.model.scheduler import SynchronousScheduler
 from repro.model.signal import Signal
 
 
@@ -159,3 +164,34 @@ class StandaloneRestart(Algorithm, RestartMixin):
         if result is RESTART_EXIT:
             return self.initial_state()
         return result
+
+
+def restart_exit_time(
+    diameter_bound: int, n: int, rng: np.random.Generator
+) -> Optional[int]:
+    """One Thm 3.1 trial: the time at which every node exits Restart in
+    the same step, or ``None`` if that never happens within ``10D + 20``
+    synchronous rounds.
+
+    :class:`StandaloneRestart` runs on a bounded-diameter graph of about
+    ``n`` nodes from a random configuration; ``σ(0)`` is injected at
+    node 0 only when the start holds no Restart state.  Isolated early
+    exits of single nodes from garbage configurations are re-absorbed by
+    rule 1 and do not count (see Thm 3.1's case analysis).
+    """
+    algorithm = StandaloneRestart(diameter_bound)
+    topology = bounded_diameter_family(diameter_bound, n, rng)
+    initial = random_configuration(algorithm, topology, rng)
+    if not any(isinstance(initial[v], RestartState) for v in topology.nodes):
+        initial = initial.replace({0: RestartState(0)})
+    execution = Execution(topology, algorithm, initial, SynchronousScheduler(), rng=rng)
+    for _ in range(10 * diameter_bound + 20):
+        record = execution.step()
+        exits = sum(
+            1
+            for _, old, new in record.changed
+            if isinstance(old, RestartState) and isinstance(new, IdleState)
+        )
+        if exits == topology.n:
+            return record.t + 1
+    return None

@@ -18,7 +18,7 @@ used by stabilization detection, integration tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.clock import CyclicClock
 from repro.graphs.topology import Topology
@@ -136,6 +136,18 @@ def check_mis_output(
                 False, f"node {v} is out but has no MIS neighbor (not maximal)"
             )
     return TaskVerdict(True)
+
+
+def output_validator(
+    task: str, topology: Topology
+) -> Callable[[Sequence[Optional[int]]], bool]:
+    """The output-validity predicate of static task ``task`` (``le`` or
+    ``mis``) on ``topology``, as stabilization measurement consumes it."""
+    if task == "le":
+        return lambda outputs: check_le_output(outputs).valid
+    if task == "mis":
+        return lambda outputs: check_mis_output(topology, outputs).valid
+    raise ValueError(f"no output validator for task {task!r}: valid tasks are le, mis")
 
 
 def greedy_mis(topology: Topology, order: Optional[Sequence[int]] = None) -> frozenset:

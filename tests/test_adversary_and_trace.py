@@ -51,22 +51,6 @@ class TestGreedyAdversary:
                 rng=rng,
             )
 
-    def test_attach_is_removed_with_a_pointer_at_bind(self):
-        rng = np.random.default_rng(0)
-        alg = ThinUnison(1)
-        topology = ring(5)
-        adversary = greedy_au_adversary(alg)
-        execution = Execution(
-            topology,
-            alg,
-            random_configuration(alg, topology, rng),
-            adversary,
-            rng=rng,
-        )
-        with pytest.raises(AttributeError, match=r"removed.*bind\(\)"):
-            adversary.attach(execution)
-        execution.step()  # construction-time binding is fully functional
-
     def test_is_fair_one_node_per_step_round_structure(self):
         rng = np.random.default_rng(0)
         alg = ThinUnison(1)

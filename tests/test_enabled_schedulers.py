@@ -1,5 +1,5 @@
 """Enabled-aware daemons, quiescence detection, and the scheduler
-contract extensions (``select`` hook, removed ``attach`` alias).
+contract extensions (``select`` hook).
 
 The enabled-aware schedulers consume the engines' incrementally
 maintained enabled-set view, so these tests double as end-to-end checks
@@ -188,12 +188,6 @@ class TestQuiescenceTracking:
 
 
 class TestSchedulerContract:
-    def test_attach_is_removed_with_a_pointer_at_bind(self):
-        execution = _au_execution(SynchronousScheduler(), seed=23)
-        late = SynchronousScheduler()
-        with pytest.raises(AttributeError, match=r"removed.*bind\(\)"):
-            late.attach(execution)
-
     def test_other_missing_attributes_raise_plainly(self):
         with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
             SynchronousScheduler().frobnicate

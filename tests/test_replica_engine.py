@@ -398,9 +398,8 @@ class TestEngineRegistryAgreement:
             cls = ENGINE_FACTORIES[name]()
             assert isinstance(cls, type)
 
-    @pytest.mark.parametrize("command", ["au", "experiment"])
-    def test_cli_choices_match_registry(self, command):
-        assert _cli_engine_choices(command) == ENGINE_NAMES
+    def test_cli_choices_match_registry(self):
+        assert _cli_engine_choices("au") == ENGINE_NAMES
 
     def test_spec_validation_matches_registry(self):
         from repro.campaigns.spec import Scenario

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.analysis.report import generate_report
+from repro.analysis.report import _thm14_section, generate_report, paper_campaign
+from repro.campaigns import aggregate_results, build_campaign, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,21 @@ class TestReport:
     def test_is_markdown(self, report_text):
         assert report_text.startswith("# Reproduction report")
         assert "| D |" in report_text  # at least one table
+
+
+class TestThm14Section:
+    def test_passes_on_the_campaign_rows(self):
+        assert _thm14_section(paper_campaign("thm14-mis-scaling", 1)).passed
+
+    def test_a_failed_row_fails_the_section(self):
+        name = "thm14-mis-scaling"
+        scenarios = [s for s in build_campaign(name) if s.tag("trial") == "0"]
+        results = [run_scenario(s) for s in scenarios]
+        results[0] = dataclasses.replace(
+            results[0], stabilized=False, detail="forced failure"
+        )
+        section = _thm14_section(aggregate_results(name, scenarios, results, 0))
+        assert not section.passed
 
 
 class TestReportCLI:
