@@ -6,9 +6,10 @@ bounded hop radius of the faulty set while everything farther away
 stabilizes.  This benchmark reproduces that behavior for AlgAU with the
 :mod:`repro.resilience` subsystem:
 
-* sweep two large-hop-distance graph families x two Byzantine
-  strategies (frozen clock, random clock) x three fault densities,
-  three seeded trials each;
+* sweep two large-hop-distance graph families x three Byzantine
+  strategies (frozen clock, random clock, the potential-maximizing
+  targeted adversary) x three fault densities, three seeded trials
+  each;
 * measure the *stable containment radius* (worst radius over a
   trailing confirmation window — disruption travels in waves, so a
   single clean instant is not containment) and the per-node recovery
@@ -43,7 +44,7 @@ FAMILIES = (
     ("ring-24", lambda: ring(24), 12),
     ("caterpillar-8", lambda: caterpillar(8, 1), 9),
 )
-STRATEGIES = ("frozen", "random")
+STRATEGIES = ("frozen", "random", "targeted")
 DENSITIES = (0.05, 0.1, 0.2)
 TRIALS = 3
 ROUNDS = 250

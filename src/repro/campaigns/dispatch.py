@@ -25,8 +25,8 @@ Shipped backends (:data:`DISPATCHER_NAMES`):
 * ``queue`` — work-stealing over a shared task queue: every worker
   pulls the *next single job* the moment it goes idle (``chunksize=1``
   over the pool's shared inbound queue), so one slow job — a ``net``
-  row, a targeted-adversary cell — delays only its own worker instead
-  of idling a whole statically assigned shard.
+  row, say — delays only its own worker instead of idling a whole
+  statically assigned shard.
 """
 
 from __future__ import annotations

@@ -721,8 +721,8 @@ def _byzantine(builder: CampaignBuilder) -> None:
             d,
             FaultPlan(kind="crash", density=0.14, times=(25,), radius=3),
         )
-    # The targeted max-disruption adversary is configuration-probing
-    # (expensive), so it gets one small cell per family.
+    # The targeted max-disruption adversary gets one small cell per
+    # family.
     for graph, params, d in BYZANTINE_GRAPHS:
         add_pair(
             graph,

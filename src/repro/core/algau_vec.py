@@ -153,6 +153,7 @@ class VectorKernel:
         self.pair_unprotected = pair_cyc > 1
 
         self._scalar: Optional[ScalarTables] = None
+        self._outwards_gg: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Signals.
@@ -259,6 +260,18 @@ class VectorKernel:
                 pair_bad=self.pair_unprotected.astype(np.int64).tolist(),
             )
         return self._scalar
+
+    def outwards_gg_mask(self) -> np.ndarray:
+        """``Ψ≫(ℓ)`` in clock space: the ``(|Q|, 2k)`` mask of the
+        levels outwards of each code's level by at least two (built
+        lazily — only the targeted adversary reads it).
+
+        ``Ψ≫(ℓ) = Ψ>(ℓ) − {ψ+1(ℓ)}``, and ``ψ+1(ℓ)`` is the one clock of
+        ``Ψ>(ℓ)`` cyclically adjacent to ``ℓ``'s own.
+        """
+        if self._outwards_gg is None:
+            self._outwards_gg = self.outwards_mask & ~self.adjacent_mask
+        return self._outwards_gg
 
     def delta_one(self, codes: np.ndarray, neighborhood: List[int]) -> int:
         """Scalar ``δ`` for one node: ``neighborhood`` is its inclusive

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.algau import ThinUnison
 from repro.core.predicates import (
@@ -38,6 +40,10 @@ from repro.core.predicates import (
     unjustifiably_faulty_nodes,
 )
 from repro.model.configuration import Configuration
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.algau_vec import VectorKernel
+    from repro.graphs.csr import CSRAdjacency
 
 
 class Stage(IntEnum):
@@ -125,6 +131,43 @@ def disorder_potential(algorithm: ThinUnison, config: Configuration) -> int:
     faulty = sum(1 for v in topology.nodes if config[v].faulty)
     unprotected_edges = topology.m - len(protected_edges(algorithm, config))
     return (topology.n - len(out_protected)) + unprotected_edges + faulty
+
+
+def disorder_gain(
+    kernel: "VectorKernel", codes: np.ndarray, csr: "CSRAdjacency", v: int
+) -> np.ndarray:
+    """:func:`disorder_potential` after moving node ``v`` to each code
+    ``q``, up to a constant that is the same for every ``q``.
+
+    ``codes`` is the configuration's code vector and ``csr`` its
+    inclusive adjacency (rows start with the node itself).  Moving ``v``
+    can only change ``v``'s faulty bit, the protectedness of the edges
+    at ``v``, and the out-protectedness of ``v`` and of each neighbor
+    ``u``, so the score reads only ``v``'s two-hop neighborhood::
+
+        gain(q) = [q faulty] + Σ_u pair_unprotected[q, c_u]
+                + [∃u: λ_u ∈ Ψ≫(λ_q)]
+                + Σ_{u out-protected without v} [λ_q ∈ Ψ≫(λ_u)]
+
+    with ``u`` ranging over ``N(v)``; a neighbor that senses some level
+    in ``Ψ≫(λ_u)`` other than ``v``'s is non-out-protected whatever
+    ``q`` is, which is the constant.  Returns the ``(|Q|,)`` integer
+    vector over codes: ``gain(q) − gain(q′)`` is exactly the potential
+    difference of the two moves, so ties are preserved.
+    """
+    gg = kernel.outwards_gg_mask()
+    clock = kernel.encoding.clock_of_code
+    neighbors = csr.indices[csr.indptr[v] + 1 : csr.indptr[v + 1]]
+    near = codes[neighbors]
+    # pair_unprotected is symmetric, so rows serve as columns.
+    gain = kernel.pair_unprotected[near].sum(axis=0)
+    gain += kernel.is_faulty_code
+    gain += gg[:, clock[near]].any(axis=1)
+    flat, counts = csr.gather(neighbors)
+    hit = gg[np.repeat(near, counts), clock[codes[flat]]] & (flat != v)
+    blocked = np.logical_or.reduceat(hit, np.cumsum(counts) - counts)
+    gain += gg[near[~blocked]].sum(axis=0)[clock]
+    return gain
 
 
 def stage_timeline_is_monotone(stages: Sequence[Stage]) -> bool:

@@ -25,7 +25,9 @@ name            behavior of a faulty node
                 ``+k`` and ``−k`` — the time-domain analog of a
                 two-faced Byzantine node
 ``targeted``    greedily picks the turn maximizing the proof-aligned
-                :func:`~repro.core.potential.disorder_potential`
+                :func:`~repro.core.potential.disorder_potential`,
+                scored locally in ``O(Σ_{u ∈ N[v]} deg u)`` per
+                faulty node ``v`` (plus one ``O(n)`` encode per step)
 ``crash``       behaves correctly until step ``at``, then freezes at
                 whatever turn it had reached (crash-stop)
 ``noisy``       runs the protocol honestly, but each step its
@@ -146,9 +148,12 @@ class Targeted(ByzantineStrategy):
     configuration (nodes decided in ascending id order, each seeing the
     previous choices; ties broken by turn order for determinism).
 
-    This strategy inspects the full configuration, so on the array
-    engine it pays one decode per probe — use it for adversarial stress
-    on small graphs, not for throughput sweeps.
+    Every candidate turn is scored at once from the faulty node's
+    two-hop neighborhood by :func:`~repro.core.potential.disorder_gain`
+    on the configuration's code vector; code order is turn order, so the
+    first maximum is the first such turn in ``all_turns``.  One decision
+    costs ``O(Σ_{u ∈ N[v]} deg u)`` numpy row reads, on top of one
+    ``O(n)`` encode of the configuration per call.
     """
 
     name = "targeted"
@@ -161,21 +166,18 @@ class Targeted(ByzantineStrategy):
     def states_at(self, execution, nodes, rng, t):
         if t % self._period:
             return {}
-        from repro.core.potential import disorder_potential
+        from repro.core.potential import disorder_gain
 
-        algorithm = execution.algorithm
         config = execution.configuration
+        kernel = execution.algorithm.vector_kernel()
+        encoding = kernel.encoding
+        codes = encoding.encode_configuration(config)
+        csr = config.topology.inclusive_csr()
         updates: Dict[int, Turn] = {}
         for v in nodes:
-            best_turn = config[v]
-            best_score = -1
-            for turn in algorithm.turns.all_turns:
-                score = disorder_potential(algorithm, config.replace({v: turn}))
-                if score > best_score:
-                    best_score = score
-                    best_turn = turn
-            config = config.replace({v: best_turn})
-            updates[v] = best_turn
+            best = int(np.argmax(disorder_gain(kernel, codes, csr, v)))
+            codes[v] = best
+            updates[v] = encoding.decode(best)
         return updates
 
 

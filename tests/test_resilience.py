@@ -1,18 +1,24 @@
 """The permanent-fault resilience subsystem.
 
-Covers the Byzantine/crash/noise strategies and their registry, the
-engine-level masking and sparse-poke hooks, the
-:class:`PermanentFaultAdversary` intervention (including step-for-step
-bit-identity between the object and array engines under every
-strategy), and the containment analytics (hop distances, the clean
-mask's object/vectorized agreement, containment radius, the
-``stabilized_outside`` predicate, and the measurement harness).
+Covers the Byzantine/crash/noise strategies and their registry (the
+targeted adversary's local score against a whole-configuration rescore
+on generated graphs, ties included), the engine-level masking and
+sparse-poke hooks, the :class:`PermanentFaultAdversary` intervention
+(including step-for-step bit-identity between the object and array
+engines under every strategy), and the containment analytics (hop
+distances, the clean mask's object/vectorized agreement, containment
+radius, the ``stabilized_outside`` predicate, and the measurement
+harness).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.containment import (
     ContainmentTracker,
@@ -27,9 +33,11 @@ from repro.analysis.containment import (
     stabilized_outside,
 )
 from repro.core.algau import ThinUnison
+from repro.core.potential import disorder_gain, disorder_potential
 from repro.core.turns import able, faulty
 from repro.faults.injection import random_configuration, uniform_configuration
 from repro.graphs.generators import damaged_clique, path, ring, star
+from repro.graphs.topology import topology_from_edges
 from repro.model.configuration import Configuration
 from repro.model.engine import create_execution
 from repro.model.errors import ModelError
@@ -45,6 +53,7 @@ from repro.resilience import (
     Noisy,
     PermanentFaultAdversary,
     RandomClock,
+    Targeted,
     make_strategy,
     select_faulty_nodes,
     strategy_names,
@@ -168,8 +177,6 @@ class TestStrategies:
         assert execution.masked_nodes == frozenset()
 
     def test_targeted_picks_a_disrupting_turn(self):
-        from repro.core.potential import disorder_potential
-
         execution = _execution(strategy=make_strategy("targeted"), faulty_nodes=(0,))
         algorithm = execution.algorithm
         execution.step()
@@ -177,6 +184,97 @@ class TestStrategies:
         chosen = disorder_potential(algorithm, config)
         for turn in algorithm.turns.all_turns:
             assert chosen >= disorder_potential(algorithm, config.replace({0: turn}))
+
+
+def _full_rescore_targeted(algorithm, config, nodes):
+    """The reference greedy adversary: re-score the whole configuration
+    with :func:`disorder_potential` for every candidate turn of every
+    faulty node (ascending ids, each seeing the earlier choices; the
+    first turn in ``all_turns`` order wins ties)."""
+    updates = {}
+    for v in nodes:
+        best_turn = config[v]
+        best_score = -1
+        for turn in algorithm.turns.all_turns:
+            score = disorder_potential(algorithm, config.replace({v: turn}))
+            if score > best_score:
+                best_score = score
+                best_turn = turn
+        config = config.replace({v: best_turn})
+        updates[v] = best_turn
+    return updates
+
+
+@st.composite
+def _targeted_cases(draw):
+    """A connected graph (a random tree plus extra edges), a diameter
+    bound, a configuration over a small turn pool (so candidate scores
+    tie often) and a faulty set of 1..n/2 nodes."""
+    n = draw(st.integers(2, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    topology = topology_from_edges(sorted(edges))
+    algorithm = ThinUnison(draw(st.integers(1, 5)))
+    pool = draw(
+        st.lists(st.sampled_from(algorithm.turns.all_turns), min_size=1, max_size=3)
+    )
+    states = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    config = Configuration(topology, dict(enumerate(states)))
+    nodes = draw(
+        st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=max(1, n // 2), unique=True
+        )
+    )
+    return algorithm, config, tuple(sorted(nodes))
+
+
+class TestTargetedLocalScore:
+    """The targeted adversary scores candidates from the faulty node's
+    two-hop neighborhood; it must choose exactly what a whole-
+    configuration rescore chooses, ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_targeted_cases())
+    def test_matches_the_full_rescore_reference(self, case):
+        algorithm, config, nodes = case
+        execution = SimpleNamespace(algorithm=algorithm, configuration=config)
+        chosen = Targeted().states_at(execution, nodes, np.random.default_rng(0), 0)
+        assert chosen == _full_rescore_targeted(algorithm, config, nodes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_targeted_cases())
+    def test_gain_differences_are_potential_differences(self, case):
+        algorithm, config, nodes = case
+        v = nodes[0]
+        codes = algorithm.encoding.encode_configuration(config)
+        gain = disorder_gain(
+            algorithm.vector_kernel(), codes, config.topology.inclusive_csr(), v
+        )
+        potential = np.array(
+            [
+                disorder_potential(algorithm, config.replace({v: turn}))
+                for turn in algorithm.turns.all_turns
+            ]
+        )
+        assert np.array_equal(gain - gain[0], potential - potential[0])
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_code_order_is_turn_order(self, d):
+        # The first-maximum tie rule over codes is the reference's
+        # first-in-all_turns rule only because the orders coincide.
+        algorithm = ThinUnison(d)
+        assert algorithm.encoding.turn_table == algorithm.turns.all_turns
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_outwards_gg_mask_matches_the_level_system(self, d):
+        algorithm = ThinUnison(d)
+        levels = algorithm.levels
+        mask = algorithm.vector_kernel().outwards_gg_mask()
+        for code, turn in enumerate(algorithm.encoding.turn_table):
+            outer = levels.outwards_gg(turn.level)
+            expected = {levels.clock_value(level) for level in outer}
+            assert set(np.nonzero(mask[code])[0].tolist()) == expected
 
 
 class TestEngineHooks:
