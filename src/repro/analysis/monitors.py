@@ -49,6 +49,12 @@ class MoveCounter(Monitor):
     """Counts *moves* — node activations that changed the state — the
     workload axis of the time/space/work Pareto trade-off.
 
+    Opt-in: every engine counts moves itself
+    (:attr:`~repro.model.engine.ExecutionBase.moves`), and the campaign
+    runner and stabilization measurements read that counter.  Attach
+    this monitor only to count a window of steps; being a monitor, it
+    also keeps the run on the per-step :meth:`step` protocol.
+
     A step's moves are exactly ``len(record.changed)``: the engines put
     only real state changes (``delta`` transitions applied by the step)
     into ``StepRecord.changed``, so activations where ``delta`` returned

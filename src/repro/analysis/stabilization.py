@@ -25,11 +25,11 @@ from repro.core.algau import ThinUnison
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
-from repro.model.engine import create_execution
+from repro.model.engine import create_execution, graph_is_good
 from repro.model.errors import StabilizationError
 from repro.model.execution import Execution
 from repro.model.scheduler import Scheduler
-from repro.analysis.monitors import MoveCounter, OutputChangeMonitor
+from repro.analysis.monitors import OutputChangeMonitor
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class StabilizationResult:
     steps: int
     detail: str = ""
     #: Total work: node activations that changed the state (see
-    #: :class:`~repro.analysis.monitors.MoveCounter`).
+    #: :attr:`~repro.model.engine.ExecutionBase.moves`).
     moves: int = 0
 
 
@@ -68,34 +68,28 @@ def measure_au_stabilization(
     not ``n`` — which is what makes large-``n`` sweeps under sparse
     asynchronous schedules practical.
     """
-    moves = MoveCounter()
     execution = create_execution(
-        topology, algorithm, initial, scheduler, rng=rng, engine=engine,
-        monitors=(moves,),
+        topology, algorithm, initial, scheduler, rng=rng, engine=engine
     )
-
-    def good(e) -> bool:
-        return e.graph_is_good()
-
-    result = execution.run(max_rounds=max_rounds, until=good)
+    result = execution.run(max_rounds=max_rounds, until=graph_is_good)
     if not result.stopped_by_predicate:
         return StabilizationResult(
             False, result.rounds, result.steps, "good graph not reached",
-            moves=moves.moves,
+            moves=execution.moves,
         )
     stabilization_round = execution.rounds.round_of_time(execution.rounds.time)
     if confirm_rounds:
         execution.run_rounds(confirm_rounds)
-        if not good(execution):
+        if not graph_is_good(execution):
             return StabilizationResult(
                 False,
                 stabilization_round,
                 execution.t,
                 "goodness lost after being reached (bug!)",
-                moves=moves.moves,
+                moves=execution.moves,
             )
     return StabilizationResult(
-        True, stabilization_round, execution.t, moves=moves.moves
+        True, stabilization_round, execution.t, moves=execution.moves
     )
 
 
@@ -122,10 +116,9 @@ def measure_static_task_stabilization(
     guard) are attached after the measurement's own.
     """
     monitor = OutputChangeMonitor(algorithm)
-    moves = MoveCounter()
     execution = Execution(
         topology, algorithm, initial, scheduler, rng=rng,
-        monitors=(monitor, moves, *monitors),
+        monitors=(monitor, *monitors),
     )
 
     def looks_stable(e: Execution) -> bool:
@@ -139,14 +132,14 @@ def measure_static_task_stabilization(
                 execution.completed_rounds,
                 execution.t,
                 "no valid output configuration reached",
-                moves=moves.moves,
+                moves=execution.moves,
             )
         change_marker = monitor.last_change_time
         execution.run_rounds(confirm_rounds)
         if monitor.last_change_time == change_marker and looks_stable(execution):
             rounds = execution.rounds.round_of_time(monitor.last_change_time)
             return StabilizationResult(
-                True, rounds, execution.t, moves=moves.moves
+                True, rounds, execution.t, moves=execution.moves
             )
         # The output moved during the confirmation window — keep going.
     return StabilizationResult(
@@ -154,7 +147,7 @@ def measure_static_task_stabilization(
         execution.completed_rounds,
         execution.t,
         "output kept changing within the round budget",
-        moves=moves.moves,
+        moves=execution.moves,
     )
 
 

@@ -45,7 +45,6 @@ from repro.analysis.containment import (
     hop_distances,
     radius_of_mask,
 )
-from repro.analysis.monitors import MoveCounter
 from repro.analysis.restabilization import RestabilizationTracker, pulse_tightness
 from repro.campaigns.cache import ResultCache
 from repro.campaigns.dispatch import make_dispatcher
@@ -69,7 +68,7 @@ from repro.graphs.dynamic import TopologyDelta
 from repro.graphs.generators import make_graph
 from repro.graphs.topology import Topology
 from repro.model.configuration import Configuration
-from repro.model.engine import Monitor, create_execution
+from repro.model.engine import Monitor, create_execution, graph_is_good
 from repro.model.replica_engine import ReplicaSpec
 from repro.resilience.adversary import (
     PermanentFaultAdversary,
@@ -249,7 +248,7 @@ def _stable_predicate(scenario: Scenario, algorithm) -> Callable[[object], bool]
     algorithms declare a closed configuration predicate."""
     stable = _algorithm_spec(scenario).stable
     if stable is None:
-        return lambda e: e.graph_is_good()
+        return graph_is_good
     return lambda e: stable(algorithm, e.configuration)
 
 
@@ -475,7 +474,6 @@ def _run_au(
             algorithm, plan.times, fraction=plan.fraction, rng=rng
         )
 
-    mover = MoveCounter()
     execution = _create_scenario_execution(
         scenario,
         topology,
@@ -483,7 +481,7 @@ def _run_au(
         initial,
         rng,
         intervention=intervention,
-        monitors=(mover, *extra_monitors),
+        monitors=extra_monitors,
     )
 
     def row(**columns) -> ScenarioResult:
@@ -494,7 +492,7 @@ def _run_au(
             started,
             steps=execution.t,
             state_bits=bits,
-            moves=mover.moves,
+            moves=execution.moves,
             **columns,
         )
 

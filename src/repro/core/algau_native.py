@@ -8,7 +8,7 @@ full-array sweeps per step.  The kernels here walk the CSR
 against the per-code window masks inline, so memory is O(n + m) and the
 per-step cost is one tight loop over the active lanes' neighborhoods.
 
-Three kernels cover every seam the array-tier engines use:
+Four kernels cover every seam the array-tier engines use:
 
 * ``delta_rows`` — batched Table 1 transition for an explicit lane set
   (the ``activated ∩ dirty`` incremental path) or all lanes at once;
@@ -16,7 +16,14 @@ Three kernels cover every seam the array-tier engines use:
   that seeds incremental goodness accounting;
 * ``fold_pairs`` — the per-step pair-delta fold, in a scalar flavor
   (array engine) and an ``owner``-scattered flavor (the replica-batch
-  block-diagonal CSR, one counter per replica).
+  block-diagonal CSR, one counter per replica);
+* ``run_sequence`` — a sequential daemon's activations applied one
+  after another (δ, write, goodness fold, move count per activation),
+  stopping on the first good configuration: whole rounds of round-robin
+  schedules in one call.
+
+``delta_rows`` and ``run_sequence`` share one per-lane δ body
+(``_delta_code``).
 
 Backends
 --------
@@ -59,8 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 try:  # pragma: no cover - only bound when numba is installed
     from numba import prange
+    from numba.extending import register_jitable
 except ImportError:  # pragma: no cover - the common container case
     prange = range
+
+    def register_jitable(fn):
+        return fn
 
 
 class NativeBackendError(RuntimeError):
@@ -128,6 +139,58 @@ class NativeTables:
 # ----------------------------------------------------------------------
 
 
+@register_jitable
+def _delta_code(
+    codes,
+    indices,
+    lo,
+    hi,
+    c,
+    clock_of,
+    aa_succ,
+    fa_succ,
+    af_code,
+    af_sense,
+    is_faulty,
+    has_twin,
+    adjacent_mask,
+    aa_mask,
+    outwards_mask,
+    cautious,
+):
+    """The Table 1 transition of one node (current code ``c``) from its
+    inclusive CSR row ``indices[lo:hi]`` — the per-lane body of
+    ``delta_rows`` and ``run_sequence``."""
+    if not is_faulty[c]:
+        sense = af_sense[c]
+        not_protected = False
+        any_faulty = False
+        outside_aa = False
+        senses_af = False
+        for e in range(lo, hi):
+            cu = codes[indices[e]]
+            cl = clock_of[cu]
+            if is_faulty[cu]:
+                any_faulty = True
+            if not adjacent_mask[c, cl]:
+                not_protected = True
+            if not aa_mask[c, cl]:
+                outside_aa = True
+            if cu == sense:
+                senses_af = True
+        if (not not_protected) and (not any_faulty) and (not outside_aa):
+            return aa_succ[c]  # AA
+        if has_twin[c] and (
+            not_protected or (cautious != 0 and sense >= 0 and senses_af)
+        ):
+            return af_code[c]  # AF
+        return c
+    for e in range(lo, hi):
+        if outwards_mask[c, clock_of[codes[indices[e]]]]:
+            return c
+    return fa_succ[c]  # FA
+
+
 def _delta_rows_impl(
     codes,
     indptr,
@@ -148,44 +211,63 @@ def _delta_rows_impl(
 ):
     for i in prange(rows.shape[0]):
         v = rows[i]
-        c = codes[v]
+        out[i] = _delta_code(
+            codes, indices, indptr[v], indptr[v + 1], codes[v],
+            clock_of, aa_succ, fa_succ, af_code, af_sense, is_faulty,
+            has_twin, adjacent_mask, aa_mask, outwards_mask, cautious,
+        )
+
+
+def _run_sequence_impl(
+    codes,
+    indptr,
+    indices,
+    order,
+    clock_of,
+    aa_succ,
+    fa_succ,
+    af_code,
+    af_sense,
+    is_faulty,
+    has_twin,
+    adjacent_mask,
+    aa_mask,
+    outwards_mask,
+    cautious,
+    pair_bad,
+    counts,
+):
+    faulty = counts[0]
+    bad = counts[1]
+    moves = counts[2]
+    applied = 0
+    while applied < order.shape[0]:
+        v = order[applied]
+        applied += 1
         lo = indptr[v]
         hi = indptr[v + 1]
-        if not is_faulty[c]:
-            sense = af_sense[c]
-            not_protected = False
-            any_faulty = False
-            outside_aa = False
-            senses_af = False
+        c = codes[v]
+        cn = _delta_code(
+            codes, indices, lo, hi, c,
+            clock_of, aa_succ, fa_succ, af_code, af_sense, is_faulty,
+            has_twin, adjacent_mask, aa_mask, outwards_mask, cautious,
+        )
+        if cn != c:
+            delta = 0
             for e in range(lo, hi):
-                cu = codes[indices[e]]
-                cl = clock_of[cu]
-                if is_faulty[cu]:
-                    any_faulty = True
-                if not adjacent_mask[c, cl]:
-                    not_protected = True
-                if not aa_mask[c, cl]:
-                    outside_aa = True
-                if cu == sense:
-                    senses_af = True
-            if (not not_protected) and (not any_faulty) and (not outside_aa):
-                out[i] = aa_succ[c]  # AA
-            elif has_twin[c] and (
-                not_protected or (cautious != 0 and sense >= 0 and senses_af)
-            ):
-                out[i] = af_code[c]  # AF
-            else:
-                out[i] = c
-        else:
-            sees_outwards = False
-            for e in range(lo, hi):
-                if outwards_mask[c, clock_of[codes[indices[e]]]]:
-                    sees_outwards = True
-                    break
-            if sees_outwards:
-                out[i] = c
-            else:
-                out[i] = fa_succ[c]  # FA
+                u = indices[e]
+                if u != v:
+                    delta += int(pair_bad[cn, codes[u]]) - int(pair_bad[c, codes[u]])
+            faulty += int(is_faulty[cn]) - int(is_faulty[c])
+            bad += 2 * delta
+            moves += 1
+            codes[v] = cn
+        if faulty == 0 and bad == 0:
+            break
+    counts[0] = faulty
+    counts[1] = bad
+    counts[2] = moves
+    return applied
 
 
 def _goodness_counts_impl(codes, indptr, indices, is_faulty, pair_bad):
@@ -272,6 +354,7 @@ class _PythonBackend:
     goodness_counts = staticmethod(_goodness_counts_impl)
     fold_pairs = staticmethod(_fold_pairs_impl)
     fold_pairs_owner = staticmethod(_fold_pairs_owner_impl)
+    run_sequence = staticmethod(_run_sequence_impl)
 
 
 class _NumbaBackend:
@@ -290,6 +373,7 @@ class _NumbaBackend:
         self.goodness_counts = jit(_goodness_counts_impl)
         self.fold_pairs = jit(_fold_pairs_impl)
         self.fold_pairs_owner = jit(_fold_pairs_owner_impl)
+        self.run_sequence = jit(_run_sequence_impl)
 
 
 _C_SOURCE = Path(__file__).with_name("_native_kernels.c")
@@ -364,6 +448,11 @@ class _CBackend:
         self._fold = lib.fold_pairs
         self._fold.restype = None
         self._fold.argtypes = [p] * 6 + [i64] + [p] * 3 + [i64] + [p, p]
+        self._sequence = lib.run_sequence
+        self._sequence.restype = i64
+        self._sequence.argtypes = (
+            [p] * 4 + [i64] + [p] * 10 + [i64, ctypes.c_int32, p, i64, p]
+        )
 
     def delta_rows(
         self,
@@ -403,6 +492,49 @@ class _CBackend:
             _ptr(outwards_mask),
             aa_mask.shape[1],
             cautious,
+        )
+
+    def run_sequence(
+        self,
+        codes,
+        indptr,
+        indices,
+        order,
+        clock_of,
+        aa_succ,
+        fa_succ,
+        af_code,
+        af_sense,
+        is_faulty,
+        has_twin,
+        adjacent_mask,
+        aa_mask,
+        outwards_mask,
+        cautious,
+        pair_bad,
+        counts,
+    ):
+        return self._sequence(
+            _ptr(codes),
+            _ptr(indptr),
+            _ptr(indices),
+            _ptr(order),
+            order.shape[0],
+            _ptr(clock_of),
+            _ptr(aa_succ),
+            _ptr(fa_succ),
+            _ptr(af_code),
+            _ptr(af_sense),
+            _ptr(is_faulty),
+            _ptr(has_twin),
+            _ptr(adjacent_mask),
+            _ptr(aa_mask),
+            _ptr(outwards_mask),
+            aa_mask.shape[1],
+            cautious,
+            _ptr(pair_bad),
+            pair_bad.shape[1],
+            _ptr(counts),
         )
 
     def goodness_counts(self, codes, indptr, indices, is_faulty, pair_bad):
@@ -585,6 +717,38 @@ class NativeKernel:
             t.outwards_mask, t.cautious,
         )
         return out
+
+    def run_sequence(
+        self,
+        codes: np.ndarray,
+        csr: "CSRAdjacency",
+        order: np.ndarray,
+        counts: np.ndarray,
+    ) -> int:
+        """Apply the single-node activations ``order`` in turn, in place
+        on ``codes`` — a sequential daemon's round in one call.
+
+        ``counts`` is the int64 triple ``(faulty nodes, unprotected
+        ordered pairs, moves)``: read as the counts of the entry
+        configuration, updated with every move.  Stops right after the
+        first activation that leaves both goodness counts at zero and
+        returns the number of activations applied (``len(order)`` when
+        the graph never became good)."""
+        t = self.tables
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        # The compiled lanes index and write through raw pointers.
+        if len(order) and not 0 <= order.min() <= order.max() < len(codes):
+            raise ValueError("run_sequence order names a node outside the codes")
+        if counts.dtype != np.int64 or counts.shape != (3,):
+            raise ValueError("run_sequence counts must be an int64 triple")
+        return int(
+            self.backend.run_sequence(
+                codes, csr.indptr, csr.indices, order,
+                t.clock_of, t.aa_succ, t.fa_succ, t.af_code, t.af_sense,
+                t.is_faulty, t.has_twin, t.adjacent_mask, t.aa_mask,
+                t.outwards_mask, t.cautious, t.pair_bad, counts,
+            )
+        )
 
     def goodness_counts(self, codes: np.ndarray, csr: "CSRAdjacency") -> Tuple[int, int]:
         t = self.tables

@@ -47,6 +47,7 @@ the paper's variant and the ``cautious_af=False`` ablation).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import FrozenSet, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -243,6 +244,42 @@ class ArrayExecution(ExecutionBase["Turn"]):
         self._mark_dirty_rows(diff)
         return changed
 
+    def _records_unused(self) -> bool:
+        """Whether nothing consumes per-step records: no monitors, no
+        intervention, no mask, no enabled tracking and a scheduler that
+        is not enabled-aware.  Only then may :meth:`advance` and
+        :meth:`run` skip the per-step :meth:`step` protocol."""
+        return not (
+            self.monitors
+            or self.intervention is not None
+            or self._track_enabled
+            or self._masked
+            or self.scheduler.uses_enabled_view
+        )
+
+    @contextmanager
+    def _without_records(self):
+        """Let ``_apply`` skip the per-change Turn tuples for the
+        duration (state updates are unaffected)."""
+        self._record_changes = False
+        try:
+            yield
+        finally:
+            self._record_changes = True
+
+    def _bare_step(self) -> bool:
+        """One step of the record-free body shared by :meth:`advance`
+        and :meth:`run`: the same scheduler draw, ``_apply`` pipeline
+        and round bookkeeping as :meth:`step`, minus the
+        ``StepRecord``.  Returns whether the step completed a round."""
+        activated = self.scheduler.activations(
+            self._t - self._sched_t0, self.topology.nodes, self.rng
+        )
+        if activated:
+            self._apply(activated)
+        self._t += 1
+        return self._rounds.observe(activated)
+
     def advance(self, steps: int) -> None:
         """Record-free bulk stepping (see :meth:`ExecutionBase.advance`).
 
@@ -255,30 +292,24 @@ class ArrayExecution(ExecutionBase["Turn"]):
         interventions, masks, enabled-aware daemons, enabled tracking)
         falls back to the generic loop.
         """
-        if (
-            self.monitors
-            or self.intervention is not None
-            or self._track_enabled
-            or self._masked
-            or self.scheduler.uses_enabled_view
-        ):
+        if not self._records_unused():
             super().advance(steps)
             return
         self._notify_start()
-        scheduler = self.scheduler
-        nodes = self.topology.nodes
-        rounds = self._rounds
-        self._record_changes = False
-        sched_t0 = self._sched_t0
-        try:
+        with self._without_records():
             for _ in range(steps):
-                activated = scheduler.activations(self._t - sched_t0, nodes, self.rng)
-                if activated:
-                    self._apply(activated)
-                rounds.observe(activated)
-                self._t += 1
-        finally:
-            self._record_changes = True
+                self._bare_step()
+
+    def _run_loop(self, max_steps, max_rounds, until, check_until_each_step):
+        """Record-free :meth:`run` under the same conditions as
+        :meth:`advance`'s fast path: identical budgets and ``until``
+        polling, with :meth:`_bare_step` in place of :meth:`step`."""
+        if not self._records_unused():
+            return super()._run_loop(max_steps, max_rounds, until, check_until_each_step)
+        with self._without_records():
+            return self._drive(
+                self._bare_step, max_steps, max_rounds, until, check_until_each_step
+            )
 
     def _commit(
         self, diff: np.ndarray, new_diff: np.ndarray
@@ -302,6 +333,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
             changed = ()
         self._update_goodness(diff, old_diff, new_diff)
         codes[diff] = new_diff
+        self._moves += diff.size
         self._config_cache = None
         return changed
 
@@ -399,6 +431,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         else:
             changed = ()
         self._update_goodness_scalar(moved, old_codes, new_codes)
+        self._moves += len(moved)
         enabled_mask = self._enabled_mask
         for v, code in zip(moved, new_codes):
             codes[v] = code

@@ -52,6 +52,13 @@ into every :class:`StepRecord`, and enabled-aware daemons (schedulers
 with ``uses_enabled_view``) receive the view each step through
 :meth:`~repro.model.scheduler.Scheduler.select`.
 
+Every engine counts its own *moves* (:attr:`ExecutionBase.moves`)
+where it writes δ's state changes, so no per-step monitor is needed to
+measure work.  When nothing consumes per-step records, the array-tier
+engines run :meth:`ExecutionBase.run` record-free, and the native tier
+also hands whole rounds of a round-order daemon to a compiled kernel
+when ``until`` is the shared :func:`graph_is_good` predicate.
+
 Use :func:`create_execution` to pick an engine by name
 (``engine="object" | "array"``).
 """
@@ -162,6 +169,8 @@ class ExecutionBase(ABC, Generic[Q]):
         #: :meth:`advance` fast path, where no ``StepRecord`` consumes
         #: them.  State updates themselves are unaffected.
         self._record_changes = True
+        #: State-changing activations applied by δ; see :attr:`moves`.
+        self._moves = 0
         self._masked: FrozenSet[int] = frozenset()
         self._state_epoch = 0
         self._topology_version = 0
@@ -256,6 +265,19 @@ class ExecutionBase(ABC, Generic[Q]):
         ``_apply``'s updates) compare this counter to know when a full
         re-snapshot is needed."""
         return self._state_epoch
+
+    @property
+    def moves(self) -> int:
+        """Total work so far: node activations whose ``δ`` changed the
+        state — the workload axis of the time/space/work trade-off.
+
+        Every lane counts where it writes ``δ``'s state changes, so
+        :meth:`step`, :meth:`advance` and record-free :meth:`run` paths
+        all count alike.  Activations where ``δ`` returned the current
+        state are free, and out-of-band writes (interventions,
+        :meth:`poke_states`, :meth:`replace_configuration`) are never
+        billed as algorithm work."""
+        return self._moves
 
     @property
     def completed_rounds(self) -> int:
@@ -465,15 +487,46 @@ class ExecutionBase(ABC, Generic[Q]):
         self._notify_start()
         if until is not None and until(self):
             return RunResult(0, self.completed_rounds, True, "pre-satisfied")
-        steps = 0
+        return self._run_loop(max_steps, max_rounds, until, check_until_each_step)
+
+    def _run_loop(
+        self,
+        max_steps: Optional[int],
+        max_rounds: Optional[int],
+        until: Optional[Callable[["ExecutionBase"], bool]],
+        check_until_each_step: bool,
+    ) -> RunResult:
+        """The stepping behind :meth:`run`, after its pre-check.  The
+        base drives :meth:`step`; engines override this to take
+        record-free paths when nothing consumes the records."""
+        return self._drive(
+            lambda: self.step().completed_round,
+            max_steps,
+            max_rounds,
+            until,
+            check_until_each_step,
+        )
+
+    def _drive(
+        self,
+        step: Callable[[], bool],
+        max_steps: Optional[int],
+        max_rounds: Optional[int],
+        until: Optional[Callable[["ExecutionBase"], bool]],
+        check_until_each_step: bool,
+        steps: int = 0,
+    ) -> RunResult:
+        """The one bounded run loop: call ``step`` (one step, returning
+        whether it completed a round) until a budget or ``until`` stops
+        it.  ``steps`` is the count already taken by this run."""
         while True:
             if max_steps is not None and steps >= max_steps:
                 return RunResult(steps, self.completed_rounds, False, "max_steps")
             if max_rounds is not None and self.completed_rounds >= max_rounds:
                 return RunResult(steps, self.completed_rounds, False, "max_rounds")
-            record = self.step()
+            completed_round = step()
             steps += 1
-            if until is not None and (check_until_each_step or record.completed_round):
+            if until is not None and (check_until_each_step or completed_round):
                 if until(self):
                     return RunResult(steps, self.completed_rounds, True, "predicate")
 
@@ -508,6 +561,17 @@ class ExecutionBase(ABC, Generic[Q]):
             f"graph={self.topology.name!r} t={self._t} "
             f"rounds={self.completed_rounds}>"
         )
+
+
+def graph_is_good(execution: ExecutionBase) -> bool:
+    """The AlgAU stabilization predicate as a ``run(until=...)``
+    argument.
+
+    This is the one shared goodness predicate: the campaign runner and
+    the stabilization measurements pass this function itself, and the
+    native engine recognizes it by identity to hand whole rounds of a
+    sequential daemon to its compiled kernel."""
+    return execution.graph_is_good()
 
 
 def _object_engine() -> type:

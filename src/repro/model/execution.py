@@ -158,6 +158,7 @@ class Execution(ExecutionBase[Q], Generic[Q]):
                     changed.append((v, old, new))
         if updates:
             self._configuration = config.replace(updates)
+            self._moves += len(updates)
             if self._use_cache:
                 self._mark_dirty(updates)
                 self._update_goodness(changed, config)

@@ -20,6 +20,12 @@ across graph × scheduler × fault combinations).
 block-diagonal CSR of the replica-batched ensemble engine, so Monte
 Carlo campaigns ride the compiled tier through the same seams.
 
+On top of the seams, :meth:`NativeExecution.run` hands whole rounds of
+a round-order daemon to the compiled ``run_sequence`` kernel when the
+stop predicate is the shared :func:`~repro.model.engine.graph_is_good`
+and nothing consumes per-step records; it stops on exactly the step,
+with exactly the rounds, moves and rng stream, of the per-step loop.
+
 Backend availability is resolved once per process by
 :func:`repro.core.algau_native.native_backend` (numba if installed,
 else a lazily ``cc``-compiled C library); when neither exists,
@@ -35,6 +41,7 @@ import numpy as np
 
 from repro.core.algau_native import NativeKernel, native_backend
 from repro.model.array_engine import ArrayExecution
+from repro.model.engine import RunResult, graph_is_good
 from repro.model.replica_engine import ReplicaBatchExecution
 
 
@@ -71,6 +78,79 @@ class _NativeKernelMixin:
 
 class NativeExecution(_NativeKernelMixin, ArrayExecution):
     """The array engine on compiled CSR-walking kernels."""
+
+    def _run_loop(self, max_steps, max_rounds, until, check_until_each_step):
+        """Compiled whole rounds for ``run(until=graph_is_good)`` under a
+        round-order daemon; every other run takes the array tier's
+        paths."""
+        if not (
+            until is graph_is_good
+            and check_until_each_step
+            and self.incremental
+            and self._records_unused()
+        ):
+            return super()._run_loop(max_steps, max_rounds, until, check_until_each_step)
+        with self._without_records():
+            return self._run_rounds(max_steps, max_rounds)
+
+    def _run_rounds(self, max_steps, max_rounds) -> RunResult:
+        """The round loop: stops on exactly the step, with exactly the
+        rounds, state and rng stream, of the per-step loop.
+
+        Rounds complete only at round ends, so the budgets are checked
+        once per round; each order is capped at the steps left.  A run
+        that finds itself mid-round (resumed after a mid-round stop)
+        steps to the boundary first, and a mid-round stop hands the
+        unapplied tail back to the scheduler.
+        """
+        rounds = self._rounds
+        nodes = self.topology.nodes
+        scheduler = self.scheduler
+        steps = 0
+        while True:
+            if not rounds.at_boundary:
+                cap = rounds.completed_rounds + 1
+                if max_rounds is not None:
+                    cap = min(cap, max_rounds)
+                result = self._drive(
+                    self._bare_step, max_steps, cap, graph_is_good, True, steps
+                )
+                if result.reason != "max_rounds" or cap == max_rounds:
+                    return result
+                steps = result.steps
+                continue
+            if max_steps is not None and steps >= max_steps:
+                return RunResult(steps, rounds.completed_rounds, False, "max_steps")
+            if max_rounds is not None and rounds.completed_rounds >= max_rounds:
+                return RunResult(steps, rounds.completed_rounds, False, "max_rounds")
+            order = scheduler.round_activation_order(nodes, self.rng)
+            if order is None:
+                return self._drive(
+                    self._bare_step, max_steps, max_rounds, graph_is_good, True, steps
+                )
+            capped = order if max_steps is None else order[: max_steps - steps]
+            applied = self._run_sequence(capped)
+            rounds.observe_sequence(order[:applied])
+            self._t += applied
+            steps += applied
+            if applied < len(order):
+                scheduler.hand_back(order[applied:])
+            if self._goodness == (0, 0):
+                return RunResult(steps, rounds.completed_rounds, True, "predicate")
+
+    def _run_sequence(self, order) -> int:
+        """Apply ``order`` through the compiled kernel and fold its
+        effect into the engine: goodness counts, moves, and one
+        wholesale invalidation of the pending cache."""
+        faulty, bad = self._goodness
+        counts = np.array([faulty, bad, 0], dtype=np.int64)
+        applied = self._native.run_sequence(self._codes, self._csr, order, counts)
+        self._goodness = (int(counts[0]), int(counts[1]))
+        if counts[2]:
+            self._moves += int(counts[2])
+            self._config_cache = None
+            self._invalidate_all()
+        return applied
 
 
 class NativeReplicaBatchExecution(_NativeKernelMixin, ReplicaBatchExecution):

@@ -95,7 +95,7 @@ class ReplicaOutcome:
     steps: int
     #: Total work in moves — activations that changed a lane's state —
     #: folded per replica from the ensemble diff stream; bit-identical
-    #: to a solo run's :class:`~repro.analysis.monitors.MoveCounter`
+    #: to a solo run's :attr:`~repro.model.engine.ExecutionBase.moves`
     #: (retired replicas stop being activated, so the count freezes at
     #: the stabilizing step exactly like a solo ``run(until=...)``).
     moves: int = 0
@@ -457,14 +457,15 @@ class ReplicaBatchExecution(ArrayExecution):
             )
         return super().step()
 
-    def advance(self, steps: int) -> None:
+    def _bare_step(self) -> bool:
+        # The record-free body behind advance() and run().
         if self._ensemble is not None:
             raise ModelError(
                 "multi-replica batches are driven with run_ensemble(); "
                 "the bulk-step API only exists on the R = 1 engine "
                 "(create_execution(engine='replica-batch'))"
             )
-        super().advance(steps)
+        return super()._bare_step()
 
     # ------------------------------------------------------------------
     # The fused ensemble loop.

@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, List, Sequence, Set
 
+import numpy as np
+
 
 class RoundTracker:
     """Incrementally computes the boundaries ``R(i) = ϱ^i(0)``."""
@@ -72,6 +74,34 @@ class RoundTracker:
         self._boundaries.append(self._time)
         if len(self._pending) != len(self._nodes):
             self._pending = set(self._nodes)
+        return True
+
+    @property
+    def at_boundary(self) -> bool:
+        """Whether no node has been activated since the last boundary
+        (the current round has not started)."""
+        return len(self._pending) == len(self._nodes)
+
+    def observe_sequence(self, order: np.ndarray) -> bool:
+        """Record ``len(order)`` single-node steps activating
+        ``order[0]``, ``order[1]``, … in turn.
+
+        The bulk counterpart of :meth:`observe` for round-order
+        callers, which must guarantee that a round can complete only on
+        the last step (distinct nodes, at most the rest of one round).
+        O(1) for a whole round from a boundary, a pending-set update
+        otherwise.  Returns whether a round completed.
+        """
+        count = len(order)
+        self._time += count
+        if count == len(self._nodes) and self.at_boundary:
+            self._boundaries.append(self._time)
+            return True
+        self._pending.difference_update(order.tolist())
+        if self._pending:
+            return False
+        self._boundaries.append(self._time)
+        self._pending = set(self._nodes)
         return True
 
     def add_nodes(self, nodes: Iterable[int]) -> None:

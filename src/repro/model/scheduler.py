@@ -85,17 +85,30 @@ class Scheduler(ABC):
         """Optional bulk hook for round-based single-node schedulers.
 
         A scheduler whose schedule is one node per step, covering every
-        node exactly once per round, may return the *next round's*
-        activation order as an index array — consuming exactly the rng
-        draws the equivalent ``n`` :meth:`activations` calls would
-        consume (so trajectories stay bit-identical).  The
-        replica-batched ensemble engine uses this to gather a whole
-        fused step's activations with array indexing instead of one
-        Python scheduler call per replica per step — the difference
-        between ~2x and >4x on large ensembles.  The default ``None``
-        keeps the per-step protocol.
+        node exactly once per round, may return the activation order of
+        the *rest of its current round* as an index array: the whole
+        next round at a round start, or the unconsumed tail when
+        per-step :meth:`activations` calls have consumed part of it.  It
+        must consume exactly the rng draws the equivalent
+        :meth:`activations` calls would consume (so trajectories stay
+        bit-identical).  The replica-batched ensemble engine uses this
+        to gather a whole fused step's activations with array indexing,
+        and the native engine hands whole rounds to one compiled kernel.
+        The default ``None`` (no rng consumed) keeps the per-step
+        protocol.
         """
         return None
+
+    def hand_back(self, tail: np.ndarray) -> None:
+        """Return the unapplied ``tail`` of the last
+        :meth:`round_activation_order`: the next :meth:`activations`
+        calls must replay it in order before drawing anything new.
+
+        A bulk caller calls this when it stops mid-round.  Schedulers
+        that implement :meth:`round_activation_order` override it; the
+        default refuses, since a scheduler without a round order has
+        no tail to take back."""
+        raise ScheduleError(f"{self.name} does not hand out round orders")
 
     def bind(self, execution) -> None:
         """Called by the execution engine at construction time.
@@ -169,8 +182,13 @@ class RoundRobinScheduler(Scheduler):
         self._singletons = tuple(frozenset((v,)) for v in order)
         self._validated_for = nodes
 
+    def hand_back(self, tail):
+        """Nothing to keep: the position in the order is ``t mod n``."""
+
     def round_activation_order(self, nodes, rng):
-        """Every round replays the fixed order (no rng consumed)."""
+        """Every round replays the fixed order (no rng consumed).  The
+        position is ``t mod n``, so bulk callers call this only at
+        round starts."""
         if nodes is not self._validated_for:
             self._validate_order(nodes)
             self._order_array = None
@@ -197,13 +215,22 @@ class ShuffledRoundRobinScheduler(Scheduler):
         return frozenset((self._current.pop(),))
 
     def round_activation_order(self, nodes, rng):
-        """One shuffle per round — the same single draw (and therefore
-        the same rng stream) as the incremental per-step pops, which
-        consume the shuffled list from its tail."""
-        order = list(nodes)
-        rng.shuffle(order)
-        order.reverse()  # activations() pops from the end
+        """The unconsumed rest of a round that per-step pops have
+        started, or else one fresh shuffle — the same single draw (and
+        therefore the same rng stream) as the incremental per-step pops,
+        which consume the shuffled list from its tail."""
+        if self._current:
+            order = self._current[::-1]
+            self._current = []
+        else:
+            order = list(nodes)
+            rng.shuffle(order)
+            order.reverse()  # activations() pops from the end
         return np.asarray(order, dtype=np.int64)
+
+    def hand_back(self, tail):
+        """Queue ``tail`` for the next pops, first node last."""
+        self._current = tail[::-1].tolist()
 
 
 class RandomSubsetScheduler(Scheduler):

@@ -267,6 +267,7 @@ class NetExecution(ExecutionBase):
     # ------------------------------------------------------------------
 
     def _record_change(self, node: int, old, new) -> None:
+        self._moves += 1
         if self._record_changes:
             self._pending_changes.append((node, old, new))
 

@@ -45,6 +45,17 @@ class TestRoundTracker:
         assert tracker.observe((2, 3))
         assert tracker.boundary(1) == 3
 
+    def test_observe_sequence_matches_single_observes(self):
+        nodes = (0, 1, 2, 3, 4)
+        bulk, single = RoundTracker(nodes), RoundTracker(nodes)
+        for order in ([3, 1, 4, 0, 2], [2, 0], [1, 4, 3], [4, 3, 2, 1, 0]):
+            assert bulk.at_boundary == single.at_boundary
+            expected = [single.observe((v,)) for v in order][-1]
+            assert bulk.observe_sequence(np.array(order)) == expected
+            assert bulk.boundaries == single.boundaries
+            assert bulk.time == single.time
+        assert bulk.at_boundary and bulk.completed_rounds == 3
+
     def test_round_of_time(self):
         tracker = RoundTracker((0, 1))
         tracker.observe((0,))
@@ -258,3 +269,63 @@ class TestExecution:
         result = execution.run(max_rounds=5, until=lambda e: True)
         assert result.stopped_by_predicate
         assert result.steps == 0
+
+
+class TestEngineMoves:
+    """Every lane counts its own moves: ``execution.moves`` equals an
+    attached :class:`MoveCounter` through step() and advance(), and
+    out-of-band writes are never billed."""
+
+    @pytest.mark.parametrize("scheduler", ["shuffled-rr", "synchronous"])
+    @pytest.mark.parametrize("engine", ["object", "array", "native", "net"])
+    def test_moves_equal_the_move_counter(self, engine, scheduler):
+        from repro.analysis.monitors import MoveCounter
+        from repro.core.algau_native import native_backend
+        from repro.core.turns import faulty
+        from repro.faults.injection import random_configuration
+        from repro.graphs.generators import damaged_clique
+        from repro.model.engine import create_execution
+        from repro.net import NetExecution
+
+        if engine == "native" and native_backend() is None:
+            pytest.skip("no native backend")
+        topology = damaged_clique(10, 2, np.random.default_rng(31))
+        algorithm = ThinUnison(2)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(32))
+        make = {
+            "shuffled-rr": ShuffledRoundRobinScheduler,
+            "synchronous": SynchronousScheduler,
+        }[scheduler]
+
+        def build(monitors):
+            if engine == "net":
+                return NetExecution(
+                    topology, algorithm, initial, make(),
+                    rng=np.random.default_rng(33), monitors=monitors,
+                )
+            return create_execution(
+                topology, algorithm, initial, make(),
+                rng=np.random.default_rng(33), engine=engine, monitors=monitors,
+            )
+
+        counter = MoveCounter()
+        stepped, bulk = build((counter,)), build(())
+        try:
+            for phase in range(3):
+                for _ in range(13):
+                    stepped.step()
+                bulk.advance(13)
+                assert stepped.moves == counter.moves == bulk.moves
+                before = counter.moves
+                for execution in (stepped, bulk):
+                    execution.poke_states({phase: faulty(2), phase + 4: able(-1)})
+                    execution.replace_configuration(
+                        execution.configuration.replace({phase + 1: faulty(-2)})
+                    )
+                    assert execution.moves == before
+            assert counter.moves > 0
+        finally:
+            for execution in (stepped, bulk):
+                close = getattr(execution, "close", None)
+                if close is not None:
+                    close()

@@ -42,7 +42,12 @@ from repro.core.algau_native import (
     native_backend_name,
 )
 from repro.core.turns import able, faulty
-from repro.faults.injection import TransientFaultInjector, random_configuration
+from repro.campaigns.spec import FaultPlan
+from repro.faults.injection import (
+    TransientFaultInjector,
+    random_configuration,
+    uniform_configuration,
+)
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.frontier import (
     FRONTIER_FAMILIES,
@@ -52,7 +57,13 @@ from repro.graphs.frontier import (
 )
 from repro.graphs.generators import damaged_clique, random_connected, ring
 from repro.model.array_engine import ArrayExecution
-from repro.model.engine import ENGINE_NAMES, create_execution
+from repro.model.engine import (
+    ENGINE_NAMES,
+    Monitor,
+    RunResult,
+    create_execution,
+    graph_is_good,
+)
 from repro.model.errors import TopologyError
 from repro.model.native_engine import (
     NativeExecution,
@@ -62,6 +73,7 @@ from repro.model.native_engine import (
 )
 from repro.model.replica_engine import ReplicaBatchExecution, ReplicaSpec
 from repro.model.scheduler import (
+    EnabledOnlyScheduler,
     LaggardScheduler,
     RandomSubsetScheduler,
     RoundRobinScheduler,
@@ -177,6 +189,95 @@ def test_goodness_and_fold_lanes_agree_property(d, n, seed):
         )
         assert fold == vec_fold, name
         assert not scratch.any(), name  # restored on exit
+
+
+def _sequence_reference(kernel, codes, csr, order):
+    """``run_sequence`` by the definition: one ``delta_one`` per
+    activation, a full ``goodness_counts`` rescan after each, stopping
+    after the first activation that leaves the graph good."""
+    codes = codes.copy()
+    hoods = csr.neighbor_lists()
+    moves = 0
+    counts = tuple(kernel.goodness_counts(codes, csr))
+    applied = 0
+    for v in order.tolist():
+        applied += 1
+        new = kernel.delta_one(codes, hoods[v])
+        if new != codes[v]:
+            codes[v] = new
+            moves += 1
+            counts = tuple(kernel.goodness_counts(codes, csr))
+        if counts == (0, 0):
+            break
+    return applied, codes, (*counts, moves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=9),
+    cautious=st.booleans(),
+    rounds=st.integers(min_value=1, max_value=12),
+    dirty=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_run_sequence_lanes_agree_property(d, n, cautious, rounds, dirty, seed):
+    """Every lane's run_sequence equals the per-activation reference on
+    random codes (a ``dirty`` fraction corrupting a uniform start, so
+    both stopping and exhausted orders occur), random CSR rows and
+    random multi-round orders — capped at every stop index."""
+    rng = np.random.default_rng(seed)
+    algorithm = ThinUnison(d, cautious_af=cautious)
+    kernel = algorithm.vector_kernel()
+    csr = _random_inclusive_csr(rng, n)
+    codes = np.zeros(n, dtype=np.int64)
+    hit = rng.random(n) < dirty
+    codes[hit] = rng.integers(0, algorithm.encoding.size, int(hit.sum()))
+    order = np.concatenate([rng.permutation(n) for _ in range(rounds)])
+    full = _sequence_reference(kernel, codes, csr, order)
+    for name, lane in _lanes(kernel).items():
+        for stop in range(full[0] + 1):
+            applied, expected, counts = _sequence_reference(
+                kernel, codes, csr, order[:stop]
+            )
+            got = codes.copy()
+            start = kernel.goodness_counts(codes, csr)
+            state = np.array([*start, 0], dtype=np.int64)
+            assert lane.run_sequence(got, csr, order[:stop], state) == applied, name
+            assert np.array_equal(got, expected), (name, stop)
+            assert tuple(state.tolist()) == counts, (name, stop)
+
+
+def test_run_sequence_stops_on_the_first_good_configuration():
+    """A single corrupted node on a uniform path heals within a few
+    rounds; the kernel returns the activation that healed it."""
+    algorithm = ThinUnison(2)
+    kernel = algorithm.vector_kernel()
+    topology = ring(7)
+    csr = topology.inclusive_csr()
+    codes = np.zeros(7, dtype=np.int64)
+    codes[3] = algorithm.encoding.encode(faulty(2))
+    order = np.tile(np.arange(7, dtype=np.int64), 20)
+    applied, expected, counts = _sequence_reference(kernel, codes, csr, order)
+    assert applied < len(order) and counts[:2] == (0, 0)
+    for name, lane in _lanes(kernel).items():
+        got = codes.copy()
+        state = np.array([*kernel.goodness_counts(codes, csr), 0], dtype=np.int64)
+        assert lane.run_sequence(got, csr, order, state) == applied, name
+        assert np.array_equal(got, expected) and tuple(state) == counts, name
+
+
+def test_run_sequence_rejects_out_of_range_orders():
+    """Orders are bounds-checked before any lane sees a raw pointer."""
+    kernel = ThinUnison(1).vector_kernel()
+    csr = ring(5).inclusive_csr()
+    for lane in _lanes(kernel).values():
+        for order in ([0, 5], [-1]):
+            codes = np.zeros(5, dtype=np.int64)
+            counts = np.array([1, 0, 0], dtype=np.int64)
+            with pytest.raises(ValueError, match="outside"):
+                lane.run_sequence(codes, csr, np.array(order), counts)
+            assert not codes.any() and counts.tolist() == [1, 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +537,318 @@ class TestNativeEngineDifferential:
         assert results[0].stabilized and results[1].stabilized
         assert results[0].rounds == results[1].rounds
         assert results[0].steps == results[1].steps
+
+
+# ----------------------------------------------------------------------
+# Compiled sequential-daemon rounds: run(until=graph_is_good) on native.
+# ----------------------------------------------------------------------
+
+ROUND_ORDER_SCHEDULERS = {
+    "round-robin": RoundRobinScheduler,
+    "shuffled-rr": ShuffledRoundRobinScheduler,
+}
+
+
+def _stepped_run(execution, max_steps=None, max_rounds=None):
+    """``run(until=graph_is_good)`` spelled out over :meth:`step` — the
+    per-step loop the compiled round loop must reproduce."""
+    if execution.graph_is_good():
+        return RunResult(0, execution.completed_rounds, True, "pre-satisfied")
+    steps = 0
+    while True:
+        if max_steps is not None and steps >= max_steps:
+            return RunResult(steps, execution.completed_rounds, False, "max_steps")
+        if max_rounds is not None and execution.completed_rounds >= max_rounds:
+            return RunResult(steps, execution.completed_rounds, False, "max_rounds")
+        execution.step()
+        steps += 1
+        if execution.graph_is_good():
+            return RunResult(steps, execution.completed_rounds, True, "predicate")
+
+
+def _run_pair(topology, algorithm, initial, sched_key, seed, **kwargs):
+    return [
+        create_execution(
+            topology,
+            algorithm,
+            initial,
+            ROUND_ORDER_SCHEDULERS[sched_key](),
+            rng=np.random.default_rng(seed),
+            engine=engine,
+            **kwargs,
+        )
+        for engine in ("native", "array")
+    ]
+
+
+def _assert_same_state(native, array):
+    assert native.t == array.t
+    assert native.completed_rounds == array.completed_rounds
+    assert native.rounds.boundaries == array.rounds.boundaries
+    time = native.rounds.time
+    assert time == array.rounds.time
+    assert native.rounds.round_of_time(time) == array.rounds.round_of_time(time)
+    assert native.moves == array.moves
+    assert np.array_equal(native.codes, array.codes)
+    kernel = native.algorithm.vector_kernel()
+    counts = tuple(kernel.goodness_counts(native.codes, native.topology.inclusive_csr()))
+    assert native.graph_is_good() == array.graph_is_good() == (counts == (0, 0))
+    assert native._goodness == counts
+
+
+@needs_backend
+class TestCompiledRounds:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=16),
+        d=st.integers(min_value=1, max_value=3),
+        sched_key=st.sampled_from(sorted(ROUND_ORDER_SCHEDULERS)),
+        start=st.sampled_from(["random", "uniform"]),
+        max_steps=st.one_of(st.none(), st.integers(min_value=0, max_value=300)),
+        max_rounds=st.integers(min_value=0, max_value=40),
+        tail=st.integers(min_value=0, max_value=25),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_run_matches_the_step_loop(
+        self, n, d, sched_key, start, max_steps, max_rounds, tail, seed
+    ):
+        """On generated connected graphs, native run(until=good) equals
+        the array engine's step()-driven run: the RunResult, time,
+        rounds, moves, codes and goodness counts — also under budgets
+        that cut a round, a resumed second run after a burst (which
+        starts mid-round), and ``tail`` further identical step()s."""
+        rng = np.random.default_rng(seed)
+        topology = random_connected(n, 0.3, rng)
+        algorithm = ThinUnison(d)
+        if start == "random":
+            initial = random_configuration(algorithm, topology, rng)
+        else:
+            initial = uniform_configuration(algorithm, topology)
+        native, array = _run_pair(topology, algorithm, initial, sched_key, seed + 1)
+        result = native.run(max_steps=max_steps, max_rounds=max_rounds, until=graph_is_good)
+        assert result == _stepped_run(array, max_steps, max_rounds)
+        _assert_same_state(native, array)
+
+        burst = {
+            int(v): algorithm.random_state(rng)
+            for v in rng.choice(n, size=max(1, n // 3), replace=False)
+        }
+        for execution in (native, array):
+            execution.replace_configuration(execution.configuration.replace(burst))
+        budget = array.completed_rounds + 30
+        result = native.run(max_rounds=budget, until=graph_is_good)
+        assert result == _stepped_run(array, None, budget)
+        _assert_same_state(native, array)
+        for _ in range(tail):
+            assert native.step().activated == array.step().activated
+        _assert_same_state(native, array)
+
+    def test_mid_round_stop_resumes_the_same_shuffled_round(self):
+        """A stop inside a round hands the unapplied tail back: later
+        step()s replay it, then reshuffle from the same rng stream."""
+        topology = damaged_clique(12, 2, np.random.default_rng(3))
+        algorithm = ThinUnison(2)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(4))
+        native, array = _run_pair(topology, algorithm, initial, "shuffled-rr", 5)
+        result = native.run(max_rounds=10_000, until=graph_is_good)
+        assert result == _stepped_run(array, None, 10_000)
+        assert result.stopped_by_predicate and not native.rounds.at_boundary
+        for _ in range(3 * topology.n):
+            assert native.step() == array.step()
+        _assert_same_state(native, array)
+
+    def test_max_steps_cut_then_resume(self):
+        """Successive step-capped runs tile one long run exactly."""
+        topology = ring(11)
+        algorithm = ThinUnison(3)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(8))
+        native, array = _run_pair(topology, algorithm, initial, "shuffled-rr", 9)
+        for cap in (5, 17, 1, 11, 40, 3, 1000):
+            result = native.run(max_steps=cap, until=graph_is_good)
+            assert result == _stepped_run(array, cap)
+            _assert_same_state(native, array)
+            if result.stopped_by_predicate:
+                break
+        assert result.stopped_by_predicate
+
+    def test_max_rounds_exhaustion(self):
+        topology = ring(15)
+        algorithm = ThinUnison(2)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(2))
+        native, array = _run_pair(topology, algorithm, initial, "round-robin", 3)
+        result = native.run(max_rounds=2, until=graph_is_good)
+        assert result == _stepped_run(array, None, 2)
+        assert result.reason == "max_rounds" and native.t == 2 * topology.n
+        _assert_same_state(native, array)
+
+    def test_round_order_tail_matches_the_per_step_pops(self):
+        """Partly consumed shuffled rounds are returned, not redrawn,
+        and a handed-back tail is popped in order."""
+        nodes = tuple(range(9))
+        stepped, bulk = ShuffledRoundRobinScheduler(), ShuffledRoundRobinScheduler()
+        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+        head = [next(iter(stepped.activations(t, nodes, rng_a))) for t in range(4)]
+        for t in range(4):
+            bulk.activations(t, nodes, rng_b)
+        tail = bulk.round_activation_order(nodes, rng_b)
+        assert len(tail) == 5 and set(head).isdisjoint(tail.tolist())
+        bulk.hand_back(tail[2:])
+        rest = [next(iter(stepped.activations(t, nodes, rng_a))) for t in range(4, 9)]
+        assert rest[:2] == tail[:2].tolist()
+        assert rest[2:] == [next(iter(bulk.activations(t, nodes, rng_b))) for t in range(6, 9)]
+        assert np.array_equal(
+            bulk.round_activation_order(nodes, rng_b),
+            stepped.round_activation_order(nodes, rng_a),
+        )
+
+
+@needs_backend
+class TestCompiledRoundFallbacks:
+    """Every disqualifier keeps the per-step paths — and still matches
+    the array lane."""
+
+    @pytest.fixture
+    def sequence_calls(self, monkeypatch):
+        calls = []
+        original = NativeExecution._run_sequence
+
+        def counted(self, order):
+            calls.append(len(order))
+            return original(self, order)
+
+        monkeypatch.setattr(NativeExecution, "_run_sequence", counted)
+        return calls
+
+    @staticmethod
+    def _good_lambda(execution):
+        return execution.graph_is_good()
+
+    CASES = {
+        "compiled": {},
+        "monitor": {"monitors": (Monitor(),)},
+        "intervention": {"intervention": lambda e: None},
+        "mask": {"mask": (2,)},
+        "track-enabled": {"track_enabled": True},
+        "enabled-aware": {"scheduler": EnabledOnlyScheduler},
+        "predicate": {"until": "lambda"},
+        "naive": {"incremental": False},
+        "round-check": {"check_until_each_step": False},
+        "synchronous": {"scheduler": SynchronousScheduler},
+        "random-subset": {"scheduler": lambda: RandomSubsetScheduler(0.4)},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_disqualifier_falls_back(self, case, sequence_calls):
+        spec = dict(self.CASES[case])
+        topology = damaged_clique(10, 2, np.random.default_rng(21))
+        algorithm = ThinUnison(2)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(22))
+        make_scheduler = spec.pop("scheduler", ShuffledRoundRobinScheduler)
+        mask = spec.pop("mask", ())
+        until = graph_is_good
+        if spec.pop("until", None):
+            until = self._good_lambda
+        each_step = spec.pop("check_until_each_step", True)
+        pair = []
+        for engine in ("native", "array"):
+            execution = create_execution(
+                topology,
+                algorithm,
+                initial,
+                make_scheduler(),
+                rng=np.random.default_rng(23),
+                engine=engine,
+                **spec,
+            )
+            execution.mask_nodes(mask)
+            pair.append(execution)
+        results = [
+            execution.run(
+                max_steps=4000,
+                until=until,
+                check_until_each_step=each_step,
+            )
+            for execution in pair
+        ]
+        assert results[0] == results[1]
+        native, array = pair
+        assert native.t == array.t and native.moves == array.moves
+        assert np.array_equal(native.codes, array.codes)
+        assert native.rounds.boundaries == array.rounds.boundaries
+        assert bool(sequence_calls) == (case == "compiled")
+
+
+@needs_backend
+class TestCompiledRoundScenarios:
+    """No registry carries bursts or edge churn on native under a
+    sequential daemon; these cells pin native == array through the
+    whole scenario pipeline (a burst's recovery run starts mid-round)."""
+
+    @pytest.mark.parametrize(
+        "graph, params, d, scheduler, faults",
+        [
+            (
+                "damaged-clique",
+                (("n", 12), ("diameter_bound", 2), ("damage", 0.4)),
+                2,
+                "shuffled-round-robin",
+                FaultPlan(kind="bursts", bursts=3, fraction=0.3),
+            ),
+            (
+                "quorum-colony",
+                (("n", 12), ("diameter_bound", 2)),
+                2,
+                "round-robin",
+                FaultPlan(kind="bursts", bursts=2, fraction=0.5),
+            ),
+            (
+                "quorum-colony",
+                (("n", 12), ("diameter_bound", 2)),
+                2,
+                "shuffled-round-robin",
+                FaultPlan(kind="churn", rate=0.25, times=(160,)),
+            ),
+            (
+                "hub-colony",
+                (("n", 12), ("hubs", 2)),
+                2,
+                "round-robin",
+                FaultPlan(kind="churn", rate=1.0, times=(160,)),
+            ),
+        ],
+        ids=["bursts-shuffled", "bursts-rr", "churn-shuffled", "churn-rr"],
+    )
+    def test_native_scenario_equals_array(
+        self, graph, params, d, scheduler, faults, monkeypatch
+    ):
+        from repro.campaigns.aggregate import measured_payload
+        from repro.campaigns.registry import CampaignBuilder
+        from repro.campaigns.runner import run_scenario
+
+        calls = []
+        original = NativeExecution._run_sequence
+
+        def counted(self, order):
+            calls.append(len(order))
+            return original(self, order)
+
+        monkeypatch.setattr(NativeExecution, "_run_sequence", counted)
+        builder = CampaignBuilder("compiled-rounds", 7)
+        for engine in ("native", "array"):
+            builder.add_au(
+                graph,
+                params,
+                d,
+                scheduler=scheduler,
+                engine=engine,
+                faults=faults,
+                seed_index=0,
+            )
+        native, array = (run_scenario(s) for s in builder.scenarios)
+        assert native.status == array.status == ""
+        assert native.stabilized
+        assert measured_payload(native) == measured_payload(array)
+        assert calls
 
 
 @needs_backend
