@@ -1,13 +1,14 @@
 """The message-passing deployment runtime — sim-vs-net as a gate.
 
-The ``repro.net`` subsystem re-executes AlgAU as asyncio node actors
-exchanging constant-size clock messages over fair-lossy links on a
-virtual-time event loop.  Its standing contract (``docs/net-runtime.md``)
-is differential: under zero-delay/zero-loss links the runtime's
-trajectory — and therefore every measured campaign column — is
-bit-identical to the ``array`` simulation engine, and under noisy links
-stabilization slows boundedly but never fails (fair-lossy links bound
-drop streaks, so the paper's fairness assumptions keep holding).
+The ``repro.net`` subsystem re-executes AlgAU as node actors
+exchanging constant-size clock messages over fair-lossy links, with
+every message in flight on one virtual-time event heap.  Its standing
+contract (``docs/net-runtime.md``) is differential: under
+zero-delay/zero-loss links the runtime's trajectory — and therefore
+every measured campaign column — is bit-identical to the ``array``
+simulation engine, and under noisy links stabilization slows boundedly
+but never fails (fair-lossy links bound drop streaks, so the paper's
+fairness assumptions keep holding).
 
 This benchmark gates:
 
@@ -73,23 +74,20 @@ def _loss_sweep() -> list:
             link_config=LinkConfig(loss=loss),
             noise_seed=5,
         )
-        try:
-            execution.run(max_rounds=4000, until=lambda e: e.graph_is_good())
-            assert execution.graph_is_good(), f"loss={loss} did not stabilize"
-            stats = execution.stats
-            rows.append(
-                {
-                    "loss": loss,
-                    "rounds": execution.completed_rounds,
-                    "messages_sent": stats.messages_sent,
-                    "messages_dropped": stats.messages_dropped,
-                    "messages_per_node_round": stats.per_node_round(
-                        topology.n, max(1, execution.completed_rounds)
-                    ),
-                }
-            )
-        finally:
-            execution.close()
+        execution.run(max_rounds=4000, until=lambda e: e.graph_is_good())
+        assert execution.graph_is_good(), f"loss={loss} did not stabilize"
+        stats = execution.stats
+        rows.append(
+            {
+                "loss": loss,
+                "rounds": execution.completed_rounds,
+                "messages_sent": stats.messages_sent,
+                "messages_dropped": stats.messages_dropped,
+                "messages_per_node_round": stats.per_node_round(
+                    topology.n, max(1, execution.completed_rounds)
+                ),
+            }
+        )
     return rows
 
 

@@ -117,7 +117,7 @@ class CampaignBuilder:
         ``algorithm`` picks an entry from
         :data:`~repro.campaigns.spec.ALGORITHM_FACTORIES` (empty =
         the task's default, i.e. the paper's algorithm).
-        ``runtime="net"`` routes the scenario through the asyncio
+        ``runtime="net"`` routes the scenario through the
         message-passing runtime with the link knobs in ``net_params``
         (see :mod:`repro.net.adapter`).
         """

@@ -229,14 +229,6 @@ def _create_scenario_execution(
     )
 
 
-def _close_execution(execution) -> None:
-    """Release an execution's runtime resources, if it holds any (the
-    net engine owns an event loop; the sim engines are plain objects)."""
-    close = getattr(execution, "close", None)
-    if close is not None:
-        close()
-
-
 #: The ``detail`` of a row whose run never reached its stabilization
 #: predicate (shared with the replica-batch path, which must match it).
 _NOT_STABILIZED = "good graph not reached within the round budget"
@@ -505,25 +497,22 @@ def _run_au(
             """Stability, ignored while the storm is still scheduled."""
             return e.t > last_strike and stable(e)
 
-    try:
-        if distances is not None:
-            return _contain(scenario, execution, distances, row)
-        rounds = _settle(execution, scenario, until)
-        if rounds is None:
-            return row(
-                stabilized=False,
-                rounds=execution.completed_rounds,
-                detail=_NOT_STABILIZED,
-            )
-        disturb = _DISTURBANCES.get(plan.kind)
-        extra = (
-            disturb(scenario, topology, algorithm, execution, rng, stable)
-            if disturb
-            else {}
+    if distances is not None:
+        return _contain(scenario, execution, distances, row)
+    rounds = _settle(execution, scenario, until)
+    if rounds is None:
+        return row(
+            stabilized=False,
+            rounds=execution.completed_rounds,
+            detail=_NOT_STABILIZED,
         )
-        return row(stabilized=True, rounds=rounds, **extra)
-    finally:
-        _close_execution(execution)
+    disturb = _DISTURBANCES.get(plan.kind)
+    extra = (
+        disturb(scenario, topology, algorithm, execution, rng, stable)
+        if disturb
+        else {}
+    )
+    return row(stabilized=True, rounds=rounds, **extra)
 
 
 def _run_static(

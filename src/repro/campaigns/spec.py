@@ -712,7 +712,7 @@ class Scenario:
     algorithm: str = ""
     #: The runtime lane (:data:`RUNTIMES`).  ``sim`` (default) is the
     #: shared-memory simulation; ``net`` runs the same spec on the
-    #: asyncio message-passing runtime — the ``engine`` axis then names
+    #: message-passing runtime — the ``engine`` axis then names
     #: the sim engine whose activation/adversary RNG stream the net lane
     #: mirrors, which is what makes zero-noise net rows bit-comparable
     #: to their sim twins.

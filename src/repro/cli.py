@@ -25,8 +25,8 @@ Subcommands regenerate the paper's artifacts from the terminal:
   ``net-smoke`` pairs the simulation and message-passing lanes; the
   ``thm11-*``, ``thm13-le-scaling``, ``thm14-mis-scaling`` and
   ``cor12-synchronizer`` registries are the paper's scaling sweeps;
-* ``repro net run`` — one AlgAU run on the asyncio message-passing
-  runtime: per-node actors exchanging clock messages over fair-lossy
+* ``repro net run`` — one AlgAU run on the message-passing runtime:
+  per-node actors exchanging clock messages over fair-lossy
   links (``--delay/--jitter/--loss/--duplicate``), with a per-round
   goodness trace and message statistics.
 
@@ -196,35 +196,32 @@ def _cmd_net_run(args: argparse.Namespace) -> int:
         f"{topology.name}: n={topology.n} D={args.diameter_bound} "
         f"start={args.start} links={link_config} runtime=net"
     )
-    try:
-        while not execution.graph_is_good():
-            execution.run_rounds(1)
-            good = len(good_nodes(algorithm, execution.configuration))
-            stats = execution.stats
-            print(
-                f"round {execution.completed_rounds:4d}: good nodes "
-                f"{good}/{topology.n}  sent {stats.messages_sent} "
-                f"dropped {stats.messages_dropped}"
-            )
-            if execution.completed_rounds > args.max_rounds:
-                print("did not stabilize within the budget", file=sys.stderr)
-                return 1
+    while not execution.graph_is_good():
+        execution.run_rounds(1)
+        good = len(good_nodes(algorithm, execution.configuration))
         stats = execution.stats
-        per_node_round = stats.per_node_round(
-            topology.n, max(1, execution.completed_rounds)
-        )
         print(
-            f"stabilized (good graph) after {execution.completed_rounds} "
-            f"rounds at virtual time {execution.virtual_time:g}"
+            f"round {execution.completed_rounds:4d}: good nodes "
+            f"{good}/{topology.n}  sent {stats.messages_sent} "
+            f"dropped {stats.messages_dropped}"
         )
-        print(
-            f"messages: sent {stats.messages_sent} delivered "
-            f"{stats.messages_delivered} dropped {stats.messages_dropped} "
-            f"duplicated {stats.messages_duplicated} "
-            f"({per_node_round:.2f} per node-round)"
-        )
-    finally:
-        execution.close()
+        if execution.completed_rounds > args.max_rounds:
+            print("did not stabilize within the budget", file=sys.stderr)
+            return 1
+    stats = execution.stats
+    per_node_round = stats.per_node_round(
+        topology.n, max(1, execution.completed_rounds)
+    )
+    print(
+        f"stabilized (good graph) after {execution.completed_rounds} "
+        f"rounds at virtual time {execution.virtual_time:g}"
+    )
+    print(
+        f"messages: sent {stats.messages_sent} delivered "
+        f"{stats.messages_delivered} dropped {stats.messages_dropped} "
+        f"duplicated {stats.messages_duplicated} "
+        f"({per_node_round:.2f} per node-round)"
+    )
     return 0
 
 
@@ -706,9 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.set_defaults(fn=_cmd_cache_gc)
 
-    p = sub.add_parser(
-        "net", help="the asyncio message-passing deployment runtime"
-    )
+    p = sub.add_parser("net", help="the message-passing deployment runtime")
     nsub = p.add_subparsers(dest="net_command", required=True)
 
     c = nsub.add_parser(

@@ -4,19 +4,19 @@ The simulation engines of :mod:`repro.model` evaluate AlgAU under the
 paper's shared-memory abstraction: an activated node reads its
 neighbors' states directly out of the configuration.  This package
 replaces that abstraction with an executable deployment model — each
-node is an asyncio actor holding only its own AlgAU state, neighbors
-exchange constant-size clock messages over simulated fair-lossy links
-(configurable delay, jitter, reordering, loss, duplication), and the
-whole system runs on a virtual-time event loop so every run is seeded
-and fully deterministic.
+node is an actor holding only its own AlgAU state, neighbors exchange
+constant-size clock messages over simulated fair-lossy links
+(configurable delay, jitter, reordering, loss, duplication), and every
+message in flight waits on one virtual-time event heap, so every run is
+seeded and fully deterministic.
 
 Modules:
 
-* :mod:`repro.net.vtime` — the deterministic virtual-time event loop;
-* :mod:`repro.net.links` — :class:`LinkConfig` and the fair-lossy link
+* :mod:`repro.net.links` — :class:`LinkConfig`, the fair-lossy link
   model (per-edge loss/duplication with a bounded-consecutive-loss
-  fairness guarantee);
-* :mod:`repro.net.node` — the per-node actor: inbox, neighbor-state
+  fairness guarantee) and :class:`MessageNetwork`, the event heap of
+  in-flight deliveries;
+* :mod:`repro.net.node` — the per-node actor: neighbor-state
   registers, one AlgAU transition per activation, stubborn broadcast;
 * :mod:`repro.net.runtime` — :class:`NetExecution`, the
   :class:`~repro.model.engine.ExecutionBase` implementation driving the
@@ -44,20 +44,18 @@ from repro.net.election import (
     run_lcr_election,
     run_monarchical_election,
 )
-from repro.net.links import FairLossyLink, LinkConfig
-from repro.net.runtime import NetExecution, NetStats, create_net_execution
-from repro.net.vtime import NetDeadlockError, VirtualTimeLoop
+from repro.net.links import FairLossyLink, LinkConfig, MessageNetwork, NetStats
+from repro.net.runtime import NetExecution, create_net_execution
 
 __all__ = [
     "ExcludeOnTimeout",
     "FairLossyLink",
     "IncreasingTimeout",
     "LinkConfig",
+    "MessageNetwork",
     "NetAdapter",
-    "NetDeadlockError",
     "NetExecution",
     "NetStats",
-    "VirtualTimeLoop",
     "create_net_execution",
     "elect_monarch",
     "run_lcr_election",

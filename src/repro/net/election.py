@@ -28,7 +28,6 @@ arguments.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from repro.model.errors import ModelError
 from repro.net.detectors import ExcludeOnTimeout, IncreasingTimeout
-from repro.net.links import FairLossyLink, LinkConfig
+from repro.net.links import LinkConfig, MessageNetwork
 
 
 @dataclass
@@ -56,37 +55,13 @@ class ElectionResult:
     suspected: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
 
-class _Network:
-    """Slotted message network over per-edge fair-lossy links."""
-
-    def __init__(self, config: LinkConfig, seed: int) -> None:
-        self.config = config
-        self.rng = np.random.default_rng([int(seed), 0x656C6563])
-        self.links: Dict[Tuple[int, int], FairLossyLink] = {}
-        self._in_flight: List[Tuple[float, int, Tuple[int, int, object]]] = []
-        self._counter = 0
-        self.messages = 0
-
-    def send(self, now: int, sender: int, receiver: int, payload: object) -> None:
-        """Send one message; schedule surviving copies for delivery."""
-        self.messages += 1
-        link = self.links.get((sender, receiver))
-        if link is None:
-            link = self.links[(sender, receiver)] = FairLossyLink(self.config)
-        for latency in link.transmit(self.rng):
-            self._counter += 1
-            deliver_at = now + 1.0 + latency
-            heapq.heappush(
-                self._in_flight,
-                (deliver_at, self._counter, (sender, receiver, payload)),
-            )
-
-    def deliveries(self, now: int) -> List[Tuple[int, int, object]]:
-        """Pop every message due at or before slot ``now``, in order."""
-        due = []
-        while self._in_flight and self._in_flight[0][0] <= now:
-            due.append(heapq.heappop(self._in_flight)[2])
-        return due
+def _network(config: Optional[LinkConfig], seed: int) -> MessageNetwork:
+    """The election's message network, its link noise seeded apart
+    from the AlgAU runtime's."""
+    return MessageNetwork(
+        config if config is not None else LinkConfig(),
+        np.random.default_rng([int(seed), 0x656C6563]),
+    )
 
 
 def run_lcr_election(
@@ -108,8 +83,7 @@ def run_lcr_election(
         raise ModelError("LCR election needs at least one node")
     if len(set(uids)) != n:
         raise ModelError("LCR election requires distinct uids")
-    config = link_config if link_config is not None else LinkConfig()
-    net = _Network(config, seed)
+    net = _network(link_config, seed)
     champion = [uids[i] for i in range(n)]
     leader_uid: List[Optional[int]] = [None] * n
     outputs: List[Optional[int]] = [None] * n
@@ -120,10 +94,10 @@ def run_lcr_election(
         for i in range(n):
             successor = (i + 1) % n
             if leader_uid[i] is not None:
-                net.send(slot, i, successor, ("leader", leader_uid[i]))
+                net.send(slot + 1.0, i, successor, ("leader", leader_uid[i]))
             else:
-                net.send(slot, i, successor, ("probe", champion[i]))
-        for _sender, receiver, payload in net.deliveries(slot + 1):
+                net.send(slot + 1.0, i, successor, ("probe", champion[i]))
+        for _, _, _sender, receiver, payload in net.due(slot + 1):
             kind, uid = payload
             if kind == "probe":
                 if uid == uids[receiver]:
@@ -140,8 +114,10 @@ def run_lcr_election(
             decided = {uid for uid in leader_uid}
             if len(decided) == 1:
                 winner = uids.index(leader_uid[0])
-                return ElectionResult(winner, outputs, slot + 1, net.messages)
-    return ElectionResult(None, outputs, max_slots, net.messages)
+                return ElectionResult(
+                    winner, outputs, slot + 1, net.stats.messages_sent
+                )
+    return ElectionResult(None, outputs, max_slots, net.stats.messages_sent)
 
 
 def elect_monarch(members: Sequence[int], suspected: Sequence[int]) -> int:
@@ -181,8 +157,7 @@ def run_monarchical_election(
     live = [v for v in range(n) if v not in crashed_set]
     if not live:
         raise ModelError("at least one node must stay live")
-    config = link_config if link_config is not None else LinkConfig()
-    net = _Network(config, seed)
+    net = _network(link_config, seed)
 
     peers = {i: [j for j in range(n) if j != i] for i in live}
     if detector == "exclude":
@@ -201,8 +176,8 @@ def run_monarchical_election(
             for j in peers[i]:
                 if j in crashed_set:
                     continue
-                net.send(slot, i, j, "heartbeat")
-        for sender, receiver, _payload in net.deliveries(slot + 1):
+                net.send(slot + 1.0, i, j, "heartbeat")
+        for _, _, sender, receiver, _payload in net.due(slot + 1):
             if receiver in crashed_set:
                 continue
             last_heard[receiver][sender] = slot + 1.0
@@ -220,7 +195,7 @@ def run_monarchical_election(
                     leader,
                     outputs,
                     slot + 1,
-                    net.messages,
+                    net.stats.messages_sent,
                     suspected={i: tuple(sorted(detectors[i].suspected)) for i in live},
                 )
         else:
@@ -229,6 +204,6 @@ def run_monarchical_election(
         None,
         [None] * len(live),
         max_slots,
-        net.messages,
+        net.stats.messages_sent,
         suspected={i: tuple(sorted(detectors[i].suspected)) for i in live},
     )

@@ -14,12 +14,16 @@ runtime is one slot (see :mod:`repro.net.runtime` for the phase
 layout).  Determinism note: when every stochastic knob is zero the link
 consults no randomness at all, which keeps the noise RNG stream empty
 and makes zero-noise runs bit-identical to the simulation engines.
+
+:class:`MessageNetwork` puts the links to work: one heap of in-flight
+deliveries shared by the AlgAU runtime and the election protocols.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, fields
-from typing import Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -95,8 +99,9 @@ class FairLossyLink:
     One instance models one directed edge.  :meth:`transmit` is called
     once per send and returns the tuple of delivery latencies for that
     send — empty when dropped, one entry for a normal delivery, two when
-    duplicated.  The caller schedules one delivery callback per entry;
-    since latencies differ across messages, reordering arises naturally.
+    duplicated.  :class:`MessageNetwork` schedules one delivery per
+    entry; since latencies differ across messages, reordering arises
+    naturally.
     """
 
     __slots__ = ("config", "consecutive_losses")
@@ -127,3 +132,71 @@ class FairLossyLink:
         if self.config.jitter > 0.0:
             return float(rng.random()) * self.config.jitter
         return 0.0
+
+
+@dataclass
+class NetStats:
+    """Cumulative message-layer counters of one network (its consumer
+    counts ``messages_delivered`` and, in the AlgAU runtime, ``acts``)."""
+
+    messages_sent: int = 0
+    messages_delivered: int = 0
+    messages_dropped: int = 0
+    messages_duplicated: int = 0
+    acts: int = 0
+
+    def per_node_round(self, n: int, rounds: int) -> float:
+        """Messages sent per node per completed round (0 when no round
+        completed)."""
+        if n <= 0 or rounds <= 0:
+            return 0.0
+        return self.messages_sent / (n * rounds)
+
+
+class MessageNetwork:
+    """In-flight messages over lazily created per-edge fair-lossy links.
+
+    Every surviving copy of a send becomes one heap entry
+    ``(time, order, sender, receiver, payload)``: ``time`` is the
+    caller's departure instant plus the link latency, and ``order``
+    counts copies, so deliveries due at the same instant pop in send
+    order.  A directed edge gets its :class:`FairLossyLink` on its first
+    send; a caller that tears an edge down pops it from :attr:`links`,
+    so a re-added edge starts a fresh loss streak.
+    """
+
+    def __init__(self, config: LinkConfig, rng: np.random.Generator) -> None:
+        self.config = config
+        self.rng = rng
+        self.links: Dict[Tuple[int, int], FairLossyLink] = {}
+        self.stats = NetStats()
+        self._heap: List[Tuple[float, int, int, int, object]] = []
+        self._order = 0
+
+    def send(
+        self, departure: float, sender: int, receiver: int, payload: object
+    ) -> None:
+        """Send one message; schedule each surviving copy for delivery."""
+        stats = self.stats
+        stats.messages_sent += 1
+        link = self.links.get((sender, receiver))
+        if link is None:
+            link = self.links[(sender, receiver)] = FairLossyLink(self.config)
+        latencies = link.transmit(self.rng)
+        if not latencies:
+            stats.messages_dropped += 1
+        elif len(latencies) > 1:
+            stats.messages_duplicated += 1
+        for latency in latencies:
+            self._order += 1
+            heapq.heappush(
+                self._heap,
+                (departure + latency, self._order, sender, receiver, payload),
+            )
+
+    def due(self, until: float) -> Iterator[Tuple[float, int, int, int, object]]:
+        """Pop every delivery due at or before ``until``, in
+        ``(time, send order)`` order."""
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            yield heapq.heappop(heap)

@@ -1,11 +1,11 @@
 """Per-node actor: local state, neighbor registers, stubborn broadcast.
 
 A :class:`NodeActor` owns exactly the state a deployed AlgAU node would
-own: its current algorithm state, one *register* per neighbor caching
-the most recently heard neighbor state, and an inbox of pending
-messages.  It never reads another actor's memory — the only coupling is
-the constant-size clock messages (encoded turn codes, integers in
-``[0, 4k-2]``) routed through the runtime's links.
+own: its current algorithm state and one *register* per neighbor
+caching the most recently heard neighbor state.  It never reads another
+actor's memory — the only coupling is the constant-size clock messages
+(encoded turn codes, integers in ``[0, 4k-2]``) routed through the
+runtime's links.
 
 Two protocol choices make the actor robust to the fair-lossy link
 model of :mod:`repro.net.links`:
@@ -20,15 +20,14 @@ model of :mod:`repro.net.links`:
   or duplicated deliveries of stale messages are ignored instead of
   rolling a register back.
 
-The actor's coroutine is a plain inbox loop: ``("act",)`` commands make
-it take one AlgAU step (reading its registers, never the live states of
-other actors), ``("msg", ...)`` deliveries update registers, and
-``("stop",)`` ends the task.
+The actor is a pair of plain event handlers the runtime calls:
+:meth:`NodeActor._act` takes one AlgAU step (reading its registers,
+never the live states of other actors) and broadcasts, and
+:meth:`NodeActor.accept` folds one delivery into a register.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.model.signal import Signal
@@ -38,24 +37,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 class NodeActor:
-    """One network node: AlgAU state, neighbor registers, an inbox."""
+    """One network node: AlgAU state and neighbor registers."""
 
     __slots__ = (
         "node",
-        "runtime",
         "neighbors",
         "state",
         "registers",
         "last_heard",
-        "inbox",
         "crashed",
     )
 
-    def __init__(
-        self, node: int, neighbors: Tuple[int, ...], runtime: "NetExecution"
-    ) -> None:
+    def __init__(self, node: int, neighbors: Tuple[int, ...]) -> None:
         self.node = node
-        self.runtime = runtime
         self.neighbors = neighbors
         self.state = None
         # register: neighbor -> (seq, state); seeded by the runtime's
@@ -63,7 +57,6 @@ class NodeActor:
         self.registers: Dict[int, Tuple[int, object]] = {}
         # last_heard: neighbor -> virtual receive time, for detectors.
         self.last_heard: Dict[int, float] = {}
-        self.inbox: asyncio.Queue = asyncio.Queue()
         self.crashed = False
 
     def signal(self) -> Signal:
@@ -89,25 +82,6 @@ class NodeActor:
         current = self.registers.get(sender)
         if current is None or seq > current[0]:
             self.registers[sender] = (seq, state)
-
-    async def run(self) -> None:
-        """Inbox loop: act on commands until stopped or cancelled."""
-        runtime = self.runtime
-        while True:
-            message = await self.inbox.get()
-            kind = message[0]
-            if kind == "act":
-                if not self.crashed:
-                    self._act(runtime)
-                runtime._act_done()
-            elif kind == "msg":
-                if not self.crashed:
-                    _, sender, seq, code = message
-                    state = runtime._decode(code)
-                    self.accept(sender, seq, state, runtime.loop.time())
-                    runtime.stats.messages_delivered += 1
-            elif kind == "stop":
-                return
 
     def _act(self, runtime: "NetExecution") -> None:
         old = self.state

@@ -1,6 +1,6 @@
 """`NetExecution`: the message-passing execution engine.
 
-This module turns the actor/link/virtual-time pieces into a fifth
+This module turns the actor and link pieces into a fifth
 execution engine behind the :class:`~repro.model.engine.ExecutionBase`
 contract, so schedulers, monitors, round bookkeeping, the
 permanent-fault adversary and the ``run`` driver all compose unchanged.
@@ -14,16 +14,18 @@ The phased slot
 Each call to :meth:`NetExecution._apply` advances virtual time by one
 *slot* (default 1.0) with three deterministic phases:
 
-* ``T + 0.0`` — every activated actor takes its step, reading its
-  registers.  Deliveries from this step are still in flight, so every
-  actor computes from *pre-step* states: exactly the simultaneous-update
-  semantics of the simulation engines.
+* ``T + 0.0`` — every activated actor takes its step, in ascending node
+  order, reading its registers.  Deliveries from this step are still in
+  flight, so every actor computes from *pre-step* states: exactly the
+  simultaneous-update semantics of the simulation engines.
 * ``T + 0.5`` — base delivery instant of this step's broadcasts (plus
   the link's configured delay and jitter), so under zero-noise links
   every register mirrors the true neighbor states before the next step
   computes at ``T + 1.0``.
-* ``T + 1.0`` — the slot ends; control returns to the inherited
-  ``step()``.
+* ``T + 1.0`` — the slot ends: every delivery due by then has been
+  popped from the shared :class:`~repro.net.links.MessageNetwork` heap
+  into its receiver, in ``(time, send order)`` order, and control
+  returns to the inherited ``step()``.
 
 Determinism discipline
 ----------------------
@@ -47,8 +49,6 @@ registers are last-writer-wins on a globally monotone sequence counter.
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -59,12 +59,8 @@ from repro.model.configuration import Configuration
 from repro.model.engine import ExecutionBase, Intervention, Monitor
 from repro.model.errors import ModelError
 from repro.model.scheduler import Scheduler
-from repro.net.links import FairLossyLink, LinkConfig
+from repro.net.links import LinkConfig, MessageNetwork, NetStats
 from repro.net.node import NodeActor
-from repro.net.vtime import VirtualTimeLoop
-
-_ACT = ("act",)
-_STOP = ("stop",)
 
 #: Phase offset (in slots) between an activation instant and the base
 #: delivery instant of the broadcasts it triggered.  Any value in
@@ -73,26 +69,8 @@ _STOP = ("stop",)
 BROADCAST_PHASE = 0.5
 
 
-@dataclass
-class NetStats:
-    """Cumulative message-layer counters of one net run."""
-
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    acts: int = 0
-
-    def per_node_round(self, n: int, rounds: int) -> float:
-        """Messages sent per node per completed round (0 when no round
-        completed)."""
-        if n <= 0 or rounds <= 0:
-            return 0.0
-        return self.messages_sent / (n * rounds)
-
-
 class NetExecution(ExecutionBase):
-    """Message-passing engine: asyncio actors over fair-lossy links.
+    """Message-passing engine: node actors over fair-lossy links.
 
     Accepts the standard engine constructor arguments plus the net
     knobs (``link_config``, ``noise_seed``, ``slot``).  Restrictions
@@ -154,23 +132,16 @@ class NetExecution(ExecutionBase):
         self.link_config = link_config if link_config is not None else LinkConfig()
         self.slot = float(slot)
         self.noise_rng = np.random.default_rng([int(noise_seed), 0x6E6574])
-        self.stats = NetStats()
-        self.loop = VirtualTimeLoop()
+        self.network = MessageNetwork(self.link_config, self.noise_rng)
         self._encoding = encoding
         self._decode_cache: Dict[int, object] = {}
         self._seq = 0
-        self._acts_pending = 0
+        self._slots = 0
         self._pending_changes: list = []
         self._config_cache: Optional[Configuration] = None
-        self._closed = False
 
         self._actors: Dict[int, NodeActor] = {
-            v: NodeActor(v, topology.neighbors(v), self) for v in topology.nodes
-        }
-        self._links: Dict[Tuple[int, int], FairLossyLink] = {
-            (u, v): FairLossyLink(self.link_config)
-            for u in topology.nodes
-            for v in topology.neighbors(u)
+            v: NodeActor(v, topology.neighbors(v)) for v in topology.nodes
         }
 
         # The base constructor calls _load_configuration (which needs
@@ -186,10 +157,6 @@ class NetExecution(ExecutionBase):
             incremental=incremental,
             track_enabled=False,
         )
-
-        self._tasks = [
-            self.loop.create_task(actor.run()) for actor in self._actors.values()
-        ]
 
     # ------------------------------------------------------------------
     # Engine hooks.
@@ -207,19 +174,25 @@ class NetExecution(ExecutionBase):
     def _apply(
         self, activated: FrozenSet[int]
     ) -> Tuple[Tuple[int, object, object], ...]:
-        """Run one slot of virtual time with ``activated`` actors stepping."""
+        """Run one slot of virtual time with ``activated`` actors stepping:
+        the acts in ascending node order, then every delivery due by the
+        slot's end."""
         self._config_cache = None
         self._pending_changes = []
-        self._acts_pending = len(activated)
+        actors = self._actors
         for v in sorted(activated):
-            self._actors[v].inbox.put_nowait(_ACT)
-        self.stats.acts += len(activated)
-        self.loop.run_until_complete(asyncio.sleep(self.slot))
-        if self._acts_pending:
-            raise ModelError(
-                f"{self._acts_pending} activated actor(s) failed to take "
-                f"their step within the slot"
-            )
+            actor = actors[v]
+            if not actor.crashed:
+                actor._act(self)
+        stats = self.stats
+        stats.acts += len(activated)
+        self._slots += 1
+        for when, _, sender, receiver, payload in self.network.due(self.virtual_time):
+            actor = actors[receiver]
+            if not actor.crashed:
+                seq, code = payload
+                actor.accept(sender, seq, self._decode(code), when)
+                stats.messages_delivered += 1
         changes = tuple(self._pending_changes)
         self._pending_changes = []
         return changes
@@ -271,9 +244,6 @@ class NetExecution(ExecutionBase):
         if self._record_changes:
             self._pending_changes.append((node, old, new))
 
-    def _act_done(self) -> None:
-        self._acts_pending -= 1
-
     def _decode(self, code: int):
         cache = self._decode_cache
         state = cache.get(code)
@@ -285,28 +255,17 @@ class NetExecution(ExecutionBase):
     def _broadcast(self, actor: NodeActor) -> None:
         """Stubbornly send ``actor``'s current state to every neighbor.
 
-        Each directed send draws its fate from the link model; each
-        surviving copy is scheduled for delivery at
-        ``now + BROADCAST_PHASE * slot + latency``.
+        Each directed send departs at ``now + BROADCAST_PHASE * slot``
+        and draws its fate from the link model; each surviving copy is
+        delivered a link latency later.
         """
         code = int(self._encoding.encode(actor.state))
-        loop = self.loop
-        base = BROADCAST_PHASE * self.slot
-        stats = self.stats
+        departure = self.virtual_time + BROADCAST_PHASE * self.slot
+        send = self.network.send
+        node = actor.node
         for v in actor.neighbors:
             self._seq += 1
-            seq = self._seq
-            stats.messages_sent += 1
-            latencies = self._links[(actor.node, v)].transmit(self.noise_rng)
-            if not latencies:
-                stats.messages_dropped += 1
-                continue
-            if len(latencies) > 1:
-                stats.messages_duplicated += 1
-            inbox = self._actors[v].inbox
-            message = ("msg", actor.node, seq, code)
-            for latency in latencies:
-                loop.call_later(base + latency, inbox.put_nowait, message)
+            send(departure, node, v, (self._seq, code))
 
     def _push_registers(self, v: int) -> None:
         """Write node ``v``'s current state into every neighbor's
@@ -333,21 +292,22 @@ class NetExecution(ExecutionBase):
 
     def _apply_topology_delta(self, delta):
         """Map a :class:`~repro.graphs.dynamic.TopologyDelta` onto the
-        actor world: edge deltas create/tear down directed link pairs
+        actor world: removed edges tear down their directed link pairs
         (and the registers riding on them), leaves silence an actor into
-        a tombstone, joins spawn a fresh actor and its inbox task.
+        a tombstone, joins spawn a fresh actor.  Added edges get their
+        links lazily, on their first send.
 
         Register refreshes for every affected node are out-of-band
         (instant, fresh sequence numbers) — the same omniscient-write
         convention as configuration loads, which is what keeps zero-
         noise churn runs bit-identical to the simulation engines.
         In-flight deliveries from a removed neighbor are dropped by the
-        actors' membership guard, not by scanning the message queues.
+        actors' membership guard, not by scanning the message heap.
         """
         dyn = self._ensure_dynamic_topology()
         applied = dyn.apply_delta(delta)
         actors = self._actors
-        links = self._links
+        links = self.network.links
         # Tear down removed (and leave-incident) edges: both directed
         # links and both registers.
         for u, v in applied.removed_edges:
@@ -366,16 +326,11 @@ class NetExecution(ExecutionBase):
                 actor.registers.clear()
                 actor.last_heard.clear()
                 actor.neighbors = ()
-        # Joined nodes: one fresh actor and inbox task per join.
+        # Joined nodes: one fresh actor per join.
         for v, state in applied.joined:
-            actor = NodeActor(v, dyn.neighbors(v), self)
+            actor = NodeActor(v, dyn.neighbors(v))
             actor.state = state
             actors[v] = actor
-            self._tasks.append(self.loop.create_task(actor.run()))
-        # New directed link pairs for added (and join-attachment) edges.
-        for u, v in applied.added_edges:
-            links[(u, v)] = FairLossyLink(self.link_config)
-            links[(v, u)] = FairLossyLink(self.link_config)
         # Surviving touched actors adopt their new neighbor sets, then
         # every affected node's state is pushed into the (new) registers.
         for v in applied.touched:
@@ -388,7 +343,7 @@ class NetExecution(ExecutionBase):
         return applied
 
     # ------------------------------------------------------------------
-    # Actor-level faults and lifecycle.
+    # Actor-level faults and observation.
     # ------------------------------------------------------------------
 
     def crash_node(self, v: int) -> None:
@@ -407,37 +362,15 @@ class NetExecution(ExecutionBase):
         return dict(self._actors[v].last_heard)
 
     @property
+    def stats(self) -> NetStats:
+        """The message-layer counters of this run."""
+        return self.network.stats
+
+    @property
     def virtual_time(self) -> float:
-        """The current virtual time in slot units."""
-        return self.loop.time()
-
-    def close(self) -> None:
-        """Cancel the actor tasks and close the virtual-time loop.
-
-        Safe to call more than once; after closing, the execution can
-        still be inspected (configuration, stats) but not stepped.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        tasks = getattr(self, "_tasks", None)
-        loop = self.loop
-        if tasks and not loop.is_closed():
-            for task in tasks:
-                task.cancel()
-
-            async def _drain() -> None:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-            loop.run_until_complete(_drain())
-        if not loop.is_closed():
-            loop.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+        """The current virtual time: one ``slot`` per step that
+        activated an unmasked node."""
+        return self._slots * self.slot
 
 
 def create_net_execution(

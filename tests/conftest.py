@@ -70,7 +70,7 @@ def pytest_configure(config) -> None:
     """Register the ``timeout`` marker when pytest-timeout is absent.
 
     CI installs pytest-timeout (see requirements.txt), which enforces
-    the per-test budgets on the asyncio net-runtime tests; on bare
+    the per-test budgets on the net-runtime tests; on bare
     local environments the marker degrades to a registered no-op so
     ``-W error::pytest.PytestUnknownMarkWarning`` runs stay clean.
     """

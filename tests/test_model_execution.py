@@ -310,22 +310,16 @@ class TestEngineMoves:
 
         counter = MoveCounter()
         stepped, bulk = build((counter,)), build(())
-        try:
-            for phase in range(3):
-                for _ in range(13):
-                    stepped.step()
-                bulk.advance(13)
-                assert stepped.moves == counter.moves == bulk.moves
-                before = counter.moves
-                for execution in (stepped, bulk):
-                    execution.poke_states({phase: faulty(2), phase + 4: able(-1)})
-                    execution.replace_configuration(
-                        execution.configuration.replace({phase + 1: faulty(-2)})
-                    )
-                    assert execution.moves == before
-            assert counter.moves > 0
-        finally:
+        for phase in range(3):
+            for _ in range(13):
+                stepped.step()
+            bulk.advance(13)
+            assert stepped.moves == counter.moves == bulk.moves
+            before = counter.moves
             for execution in (stepped, bulk):
-                close = getattr(execution, "close", None)
-                if close is not None:
-                    close()
+                execution.poke_states({phase: faulty(2), phase + 4: able(-1)})
+                execution.replace_configuration(
+                    execution.configuration.replace({phase + 1: faulty(-2)})
+                )
+                assert execution.moves == before
+        assert counter.moves > 0

@@ -1,14 +1,15 @@
-"""The asyncio message-passing deployment runtime (``repro.net``).
+"""The message-passing deployment runtime (``repro.net``).
 
 Four layers of coverage:
 
-* units — the virtual-time event loop, fair-lossy link model, and
-  timeout failure detectors;
+* units — the message network's event heap, the fair-lossy link model,
+  and timeout failure detectors;
 * parity — under zero-delay/zero-loss links the net runtime's whole
   trajectory (activation sets, change sets, round boundaries, final
   configurations) is bit-identical to the ``array`` simulation engine;
 * noise — lossy/delayed links slow stabilization boundedly but never
-  prevent it, and the message counters stay consistent;
+  prevent it, the message counters stay consistent, and pinned noisy
+  trajectories guard the noise rng's draw order;
 * integration — the ``net-smoke`` campaign's sim/net pairings agree on
   every measured column, elections pass the LE task oracle, and the
   runner's per-scenario wall-clock timeout guard produces deterministic
@@ -16,8 +17,6 @@ Four layers of coverage:
 """
 
 from __future__ import annotations
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from repro.campaigns import (
 )
 from repro.campaigns.registry import derive_seed
 from repro.core.algau import ThinUnison
+from repro.faults.churn import ChurnProcess
 from repro.faults.injection import random_configuration, uniform_configuration
 from repro.graphs.biological import quorum_colony
 from repro.graphs.generators import random_connected, ring
@@ -47,8 +47,7 @@ from repro.net import (
     FairLossyLink,
     IncreasingTimeout,
     LinkConfig,
-    NetDeadlockError,
-    VirtualTimeLoop,
+    MessageNetwork,
     create_net_execution,
     elect_monarch,
     run_lcr_election,
@@ -65,41 +64,50 @@ class _PoisonRng:
 
 
 # ----------------------------------------------------------------------
-# Virtual time.
+# The message network.
 # ----------------------------------------------------------------------
 
 
-class TestVirtualTime:
-    @pytest.mark.timeout(30)
-    def test_sleep_advances_virtual_time_without_wall_clock(self):
-        loop = VirtualTimeLoop()
-        try:
-            before = loop.time()
-            loop.run_until_complete(asyncio.sleep(1000.0))
-            assert loop.time() - before == pytest.approx(1000.0)
-        finally:
-            loop.close()
+class TestMessageNetwork:
+    def test_deliveries_pop_in_time_then_send_order(self):
+        net = MessageNetwork(LinkConfig(), _PoisonRng())
+        net.send(2.0, 0, 1, "a")
+        net.send(1.0, 0, 1, "b")
+        net.send(2.0, 1, 0, "c")
+        net.send(1.0, 2, 0, "d")
+        net.send(1.0, 0, 1, "e")
+        assert [entry[4] for entry in net.due(1.5)] == ["b", "d", "e"]
+        assert [entry[4] for entry in net.due(1.5)] == []
+        due = list(net.due(2.0))
+        assert [(when, payload) for when, _, _, _, payload in due] == [
+            (2.0, "a"),
+            (2.0, "c"),
+        ]
+        assert net.stats.messages_sent == 5
 
-    @pytest.mark.timeout(30)
-    def test_waiting_forever_raises_deadlock_instead_of_hanging(self):
-        loop = VirtualTimeLoop()
-        try:
-            with pytest.raises(NetDeadlockError):
-                loop.run_until_complete(loop.create_future())
-        finally:
-            loop.close()
+    @pytest.mark.timeout(60)
+    def test_a_re_added_edge_starts_a_fresh_loss_streak(self):
+        from repro.graphs.dynamic import TopologyDelta
 
-    @pytest.mark.timeout(30)
-    def test_timers_fire_in_virtual_order(self):
-        loop = VirtualTimeLoop()
-        fired = []
-        try:
-            loop.call_later(3.0, fired.append, "late")
-            loop.call_later(1.0, fired.append, "early")
-            loop.run_until_complete(asyncio.sleep(5.0))
-            assert fired == ["early", "late"]
-        finally:
-            loop.close()
+        topology = ring(6)
+        execution = create_net_execution(
+            topology,
+            ThinUnison(3),
+            uniform_configuration(ThinUnison(3), topology),
+            SynchronousScheduler(),
+            rng=np.random.default_rng(0),
+            link_config=LinkConfig(loss=0.5),
+        )
+        links = execution.network.links
+        execution.step()
+        assert {(0, 1), (1, 0)} <= set(links)
+        links[(0, 1)].consecutive_losses = 3
+        execution.mutate_topology(TopologyDelta(remove_edges=((0, 1),)))
+        assert (0, 1) not in links and (1, 0) not in links
+        execution.mutate_topology(TopologyDelta(add_edges=((0, 1),)))
+        assert (0, 1) not in links
+        execution.step()
+        assert links[(0, 1)].consecutive_losses <= 1
 
 
 # ----------------------------------------------------------------------
@@ -274,17 +282,14 @@ class TestZeroNoiseParity:
     )
     def test_step_records_are_bit_identical(self, scheduler_cls):
         sim, net = _parity_pair(ring(10), 5, scheduler_cls, "random", seed=42)
-        try:
-            for _ in range(120):
-                a = sim.step()
-                b = net.step()
-                assert a.t == b.t
-                assert a.activated == b.activated
-                assert sorted(a.changed) == sorted(b.changed)
-                assert a.completed_round == b.completed_round
-            assert sim.configuration == net.configuration
-        finally:
-            net.close()
+        for _ in range(120):
+            a = sim.step()
+            b = net.step()
+            assert a.t == b.t
+            assert a.activated == b.activated
+            assert a.changed == b.changed
+            assert a.completed_round == b.completed_round
+        assert sim.configuration == net.configuration
 
     @pytest.mark.timeout(120)
     def test_stabilization_round_matches_on_gnp(self):
@@ -292,14 +297,11 @@ class TestZeroNoiseParity:
         sim, net = _parity_pair(
             topology, 4, SynchronousScheduler, "random", seed=9
         )
-        try:
-            sim.run(max_rounds=2000, until=lambda e: e.graph_is_good())
-            net.run(max_rounds=2000, until=lambda e: e.graph_is_good())
-            assert sim.graph_is_good() and net.graph_is_good()
-            assert sim.completed_rounds == net.completed_rounds
-            assert sim.configuration == net.configuration
-        finally:
-            net.close()
+        sim.run(max_rounds=2000, until=lambda e: e.graph_is_good())
+        net.run(max_rounds=2000, until=lambda e: e.graph_is_good())
+        assert sim.graph_is_good() and net.graph_is_good()
+        assert sim.completed_rounds == net.completed_rounds
+        assert sim.configuration == net.configuration
 
     @pytest.mark.timeout(120)
     def test_poke_and_mask_keep_parity(self):
@@ -307,22 +309,63 @@ class TestZeroNoiseParity:
         sim, net = _parity_pair(
             topology, 2, SynchronousScheduler, "random", seed=17
         )
-        try:
-            algorithm = ThinUnison(2)
-            corrupt = {3: algorithm.random_state(np.random.default_rng(0))}
-            for execution in (sim, net):
-                execution.run_rounds(2)
-                execution.poke_states(corrupt)
-                execution.mask_nodes({1})
-                execution.run_rounds(6)
-            assert sim.configuration == net.configuration
-        finally:
-            net.close()
+        algorithm = ThinUnison(2)
+        corrupt = {3: algorithm.random_state(np.random.default_rng(0))}
+        for execution in (sim, net):
+            execution.run_rounds(2)
+            execution.poke_states(corrupt)
+            execution.mask_nodes({1})
+            execution.run_rounds(6)
+        assert sim.configuration == net.configuration
 
 
 # ----------------------------------------------------------------------
 # Noisy links: bounded slowdown, consistent counters.
 # ----------------------------------------------------------------------
+
+
+class TestNoisyTrajectoryPins:
+    """Exact noisy trajectories: the tier-1 guard on the order in which
+    the link noise rng is drawn."""
+
+    @pytest.mark.timeout(120)
+    def test_mixed_noise_ring_run(self):
+        topology = ring(12)
+        algorithm = ThinUnison(6)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(3))
+        execution = create_net_execution(
+            topology,
+            ThinUnison(6),
+            initial,
+            SynchronousScheduler(),
+            rng=np.random.default_rng(4),
+            link_config=LinkConfig(delay=0.7, jitter=0.4, loss=0.2, duplicate=0.1),
+            noise_seed=8,
+        )
+        execution.run(max_rounds=2000, until=lambda e: e.graph_is_good())
+        stats = execution.stats
+        assert execution.graph_is_good()
+        assert (execution.completed_rounds, execution.moves) == (69, 211)
+        assert (
+            stats.messages_sent,
+            stats.messages_delivered,
+            stats.messages_dropped,
+            stats.messages_duplicated,
+        ) == (1656, 1446, 326, 138)
+        codes = [
+            int(algorithm.encoding.encode(execution.configuration[v]))
+            for v in topology.nodes
+        ]
+        assert codes == [22, 23, 24, 23, 22, 21, 20, 19, 18, 19, 20, 21]
+
+    @pytest.mark.timeout(60)
+    def test_noisy_lcr_election(self):
+        result = run_lcr_election(
+            [5, 9, 1, 14, 3, 8],
+            LinkConfig(loss=0.3, duplicate=0.2, jitter=0.5),
+            seed=11,
+        )
+        assert (result.slots, result.messages) == (30, 180)
 
 
 class TestNoisyLinks:
@@ -344,14 +387,9 @@ class TestNoisyLinks:
                 link_config=config,
                 noise_seed=8,
             )
-            try:
-                execution.run(
-                    max_rounds=2000, until=lambda e: e.graph_is_good()
-                )
-                assert execution.graph_is_good()
-                return execution.completed_rounds, execution.stats
-            finally:
-                execution.close()
+            execution.run(max_rounds=2000, until=lambda e: e.graph_is_good())
+            assert execution.graph_is_good()
+            return execution.completed_rounds, execution.stats
 
         clean_rounds, clean_stats = rounds_under(LinkConfig())
         noisy_rounds, noisy_stats = rounds_under(
@@ -388,14 +426,9 @@ class TestNoisyLinks:
                 link_config=LinkConfig(loss=0.3),
                 noise_seed=noise_seed,
             )
-            try:
-                execution.run(
-                    max_rounds=2000, until=lambda e: e.graph_is_good()
-                )
-                assert execution.graph_is_good()
-                rounds.append(execution.completed_rounds)
-            finally:
-                execution.close()
+            execution.run(max_rounds=2000, until=lambda e: e.graph_is_good())
+            assert execution.graph_is_good()
+            rounds.append(execution.completed_rounds)
         assert all(r >= 1 for r in rounds)
 
 
@@ -439,38 +472,90 @@ class TestNetExecutionContract:
 
     def test_poke_states_rejects_unknown_nodes(self):
         execution = self._execution()
-        try:
-            with pytest.raises(ModelError, match="unknown"):
-                execution.poke_states({99: None})
-        finally:
-            execution.close()
+        with pytest.raises(ModelError, match="unknown"):
+            execution.poke_states({99: None})
 
     @pytest.mark.timeout(60)
     def test_crash_node_freezes_the_actor(self):
         execution = self._execution()
-        try:
-            execution.crash_node(2)
-            execution.run_rounds(3)
-            # A crashed node never acts, so every heard-from timestamp
-            # of its neighbors excludes it after the crash slot.
-            assert 2 in execution._masked
-            assert execution.stats.acts > 0
-        finally:
-            execution.close()
-
-    def test_close_is_idempotent(self):
-        execution = self._execution()
-        execution.close()
-        execution.close()
+        execution.run_rounds(2)
+        before = {u: execution.last_heard(u) for u in (1, 3)}
+        assert all(2 in heard for heard in before.values())
+        execution.crash_node(2)
+        execution.run_rounds(3)
+        # A crashed node never acts, so its neighbors stop hearing from
+        # it while their other neighbor keeps heartbeating.
+        assert 2 in execution._masked
+        for u, other in ((1, 0), (3, 4)):
+            after = execution.last_heard(u)
+            assert after[2] == before[u][2]
+            assert after[other] > before[u][other]
 
     @pytest.mark.timeout(60)
-    def test_virtual_time_tracks_completed_rounds(self):
-        execution = self._execution()
-        try:
-            execution.run_rounds(4)
-            assert execution.virtual_time == pytest.approx(4.0)
-        finally:
-            execution.close()
+    @pytest.mark.parametrize("slot", [1.0, 0.1])
+    def test_virtual_time_is_slot_times_steps(self, slot):
+        execution = self._execution(
+            slot=slot, link_config=LinkConfig(jitter=0.9), noise_seed=3
+        )
+        for t in range(1, 41):
+            execution.step()
+            assert execution.virtual_time == t * slot
+
+    @pytest.mark.timeout(60)
+    def test_half_slot_delay_lands_exactly_at_the_next_slot(self):
+        topology = ring(6)
+        initial = random_configuration(
+            ThinUnison(3), topology, np.random.default_rng(5)
+        )
+        execution = create_net_execution(
+            topology,
+            ThinUnison(3),
+            initial,
+            SynchronousScheduler(),
+            rng=np.random.default_rng(0),
+            link_config=LinkConfig(delay=0.5),
+        )
+        actors = execution._actors
+        for t in range(8):
+            execution.step()
+            # Broadcasts from slot t depart at t + 0.5, land at t + 1,
+            # and sit in the registers before slot t + 1's acts.
+            for u in topology.nodes:
+                for v in topology.neighbors(u):
+                    assert execution.last_heard(u)[v] == t + 1.0
+                    assert actors[u].registers[v][1] == actors[v].state
+
+    @pytest.mark.timeout(120)
+    def test_changes_list_nodes_in_ascending_order_after_joins(self):
+        joins = 0
+        for seed in range(6):
+            topology = ring(10)
+            algorithm = ThinUnison(5)
+            initial = random_configuration(
+                algorithm, topology, np.random.default_rng(seed)
+            )
+            execution = create_net_execution(
+                topology,
+                ThinUnison(5),
+                initial,
+                SynchronousScheduler(),
+                rng=np.random.default_rng(seed),
+            )
+            churn = ChurnProcess(
+                topology,
+                seed=seed,
+                join_rate=0.5,
+                leave_rate=0.5,
+                initial_state=algorithm.initial_state,
+            )
+            for _ in range(80):
+                delta = churn.sample()
+                if delta is not None:
+                    joins += len(delta.join)
+                    execution.mutate_topology(delta)
+                nodes = [v for v, _, _ in execution.step().changed]
+                assert nodes == sorted(nodes)
+        assert joins > 0
 
 
 # ----------------------------------------------------------------------
