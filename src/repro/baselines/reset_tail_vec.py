@@ -36,6 +36,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.algau_vec import ScalarDelta
 from repro.model.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -161,8 +162,7 @@ class TailKernel:
         #: The reset target: the bottom of the tail.
         self.reset_code = 0
 
-        # Scalar δ mirrors of the three tables (sets of sensed codes).
-        self._trigger_sets: Optional[List[frozenset]] = None
+        self._scalar_delta: Optional[ScalarDelta] = None
 
     # ------------------------------------------------------------------
     # Presence matrix (identical idiom to VectorKernel.signal_presence).
@@ -203,30 +203,24 @@ class TailKernel:
         new = np.where(reset, self.reset_code, new)
         return np.where(tail, np.where(held, codes, codes + 1), new)
 
+    def scalar_delta(self) -> ScalarDelta:
+        """The code-level δ entry ``(own code, sensed codes) → code``
+        (built lazily): the climb and the ring advance are the free
+        rules, blocked by ``climb_block`` and by either ring trigger;
+        the reset is the fire rule."""
+        if self._scalar_delta is None:
+            codes = np.arange(self.size, dtype=np.int64)
+            self._scalar_delta = ScalarDelta(
+                self.climb_block | self.reset_trigger | self.advance_block,
+                np.where(self.is_tail_code, codes + 1, self.advance_to),
+                self.reset_trigger,
+                np.full(self.size, self.reset_code, dtype=np.int64),
+            )
+        return self._scalar_delta
+
     def delta_one(self, codes: np.ndarray, neighborhood: List[int]) -> int:
-        """Scalar ``δ`` for one node (``neighborhood`` inclusive, node
-        first) — the one-row :meth:`delta_batch` without numpy
-        dispatch."""
-        if self._trigger_sets is None:
-            self._trigger_sets = [
-                frozenset(np.nonzero(row)[0].tolist())
-                for table in (
-                    self.reset_trigger,
-                    self.advance_block,
-                    self.climb_block,
-                )
-                for row in table
-            ]
-        size = self.size
-        code = int(codes[neighborhood[0]])
-        sensed = {int(codes[u]) for u in neighborhood}
-        if self.is_tail_code[code]:
-            held = self._trigger_sets[2 * size + code]
-            if sensed & held:
-                return code
-            return code + 1
-        if sensed & self._trigger_sets[code]:
-            return self.reset_code
-        if sensed & self._trigger_sets[size + code]:
-            return code
-        return int(self.advance_to[code])
+        """Scalar ``δ`` for one node: :meth:`scalar_delta` over the codes
+        of its inclusive neighborhood (node first) — the one-row
+        :meth:`delta_batch` without numpy dispatch."""
+        hood = codes[neighborhood].tolist()
+        return self.scalar_delta()(hood[0], hood)

@@ -843,8 +843,8 @@ class Scenario:
                 )
             if self.batch_replicas > 1:
                 raise ValueError(
-                    "net scenarios run solo (each owns an event loop); "
-                    "batch_replicas must be 1"
+                    "net scenarios run solo (the net runtime has no "
+                    "replica batch); batch_replicas must be 1"
                 )
             unknown = sorted(set(k for k, _ in net_params) - set(NET_PARAM_KEYS))
             if unknown:

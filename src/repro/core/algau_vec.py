@@ -40,8 +40,7 @@ few numpy passes over ``(n, 2k)`` arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import Iterable, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -50,31 +49,61 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.csr import CSRAdjacency
 
 
-@dataclass
-class ScalarTables:
-    """Python-native lookup tables for the one-node δ fast path.
+class ScalarDelta:
+    """The one-node ``δ`` on codes: ``(own code, sensed codes) → code``.
 
     The batched kernel pays ~20 numpy dispatches per call, which
-    dominates when only a single node is activated (round-robin and
-    friends).  These tables are the same Table 1 masks converted to
-    plain lists/sets once per algorithm instance so that
-    :meth:`VectorKernel.delta_one` runs entirely at Python speed.
+    dominates when a single node steps at a time (round-robin daemons,
+    the net lane's actors).  Here each rule of a state machine whose
+    guards are set conditions on the sensed codes is one bit mask per
+    own code, so a transition is two integer ANDs over the mask of the
+    sensed codes:
+
+    * the *free* rule fires unless some code in ``block[own]`` is
+      sensed, moving to ``free_to[own]``;
+    * otherwise the *fire* rule fires if some code in ``fire[own]`` is
+      sensed, moving to ``fire_to[own]``;
+    * otherwise the node stays.
+
+    ``block`` and ``fire`` are ``(|Q|, |Q|)`` boolean tables indexed
+    ``[own code, sensed code]``.
     """
 
-    clock_of: List[int]
-    aa_succ: List[int]
-    fa_succ: List[int]
-    af_code: List[int]
-    af_sense: List[int]
-    has_twin: List[bool]
-    #: Per able code: the clocks inside the three-clock adjacency window.
-    adjacent_allowed: List[frozenset]
-    #: Per able code: the clocks inside the two-clock AA window.
-    aa_allowed: List[frozenset]
-    #: Per faulty code: the clocks of ``Ψ>(ℓ)``.
-    outwards: List[frozenset]
-    #: ``pair_unprotected`` as nested lists of 0/1 ints.
-    pair_bad: List[List[int]]
+    __slots__ = ("_bit", "_block", "_free_to", "_fire", "_fire_to")
+
+    def __init__(
+        self,
+        block: np.ndarray,
+        free_to: np.ndarray,
+        fire: np.ndarray,
+        fire_to: np.ndarray,
+    ):
+        self._bit = [1 << code for code in range(len(block))]
+        self._block = _row_masks(block)
+        self._free_to = free_to.tolist()
+        self._fire = _row_masks(fire)
+        self._fire_to = fire_to.tolist()
+
+    def __call__(self, own: int, sensed: Iterable[int]) -> int:
+        """The next code of a node in ``own`` sensing ``sensed`` (its
+        neighbors' codes; the node's own code is sensed implicitly, and
+        repeats are harmless — the signal is a set)."""
+        bit = self._bit
+        mask = bit[own]
+        for code in sensed:
+            mask |= bit[code]
+        if not mask & self._block[own]:
+            return self._free_to[own]
+        if mask & self._fire[own]:
+            return self._fire_to[own]
+        return own
+
+
+def _row_masks(table: np.ndarray) -> List[int]:
+    """Each row of a boolean ``(|Q|, |Q|)`` table as an int bit mask
+    (bit ``s`` set iff ``table[row, s]``)."""
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class VectorKernel:
@@ -152,7 +181,8 @@ class VectorKernel:
         pair_cyc = np.minimum((qc - pc) % k2, (pc - qc) % k2)
         self.pair_unprotected = pair_cyc > 1
 
-        self._scalar: Optional[ScalarTables] = None
+        self._scalar_delta: Optional[ScalarDelta] = None
+        self._pair_bad_rows: Optional[List[List[int]]] = None
         self._outwards_gg: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -237,29 +267,43 @@ class VectorKernel:
         return new_codes
 
     # ------------------------------------------------------------------
-    # The scalar fast path (single-node refresh).
+    # The scalar δ (one node at a time).
     # ------------------------------------------------------------------
 
-    def scalar_tables(self) -> ScalarTables:
-        """The Python-native Table 1 lookup tables (built lazily)."""
-        if self._scalar is None:
+    def scalar_delta(self) -> ScalarDelta:
+        """The code-level δ entry ``(own code, sensed codes) → code``
+        (built lazily): Table 1 with each guard in code space.
 
-            def clock_set(mask_row: np.ndarray) -> frozenset:
-                return frozenset(np.nonzero(mask_row)[0].tolist())
-
-            self._scalar = ScalarTables(
-                clock_of=self.encoding.clock_of_code.tolist(),
-                aa_succ=self.aa_succ.tolist(),
-                fa_succ=self.fa_succ.tolist(),
-                af_code=self.af_code.tolist(),
-                af_sense=self.af_sense_code.tolist(),
-                has_twin=self.has_faulty_twin.tolist(),
-                adjacent_allowed=[clock_set(row) for row in self.adjacent_mask],
-                aa_allowed=[clock_set(row) for row in self.aa_mask],
-                outwards=[clock_set(row) for row in self.outwards_mask],
-                pair_bad=self.pair_unprotected.astype(np.int64).tolist(),
+        AA (able) and FA (faulty) are the free rules: AA is blocked by
+        any faulty code or any clock outside ``{ℓ, φ+1(ℓ)}``, FA by any
+        clock in ``Ψ>(ℓ)``.  AF is the fire rule of able codes with a
+        faulty twin: a clock outside the three-clock adjacency window,
+        or (cautious) the inward faulty code ``ψ-1(ℓ)̂``.
+        """
+        if self._scalar_delta is None:
+            rows = np.arange(self.size)[:, None]
+            sensed = self.encoding.clock_of_code[None, :]
+            is_faulty = self.is_faulty_code
+            aa_block = is_faulty[None, :] | ~self.aa_mask[rows, sensed]
+            fa_block = self.outwards_mask[rows, sensed]
+            af_fire = self.has_faulty_twin[:, None] & ~self.adjacent_mask[rows, sensed]
+            if self.cautious_af:
+                twins = np.nonzero(self.af_sense_code >= 0)[0]
+                af_fire[twins, self.af_sense_code[twins]] = True
+            self._scalar_delta = ScalarDelta(
+                np.where(is_faulty[:, None], fa_block, aa_block),
+                np.where(is_faulty, self.fa_succ, self.aa_succ),
+                af_fire,
+                self.af_code,
             )
-        return self._scalar
+        return self._scalar_delta
+
+    def pair_bad_rows(self) -> List[List[int]]:
+        """``pair_unprotected`` as nested lists of 0/1 ints (built
+        lazily) — the scalar goodness lookups."""
+        if self._pair_bad_rows is None:
+            self._pair_bad_rows = self.pair_unprotected.astype(np.int64).tolist()
+        return self._pair_bad_rows
 
     def outwards_gg_mask(self) -> np.ndarray:
         """``Ψ≫(ℓ)`` in clock space: the ``(|Q|, 2k)`` mask of the
@@ -274,43 +318,17 @@ class VectorKernel:
         return self._outwards_gg
 
     def delta_one(self, codes: np.ndarray, neighborhood: List[int]) -> int:
-        """Scalar ``δ`` for one node: ``neighborhood`` is its inclusive
-        neighborhood (node first — see
+        """Scalar ``δ`` for one node: :meth:`scalar_delta` over the codes
+        of its inclusive neighborhood (node first — see
         :meth:`~repro.graphs.csr.CSRAdjacency.neighbor_lists`).
 
         Exactly equivalent to a one-row :meth:`delta_batch` call but
-        without any numpy dispatch — the incremental engines use it when
-        a sparsely scheduled step needs to refresh a single dirty node.
+        without numpy's per-call dispatch — the incremental engines use
+        it when a sparsely scheduled step needs to refresh a single
+        dirty node.
         """
-        tables = self.scalar_tables()
-        k2 = self.num_clocks
-        code = int(codes[neighborhood[0]])
-        clock_of = tables.clock_of
-        sensed = set()
-        sensed_codes = set()
-        any_faulty = False
-        for u in neighborhood:
-            c = int(codes[u])
-            sensed_codes.add(c)
-            sensed.add(clock_of[c])
-            if c >= k2:
-                any_faulty = True
-        if code < k2:  # able
-            protected = sensed <= tables.adjacent_allowed[code]
-            if protected and not any_faulty and sensed <= tables.aa_allowed[code]:
-                return tables.aa_succ[code]
-            if tables.has_twin[code]:
-                fire = not protected
-                if not fire and self.cautious_af:
-                    sense = tables.af_sense[code]
-                    fire = sense >= 0 and sense in sensed_codes
-                if fire:
-                    return tables.af_code[code]
-            return code
-        # Faulty: FA once nothing is sensed strictly outwards.
-        if sensed & tables.outwards[code]:
-            return code
-        return tables.fa_succ[code]
+        hood = codes[neighborhood].tolist()
+        return self.scalar_delta()(hood[0], hood)
 
     # ------------------------------------------------------------------
     # Incremental goodness accounting (shared by the engines).

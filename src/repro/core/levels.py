@@ -90,8 +90,6 @@ class LevelSystem:
 
     def adjacent(self, a: int, b: int) -> bool:
         """Levels are adjacent iff equal or one forward-step apart."""
-        self.require_level(a)
-        self.require_level(b)
         return self.distance(a, b) <= 1
 
     # ------------------------------------------------------------------
@@ -157,8 +155,6 @@ class LevelSystem:
         Matches the paper's recursive definition (it is the graph
         distance on the 2k-cycle induced by φ).
         """
-        self.require_level(a)
-        self.require_level(b)
         diff = abs(self.clock_value(a) - self.clock_value(b))
         return min(diff, self.group_order - diff)
 

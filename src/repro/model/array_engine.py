@@ -669,8 +669,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         if self._goodness is None:
             return
         kernel = self._kernel
-        tables = kernel.scalar_tables()
-        pair_bad = tables.pair_bad
+        pair_bad = kernel.pair_bad_rows()
         k2 = kernel.num_clocks
         n_faulty, bad = self._goodness
         codes = self._codes  # pre-step codes (called before the writes)

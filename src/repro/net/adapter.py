@@ -52,11 +52,6 @@ class NetAdapter:
     """
 
     @staticmethod
-    def link_config(scenario) -> LinkConfig:
-        """The scenario's ``net_params`` as a :class:`LinkConfig`."""
-        return LinkConfig.from_params(dict(scenario.net_params))
-
-    @staticmethod
     def create(
         scenario,
         topology: Topology,
@@ -82,6 +77,6 @@ class NetAdapter:
             rng=rng,
             monitors=monitors,
             intervention=intervention,
-            link_config=NetAdapter.link_config(scenario),
+            link_config=LinkConfig.from_params(dict(scenario.net_params)),
             noise_seed=scenario.seed,
         )

@@ -160,9 +160,11 @@ class MessageNetwork:
     ``(time, order, sender, receiver, payload)``: ``time`` is the
     caller's departure instant plus the link latency, and ``order``
     counts copies, so deliveries due at the same instant pop in send
-    order.  A directed edge gets its :class:`FairLossyLink` on its first
-    send; a caller that tears an edge down pops it from :attr:`links`,
-    so a re-added edge starts a fresh loss streak.
+    order.  Under a noisy config a directed edge gets its
+    :class:`FairLossyLink` on its first send; a caller that tears an edge
+    down pops it from :attr:`links`, so a re-added edge starts a fresh
+    loss streak.  A noiseless config keeps no per-edge state: every send
+    is delivered exactly once, ``delay`` after its departure.
     """
 
     def __init__(self, config: LinkConfig, rng: np.random.Generator) -> None:
@@ -172,6 +174,7 @@ class MessageNetwork:
         self.stats = NetStats()
         self._heap: List[Tuple[float, int, int, int, object]] = []
         self._order = 0
+        self._fixed_delay = config.delay if config.is_noiseless else None
 
     def send(
         self, departure: float, sender: int, receiver: int, payload: object
@@ -179,6 +182,11 @@ class MessageNetwork:
         """Send one message; schedule each surviving copy for delivery."""
         stats = self.stats
         stats.messages_sent += 1
+        if self._fixed_delay is not None:
+            self._order += 1
+            time = departure + self._fixed_delay
+            heapq.heappush(self._heap, (time, self._order, sender, receiver, payload))
+            return
         link = self.links.get((sender, receiver))
         if link is None:
             link = self.links[(sender, receiver)] = FairLossyLink(self.config)

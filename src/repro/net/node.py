@@ -1,11 +1,11 @@
 """Per-node actor: local state, neighbor registers, stubborn broadcast.
 
 A :class:`NodeActor` owns exactly the state a deployed AlgAU node would
-own: its current algorithm state and one *register* per neighbor
-caching the most recently heard neighbor state.  It never reads another
-actor's memory — the only coupling is the constant-size clock messages
-(encoded turn codes, integers in ``[0, 4k-2]``) routed through the
-runtime's links.
+own: its state code (for AlgAU a turn code in ``[0, 4k-2)``) and one
+*register* per neighbor caching the code most recently heard from it.
+It never reads another actor's memory — the only coupling is the
+constant-size code messages routed through the runtime's links — and it
+steps with the algorithm kernel's code-level δ.
 
 Two protocol choices make the actor robust to the fair-lossy link
 model of :mod:`repro.net.links`:
@@ -21,8 +21,8 @@ model of :mod:`repro.net.links`:
   rolling a register back.
 
 The actor is a pair of plain event handlers the runtime calls:
-:meth:`NodeActor._act` takes one AlgAU step (reading its registers,
-never the live states of other actors) and broadcasts, and
+:meth:`NodeActor._act` takes one step (reading its registers, never the
+live states of other actors) and broadcasts, and
 :meth:`NodeActor.accept` folds one delivery into a register.
 """
 
@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.model.signal import Signal
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.runtime import NetExecution
 
 
 class NodeActor:
-    """One network node: AlgAU state and neighbor registers."""
+    """One network node: state code and neighbor registers."""
 
     __slots__ = (
         "node",
@@ -51,21 +49,15 @@ class NodeActor:
     def __init__(self, node: int, neighbors: Tuple[int, ...]) -> None:
         self.node = node
         self.neighbors = neighbors
-        self.state = None
-        # register: neighbor -> (seq, state); seeded by the runtime's
+        self.state = 0  # a state code, set by the runtime's configuration load
+        # register: neighbor -> (seq, code); seeded by the runtime's
         # omniscient refresh on configuration load.
-        self.registers: Dict[int, Tuple[int, object]] = {}
+        self.registers: Dict[int, Tuple[int, int]] = {}
         # last_heard: neighbor -> virtual receive time, for detectors.
         self.last_heard: Dict[int, float] = {}
         self.crashed = False
 
-    def signal(self) -> Signal:
-        """Inclusive-neighborhood signal assembled from the registers."""
-        sensed = [self.state]
-        sensed.extend(entry[1] for entry in self.registers.values())
-        return Signal(sensed)
-
-    def accept(self, sender: int, seq: int, state: object, now: float) -> None:
+    def accept(self, sender: int, seq: int, code: int, now: float) -> None:
         """Apply one delivered message to the matching register.
 
         Stale deliveries (sequence number at or below the register's)
@@ -81,11 +73,11 @@ class NodeActor:
         self.last_heard[sender] = now
         current = self.registers.get(sender)
         if current is None or seq > current[0]:
-            self.registers[sender] = (seq, state)
+            self.registers[sender] = (seq, code)
 
     def _act(self, runtime: "NetExecution") -> None:
         old = self.state
-        new = runtime.algorithm.resolve(old, self.signal(), runtime.noise_rng)
+        new = runtime._delta(old, [entry[1] for entry in self.registers.values()])
         if new != old:
             self.state = new
             runtime._record_change(self.node, old, new)

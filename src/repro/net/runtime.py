@@ -5,9 +5,13 @@ execution engine behind the :class:`~repro.model.engine.ExecutionBase`
 contract, so schedulers, monitors, round bookkeeping, the
 permanent-fault adversary and the ``run`` driver all compose unchanged.
 What changes is *how one step happens*: instead of reading the shared
-configuration, each activated node actor computes its AlgAU transition
-from its private neighbor registers and broadcasts its (constant-size,
-encoded) state over the simulated links.
+configuration, each activated node actor steps with the algorithm
+kernel's code-level δ (``vector_kernel().scalar_delta()``) over its own
+state code and its neighbor registers, then broadcasts its code over the
+simulated links.  Codes are decoded through the encoding's
+``turn_table`` only where callers need states (``configuration``,
+``state_of``, ``StepRecord.changed``) and encoded only on loads, pokes
+and joins/leaves; goodness reads the kernel's pair table.
 
 The phased slot
 ---------------
@@ -77,7 +81,8 @@ class NetExecution(ExecutionBase):
     relative to the simulation engines, all rejected eagerly:
 
     * the algorithm must be deterministic and expose a dense state
-      ``encoding`` (messages are constant-size integer codes);
+      ``encoding`` and a ``vector_kernel()`` (actors and messages hold
+      constant-size integer codes);
     * enabled-aware schedulers and ``track_enabled`` are unsupported —
       an enabled-set view would require the omniscient shared memory
       this runtime exists to remove.
@@ -119,12 +124,11 @@ class NetExecution(ExecutionBase):
                 f"(messages carry states, not distributions); "
                 f"{algorithm.name} is randomized"
             )
-        encoding = getattr(algorithm, "encoding", None)
-        if encoding is None or not hasattr(encoding, "encode"):
+        if not hasattr(algorithm, "vector_kernel"):
             raise ModelError(
                 f"the net runtime requires an algorithm with a dense state "
-                f"encoding for constant-size messages; {algorithm.name} "
-                f"has none"
+                f"encoding and code-level kernel for constant-size "
+                f"messages; {algorithm.name} has none"
             )
         if not (isinstance(slot, (int, float)) and slot > 0):
             raise ModelError(f"slot must be > 0, got {slot!r}")
@@ -133,8 +137,11 @@ class NetExecution(ExecutionBase):
         self.slot = float(slot)
         self.noise_rng = np.random.default_rng([int(noise_seed), 0x6E6574])
         self.network = MessageNetwork(self.link_config, self.noise_rng)
-        self._encoding = encoding
-        self._decode_cache: Dict[int, object] = {}
+        self._kernel = algorithm.vector_kernel()
+        #: The code-level δ every actor steps with.
+        self._delta = self._kernel.scalar_delta()
+        self._encode = algorithm.encoding.encode
+        self._turns = algorithm.encoding.turn_table
         self._seq = 0
         self._slots = 0
         self._pending_changes: list = []
@@ -167,7 +174,7 @@ class NetExecution(ExecutionBase):
         register instantly (omniscient out-of-band write)."""
         self._config_cache = configuration
         for v, actor in self._actors.items():
-            actor.state = configuration[v]
+            actor.state = self._encode(configuration[v])
         for v in self._actors:
             self._push_registers(v)
 
@@ -191,21 +198,38 @@ class NetExecution(ExecutionBase):
             actor = actors[receiver]
             if not actor.crashed:
                 seq, code = payload
-                actor.accept(sender, seq, self._decode(code), when)
+                actor.accept(sender, seq, code, when)
                 stats.messages_delivered += 1
-        changes = tuple(self._pending_changes)
-        self._pending_changes = []
-        return changes
+        return tuple(self._pending_changes)
 
     @property
     def configuration(self) -> Configuration:
         """The current configuration, assembled from the actor states."""
         if self._config_cache is None:
+            turns = self._turns
             self._config_cache = Configuration(
                 self.topology,
-                {v: actor.state for v, actor in self._actors.items()},
+                {v: turns[actor.state] for v, actor in self._actors.items()},
             )
         return self._config_cache
+
+    def state_of(self, v: int):
+        """The current state of node ``v``, decoded from its actor."""
+        return self._turns[self._actors[v].state]
+
+    def graph_is_good(self) -> bool:
+        """The AlgAU stabilization predicate over the actors' codes:
+        every actor able, every edge protected (``pair_unprotected``)."""
+        if not hasattr(self._kernel, "pair_unprotected"):
+            return super().graph_is_good()  # not AlgAU: raises
+        able = self._kernel.num_clocks
+        pair_bad = self._kernel.pair_bad_rows()
+        actors = self._actors
+        return all(
+            actor.state < able
+            and not any(pair_bad[actor.state][actors[u].state] for u in actor.neighbors)
+            for actor in actors.values()
+        )
 
     def poke_states(self, updates) -> None:
         """Overwrite a few actor states in place (permanent-fault entry
@@ -218,7 +242,7 @@ class NetExecution(ExecutionBase):
         self._state_epoch += 1
         self._config_cache = None
         for v, state in updates.items():
-            self._actors[int(v)].state = state
+            self._actors[int(v)].state = self._encode(state)
             self._push_registers(int(v))
 
     def _refresh_pending(self) -> None:
@@ -228,29 +252,16 @@ class NetExecution(ExecutionBase):
             "through messages"
         )
 
-    def _enabled_snapshot(self) -> FrozenSet[int]:
-        raise ModelError(
-            "the net runtime has no enabled-set view: a node's "
-            "enabledness depends on neighbor states it can only learn "
-            "through messages"
-        )
+    _enabled_snapshot = _refresh_pending
 
     # ------------------------------------------------------------------
     # Message plumbing (called by the actors).
     # ------------------------------------------------------------------
 
-    def _record_change(self, node: int, old, new) -> None:
+    def _record_change(self, node: int, old: int, new: int) -> None:
         self._moves += 1
         if self._record_changes:
-            self._pending_changes.append((node, old, new))
-
-    def _decode(self, code: int):
-        cache = self._decode_cache
-        state = cache.get(code)
-        if state is None:
-            state = self._encoding.decode(code)
-            cache[code] = state
-        return state
+            self._pending_changes.append((node, self._turns[old], self._turns[new]))
 
     def _broadcast(self, actor: NodeActor) -> None:
         """Stubbornly send ``actor``'s current state to every neighbor.
@@ -259,7 +270,7 @@ class NetExecution(ExecutionBase):
         and draws its fate from the link model; each surviving copy is
         delivered a link latency later.
         """
-        code = int(self._encoding.encode(actor.state))
+        code = actor.state
         departure = self.virtual_time + BROADCAST_PHASE * self.slot
         send = self.network.send
         node = actor.node
@@ -272,30 +283,20 @@ class NetExecution(ExecutionBase):
         register with a fresh sequence number (instant, out-of-band)."""
         self._seq += 1
         seq = self._seq
-        state = self._actors[v].state
+        code = self._actors[v].state
         for u in self._actors[v].neighbors:
-            registers = self._actors[u].registers
-            registers[v] = (seq, state)
+            self._actors[u].registers[v] = (seq, code)
 
     # ------------------------------------------------------------------
     # Dynamic topology.
     # ------------------------------------------------------------------
-
-    def _ensure_dynamic_topology(self):
-        from repro.graphs.dynamic import DynamicTopology
-
-        top = self.topology
-        if not isinstance(top, DynamicTopology):
-            top = DynamicTopology(top)
-            self.topology = top
-        return top
 
     def _apply_topology_delta(self, delta):
         """Map a :class:`~repro.graphs.dynamic.TopologyDelta` onto the
         actor world: removed edges tear down their directed link pairs
         (and the registers riding on them), leaves silence an actor into
         a tombstone, joins spawn a fresh actor.  Added edges get their
-        links lazily, on their first send.
+        links lazily, on their first noisy send.
 
         Register refreshes for every affected node are out-of-band
         (instant, fresh sequence numbers) — the same omniscient-write
@@ -304,7 +305,11 @@ class NetExecution(ExecutionBase):
         In-flight deliveries from a removed neighbor are dropped by the
         actors' membership guard, not by scanning the message heap.
         """
-        dyn = self._ensure_dynamic_topology()
+        from repro.graphs.dynamic import DynamicTopology
+
+        if not isinstance(self.topology, DynamicTopology):
+            self.topology = DynamicTopology(self.topology)
+        dyn = self.topology
         applied = dyn.apply_delta(delta)
         actors = self._actors
         links = self.network.links
@@ -318,7 +323,7 @@ class NetExecution(ExecutionBase):
         # Departed nodes become silent tombstones (rest state, no
         # neighbors, no message processing).
         if applied.left:
-            rest = self.algorithm.initial_state()
+            rest = self._encode(self.algorithm.initial_state())
             for v in applied.left:
                 actor = actors[v]
                 actor.crashed = True
@@ -329,7 +334,7 @@ class NetExecution(ExecutionBase):
         # Joined nodes: one fresh actor per join.
         for v, state in applied.joined:
             actor = NodeActor(v, dyn.neighbors(v))
-            actor.state = state
+            actor.state = self._encode(state)
             actors[v] = actor
         # Surviving touched actors adopt their new neighbor sets, then
         # every affected node's state is pushed into the (new) registers.

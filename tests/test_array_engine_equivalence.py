@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reset_tail_unison import ResetTailUnison
 from repro.core.algau import ThinUnison
 from repro.core.encoding import TurnEncoding
 from repro.core.predicates import is_good_graph
@@ -50,6 +51,7 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
 )
+from repro.model.signal import Signal
 from repro.tasks.le import AlgLE
 
 
@@ -264,6 +266,42 @@ def test_delta_batch_matches_classify_pointwise():
                 else config[v]
             )
             assert encoding.decode(int(new_codes[v])) == expected
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        ThinUnison(2),
+        ThinUnison(4),
+        ThinUnison(2, cautious_af=False),
+        ThinUnison(4, cautious_af=False),
+        ResetTailUnison.for_diameter_bound(3),
+    ],
+    ids=lambda algorithm: algorithm.name,
+)
+def test_scalar_delta_matches_resolve(algorithm):
+    """The kernels' code-level δ entry agrees with the object model's
+    ``resolve`` on random own codes and register multisets (half of
+    them drawn near the own code, so the advancing rules fire too)."""
+    encoding = algorithm.encoding
+    delta = algorithm.vector_kernel().scalar_delta()
+    size = encoding.size
+    rng = np.random.default_rng(11)
+    moved = 0
+    for trial in range(4000):
+        own = int(rng.integers(size))
+        count = int(rng.integers(0, 7))
+        if trial % 2:
+            registers = rng.integers(size, size=count)
+        else:
+            registers = (own + rng.integers(-2, 3, size=count)) % size
+        registers = registers.tolist()
+        state = encoding.decode(own)
+        signal = Signal([state] + [encoding.decode(code) for code in registers])
+        expected = encoding.encode(algorithm.resolve(state, signal, rng))
+        assert delta(own, registers) == expected
+        moved += expected != own
+    assert 0 < moved < 4000
 
 
 # ----------------------------------------------------------------------

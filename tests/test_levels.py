@@ -201,6 +201,16 @@ class TestDistance:
             for b in ls.levels:
                 assert ls.distance(a, b) == recursive(a, b, ls.k)
 
+    @pytest.mark.parametrize("method", ["distance", "adjacent"])
+    def test_rejects_non_levels_in_either_argument(self, method):
+        ls = levels_for(2)
+        check = getattr(ls, method)
+        for bad in (0, ls.k + 1, -(ls.k + 1), 1.0):
+            with pytest.raises(ModelError):
+                check(bad, 1)
+            with pytest.raises(ModelError):
+                check(1, bad)
+
 
 class TestClockIdentification:
     def test_bijection(self):

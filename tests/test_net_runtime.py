@@ -18,6 +18,9 @@ Four layers of coverage:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -29,8 +32,10 @@ from repro.campaigns import (
     run_scenario,
     verify_engine_pairing,
 )
+from repro.baselines.reset_tail_unison import ResetTailUnison
 from repro.campaigns.registry import derive_seed
 from repro.core.algau import ThinUnison
+from repro.core.predicates import is_good_graph
 from repro.faults.churn import ChurnProcess
 from repro.faults.injection import random_configuration, uniform_configuration
 from repro.graphs.biological import quorum_colony
@@ -54,6 +59,9 @@ from repro.net import (
     run_monarchical_election,
 )
 from repro.tasks.spec import check_le_output
+
+#: SHA-256 of the canonical JSON of the seed-0 ``net-smoke`` aggregates.
+NET_SMOKE_DIGEST = "5cec372879f764c95f47b25022cc99146d435e8dcb75237dd76a490f55358e71"
 
 
 class _PoisonRng:
@@ -249,8 +257,8 @@ class TestElections:
 # ----------------------------------------------------------------------
 
 
-def _parity_pair(topology, d, scheduler_cls, start, seed):
-    algorithm = ThinUnison(d)
+def _parity_pair(topology, d, scheduler_cls, start, seed, make=ThinUnison):
+    algorithm = make(d)
     if start == "uniform":
         initial = uniform_configuration(algorithm, topology)
     else:
@@ -267,12 +275,24 @@ def _parity_pair(topology, d, scheduler_cls, start, seed):
     )
     net = create_net_execution(
         topology,
-        ThinUnison(d),
+        make(d),
         initial,
         scheduler_cls(),
         rng=np.random.default_rng(seed + 1),
     )
     return sim, net
+
+
+def _assert_step_records_match(scheduler_cls, make):
+    sim, net = _parity_pair(ring(10), 5, scheduler_cls, "random", seed=42, make=make)
+    for _ in range(120):
+        a = sim.step()
+        b = net.step()
+        assert a.t == b.t
+        assert a.activated == b.activated
+        assert a.changed == b.changed
+        assert a.completed_round == b.completed_round
+    assert sim.configuration == net.configuration
 
 
 class TestZeroNoiseParity:
@@ -281,15 +301,14 @@ class TestZeroNoiseParity:
         "scheduler_cls", [SynchronousScheduler, ShuffledRoundRobinScheduler]
     )
     def test_step_records_are_bit_identical(self, scheduler_cls):
-        sim, net = _parity_pair(ring(10), 5, scheduler_cls, "random", seed=42)
-        for _ in range(120):
-            a = sim.step()
-            b = net.step()
-            assert a.t == b.t
-            assert a.activated == b.activated
-            assert a.changed == b.changed
-            assert a.completed_round == b.completed_round
-        assert sim.configuration == net.configuration
+        _assert_step_records_match(scheduler_cls, ThinUnison)
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize(
+        "scheduler_cls", [SynchronousScheduler, ShuffledRoundRobinScheduler]
+    )
+    def test_reset_tail_step_records_are_bit_identical(self, scheduler_cls):
+        _assert_step_records_match(scheduler_cls, ResetTailUnison.for_diameter_bound)
 
     @pytest.mark.timeout(120)
     def test_stabilization_round_matches_on_gnp(self):
@@ -470,6 +489,42 @@ class TestNetExecutionContract:
                 track_enabled=True,
             )
 
+    def test_goodness_matches_the_object_predicate(self):
+        # Every turn at node 0 of a uniform ring, including a faulty
+        # turn whose edges are all protected.
+        topology = ring(6)
+        algorithm = ThinUnison(3)
+        uniform = uniform_configuration(algorithm, topology)
+        execution = create_net_execution(
+            topology,
+            algorithm,
+            uniform,
+            SynchronousScheduler(),
+            rng=np.random.default_rng(0),
+        )
+        verdicts = set()
+        for turn in algorithm.encoding.turn_table:
+            execution.replace_configuration(uniform)
+            execution.poke_states({0: turn})
+            good = is_good_graph(algorithm, execution.configuration)
+            assert execution.graph_is_good() == good
+            verdicts.add(good)
+        assert verdicts == {True, False}
+
+    def test_goodness_is_algau_only(self):
+        topology = ring(6)
+        algorithm = ResetTailUnison.for_diameter_bound(3)
+        execution = create_net_execution(
+            topology,
+            algorithm,
+            uniform_configuration(algorithm, topology),
+            SynchronousScheduler(),
+            rng=np.random.default_rng(0),
+        )
+        execution.step()
+        with pytest.raises(ModelError, match="ThinUnison"):
+            execution.graph_is_good()
+
     def test_poke_states_rejects_unknown_nodes(self):
         execution = self._execution()
         with pytest.raises(ModelError, match="unknown"):
@@ -584,6 +639,10 @@ class TestNetSmokeCampaign:
         kinds = {r["faults"].split("(")[0] for r in paired}
         assert {"none", "byz-frozen", "crash"} <= kinds
         assert {r["runtime"] for r in paired} == {"sim", "net"}
+        # The whole aggregate, pinned: this also covers the unpaired
+        # delay/loss rows, which run the noisy link path.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NET_SMOKE_DIGEST
 
     def test_net_scenarios_validate_their_axes(self):
         def scenario(**overrides):
