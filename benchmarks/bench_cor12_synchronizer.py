@@ -6,45 +6,26 @@ its synchronizer lift under an adversarial asynchronous scheduler, each
 trial a seed-paired couple of rows on one graph sample, and verifies
 the exact product state-space accounting
 ``|Q*| = |Q|^2 · (4k − 2) = O(D · |Q|^2)``.  The timed kernel is one
-asynchronous Sync[AlgMIS] stabilization.
+registry cell through ``run_scenario``: the asynchronous Sync[AlgMIS]
+stabilization at n = 10 of trial 0.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import emit, run_registry_campaign
 
-from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.analysis.stats import Summary
 from repro.analysis.tables import render_table
-from repro.campaigns import state_count
+from repro.campaigns import build_campaign, run_scenario, state_count
 from repro.core.algau import ThinUnison
-from repro.faults.injection import random_configuration
-from repro.graphs.generators import damaged_clique
-from repro.model.scheduler import ShuffledRoundRobinScheduler
-from repro.sync.synchronizer import Synchronizer
-from repro.tasks.mis import AlgMIS
-from repro.tasks.spec import output_validator
 
 REGISTRY = "cor12-synchronizer"
+KERNEL_CELL = 7  # sync-alg-mis at n = 10, trial 0
 D = 2
 
 
 def kernel():
-    rng = np.random.default_rng(0)
-    topology = damaged_clique(10, D, rng, damage=0.4)
-    inner = AlgMIS(D)
-    wrapped = Synchronizer(inner, D)
-    result = measure_static_task_stabilization(
-        wrapped,
-        topology,
-        random_configuration(wrapped, topology, rng),
-        ShuffledRoundRobinScheduler(),
-        rng,
-        output_validator("mis", topology),
-        max_rounds=150_000,
-        confirm_rounds=36,
-    )
+    result = run_scenario(build_campaign(REGISTRY)[KERNEL_CELL])
     assert result.stabilized
     return result.rounds
 

@@ -12,41 +12,25 @@ cubic exponent.
 
 The campaign aggregates are also persisted as
 ``BENCH_campaign_thm11-scaling.json`` so the sweep stays comparable
-across PRs; the timed kernel is a single adversarial stabilization run
-at D = 2.
+across PRs; the timed kernel is one registry cell through
+``run_scenario``: the D = 2 sign-split start of trial 0.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import emit, run_registry_campaign
 
-from repro.analysis.stabilization import measure_au_stabilization
 from repro.analysis.stats import Summary, loglog_slope
 from repro.analysis.tables import render_table
-from repro.campaigns import fold_worst_rounds
+from repro.campaigns import build_campaign, fold_worst_rounds, run_scenario
 from repro.core.algau import ThinUnison
-from repro.faults.injection import au_sign_split
-from repro.graphs.generators import damaged_clique
-from repro.model.scheduler import ShuffledRoundRobinScheduler
 
 REGISTRY = "thm11-scaling"
-ENGINE = "array"  # the scaling sweeps default to the vectorized backend
+KERNEL_CELL = 25  # D = 2, trial 0, sign-split start
 
 
 def kernel():
-    rng = np.random.default_rng(0)
-    algorithm = ThinUnison(2)
-    topology = damaged_clique(14, 2, rng, damage=0.4)
-    result = measure_au_stabilization(
-        algorithm,
-        topology,
-        au_sign_split(algorithm, topology, rng),
-        ShuffledRoundRobinScheduler(),
-        rng,
-        max_rounds=100_000,
-        engine=ENGINE,
-    )
+    result = run_scenario(build_campaign(REGISTRY)[KERNEL_CELL])
     assert result.stabilized
     return result.rounds
 

@@ -9,42 +9,27 @@ parallel runner on the vectorized array engine.  The state count must
 stay exactly ``12D + 6`` and the stabilization rounds must stay
 essentially flat (the paper's bound has no ``n`` in it at all).
 
-The timed kernel is one stabilization at the largest ``n``, which also
-exercises the simulator's per-step scaling.
+The timed kernel is one registry cell through ``run_scenario``: the
+sign-split start of trial 0 at the largest ``n``, which also exercises
+the simulator's per-step scaling.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import emit, run_registry_campaign
 
-from repro.analysis.stabilization import measure_au_stabilization
 from repro.analysis.stats import Summary
 from repro.analysis.tables import render_table
-from repro.campaigns import fold_worst_rounds
+from repro.campaigns import build_campaign, fold_worst_rounds, run_scenario
 from repro.core.algau import ThinUnison
-from repro.faults.injection import au_sign_split
-from repro.graphs.generators import damaged_clique
-from repro.model.scheduler import ShuffledRoundRobinScheduler
 
 D = 2
 REGISTRY = "thm11-n-independence"
-ENGINE = "array"
+KERNEL_CELL = 61  # n = 48, trial 0, sign-split start
 
 
 def kernel():
-    rng = np.random.default_rng(0)
-    topology = damaged_clique(48, D, rng, damage=0.4)
-    algorithm = ThinUnison(D)
-    result = measure_au_stabilization(
-        algorithm,
-        topology,
-        au_sign_split(algorithm, topology, rng),
-        ShuffledRoundRobinScheduler(),
-        rng,
-        max_rounds=100 * (3 * D + 2) ** 3,
-        engine=ENGINE,
-    )
+    result = run_scenario(build_campaign(REGISTRY)[KERNEL_CELL])
     assert result.stabilized
     return result.rounds
 

@@ -4,41 +4,24 @@ The sweep is the ``thm13-le-scaling`` campaign: rounds vs ``n`` at
 fixed ``D`` (the ratio rounds/log2(n) must stay roughly flat) and
 rounds vs ``D`` at fixed ``n`` (roughly linear growth, since an epoch is
 D + 1 rounds), four synchronous random-start trials per point.  The
-timed kernel is a single adversarial-start election.
+timed kernel is one registry cell through ``run_scenario``: the n = 16
+election of trial 0.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import emit, run_registry_campaign
 
-from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.analysis.stats import ratio_to_log
 from repro.analysis.tables import render_table
-from repro.campaigns import state_count, sweep_summaries
-from repro.faults.injection import random_configuration
-from repro.graphs.generators import damaged_clique
-from repro.model.scheduler import SynchronousScheduler
-from repro.tasks.le import AlgLE
-from repro.tasks.spec import output_validator
+from repro.campaigns import build_campaign, run_scenario, state_count, sweep_summaries
 
 REGISTRY = "thm13-le-scaling"
+KERNEL_CELL = 8  # n = 16, trial 0
 
 
 def kernel():
-    rng = np.random.default_rng(0)
-    topology = damaged_clique(16, 2, rng, damage=0.4)
-    algorithm = AlgLE(2)
-    result = measure_static_task_stabilization(
-        algorithm,
-        topology,
-        random_configuration(algorithm, topology, rng),
-        SynchronousScheduler(),
-        rng,
-        output_validator("le", topology),
-        max_rounds=60_000,
-        confirm_rounds=24,
-    )
+    result = run_scenario(build_campaign(REGISTRY)[KERNEL_CELL])
     assert result.stabilized
     return result.rounds
 

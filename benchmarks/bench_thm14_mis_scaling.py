@@ -3,43 +3,26 @@
 The sweep is the ``thm14-mis-scaling`` campaign: ``n`` at fixed ``D``,
 four synchronous random-start trials per point.  The measured rounds
 divided by ``(D + log2 n) · log2 n`` must stay roughly flat.  The timed
-kernel is one adversarial-start MIS computation.
+kernel is one registry cell through ``run_scenario``: the n = 16 MIS
+computation of trial 0.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 from conftest import emit, run_registry_campaign
 
-from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.analysis.tables import render_table
-from repro.campaigns import state_count, sweep_summaries
-from repro.faults.injection import random_configuration
-from repro.graphs.generators import damaged_clique
-from repro.model.scheduler import SynchronousScheduler
-from repro.tasks.mis import AlgMIS
-from repro.tasks.spec import output_validator
+from repro.campaigns import build_campaign, run_scenario, state_count, sweep_summaries
 
 REGISTRY = "thm14-mis-scaling"
+KERNEL_CELL = 8  # n = 16, trial 0
 D = 2
 
 
 def kernel():
-    rng = np.random.default_rng(0)
-    topology = damaged_clique(16, D, rng, damage=0.4)
-    algorithm = AlgMIS(D)
-    result = measure_static_task_stabilization(
-        algorithm,
-        topology,
-        random_configuration(algorithm, topology, rng),
-        SynchronousScheduler(),
-        rng,
-        output_validator("mis", topology),
-        max_rounds=60_000,
-        confirm_rounds=30,
-    )
+    result = run_scenario(build_campaign(REGISTRY)[KERNEL_CELL])
     assert result.stabilized
     return result.rounds
 

@@ -25,7 +25,6 @@ from repro.analysis.stabilization import (
     StabilizationResult,
     measure_au_stabilization,
     measure_static_task_stabilization,
-    run_trials,
 )
 from repro.analysis.stats import (
     Summary,
@@ -78,7 +77,6 @@ __all__ = [
     "stabilized_outside",
     "render_table",
     "results_dir",
-    "run_trials",
     "save_trace",
     "within_factor",
 ]

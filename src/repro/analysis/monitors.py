@@ -78,13 +78,9 @@ class GoodGraphMonitor(Monitor):
     The check goes through :meth:`ExecutionBase.graph_is_good`, which
     every engine answers from its incrementally maintained goodness
     counts — O(changes) amortized per step, not an O(n + m)
-    configuration scan.  Goodness is therefore always evaluated under
-    the *execution's own* algorithm; the ``algorithm`` parameter is
-    retained only for backwards compatibility and is ignored."""
+    configuration scan, always under the execution's own algorithm."""
 
-    def __init__(
-        self, algorithm: Optional[ThinUnison] = None, check_every_step: bool = False
-    ):
+    def __init__(self, check_every_step: bool = False):
         self.check_every_step = check_every_step
         self.first_good_time: Optional[int] = None
         self.first_good_round: Optional[int] = None

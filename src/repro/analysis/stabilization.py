@@ -7,17 +7,19 @@ time ``R(i)``.  For AlgAU, stabilization coincides with the graph being
 from which the configuration is an output configuration with a valid,
 never-again-changing output vector.
 
-Measurement strategy for static tasks: run with an
-:class:`~repro.analysis.monitors.OutputChangeMonitor` until the output
-vector is valid and complete, then keep running for a confirmation
-window; if the vector changes, continue from the new candidate point.
-The reported round is the round of the *last* output change.
+This module holds the one definition of each settle loop, shared by the
+campaign runner and the ``measure_*`` wrappers below: :func:`settle`
+runs until a predicate holds and reports the round it held in;
+:func:`settle_output` runs a static task until its output vector is
+valid and complete, keeps running for a confirmation window, continues
+from the new candidate point if the vector changes, and reports the
+round of the *last* output change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +27,7 @@ from repro.core.algau import ThinUnison
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
-from repro.model.engine import create_execution, graph_is_good
-from repro.model.errors import StabilizationError
-from repro.model.execution import Execution
+from repro.model.engine import ExecutionBase, create_execution, graph_is_good
 from repro.model.scheduler import Scheduler
 from repro.analysis.monitors import OutputChangeMonitor
 
@@ -45,6 +45,53 @@ class StabilizationResult:
     moves: int = 0
 
 
+def settle(
+    execution: ExecutionBase,
+    until: Callable[[ExecutionBase], bool],
+    max_rounds: int,
+) -> Optional[int]:
+    """Run until ``until`` holds; the paper's stabilization round
+    (:meth:`~repro.model.rounds.RoundTracker.round_of_time` of *now*, on
+    the tracker's own clock, which ``reset_schedule`` restarts), or
+    ``None`` if the round budget ran out first."""
+    run = execution.run(max_rounds=max_rounds, until=until)
+    if not run.stopped_by_predicate:
+        return None
+    return execution.rounds.round_of_time(execution.rounds.time)
+
+
+def settle_output(
+    execution: ExecutionBase,
+    monitor: OutputChangeMonitor,
+    is_valid_output: Callable[[Sequence], bool],
+    max_rounds: int,
+    confirm_rounds: int,
+) -> Tuple[Optional[int], str]:
+    """Run a static task until its output is valid and stays fixed.
+
+    Alternates "settle until the output looks valid" with a
+    ``confirm_rounds`` stability window.  Returns ``(round, "")`` with
+    the round containing the last output change, or ``(None, detail)``
+    when the round budget runs out.  ``monitor`` must be attached to
+    ``execution``; it folds the output vector forward from each step's
+    change set, so the per-step predicate is O(1) until the vector is
+    complete — no full-configuration snapshot per step.
+    """
+
+    def looks_stable(e: ExecutionBase) -> bool:
+        return monitor.currently_complete and is_valid_output(monitor.current_vector)
+
+    while execution.completed_rounds < max_rounds:
+        if settle(execution, looks_stable, max_rounds) is None:
+            return None, "no valid output configuration reached"
+        change_marker = monitor.last_change_time
+        execution.run_rounds(confirm_rounds)
+        if monitor.last_change_time == change_marker and looks_stable(execution):
+            return execution.rounds.round_of_time(monitor.last_change_time), ""
+        # The output moved during the confirmation window — keep going.
+    return None, "output kept changing within the round budget"
+
+
 def measure_au_stabilization(
     algorithm: ThinUnison,
     topology: Topology,
@@ -59,38 +106,37 @@ def measure_au_stabilization(
 
     ``confirm_rounds`` optionally re-checks closure (Lem 2.10 proves it,
     so tests use it as a tripwire, experiments leave it at 0).
-    ``engine`` selects the execution backend (``"object"`` or
-    ``"array"``); since AlgAU is deterministic the measured trajectory —
-    and therefore the reported rounds — is identical either way.  Both
-    engines answer the per-step goodness predicate from incrementally
-    maintained counts (O(changes) amortized, no per-step O(n + m)
-    configuration scan), so polling ``until`` every step costs activity,
-    not ``n`` — which is what makes large-``n`` sweeps under sparse
-    asynchronous schedules practical.
+    ``engine`` names any execution engine of
+    :func:`~repro.model.engine.create_execution` (``"object"``,
+    ``"array"``, ``"replica-batch"``, ``"native"``); since AlgAU is
+    deterministic the measured trajectory — and therefore the reported
+    rounds — is identical on every one.  Every engine answers the
+    per-step goodness predicate from incrementally maintained counts
+    (O(changes) amortized, no per-step O(n + m) configuration scan).
     """
     execution = create_execution(
         topology, algorithm, initial, scheduler, rng=rng, engine=engine
     )
-    result = execution.run(max_rounds=max_rounds, until=graph_is_good)
-    if not result.stopped_by_predicate:
+    rounds = settle(execution, graph_is_good, max_rounds)
+    if rounds is None:
         return StabilizationResult(
-            False, result.rounds, result.steps, "good graph not reached",
+            False,
+            execution.completed_rounds,
+            execution.t,
+            "good graph not reached",
             moves=execution.moves,
         )
-    stabilization_round = execution.rounds.round_of_time(execution.rounds.time)
     if confirm_rounds:
         execution.run_rounds(confirm_rounds)
         if not graph_is_good(execution):
             return StabilizationResult(
                 False,
-                stabilization_round,
+                rounds,
                 execution.t,
                 "goodness lost after being reached (bug!)",
                 moves=execution.moves,
             )
-    return StabilizationResult(
-        True, stabilization_round, execution.t, moves=execution.moves
-    )
+    return StabilizationResult(True, rounds, execution.t, moves=execution.moves)
 
 
 def measure_static_task_stabilization(
@@ -102,69 +148,20 @@ def measure_static_task_stabilization(
     is_valid_output: Callable[[Sequence], bool],
     max_rounds: int,
     confirm_rounds: int = 50,
-    monitors: Tuple = (),
 ) -> StabilizationResult:
-    """Rounds until a static task's output is valid and stays fixed.
-
-    The measurement loop alternates "run until the output looks valid"
-    with a ``confirm_rounds`` stability window; the reported round is
-    the round containing the last output change.  The
-    :class:`OutputChangeMonitor` folds the output vector forward from
-    each step's change set, so the per-step predicate is O(1) until the
-    vector is complete — no full-configuration snapshot per step.
-    Extra ``monitors`` (e.g. the campaign runner's wall-clock deadline
-    guard) are attached after the measurement's own.
-    """
+    """Rounds until a static task's output is valid and stays fixed
+    (see :func:`settle_output`), on the object engine."""
     monitor = OutputChangeMonitor(algorithm)
-    execution = Execution(
-        topology, algorithm, initial, scheduler, rng=rng,
-        monitors=(monitor, *monitors),
+    execution = create_execution(
+        topology, algorithm, initial, scheduler, rng=rng, monitors=(monitor,)
     )
-
-    def looks_stable(e: Execution) -> bool:
-        return monitor.currently_complete and is_valid_output(monitor.current_vector)
-
-    while execution.completed_rounds < max_rounds:
-        result = execution.run(max_rounds=max_rounds, until=looks_stable)
-        if not result.stopped_by_predicate:
-            return StabilizationResult(
-                False,
-                execution.completed_rounds,
-                execution.t,
-                "no valid output configuration reached",
-                moves=execution.moves,
-            )
-        change_marker = monitor.last_change_time
-        execution.run_rounds(confirm_rounds)
-        if monitor.last_change_time == change_marker and looks_stable(execution):
-            rounds = execution.rounds.round_of_time(monitor.last_change_time)
-            return StabilizationResult(
-                True, rounds, execution.t, moves=execution.moves
-            )
-        # The output moved during the confirmation window — keep going.
+    rounds, detail = settle_output(
+        execution, monitor, is_valid_output, max_rounds, confirm_rounds
+    )
     return StabilizationResult(
-        False,
-        execution.completed_rounds,
+        rounds is not None,
+        execution.completed_rounds if rounds is None else rounds,
         execution.t,
-        "output kept changing within the round budget",
+        detail,
         moves=execution.moves,
     )
-
-
-def run_trials(
-    measure: Callable[[np.random.Generator], StabilizationResult],
-    trials: int,
-    seed: int = 0,
-    require_all: bool = True,
-) -> Tuple[StabilizationResult, ...]:
-    """Run ``trials`` seeded measurements; optionally require success."""
-    results = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        result = measure(rng)
-        if require_all and not result.stabilized:
-            raise StabilizationError(
-                f"trial {trial} failed to stabilize: {result.detail}"
-            )
-        results.append(result)
-    return tuple(results)

@@ -70,8 +70,3 @@ def write_json(path: str, payload: object) -> str:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def persist_json(name: str, payload: object) -> str:
-    """Write a JSON artifact under ``benchmarks/results/<name>.json``."""
-    return write_json(os.path.join(results_dir(), f"{name}.json"), payload)

@@ -45,7 +45,9 @@ from repro.analysis.containment import (
     hop_distances,
     radius_of_mask,
 )
+from repro.analysis.monitors import OutputChangeMonitor
 from repro.analysis.restabilization import RestabilizationTracker, pulse_tightness
+from repro.analysis.stabilization import settle, settle_output
 from repro.campaigns.cache import ResultCache
 from repro.campaigns.dispatch import make_dispatcher
 from repro.campaigns.spec import (
@@ -229,7 +231,7 @@ def _create_scenario_execution(
     )
 
 
-#: The ``detail`` of a row whose run never reached its stabilization
+#: The ``detail`` of an AU row whose run never reached its stabilization
 #: predicate (shared with the replica-batch path, which must match it).
 _NOT_STABILIZED = "good graph not reached within the round budget"
 
@@ -244,23 +246,12 @@ def _stable_predicate(scenario: Scenario, algorithm) -> Callable[[object], bool]
     return lambda e: stable(algorithm, e.configuration)
 
 
-def _settle(execution, scenario: Scenario, until) -> Optional[int]:
-    """Run until ``until`` holds; the paper's stabilization round
-    (:meth:`~repro.model.rounds.RoundTracker.round_of_time` of *now*, on
-    the tracker's own clock, which ``reset_schedule`` restarts), or
-    ``None`` if the round budget ran out first."""
-    run = execution.run(max_rounds=scenario.max_rounds, until=until)
-    if not run.stopped_by_predicate:
-        return None
-    return execution.rounds.round_of_time(execution.rounds.time)
-
-
 def _recover(scenario: Scenario, execution, stable, event: str) -> Dict:
     """Re-stabilize after a structural ``event`` on a fresh round clock
     and scheduler, exactly as a from-scratch execution on the changed
     graph would count it; ``t`` keeps accumulating total work."""
     execution.reset_schedule(make_scheduler(scenario.scheduler))
-    rounds = _settle(execution, scenario, stable)
+    rounds = settle(execution, stable, scenario.max_rounds)
     if rounds is None:
         return {
             "recovered": False,
@@ -438,21 +429,28 @@ def _contain(scenario: Scenario, execution, distances, row) -> ScenarioResult:
     )
 
 
-def _run_au(
+def _run(
     scenario: Scenario,
     topology: Topology,
     rng,
     extra_monitors: Tuple[Monitor, ...] = (),
 ) -> ScenarioResult:
-    """One AU scenario: set up, stabilize (containment for permanent
-    faults), apply the fault kind's disturbance, recover, one row."""
+    """One scenario of any task: set up, stabilize (containment for
+    permanent faults, a held valid output for the static tasks), apply
+    the fault kind's disturbance, recover, one row."""
     started = time.perf_counter()
     algorithm = _make_algorithm(scenario, topology)
     bits = _state_bits(algorithm)
     initial = _initial_configuration(scenario, algorithm, topology, rng)
     plan = scenario.faults
 
-    intervention = distances = None
+    intervention = distances = output = None
+    monitors = extra_monitors
+    if scenario.task != "au":
+        # Static tasks (object engine, sim runtime, fault-free by spec)
+        # settle on their output vector, folded forward per step.
+        output = OutputChangeMonitor(algorithm)
+        monitors = (output, *extra_monitors)
     if plan.kind in PERMANENT_FAULT_KINDS:
         faulty = select_faulty_nodes(topology, plan.density, rng)
         if plan.kind == "crash":
@@ -473,7 +471,7 @@ def _run_au(
         initial,
         rng,
         intervention=intervention,
-        monitors=extra_monitors,
+        monitors=monitors,
     )
 
     def row(**columns) -> ScenarioResult:
@@ -499,13 +497,18 @@ def _run_au(
 
     if distances is not None:
         return _contain(scenario, execution, distances, row)
-    rounds = _settle(execution, scenario, until)
-    if rounds is None:
-        return row(
-            stabilized=False,
-            rounds=execution.completed_rounds,
-            detail=_NOT_STABILIZED,
+    if output is None:
+        rounds, detail = settle(execution, until, scenario.max_rounds), _NOT_STABILIZED
+    else:
+        rounds, detail = settle_output(
+            execution,
+            output,
+            output_validator(scenario.task, topology),
+            scenario.max_rounds,
+            confirm_rounds=8 * (scenario.diameter_bound + 1),
         )
+    if rounds is None:
+        return row(stabilized=False, rounds=execution.completed_rounds, detail=detail)
     disturb = _DISTURBANCES.get(plan.kind)
     extra = (
         disturb(scenario, topology, algorithm, execution, rng, stable)
@@ -513,41 +516,6 @@ def _run_au(
         else {}
     )
     return row(stabilized=True, rounds=rounds, **extra)
-
-
-def _run_static(
-    scenario: Scenario,
-    topology: Topology,
-    rng,
-    extra_monitors: Tuple[Monitor, ...] = (),
-) -> ScenarioResult:
-    from repro.analysis.stabilization import measure_static_task_stabilization
-
-    started = time.perf_counter()
-    algorithm = _make_algorithm(scenario, topology)
-    initial = _initial_configuration(scenario, algorithm, topology, rng)
-    measurement = measure_static_task_stabilization(
-        algorithm,
-        topology,
-        initial,
-        make_scheduler(scenario.scheduler),
-        rng,
-        output_validator(scenario.task, topology),
-        max_rounds=scenario.max_rounds,
-        confirm_rounds=8 * (scenario.diameter_bound + 1),
-        monitors=extra_monitors,
-    )
-    return _result(
-        scenario,
-        topology,
-        started,
-        stabilized=measurement.stabilized,
-        rounds=measurement.rounds,
-        steps=measurement.steps,
-        state_bits=_state_bits(algorithm),
-        moves=measurement.moves,
-        detail=measurement.detail,
-    )
 
 
 #: Failed-result tracebacks are truncated to this many trailing
@@ -629,9 +597,7 @@ def run_scenario(
         extra_monitors = (_DeadlineMonitor(started + timeout_s),)
     try:
         topology = make_graph(scenario.graph, rng, **scenario.params())
-        if scenario.task == "au":
-            return _run_au(scenario, topology, rng, extra_monitors)
-        return _run_static(scenario, topology, rng, extra_monitors)
+        return _run(scenario, topology, rng, extra_monitors)
     except ScenarioTimeout:
         return _timeout_result(scenario, timeout_s, started)
     except Exception as error:  # one bad sample must not sink the campaign

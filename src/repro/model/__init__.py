@@ -17,11 +17,9 @@ from repro.model.algorithm import (
 from repro.model.configuration import Configuration
 from repro.model.errors import (
     ConfigurationError,
-    ExperimentError,
     ModelError,
     ReproError,
     ScheduleError,
-    StabilizationError,
     TopologyError,
     UnknownEngineError,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "Execution",
     "ExecutionBase",
     "ExplicitScheduler",
-    "ExperimentError",
     "GreedyAdversary",
     "LaggardScheduler",
     "LocallyCentralScheduler",
@@ -70,7 +67,6 @@ __all__ = [
     "Scheduler",
     "ShuffledRoundRobinScheduler",
     "Signal",
-    "StabilizationError",
     "StepRecord",
     "SynchronousScheduler",
     "TopologyError",

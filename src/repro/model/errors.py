@@ -34,11 +34,3 @@ class ScheduleError(ModelError):
 
 class TopologyError(ReproError):
     """A graph is unusable (disconnected, empty, diameter bound violated)."""
-
-
-class StabilizationError(ReproError):
-    """An execution failed to stabilize within the allotted budget."""
-
-
-class ExperimentError(ReproError):
-    """An experiment harness was configured inconsistently."""

@@ -186,7 +186,7 @@ class TestPostStabilizationBehavior:
         rng = np.random.default_rng(7)
         alg = ThinUnison(1)
         topology = complete_graph(5)
-        monitor = GoodGraphMonitor(alg, check_every_step=True)
+        monitor = GoodGraphMonitor(check_every_step=True)
         execution = Execution(
             topology,
             alg,

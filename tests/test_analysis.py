@@ -14,10 +14,8 @@ from repro.analysis.monitors import (
     TransitionCounter,
 )
 from repro.analysis.stabilization import (
-    StabilizationResult,
     measure_au_stabilization,
     measure_static_task_stabilization,
-    run_trials,
 )
 from repro.analysis.stats import (
     Summary,
@@ -32,7 +30,6 @@ from repro.core.algau import ThinUnison, TransitionType
 from repro.core.predicates import good_nodes
 from repro.faults.injection import random_configuration, uniform_configuration
 from repro.graphs.generators import complete_graph, ring
-from repro.model.errors import StabilizationError
 from repro.model.execution import Execution
 from repro.model.scheduler import SynchronousScheduler
 from repro.tasks.le import AlgLE
@@ -261,24 +258,6 @@ class TestStabilizationMeasurement:
         )
         assert result.stabilized
         assert result.rounds > 0
-
-    def test_run_trials_aggregates(self):
-        calls = []
-
-        def measure(rng):
-            calls.append(1)
-            return StabilizationResult(True, 5, 50)
-
-        results = run_trials(measure, trials=3)
-        assert len(results) == 3
-        assert len(calls) == 3
-
-    def test_run_trials_raises_on_failure(self):
-        def measure(rng):
-            return StabilizationResult(False, 0, 0, "nope")
-
-        with pytest.raises(StabilizationError):
-            run_trials(measure, trials=1)
 
 
 class TestTables:

@@ -7,19 +7,40 @@ invariants on those rows, so sweep regressions are caught in seconds.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.report import paper_campaign
+from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.campaigns import (
     aggregate_results,
     build_campaign,
+    make_scheduler,
+    measured_payload,
     run_campaign,
+    run_scenario,
     state_count,
 )
+from repro.campaigns.spec import ALGORITHM_FACTORIES
+from repro.faults.injection import random_configuration
+from repro.graphs.generators import make_graph
 from repro.tasks.restart import restart_exit_time
+from repro.tasks.spec import output_validator
+
+#: SHA-256 of the canonical JSON list of ``measured_payload`` over every
+#: seed-0 row of the static-task scaling registries, in index order.
+STATIC_REGISTRY_DIGESTS = {
+    "thm13-le-scaling": (
+        "7a934d005c25b92a391eb89ca4a1188fafc47205ccfb73cdabb089cc548eafaf"
+    ),
+    "thm14-mis-scaling": (
+        "eb66092ef40399b643a3878a662e96ef96b6686f08578dd06f10e17503b27798"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +162,62 @@ def test_aggregates_identical_at_one_and_two_workers(name):
         name, scenarios, run_campaign(scenarios, workers=2, shard_size=2), 0
     )
     assert json.dumps(serial, sort_keys=True) == json.dumps(sharded, sort_keys=True)
+
+
+class TestStaticTaskPipeline:
+    """Static LE/MIS rows settle through the one scenario pipeline."""
+
+    @pytest.mark.parametrize("name", sorted(STATIC_REGISTRY_DIGESTS))
+    def test_seed_zero_payloads_are_pinned(self, name):
+        payloads = [measured_payload(run_scenario(s)) for s in build_campaign(name)]
+        text = json.dumps(payloads, sort_keys=True)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == STATIC_REGISTRY_DIGESTS[name]
+
+    @pytest.mark.parametrize("max_rounds", [1, 3])
+    def test_exhausted_budget_row(self, max_rounds):
+        cell = build_campaign("thm13-le-scaling")[8]
+        result = run_scenario(dataclasses.replace(cell, max_rounds=max_rounds))
+        assert result.stabilized is False
+        assert result.status == ""
+        assert result.detail == "no valid output configuration reached"
+        assert result.rounds == max_rounds  # the completed rounds
+        assert result.steps == max_rounds  # synchronous: one step a round
+
+    def test_timeout_row(self):
+        cell = build_campaign("thm13-le-scaling")[8]
+        result = run_scenario(cell, timeout_s=1e-9)
+        assert result.status == "timeout"
+        assert result.stabilized is False
+        assert (result.rounds, result.steps, result.n, result.m) == (0, 0, 0, 0)
+        assert result.detail == "scenario exceeded the 1e-09s wall-clock budget"
+
+    @pytest.mark.parametrize(
+        "name, index, expected",
+        [
+            ("thm13-le-scaling", 8, (30, 54, 863)),
+            ("cor12-synchronizer", 7, (45, 680, 603)),
+        ],
+    )
+    def test_wrapper_matches_the_pipeline(self, name, index, expected):
+        scenario = build_campaign(name)[index]
+        assert scenario.start == "random"
+        rng = np.random.default_rng(scenario.seed)
+        topology = make_graph(scenario.graph, rng, **scenario.params())
+        algorithm = ALGORITHM_FACTORIES[scenario.algorithm].make(
+            scenario.diameter_bound, topology.n
+        )
+        measured = measure_static_task_stabilization(
+            algorithm,
+            topology,
+            random_configuration(algorithm, topology, rng),
+            make_scheduler(scenario.scheduler),
+            rng,
+            output_validator(scenario.task, topology),
+            max_rounds=scenario.max_rounds,
+            confirm_rounds=8 * (scenario.diameter_bound + 1),
+        )
+        row = run_scenario(scenario)
+        assert measured.stabilized and row.stabilized
+        assert (measured.rounds, measured.steps, measured.moves) == expected
+        assert (row.rounds, row.steps, row.moves) == expected
