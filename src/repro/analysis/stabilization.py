@@ -108,7 +108,8 @@ def measure_au_stabilization(
     so tests use it as a tripwire, experiments leave it at 0).
     ``engine`` names any execution engine of
     :func:`~repro.model.engine.create_execution` (``"object"``,
-    ``"array"``, ``"replica-batch"``, ``"native"``); since AlgAU is
+    ``"array"`` or ``"native"``; ``"replica-batch"`` builds the array
+    engine); since AlgAU is
     deterministic the measured trajectory — and therefore the reported
     rounds — is identical on every one.  Every engine answers the
     per-step goodness predicate from incrementally maintained counts

@@ -76,13 +76,31 @@ def supports_array_engine(algorithm: Algorithm) -> bool:
     )
 
 
+#: Below this activated fraction :func:`evaluate_delta` gathers only the
+#: activated rows of the presence matrix instead of scattering the full
+#: ``(n, |Q|)`` signal.
+SPARSE_ACTIVATION_FRACTION = 0.5
+
+
+def evaluate_delta(
+    kernel, codes: np.ndarray, rows: Optional[np.ndarray], csr
+) -> np.ndarray:
+    """δ for the ``rows`` lanes of ``codes`` (all lanes when ``None``),
+    returned in row order: the presence-matrix gather + batched numpy
+    kernel behind the array tier's ``_evaluate`` seam, shared by
+    :class:`ArrayExecution` and the replica ensemble."""
+    if rows is None:
+        presence = kernel.signal_presence(codes, csr)
+        return kernel.delta_batch(codes, presence)
+    if len(rows) <= SPARSE_ACTIVATION_FRACTION * len(codes):
+        presence = kernel.signal_presence(codes, csr, rows=rows)
+    else:
+        presence = kernel.signal_presence(codes, csr)[rows]
+    return kernel.delta_batch(codes[rows], presence)
+
+
 class ArrayExecution(ExecutionBase["Turn"]):
     """Vectorized engine: dense codes + CSR signals + batched δ."""
-
-    #: Below this activated fraction the engine gathers only the
-    #: activated rows of the presence matrix instead of scattering the
-    #: full ``(n, |Q|)`` signal.
-    SPARSE_ACTIVATION_FRACTION = 0.5
 
     #: At most this many activated nodes, the incremental pipeline
     #: evaluates δ scalar-by-scalar (no numpy dispatch at all) — the
@@ -345,20 +363,13 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
         This is the single kernel seam of the array tier: every batched
         evaluation — dense steps, stale-lane refreshes, the naive
-        reference, the replica-batch fused pass — funnels through it.
-        The base implementation is the presence-matrix gather + batched
-        numpy kernel; the native tier overrides it with a compiled
-        CSR-walking kernel (O(n + m) memory, no presence matrix).
+        reference — funnels through it, and the replica ensemble's fused
+        pass uses the same seam.  The base implementation is
+        :func:`evaluate_delta`; the native tier overrides it with a
+        compiled CSR-walking kernel (O(n + m) memory, no presence
+        matrix).
         """
-        kernel = self._kernel
-        if rows is None:
-            presence = kernel.signal_presence(codes, csr)
-            return kernel.delta_batch(codes, presence)
-        if len(rows) <= self.SPARSE_ACTIVATION_FRACTION * len(codes):
-            presence = kernel.signal_presence(codes, csr, rows=rows)
-        else:
-            presence = kernel.signal_presence(codes, csr)[rows]
-        return kernel.delta_batch(codes[rows], presence)
+        return evaluate_delta(self._kernel, codes, rows, csr)
 
     def _apply_dense(
         self, rows: Optional[np.ndarray]
@@ -553,14 +564,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
             self._invalidate_all()
             return
         hood, _ = self._csr.gather(moved)
-        hood = np.unique(hood)
-        dirty = self._dirty
-        newly = hood[~dirty[hood]]
-        if newly.size:
-            self._enabled_count -= int(self._enabled_mask[newly].sum())
-            self._enabled_mask[newly] = False
-            self._dirty_count += newly.size
-            dirty[newly] = True
+        self._dirty_exact_rows(np.unique(hood))
 
     def _refresh_pending(self) -> None:
         if not self.incremental:
@@ -598,28 +602,13 @@ class ArrayExecution(ExecutionBase["Turn"]):
     def _apply_naive(
         self, activated: FrozenSet[int]
     ) -> Tuple[Tuple[int, Turn, Turn], ...]:
-        codes = self._codes
-        n = len(codes)
-        if len(activated) == n:
-            rows = None
-        else:
-            rows = np.fromiter(activated, dtype=np.int64, count=len(activated))
-            rows.sort()
-        new_active = self._evaluate(codes, rows, self._csr)
-
-        if rows is None:
-            diff = np.nonzero(new_active != codes)[0]
-            new_diff = new_active[diff]
-        else:
-            moved = new_active != codes[rows]
-            diff = rows[moved]
-            new_diff = new_active[moved]
-        if diff.size == 0:
-            return ()
-        changed = self._commit(diff, new_diff)
-        # Keep the enabled bookkeeping conservative: everything dirty.
-        self._invalidate_all()
-        return changed
+        # A dense step over the activated rows; the wholesale
+        # invalidation keeps the enabled bookkeeping conservative.
+        if len(activated) == len(self._codes):
+            return self._apply_dense(None)
+        rows = np.fromiter(activated, dtype=np.int64, count=len(activated))
+        rows.sort()
+        return self._apply_dense(rows)
 
     # ------------------------------------------------------------------
     # Incremental AlgAU goodness accounting.

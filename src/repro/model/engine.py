@@ -1,20 +1,24 @@
-"""The execution-engine contract shared by both backends.
+"""The execution-engine contract shared by every engine tier.
 
-The repository ships two execution engines over one contract:
+The repository ships two execution models over one contract:
 
 * :class:`~repro.model.execution.Execution` — the readable *object
   model* reference: per-node ``Signal`` frozensets, one
   ``Algorithm.resolve`` call per activated node;
 * :class:`~repro.model.array_engine.ArrayExecution` — the vectorized
   *array model*: dense turn codes, CSR neighborhoods and the batched
-  Table 1 kernel of :mod:`repro.core.algau_vec`.
+  Table 1 kernel of :mod:`repro.core.algau_vec`.  The ``native`` tier
+  (:mod:`repro.model.native_engine`) is this model on compiled kernels,
+  and ``replica-batch`` names it too.  Seed ensembles are batched by
+  the campaign runner through :mod:`repro.model.replica_engine`, which
+  is a runner, not an engine of this contract.
 
-:class:`ExecutionBase` holds everything the two engines share — the
+:class:`ExecutionBase` holds everything the engines share — the
 scheduler/round bookkeeping, monitor notifications, intervention
 (transient fault) handling, and the ``run``/``run_rounds`` driver loop —
 so the engines differ only in how one step's state updates are computed
 (:meth:`ExecutionBase._apply`) and how the current configuration is
-stored (:meth:`ExecutionBase._load_configuration`).  Both produce the
+stored (:meth:`ExecutionBase._load_configuration`).  All produce the
 same :class:`StepRecord` stream for the same seeds, which the
 differential test suite verifies step for step.
 
@@ -59,8 +63,8 @@ engines run :meth:`ExecutionBase.run` record-free, and the native tier
 also hands whole rounds of a round-order daemon to a compiled kernel
 when ``until`` is the shared :func:`graph_is_good` predicate.
 
-Use :func:`create_execution` to pick an engine by name
-(``engine="object" | "array"``).
+Use :func:`create_execution` to pick an engine by name (any key of
+:data:`ENGINE_FACTORIES`).
 """
 
 from __future__ import annotations
@@ -586,12 +590,6 @@ def _array_engine() -> type:
     return ArrayExecution
 
 
-def _replica_engine() -> type:
-    from repro.model.replica_engine import ReplicaBatchExecution
-
-    return ReplicaBatchExecution
-
-
 def _native_engine() -> type:
     from repro.model.native_engine import native_execution_class
 
@@ -608,7 +606,9 @@ def _native_engine() -> type:
 ENGINE_FACTORIES: Dict[str, Callable[[], type]] = {
     "object": _object_engine,
     "array": _array_engine,
-    "replica-batch": _replica_engine,
+    # A single scenario is an array run; seed ensembles are batched by
+    # the campaign runner (repro.model.replica_engine).
+    "replica-batch": _array_engine,
     "native": _native_engine,
 }
 
@@ -619,7 +619,7 @@ ENGINE_FACTORIES: Dict[str, Callable[[], type]] = {
 ENGINE_DESCRIPTIONS: Dict[str, str] = {
     "object": "the readable reference model",
     "array": "the vectorized backend",
-    "replica-batch": "the ensemble-vectorized backend",
+    "replica-batch": "an alias of the array backend",
     "native": "the compiled kernel tier (falls back to the array backend)",
 }
 
@@ -668,11 +668,9 @@ def create_execution(
     :class:`~repro.model.array_engine.ArrayExecution` (the algorithm
     must expose the vectorized backend — currently
     :class:`~repro.core.algau.ThinUnison`); ``engine="replica-batch"``
-    builds a single-replica
-    :class:`~repro.model.replica_engine.ReplicaBatchExecution` (the
-    R = 1 degenerate case of the ensemble backend — behaviorally an
-    array engine; multi-replica batches are built with
-    :meth:`~repro.model.replica_engine.ReplicaBatchExecution.from_replicas`);
+    builds the same ``ArrayExecution`` (seed ensembles on any vectorized
+    engine are batched by the campaign runner through
+    :class:`~repro.model.replica_engine.ReplicaBatchExecution`);
     ``engine="native"`` builds the compiled kernel tier
     (:class:`~repro.model.native_engine.NativeExecution` — bit-identical
     to the array engine, with the hot kernels walking the CSR arrays in

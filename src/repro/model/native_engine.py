@@ -17,7 +17,7 @@ pokes, the enabled view — is inherited unchanged, so trajectories are
 bit-identical to the array engine (the differential suite checks this
 across graph × scheduler × fault combinations).
 :class:`NativeReplicaBatchExecution` applies the same reroute to the
-block-diagonal CSR of the replica-batched ensemble engine, so Monte
+block-diagonal CSR of the replica-batched ensemble runner, so Monte
 Carlo campaigns ride the compiled tier through the same seams.
 
 On top of the seams, :meth:`NativeExecution.run` hands whole rounds of
@@ -48,10 +48,10 @@ from repro.model.replica_engine import ReplicaBatchExecution
 class _NativeKernelMixin:
     """Reroutes the array-tier kernel seams to a :class:`NativeKernel`.
 
-    Must precede the engine base class in the MRO; the engine's
-    ``__init__`` builds the numpy :class:`VectorKernel` first (its
-    lookup tables are the source the native tables are extracted from),
-    then this mixin wraps it.
+    Must precede the engine (or ensemble runner) base class in the MRO;
+    the base ``__init__`` builds the numpy :class:`VectorKernel` first
+    (its lookup tables are the source the native tables are extracted
+    from), then this mixin wraps it.
     """
 
     def __init__(self, *args, **kwargs):
@@ -154,7 +154,7 @@ class NativeExecution(_NativeKernelMixin, ArrayExecution):
 
 
 class NativeReplicaBatchExecution(_NativeKernelMixin, ReplicaBatchExecution):
-    """The replica-batched ensemble engine on compiled kernels."""
+    """The replica-batched ensemble runner on compiled kernels."""
 
     def _fold_pair_counts(self, diff, old_diff, new_diff, owner) -> None:
         # The compiled fold scatters by the per-node owner table
@@ -190,10 +190,10 @@ def native_execution_class() -> type:
 
 
 def replica_batch_execution_class(engine: str) -> type:
-    """The replica-batch class matching ``engine`` — the ensemble-lane
+    """The ensemble runner class matching ``engine`` — the batching
     counterpart of :func:`~repro.model.engine.engine_class`, used by the
-    campaign runner to keep batched scenarios on the engine their spec
-    names.  ``native`` degrades to the numpy ensemble engine exactly
+    campaign runner to keep batched scenarios on the kernels their spec
+    names.  ``native`` degrades to the numpy ensemble runner exactly
     like :func:`native_execution_class` does."""
     if engine == "native":
         if native_backend() is None:

@@ -1,4 +1,4 @@
-"""The replica-batched ensemble execution engine.
+"""The replica-batched seed-ensemble runner.
 
 The paper's headline numbers are *ensemble* statistics: every Thm 1.1
 sweep and fault-recovery figure aggregates many independent runs of the
@@ -6,49 +6,44 @@ same (topology family, algorithm, scheduler) cell that differ only by
 seed.  Running each replica as its own
 :class:`~repro.model.array_engine.ArrayExecution` repays the full
 python/numpy dispatch overhead per replica per step.
-:class:`ReplicaBatchExecution` vectorizes *across replicas as well as
-nodes*: it holds the code vectors of ``R`` independent replicas as one
-flat array (an ``(R, n)`` code matrix when the replicas share ``n`` —
-see :attr:`ReplicaBatchExecution.codes_matrix`), concatenates their CSR
+:class:`ReplicaBatchExecution` is the campaign runner's batching
+strategy for fault-free seed ensembles: it holds the code vectors of
+``R`` independent replicas as one flat array, concatenates their CSR
 neighborhoods into one block-diagonal adjacency, and advances every
 live replica's activated lanes in a single fused Table 1 kernel pass
-per ensemble step.
+per ensemble step.  δ and the goodness seed go through the array
+tier's kernel seams (:func:`~repro.model.array_engine.evaluate_delta`
+and the kernel's goodness scan), which the native tier reroutes to its
+compiled kernels.
 
-Per replica the engine keeps exactly the state the per-scenario path
+Per replica the runner keeps exactly the state the per-scenario path
 keeps: its own scheduler instance, its own ``SeedSequence``-derived rng
 stream (consumed only by the scheduler, in the same order as a solo
 run — which is what makes batched results bit-identical to per-scenario
-runs), its own :class:`~repro.model.rounds.RoundTracker`, and its own
-incrementally folded goodness counts (the ``(faulty nodes, unprotected
-ordered pairs)`` accounting of the PR 4 step pipeline, here held as
-per-replica count *vectors* folded with one
+runs), its own :class:`~repro.model.rounds.RoundTracker` (the one
+implementation of the paper's rounds ``R(i)``), and its own
+incrementally folded goodness counts (per-replica ``(faulty nodes,
+unprotected ordered pairs)`` count *vectors* folded with one
 :meth:`~repro.core.algau_vec.VectorKernel.pair_deltas` call per step).
 A replica whose counts hit ``(0, 0)`` — the AlgAU stabilization
 predicate — or whose round budget runs out is *retired*: its lanes drop
 out of the fused pass, so late in a campaign the hot loop only pays for
 the stragglers.
 
-Two drive modes, never mixed:
+:meth:`ReplicaBatchExecution.from_replicas` fuses ``R`` replica specs
+and :meth:`~ReplicaBatchExecution.run_ensemble` implements the campaign
+measurement loop (``run(max_rounds=..., until=graph_is_good)``) for all
+of them at once.  Per-step ``StepRecord`` streams are not materialized
+(no per-node Turn tuples — that is a large part of the win); callers
+get per-replica :class:`ReplicaOutcome` rows instead.  A single
+scenario, ``engine="replica-batch"`` included, runs on
+:class:`~repro.model.array_engine.ArrayExecution`.
 
-* ``create_execution(engine="replica-batch")`` — the degenerate R = 1
-  case: the class inherits the whole
-  :class:`~repro.model.array_engine.ArrayExecution` contract
-  (incremental pipeline, enabled view, pokes/masks/interventions,
-  monitors), so a single scenario routed through this engine behaves
-  exactly like the array backend;
-* :meth:`ReplicaBatchExecution.from_replicas` — the ensemble case:
-  ``R`` replica specs are fused and driven through
-  :meth:`run_ensemble`, which implements the campaign measurement loop
-  (``run(max_rounds=..., until=graph_is_good)``) for all replicas at
-  once.  Per-step ``StepRecord`` streams are not materialized on this
-  path (no per-node Turn tuples — that is a large part of the win);
-  callers get per-replica :class:`ReplicaOutcome` rows instead.
-
-Limitations of the ensemble path (enforced): the algorithm must expose
-the vectorized backend (ThinUnison), schedulers must be oblivious
-(``uses_enabled_view`` daemons need a per-replica enabled view the
-fused pass does not maintain), and fault plans are out of scope —
-faulted scenarios keep the per-scenario engines.
+Scope (enforced): the algorithm must expose the vectorized backend
+(ThinUnison), schedulers must be oblivious (``uses_enabled_view``
+daemons need a per-replica enabled view the fused pass does not
+maintain), and topologies are static — fault plans and topology deltas
+keep the per-scenario engines.
 """
 
 from __future__ import annotations
@@ -60,9 +55,8 @@ import numpy as np
 
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.topology import Topology
-from repro.model.array_engine import ArrayExecution
+from repro.model.array_engine import evaluate_delta, supports_array_engine
 from repro.model.configuration import Configuration
-from repro.model.engine import StepRecord
 from repro.model.errors import ModelError
 from repro.model.rounds import RoundTracker
 from repro.model.scheduler import Scheduler
@@ -109,12 +103,18 @@ class _Replica:
 
     * **queue mode** — the scheduler exposes
       :meth:`~repro.model.scheduler.Scheduler.round_activation_order`:
-      whole rounds are pre-drawn into the shared queue buffer, rounds
-      complete exactly every ``n`` steps, and the fused loop gathers the
-      replica's activation by array indexing (no per-step Python);
+      whole rounds are pre-drawn into the shared queue buffer
+      (:attr:`order` holds the current one) and the fused loop gathers
+      the replica's activation by array indexing (no per-step Python);
+      the tracker observes each round in one
+      :meth:`~repro.model.rounds.RoundTracker.observe_sequence` call as
+      it completes, and the partial round at retirement;
     * **call mode** — the generic per-step protocol: one
-      ``scheduler.activations`` call per step and a
-      :class:`~repro.model.rounds.RoundTracker` for the round operator.
+      ``scheduler.activations`` call and one tracker observation per
+      step.
+
+    Either way the tracker is the replica's clock: its ``time`` is the
+    replica's step count and its rounds are the paper's.
     """
 
     __slots__ = (
@@ -126,14 +126,10 @@ class _Replica:
         "scheduler",
         "rng",
         "tracker",
-        "t",
         "all_rows",
+        "order",
         "done",
         "stabilized",
-        "rounds",
-        "completed",
-        "round_start",
-        "queue_mode",
     )
 
     def __init__(self, index: int, offset: int, spec: ReplicaSpec):
@@ -145,58 +141,69 @@ class _Replica:
         self.scheduler = spec.scheduler
         self.rng = spec.rng
         self.tracker = RoundTracker(self.nodes)
-        self.t = 0
         self.all_rows = np.arange(offset, offset + self.n, dtype=np.int64)
+        self.order: Optional[np.ndarray] = None
         self.done = False
         self.stabilized = False
-        self.rounds = 0
-        # Queue-mode round bookkeeping (boundaries fall exactly at
-        # multiples of n because one pre-drawn round covers every node
-        # once; this is RoundTracker's arithmetic for such schedules).
-        self.completed = 0
-        self.round_start = 0
-        self.queue_mode = False
 
-    def finish(self, stabilized: bool, rounds: int) -> None:
+    def catch_up(self, t: int) -> None:
+        """Let the tracker observe the queued steps of the current round
+        up to ensemble step ``t`` (a no-op in call mode, whose tracker
+        observes every step)."""
+        pending = t - self.tracker.time
+        if pending:
+            self.tracker.observe_sequence(self.order[:pending])
+
+    def retire(self, t: int, stabilized: bool) -> None:
+        self.catch_up(t)
         self.done = True
         self.stabilized = stabilized
-        self.rounds = rounds
 
-    def stabilization_round(self) -> int:
-        """The paper's stabilization round of *now*, on the replica's
-        own round clock."""
-        return self.tracker.round_of_time(self.tracker.time)
-
-    def queue_stabilization_round(self) -> int:
-        at_boundary = self.t == self.round_start + self.n
-        return self.completed + (0 if at_boundary else 1)
-
-    def outcome(self, moves: int = 0) -> ReplicaOutcome:
+    def outcome(self, moves: int) -> ReplicaOutcome:
+        tracker = self.tracker
+        if self.stabilized:
+            rounds = tracker.round_of_time(tracker.time)
+        else:
+            rounds = tracker.completed_rounds
         return ReplicaOutcome(
             index=self.index,
             n=self.n,
             m=self.m,
             stabilized=self.stabilized,
-            rounds=self.rounds,
-            steps=self.t,
+            rounds=rounds,
+            steps=tracker.time,
             moves=moves,
         )
 
 
-class ReplicaBatchExecution(ArrayExecution):
-    """Ensemble-vectorized engine: R replicas, one fused kernel pass.
+class ReplicaBatchExecution:
+    """Seed-ensemble runner: R replicas, one fused kernel pass per step.
 
-    Constructed through :func:`~repro.model.engine.create_execution`
-    this is the R = 1 degenerate case and inherits the full array-engine
-    contract.  Ensembles are built with :meth:`from_replicas` and driven
-    with :meth:`run_ensemble`; the single-step API is disabled on them
-    (the two drive modes must not interleave — the inherited pipeline
-    state only tracks the primary replica).
+    Holds the algorithm's encoding and
+    :class:`~repro.core.algau_vec.VectorKernel`; ensembles are built
+    with :meth:`from_replicas` and driven with :meth:`run_ensemble`.
     """
 
-    def __init__(self, *args, **kwargs):
-        self._ensemble: Optional[List[_Replica]] = None
-        super().__init__(*args, **kwargs)
+    def __init__(self, algorithm):
+        if not supports_array_engine(algorithm):
+            raise ModelError(
+                f"{algorithm.name} does not expose the vectorized backend "
+                "(encoding/vector_kernel/delta_batch); replica ensembles "
+                "need it"
+            )
+        self._encoding = algorithm.encoding
+        self._kernel = algorithm.vector_kernel()
+
+    # ------------------------------------------------------------------
+    # Kernel seams (shared with the array tier; the native mixin
+    # reroutes both).
+    # ------------------------------------------------------------------
+
+    def _evaluate(self, codes, rows, csr) -> np.ndarray:
+        return evaluate_delta(self._kernel, codes, rows, csr)
+
+    def _goodness_counts(self, codes, csr):
+        return self._kernel.goodness_counts(codes, csr)
 
     # ------------------------------------------------------------------
     # Ensemble construction.
@@ -206,8 +213,8 @@ class ReplicaBatchExecution(ArrayExecution):
     def from_replicas(
         cls, algorithm, replicas: Sequence[ReplicaSpec]
     ) -> "ReplicaBatchExecution":
-        """Fuse ``replicas`` (same algorithm, oblivious schedulers)
-        into one batched execution."""
+        """Fuse ``replicas`` (same algorithm, oblivious schedulers,
+        static topologies) into one batched execution."""
         specs = [ReplicaSpec(*spec) for spec in replicas]
         if not specs:
             raise ModelError("a replica batch needs at least one replica")
@@ -219,14 +226,12 @@ class ReplicaBatchExecution(ArrayExecution):
                     f"does not maintain; run it through the per-scenario "
                     f"engines"
                 )
-        first = specs[0]
-        self = cls(
-            first.topology,
-            algorithm,
-            first.initial_configuration,
-            first.scheduler,
-            rng=first.rng,
-        )
+            if getattr(spec.topology, "left_nodes", ()):
+                raise ModelError(
+                    "replica ensembles run static topologies; a topology "
+                    "with departed nodes needs the per-scenario engines"
+                )
+        self = cls(algorithm)
         self._build_ensemble(specs)
         return self
 
@@ -248,20 +253,11 @@ class ReplicaBatchExecution(ArrayExecution):
             index_parts.append(csr.indices + offset)
             offset += spec.topology.n
             nnz += len(csr.indices)
-        self._ensemble = reps
-        # Per-replica topologies, kept for dynamic-topology deltas
-        # (converted to DynamicTopology copy-on-first-mutate).
-        self._replica_tops: List = [spec.topology for spec in specs]
+        self._replicas = reps
         self._flat = np.concatenate(code_parts)
         self._block_csr = CSRAdjacency(
             np.concatenate(indptr_parts), np.concatenate(index_parts)
         )
-        # Tombstone lanes (nodes that left): excluded from every fused
-        # pass, mirroring the solo engines' permanent-fault masking.
-        self._left_flat = np.zeros(offset, dtype=bool)
-        for rep, spec in zip(reps, specs):
-            for v in getattr(spec.topology, "left_nodes", ()):
-                self._left_flat[rep.offset + v] = True
         self._rep_of_node = np.repeat(
             np.arange(len(reps), dtype=np.int64),
             np.fromiter((rep.n for rep in reps), dtype=np.int64, count=len(reps)),
@@ -286,215 +282,33 @@ class ReplicaBatchExecution(ArrayExecution):
             self._faulty_counts[rep.index] = faulty
             self._bad_counts[rep.index] = bad
 
-    # ------------------------------------------------------------------
-    # Ensemble state inspection.
-    # ------------------------------------------------------------------
-
-    @property
-    def replica_count(self) -> int:
-        return 1 if self._ensemble is None else len(self._ensemble)
-
-    @property
-    def codes_matrix(self) -> np.ndarray:
-        """The ``(R, n)`` code matrix (read-only snapshot); defined when
-        every replica has the same node count (the common campaign
-        case — one graph family, one parameter point)."""
-        if self._ensemble is None:
-            return self.codes.reshape(1, -1)
-        widths = {rep.n for rep in self._ensemble}
-        if len(widths) != 1:
-            raise ModelError(
-                f"replicas have heterogeneous node counts {sorted(widths)}; "
-                f"use replica_codes(i) instead"
-            )
-        snapshot = self._flat.reshape(len(self._ensemble), widths.pop()).copy()
-        snapshot.flags.writeable = False
-        return snapshot
-
     def replica_codes(self, index: int) -> np.ndarray:
         """A read-only snapshot of replica ``index``'s code vector."""
-        if self._ensemble is None:
-            if index != 0:
-                raise ModelError(f"no replica {index} (single-replica engine)")
-            return self.codes
-        rep = self._ensemble[index]
+        rep = self._replicas[index]
         snapshot = self._flat[rep.offset : rep.offset + rep.n].copy()
         snapshot.flags.writeable = False
         return snapshot
-
-    def replica_graph_is_good(self, index: int) -> bool:
-        """The AlgAU stabilization predicate on replica ``index``,
-        answered from the maintained per-replica counts."""
-        if self._ensemble is None:
-            if index != 0:
-                raise ModelError(f"no replica {index} (single-replica engine)")
-            return self.graph_is_good()
-        return self._faulty_counts[index] == 0 and self._bad_counts[index] == 0
-
-    # ------------------------------------------------------------------
-    # Dynamic topology (ensemble path).
-    # ------------------------------------------------------------------
-
-    def _apply_topology_delta(self, delta):
-        """Apply one :class:`~repro.graphs.dynamic.TopologyDelta` to
-        *every* replica of the ensemble (replica-local node ids — the
-        same delta stream a solo lane of the differential pair sees).
-
-        Edge-only deltas keep every offset intact and splice the
-        affected rows of the block-diagonal CSR in place; membership
-        deltas (joins/leaves) shift the lane layout and rebuild the
-        fused arrays by re-concatenation.  Must not be called while a
-        :meth:`run_ensemble` drive is in flight (queued rounds would go
-        stale)."""
-        if self._ensemble is None:
-            return super()._apply_topology_delta(delta)
-        from repro.graphs.dynamic import DynamicTopology
-
-        tops = self._replica_tops
-        for i, top in enumerate(tops):
-            if not isinstance(top, DynamicTopology):
-                tops[i] = DynamicTopology(top)
-        # Keep the base-class node bookkeeping (masking, round tracker)
-        # anchored on the primary replica's mutable view.
-        self.topology = tops[0]
-        applieds = [top.apply_delta(delta) for top in tops]
-        if delta.join or delta.leave:
-            self._rebuild_ensemble_arrays(applieds)
-        else:
-            # Edge-only: offsets unchanged — patch the block CSR rows.
-            changed = {}
-            for rep, top, a in zip(self._ensemble, tops, applieds):
-                for v in a.touched:
-                    changed[rep.offset + v] = [
-                        u + rep.offset for u in top.inclusive_neighbors(v)
-                    ]
-                rep.m = top.m
-            self._ensure_mutable_block_csr().patch(changed)
-        self._reseed_ensemble_goodness()
-        return applieds[0]
-
-    def _ensure_mutable_block_csr(self):
-        from repro.graphs.dynamic import MutableCSR
-
-        if not isinstance(self._block_csr, MutableCSR):
-            self._block_csr = MutableCSR(
-                self._block_csr.indptr, self._block_csr.indices
-            )
-        return self._block_csr
-
-    def _rebuild_ensemble_arrays(self, applieds) -> None:
-        """Re-concatenate the fused arrays after a membership delta:
-        joined lanes are appended at each replica's end (shifting every
-        later replica's offset), left lanes stay as tombstones."""
-        from repro.graphs.dynamic import MutableCSR
-
-        encode = self._encoding.encode
-        rest = encode(self.algorithm.initial_state())
-        reps = self._ensemble
-        tops = self._replica_tops
-        code_parts: List[np.ndarray] = []
-        left_parts: List[np.ndarray] = []
-        indptr_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        index_parts: List[np.ndarray] = []
-        offset = 0
-        nnz = 0
-        for rep, top, a in zip(reps, tops, applieds):
-            codes = np.zeros(top.n, dtype=np.int64)
-            codes[: rep.n] = self._flat[rep.offset : rep.offset + rep.n]
-            for v in a.left:
-                codes[v] = rest
-            for v, state in a.joined:
-                codes[v] = encode(state)
-            code_parts.append(codes)
-            left = np.zeros(top.n, dtype=bool)
-            for v in top.left_nodes:
-                left[v] = True
-            left_parts.append(left)
-            csr = top.inclusive_csr()
-            indptr_parts.append(np.asarray(csr.indptr[1:]) + nnz)
-            index_parts.append(np.asarray(csr.indices) + offset)
-            rep.offset = offset
-            rep.n = top.n
-            rep.m = top.m
-            rep.nodes = top.nodes
-            rep.all_rows = np.arange(offset, offset + top.n, dtype=np.int64)
-            rep.tracker.add_nodes(v for v, _ in a.joined)
-            offset += top.n
-            nnz += len(csr.indices)
-        self._flat = np.concatenate(code_parts)
-        self._left_flat = np.concatenate(left_parts)
-        self._block_csr = MutableCSR(
-            np.concatenate(indptr_parts), np.concatenate(index_parts)
-        )
-        self._rep_of_node = np.repeat(
-            np.arange(len(reps), dtype=np.int64),
-            np.fromiter((rep.n for rep in reps), dtype=np.int64, count=len(reps)),
-        )
-        self._in_diff_flat = np.zeros(offset, dtype=bool)
-        self._new_code_flat = np.zeros(offset, dtype=np.int64)
-        self._queue = np.zeros(offset, dtype=np.int64)
-
-    def _reseed_ensemble_goodness(self) -> None:
-        """Full goodness rescan per replica after a structural delta —
-        the same counts the solo array lane lazily recomputes."""
-        for rep, top in zip(self._ensemble, self._replica_tops):
-            faulty, bad = self._goodness_counts(
-                self._flat[rep.offset : rep.offset + rep.n], top.inclusive_csr()
-            )
-            self._faulty_counts[rep.index] = faulty
-            self._bad_counts[rep.index] = bad
-
-    # ------------------------------------------------------------------
-    # Drive-mode guard.
-    # ------------------------------------------------------------------
-
-    def step(self) -> StepRecord:
-        if self._ensemble is not None:
-            raise ModelError(
-                "multi-replica batches are driven with run_ensemble(); "
-                "the single-step API only exists on the R = 1 engine "
-                "(create_execution(engine='replica-batch'))"
-            )
-        return super().step()
-
-    def _bare_step(self) -> bool:
-        # The record-free body behind advance() and run().
-        if self._ensemble is not None:
-            raise ModelError(
-                "multi-replica batches are driven with run_ensemble(); "
-                "the bulk-step API only exists on the R = 1 engine "
-                "(create_execution(engine='replica-batch'))"
-            )
-        return super()._bare_step()
 
     # ------------------------------------------------------------------
     # The fused ensemble loop.
     # ------------------------------------------------------------------
 
-    def run_ensemble(
-        self, max_rounds: int, max_steps: Optional[int] = None
-    ) -> List[ReplicaOutcome]:
+    def run_ensemble(self, max_rounds: int) -> List[ReplicaOutcome]:
         """Drive every replica to stabilization or budget exhaustion.
 
         Per replica this is exactly
         ``run(max_rounds=max_rounds, until=graph_is_good)`` followed by
-        the campaign's stabilization-round measurement: the goodness
+        the campaign's stabilization-round measurement
+        (``round_of_time`` on the replica's tracker): the goodness
         predicate is pre-checked before the first step, the round budget
         is checked before each step, the predicate after each step.
-        ``max_steps`` additionally caps the per-replica step count
-        (benchmark harnesses); replicas stopped by it count as not
-        stabilized.  Returns one :class:`ReplicaOutcome` per replica in
-        construction order.
+        Returns one :class:`ReplicaOutcome` per replica in construction
+        order.
         """
-        if self._ensemble is None:
-            raise ModelError(
-                "run_ensemble() needs a multi-replica batch; build one "
-                "with ReplicaBatchExecution.from_replicas"
-            )
-        reps = self._ensemble
+        reps = self._replicas
         for rep in reps:
             if not rep.done and self._replica_good(rep):
-                rep.finish(stabilized=True, rounds=0)  # pre-satisfied
+                rep.retire(0, stabilized=True)  # pre-satisfied
 
         # Mode split.  Queue-mode replicas pre-draw whole rounds into
         # the shared queue buffer (global row ids), so the fused loop
@@ -510,61 +324,48 @@ class ReplicaBatchExecution(ArrayExecution):
             if order is None:
                 call_reps.append(rep)
             else:
-                rep.queue_mode = True
-                self._load_round(rep, order, 0)
+                self._load_round(rep, order)
                 queue_reps.append(rep)
 
         # Parallel arrays over the live queue-mode replicas: the global
         # fused-step activation of replica i is queue[q_base[i] + t],
         # and its current round is exhausted when t reaches q_pos[i].
+        # A live replica's tracker stands at its current round's start.
         def queue_arrays():
             count = len(queue_reps)
             base = np.fromiter(
-                (rep.offset - rep.round_start for rep in queue_reps),
+                (rep.offset - rep.tracker.time for rep in queue_reps),
                 dtype=np.int64,
                 count=count,
             )
             pos = np.fromiter(
-                (rep.round_start + rep.n for rep in queue_reps),
+                (rep.tracker.time + rep.n for rep in queue_reps),
                 dtype=np.int64,
                 count=count,
             )
             return base, pos
 
         q_base, q_pos = queue_arrays()
-        # Tombstone lanes (membership churn) are scheduled like every
-        # other node but dropped from the fused pass — the solo engines'
-        # masking semantics (RoundTracker still observes them).
-        left_flat = self._left_flat
-        left_any = bool(left_flat.any())
         t = 0
         while call_reps or queue_reps:
-            if max_steps is not None and t >= max_steps:
-                for rep in call_reps:
-                    rep.finish(stabilized=False, rounds=rep.tracker.completed_rounds)
-                for rep in queue_reps:
-                    rep.t = t
-                    rep.finish(stabilized=False, rounds=rep.completed)
-                break
-
-            # --- queue mode: budget checks and refills at round starts
-            # (amortized — once per n steps per replica), then one fused
-            # gather for every replica's activated lane. ---
+            # --- queue mode: round completion, budget checks and
+            # refills at round ends (amortized — once per n steps per
+            # replica), then one fused gather for every replica's
+            # activated lane. ---
             if queue_reps and t:
                 exhausted = np.nonzero(q_pos == t)[0]
                 if exhausted.size:
                     retired = False
                     for i in exhausted:
                         rep = queue_reps[i]
-                        if rep.completed >= max_rounds:
-                            rep.t = t
-                            rep.finish(stabilized=False, rounds=rep.completed)
+                        rep.catch_up(t)  # the whole round, in O(1)
+                        if rep.tracker.completed_rounds >= max_rounds:
+                            rep.retire(t, stabilized=False)
                             retired = True
                             continue
                         self._load_round(
                             rep,
                             rep.scheduler.round_activation_order(rep.nodes, rep.rng),
-                            t,
                         )
                         q_base[i] = rep.offset - t
                         q_pos[i] = t + rep.n
@@ -582,11 +383,9 @@ class ReplicaBatchExecution(ArrayExecution):
                 survivors = []
                 for rep in call_reps:
                     if rep.tracker.completed_rounds >= max_rounds:
-                        rep.finish(
-                            stabilized=False, rounds=rep.tracker.completed_rounds
-                        )
+                        rep.retire(t, stabilized=False)
                         continue
-                    activated = rep.scheduler.activations(rep.t, rep.nodes, rep.rng)
+                    activated = rep.scheduler.activations(t, rep.nodes, rep.rng)
                     if len(activated) == rep.n:
                         parts.append(rep.all_rows)
                     else:
@@ -602,8 +401,6 @@ class ReplicaBatchExecution(ArrayExecution):
             if not parts:
                 break
             rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            if left_any:
-                rows = rows[~left_flat[rows]]
             changed_reps = self._ensemble_apply(rows) if rows.size else None
             t += 1
 
@@ -612,10 +409,6 @@ class ReplicaBatchExecution(ArrayExecution):
             # predicate, so the check is O(changed replicas). ---
             for rep, activated in stepped:
                 rep.tracker.observe(activated)
-                rep.t = t
-            if queue_reps:
-                for i in np.nonzero(q_pos == t)[0]:
-                    queue_reps[i].completed += 1
             if changed_reps is not None:
                 faulty = self._faulty_counts
                 bad = self._bad_counts
@@ -624,12 +417,7 @@ class ReplicaBatchExecution(ArrayExecution):
                     rep = reps[index]
                     if rep.done or faulty[index] or bad[index]:
                         continue
-                    if rep.queue_mode:
-                        rep.t = t
-                        rounds = rep.queue_stabilization_round()
-                    else:
-                        rounds = rep.stabilization_round()
-                    rep.finish(stabilized=True, rounds=rounds)
+                    rep.retire(t, stabilized=True)
                     retired = True
                 if retired:
                     call_reps = [rep for rep in call_reps if not rep.done]
@@ -641,7 +429,7 @@ class ReplicaBatchExecution(ArrayExecution):
             rep.outcome(moves=int(self._move_counts[rep.index])) for rep in reps
         ]
 
-    def _load_round(self, rep: _Replica, order: Optional[np.ndarray], t: int) -> None:
+    def _load_round(self, rep: _Replica, order: Optional[np.ndarray]) -> None:
         """Stage one pre-drawn round into the shared queue buffer as
         global row ids."""
         if order is None or len(order) != rep.n:
@@ -652,7 +440,7 @@ class ReplicaBatchExecution(ArrayExecution):
             )
         self._queue[rep.offset : rep.offset + rep.n] = order
         self._queue[rep.offset : rep.offset + rep.n] += rep.offset
-        rep.round_start = t
+        rep.order = order
 
     def _replica_good(self, rep: _Replica) -> bool:
         return self._faulty_counts[rep.index] == 0 and self._bad_counts[rep.index] == 0

@@ -727,7 +727,7 @@ class TestReplicaBatching:
         ]
         expected = [run_scenario(s) for s in scenarios]
 
-        def boom(self, max_rounds, max_steps=None):
+        def boom(self, max_rounds):
             raise RuntimeError("fused pass died")
 
         monkeypatch.setattr(ReplicaBatchExecution, "run_ensemble", boom)

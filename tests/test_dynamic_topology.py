@@ -11,9 +11,8 @@ Covers the mutable-topology substrate end to end:
 * :class:`~repro.faults.churn.ChurnProcess` determinism and
   internal-consistency invariants;
 * engine differentials: object/array/native step-for-step under one
-  churn stream, the replica-batch ensemble against solo lanes, and the
-  zero-noise net runtime against the sim lanes through
-  :func:`~repro.campaigns.run_scenario`;
+  churn stream, and the zero-noise net runtime against the sim lanes
+  through :func:`~repro.campaigns.run_scenario`;
 * the ``rewire`` fault plan's incremental path against the old
   rebuild-and-carry flow, plus the exact-delivery contract of
   :func:`~repro.faults.injection.perturb_topology`;
@@ -58,7 +57,6 @@ from repro.graphs.properties import (
 )
 from repro.model.engine import create_execution
 from repro.model.errors import ModelError
-from repro.model.replica_engine import ReplicaBatchExecution, ReplicaSpec
 from repro.model.scheduler import RoundRobinScheduler, SynchronousScheduler
 from repro.viz.timeline import clock_timeline, record_snapshots, sparkline
 
@@ -356,48 +354,6 @@ class TestEngineChurnDifferential:
             assert lanes[engine].graph_is_good() == reference.graph_is_good()
             assert lanes[engine].topology_version == reference.topology_version
             assert lanes[engine].topology_version > 0
-
-    @pytest.mark.parametrize("membership", [False, True], ids=["edges", "members"])
-    def test_replica_ensemble_matches_solo_lanes(self, membership):
-        algorithm = ThinUnison(2)
-        seeds = [41, 42, 43]
-        specs, solos = [], []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            topology = ring(9)
-            initial = random_configuration(algorithm, topology, rng)
-            specs.append(
-                ReplicaSpec(topology, initial, SynchronousScheduler(), rng)
-            )
-            solo_rng = np.random.default_rng(seed)
-            solo_topology = ring(9)
-            solo_initial = random_configuration(algorithm, solo_topology, solo_rng)
-            solos.append(
-                create_execution(
-                    solo_topology,
-                    algorithm,
-                    solo_initial,
-                    SynchronousScheduler(),
-                    rng=solo_rng,
-                    engine="array",
-                )
-            )
-        batch = ReplicaBatchExecution.from_replicas(algorithm, specs)
-        if membership:
-            delta = TopologyDelta(
-                join=((9, (0, 4), algorithm.initial_state()),), leave=(2,)
-            )
-        else:
-            delta = TopologyDelta(add_edges=((0, 3),), remove_edges=((0, 1),))
-        batch.mutate_topology(delta)
-        for solo in solos:
-            solo.mutate_topology(delta)
-        outcomes = batch.run_ensemble(max_rounds=2000)
-        for i, (solo, outcome) in enumerate(zip(solos, outcomes)):
-            run = solo.run(max_rounds=2000, until=lambda e: e.graph_is_good())
-            assert outcome.stabilized == run.stopped_by_predicate, i
-            assert outcome.steps == solo.t, i
-            assert np.array_equal(batch.replica_codes(i), solo.codes), i
 
     @pytest.mark.parametrize("kind", ["churn", "membership"])
     def test_all_four_scenario_lanes_agree(self, kind):

@@ -1,14 +1,14 @@
-"""Differential validation of the replica-batched ensemble engine.
+"""Differential validation of the replica-batched ensemble runner.
 
 Two contracts are pinned down:
 
-* the R = 1 engine path — ``create_execution(engine="replica-batch")``
-  — must be bit-identical to the object-model reference step for step
-  across graph × scheduler × fault-plan combos (mirroring
-  ``tests/test_array_engine_equivalence.py``; fault plans include the
-  storm injector and the permanent-fault adversaries that poke and mask
-  between steps);
-* the R > 1 ensemble path — :meth:`ReplicaBatchExecution.from_replicas`
+* the engine name — ``create_execution(engine="replica-batch")`` builds
+  the array engine, which must be bit-identical to the object-model
+  reference step for step across graph × scheduler × fault-plan combos
+  (mirroring ``tests/test_array_engine_equivalence.py``; fault plans
+  include the storm injector and the permanent-fault adversaries that
+  poke and mask between steps);
+* the ensemble runner — :meth:`ReplicaBatchExecution.from_replicas`
   + :meth:`run_ensemble` — must produce, per replica, exactly the
   outcome the per-scenario array path measures from the same seed:
   same stabilization verdict, same paper-unit rounds, same step count,
@@ -33,7 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algau import ThinUnison
-from repro.faults.injection import TransientFaultInjector, random_configuration
+from repro.faults.injection import (
+    TransientFaultInjector,
+    random_configuration,
+    uniform_configuration,
+)
 from repro.graphs.generators import (
     damaged_clique,
     dumbbell,
@@ -42,7 +46,12 @@ from repro.graphs.generators import (
     star,
 )
 from repro.model.array_engine import ArrayExecution
-from repro.model.engine import ENGINE_FACTORIES, ENGINE_NAMES, create_execution
+from repro.model.engine import (
+    ENGINE_FACTORIES,
+    ENGINE_NAMES,
+    create_execution,
+    engine_class,
+)
 from repro.model.errors import ModelError, UnknownEngineError
 from repro.model.execution import Execution
 from repro.model.replica_engine import (
@@ -59,7 +68,7 @@ from repro.model.scheduler import (
 )
 
 # ----------------------------------------------------------------------
-# R = 1: the engine path behind create_execution.
+# The engine name behind create_execution.
 # ----------------------------------------------------------------------
 
 GRAPHS = {
@@ -126,8 +135,8 @@ def _make_one(topology, initial, sched_key, fault_kind, seed, engine):
 
 
 class TestSingleReplicaEnginePath:
-    """``engine="replica-batch"`` with one replica is an array engine
-    through the whole ExecutionBase contract."""
+    """``engine="replica-batch"`` builds the array engine, through the
+    whole ExecutionBase contract."""
 
     @pytest.mark.parametrize(
         "graph_key, sched_key, fault_kind, seed",
@@ -144,8 +153,7 @@ class TestSingleReplicaEnginePath:
             topology, initial, sched_key, fault_kind, seed, "replica-batch"
         )
         assert isinstance(reference, Execution)
-        assert isinstance(batched, ReplicaBatchExecution)
-        assert batched.replica_count == 1
+        assert type(batched) is ArrayExecution
         for step in range(40):
             ref_record = reference.step()
             rep_record = batched.step()
@@ -158,26 +166,8 @@ class TestSingleReplicaEnginePath:
         assert batched.configuration == reference.configuration
         assert batched.masked_nodes == reference.masked_nodes
 
-    def test_create_execution_builds_the_replica_engine(self):
-        topology = ring(6)
-        algorithm = ThinUnison(2)
-        initial = random_configuration(algorithm, topology, np.random.default_rng(0))
-        execution = create_execution(
-            topology,
-            algorithm,
-            initial,
-            SynchronousScheduler(),
-            rng=np.random.default_rng(1),
-            engine="replica-batch",
-        )
-        assert isinstance(execution, ReplicaBatchExecution)
-        assert isinstance(execution, ArrayExecution)  # inherits the contract
-        assert execution.codes_matrix.shape == (1, 6)
-        assert execution.replica_graph_is_good(0) == execution.graph_is_good()
-        with pytest.raises(ModelError):
-            execution.run_ensemble(max_rounds=1)
-        with pytest.raises(ModelError):
-            execution.replica_codes(1)
+    def test_create_execution_builds_the_array_engine(self):
+        assert engine_class("replica-batch") is ArrayExecution
 
 
 # ----------------------------------------------------------------------
@@ -185,13 +175,26 @@ class TestSingleReplicaEnginePath:
 # ----------------------------------------------------------------------
 
 
-def _solo_outcome(algorithm, family, sched_factory, seed, max_rounds, engine="array"):
+def _uniform_start(algorithm, topology, rng):
+    """A good start: every node on one able clock value."""
+    return uniform_configuration(algorithm, topology)
+
+
+def _solo_outcome(
+    algorithm,
+    family,
+    sched_factory,
+    seed,
+    max_rounds,
+    engine="array",
+    start=random_configuration,
+):
     """The per-scenario measurement (the runner's AU pipeline for a
-    fault-free scenario) from one seed: rng → graph sample → random
-    start → run-until-good."""
+    fault-free scenario) from one seed: rng → graph sample → start
+    (random by default) → run-until-good."""
     rng = np.random.default_rng(seed)
     topology = family(rng)
-    initial = random_configuration(algorithm, topology, rng)
+    initial = start(algorithm, topology, rng)
     execution = create_execution(
         topology,
         algorithm,
@@ -215,12 +218,13 @@ def _solo_outcome(algorithm, family, sched_factory, seed, max_rounds, engine="ar
     return stabilized, rounds, execution.t, codes, rng
 
 
-def _ensemble(algorithm, family, sched_factory, seeds):
+def _ensemble(algorithm, family, sched_factory, seeds, starts=None):
     specs = []
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
+        start = random_configuration if starts is None else starts[i]
         rng = np.random.default_rng(seed)
         topology = family(rng)
-        initial = random_configuration(algorithm, topology, rng)
+        initial = start(algorithm, topology, rng)
         specs.append(ReplicaSpec(topology, initial, sched_factory(), rng))
     return ReplicaBatchExecution.from_replicas(algorithm, specs), specs
 
@@ -249,7 +253,6 @@ class TestEnsembleDifferential:
         sched_factory = SCHEDULERS[sched_key]
         seeds = [9000 + 7 * i for i in range(5)]
         batch, _ = _ensemble(algorithm, family, sched_factory, seeds)
-        assert batch.replica_count == len(seeds)
         outcomes = batch.run_ensemble(max_rounds=4000)
         for i, (seed, outcome) in enumerate(zip(seeds, outcomes)):
             stabilized, rounds, steps, codes, _ = _solo_outcome(
@@ -259,7 +262,35 @@ class TestEnsembleDifferential:
             assert outcome.rounds == rounds, (family_key, sched_key, i)
             assert outcome.steps == steps, (family_key, sched_key, i)
             assert np.array_equal(batch.replica_codes(i), codes)
-            assert batch.replica_graph_is_good(i) == stabilized
+
+    @pytest.mark.parametrize("sched_key", ["round-robin", "shuffled-rr"])
+    def test_queue_mode_retirement_points_match_solo_runs(self, sched_key):
+        """Queue-mode replicas feed their RoundTracker whole rounds and
+        the partial round at retirement: a replica retiring on a round's
+        last step, one retiring mid-round and a pre-satisfied one each
+        report exactly the solo run's rounds, steps and codes."""
+        algorithm = ThinUnison(2)
+        family = FAMILIES["ring9"]
+        sched_factory = SCHEDULERS[sched_key]
+        seeds = [9014, 9000, 9021]
+        starts = [random_configuration, random_configuration, _uniform_start]
+        batch, _ = _ensemble(algorithm, family, sched_factory, seeds, starts)
+        outcomes = batch.run_ensemble(max_rounds=4000)
+        kinds = set()
+        for i, (seed, start, outcome) in enumerate(zip(seeds, starts, outcomes)):
+            stabilized, rounds, steps, codes, _ = _solo_outcome(
+                algorithm, family, sched_factory, seed, 4000, start=start
+            )
+            assert stabilized and outcome.stabilized, i
+            assert (outcome.rounds, outcome.steps) == (rounds, steps), i
+            assert np.array_equal(batch.replica_codes(i), codes), i
+            if steps == 0:
+                kinds.add("pre-satisfied")
+            elif steps % outcome.n == 0:
+                kinds.add("round end")
+            else:
+                kinds.add("mid-round")
+        assert kinds == {"pre-satisfied", "round end", "mid-round"}
 
     def test_round_budget_exhaustion_matches_solo_runs(self):
         """Replicas retired by the budget report the same completed
@@ -291,14 +322,19 @@ class TestEnsembleDifferential:
         assert all(o.stabilized for o in outcomes)
         assert len({o.steps for o in outcomes}) > 1
 
-    def test_codes_matrix_shape_and_step_guard(self):
+    def test_topologies_with_departed_nodes_are_rejected(self):
+        from repro.graphs.dynamic import DynamicTopology, TopologyDelta
+
         algorithm = ThinUnison(2)
-        batch, _ = _ensemble(
-            algorithm, FAMILIES["ring9"], SynchronousScheduler, [1, 2, 3]
-        )
-        assert batch.codes_matrix.shape == (3, 9)
-        with pytest.raises(ModelError):
-            batch.step()  # ensembles are driven by run_ensemble only
+        rng = np.random.default_rng(0)
+        topology = DynamicTopology(ring(9))
+        topology.apply_delta(TopologyDelta(leave=(2,)))
+        initial = random_configuration(algorithm, topology, rng)
+        with pytest.raises(ModelError, match="static topologies"):
+            ReplicaBatchExecution.from_replicas(
+                algorithm,
+                [ReplicaSpec(topology, initial, RoundRobinScheduler(), rng)],
+            )
 
     def test_enabled_aware_schedulers_are_rejected(self):
         algorithm = ThinUnison(2)
