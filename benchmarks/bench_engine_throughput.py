@@ -8,10 +8,12 @@ Alongside the usual rendered table the benchmark persists
 track the performance trajectory machine-readably.
 
 Acceptance gate: the array engine must be ≥ 10× faster than the object
-engine at ``n = 10_000`` (the issue's headline claim); empirically it
-lands ~15×, and the gap widens with ``n`` because the object engine
-pays Python-level signal construction per node while the array engine
-pays a handful of numpy passes per step.
+engine at ``n = 10_000``.  On a shared 2-CPU host it lands at 16–26×:
+the object engine pays a Python-level signal set and a δ-memo lookup
+per dirty node, while the array engine pays a handful of numpy passes
+per step.  Both sides return a ``StepRecord`` per step; neither decodes
+change tuples that nothing reads (the array tier's records decode
+lazily).
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def test_engine_throughput(benchmark):
         rows,
         title=(
             f"Engine throughput — synchronous ring, D={D}: object model vs "
-            "vectorized array backend (best-of-3, full StepRecord bookkeeping)"
+            "vectorized array backend (best-of-3, a StepRecord per step)"
         ),
     )
     emit("engine_throughput", table)

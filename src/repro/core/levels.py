@@ -15,7 +15,7 @@ Levels ``ℓ, ℓ'`` are *adjacent* when ``ℓ' ∈ {φ^{-1}(ℓ), ℓ, φ^{+1}(
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
 from repro.model.errors import ModelError
 
@@ -35,7 +35,7 @@ class LevelSystem:
     phrased in its vocabulary.
     """
 
-    __slots__ = ("_d", "_k", "_levels")
+    __slots__ = ("_d", "_k", "_levels", "_adjacency")
 
     def __init__(self, diameter_bound: int, k: int | None = None):
         self._d = diameter_bound
@@ -45,6 +45,12 @@ class LevelSystem:
         self._levels: Tuple[int, ...] = tuple(
             range(-self._k, 0)
         ) + tuple(range(1, self._k + 1))
+        # One O(k) pass over φ^{±1}; every execution over this level
+        # system shares the table.
+        self._adjacency: Mapping[int, FrozenSet[int]] = {
+            level: frozenset((self.forward(level, -1), level, self.forward(level)))
+            for level in self._levels
+        }
 
     # ------------------------------------------------------------------
     # Parameters.
@@ -91,6 +97,13 @@ class LevelSystem:
     def adjacent(self, a: int, b: int) -> bool:
         """Levels are adjacent iff equal or one forward-step apart."""
         return self.distance(a, b) <= 1
+
+    @property
+    def adjacency(self) -> Mapping[int, FrozenSet[int]]:
+        """Level → ``{φ^{-1}(ℓ), ℓ, φ^{+1}(ℓ)}``, the levels adjacent to
+        it: :meth:`adjacent` as a table, for hot loops
+        (``b in adjacency[a]`` iff ``adjacent(a, b)``).  Do not mutate."""
+        return self._adjacency
 
     # ------------------------------------------------------------------
     # Outwards operator ψ.

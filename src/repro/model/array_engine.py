@@ -29,12 +29,13 @@ The engine implements the exact contract of
 * identical ``StepRecord`` streams (activation sets, change tuples with
   real :class:`~repro.core.turns.Turn` objects, round completion flags)
   for the same seeds — verified step for step by the differential test
-  suite;
+  suite; a record keeps its step's moved rows and codes and decodes
+  the Turn tuples only when ``changed`` is read;
 * monitors and interventions see a real
   :class:`~repro.model.configuration.Configuration` via the
   :attr:`configuration` property, which is decoded lazily and cached
   until the codes change, so monitor-free runs never materialize Turn
-  objects except for the changed nodes of each record;
+  objects;
 * any scheduler works: the activation set is translated to an index
   array, and sparse activations take a fast path that only gathers the
   activated rows of the presence matrix.
@@ -48,14 +49,15 @@ the paper's variant and the ``cautious_af=False`` ablation).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import FrozenSet, Optional, Tuple, TYPE_CHECKING
+from functools import partial
+from typing import FrozenSet, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
-from repro.model.engine import ExecutionBase, Intervention, Monitor
+from repro.model.engine import Changes, ExecutionBase, Intervention, Monitor
 from repro.model.errors import ModelError
 from repro.model.scheduler import Scheduler
 
@@ -65,6 +67,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids
 
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _decode_changes(
+    table: Sequence[Turn], rows, old_codes, new_codes
+) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    """The ``(node, old, new)`` Turn tuples of one step, from its moved
+    rows and their old and new codes (numpy arrays or lists, in row
+    order).  A :class:`~repro.model.engine.StepRecord` calls this on its
+    first read of ``changed``; the arrays are the step's own copies, so
+    later steps' in-place writes to the code vector cannot reach them."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+        old_codes = old_codes.tolist()
+        new_codes = new_codes.tolist()
+    return tuple(
+        (v, table[old], table[new]) for v, old, new in zip(rows, old_codes, new_codes)
+    )
 
 
 def supports_array_engine(algorithm: Algorithm) -> bool:
@@ -218,7 +237,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         self._config_cache = None
         self._mark_dirty_rows(rows)
 
-    def _apply(self, activated: FrozenSet[int]) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    def _apply(self, activated: FrozenSet[int]) -> Changes:
         if not self.incremental:
             return self._apply_naive(activated)
         codes = self._codes
@@ -329,24 +348,17 @@ class ArrayExecution(ExecutionBase["Turn"]):
                 self._bare_step, max_steps, max_rounds, until, check_until_each_step
             )
 
-    def _commit(
-        self, diff: np.ndarray, new_diff: np.ndarray
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
-        """Apply the moved lanes: build the change tuples, fold the
-        goodness counts (which must read pre-write codes), then write in
-        place and drop the decoded-configuration cache.  Callers handle
-        their own dirty-set bookkeeping."""
+    def _commit(self, diff: np.ndarray, new_diff: np.ndarray) -> Changes:
+        """Apply the moved lanes: capture the change record (decoded
+        only if read), fold the goodness counts (which must read
+        pre-write codes), then write in place and drop the
+        decoded-configuration cache.  Callers handle their own
+        dirty-set bookkeeping."""
         codes = self._codes
         old_diff = codes[diff]
         if self._record_changes:
             table = self._encoding.turn_table
-            changed = tuple(
-                zip(
-                    diff.tolist(),
-                    [table[c] for c in old_diff.tolist()],
-                    [table[c] for c in new_diff.tolist()],
-                )
-            )
+            changed = partial(_decode_changes, table, diff, old_diff, new_diff)
         else:
             changed = ()
         self._update_goodness(diff, old_diff, new_diff)
@@ -371,9 +383,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         """
         return evaluate_delta(self._kernel, codes, rows, csr)
 
-    def _apply_dense(
-        self, rows: Optional[np.ndarray]
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    def _apply_dense(self, rows: Optional[np.ndarray]) -> Changes:
         """Dense-activation step: batch-recompute the activated lanes
         like the naive reference (writes in place) and wholesale-dirty
         the pipeline afterwards."""
@@ -411,9 +421,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
             self._hoods = self._csr.neighbor_lists()
         return self._hoods
 
-    def _apply_scalar(
-        self, activated: FrozenSet[int]
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    def _apply_scalar(self, activated: FrozenSet[int]) -> Changes:
         codes = self._codes
         dirty = self._dirty
         pending = self._pending
@@ -436,9 +444,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         new_codes = [int(pending[v]) for v in moved]
         if self._record_changes:
             table = self._encoding.turn_table
-            changed = tuple(
-                (v, table[o], table[c]) for v, o, c in zip(moved, old_codes, new_codes)
-            )
+            changed = partial(_decode_changes, table, moved, old_codes, new_codes)
         else:
             changed = ()
         self._update_goodness_scalar(moved, old_codes, new_codes)
@@ -599,9 +605,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
     # The naive full-recompute reference (pre-pipeline behavior).
     # ------------------------------------------------------------------
 
-    def _apply_naive(
-        self, activated: FrozenSet[int]
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    def _apply_naive(self, activated: FrozenSet[int]) -> Changes:
         # A dense step over the activated rows; the wholesale
         # invalidation keeps the enabled bookkeeping conservative.
         if len(activated) == len(self._codes):

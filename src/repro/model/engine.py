@@ -81,6 +81,7 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
+    Union,
 )
 
 import numpy as np
@@ -95,18 +96,70 @@ from repro.model.scheduler import Scheduler
 Q = TypeVar("Q")
 
 
-@dataclass(frozen=True)
-class StepRecord(Generic[Q]):
-    """What happened during one step."""
+#: One step's ``(node, old_state, new_state)`` tuples.
+ChangeTuples = Tuple[Tuple[int, Q, Q], ...]
+#: What an engine's ``_apply`` returns: the change tuples, or a
+#: zero-argument callable that builds them on demand.
+Changes = Union[ChangeTuples, Callable[[], ChangeTuples]]
 
-    t: int
-    activated: FrozenSet[int]
-    changed: Tuple[Tuple[int, Q, Q], ...]  # (node, old_state, new_state)
-    completed_round: bool
-    #: Post-step enabled count (nodes whose ``δ`` would move them),
-    #: stamped only when the execution was built with
-    #: ``track_enabled=True``; ``None`` otherwise.
-    enabled: Optional[int] = None
+
+class StepRecord(Generic[Q]):
+    """What happened during one step (read-only).
+
+    ``changed`` holds ``(node, old_state, new_state)`` for every node the
+    step moved.  An engine may hand the changes over undecoded, as a
+    zero-argument callable; the record builds the tuple on the first
+    read of :attr:`changed` and keeps it, so a record nothing reads
+    never decodes a state.  Equality, hashing and ``repr`` use the
+    decoded tuple.
+    """
+
+    __slots__ = ("t", "activated", "_changed", "completed_round", "enabled")
+
+    def __init__(
+        self,
+        t: int,
+        activated: FrozenSet[int],
+        changed: Changes,
+        completed_round: bool,
+        enabled: Optional[int] = None,
+    ):
+        self.t = t
+        self.activated = activated
+        self._changed = changed
+        self.completed_round = completed_round
+        #: Post-step enabled count (nodes whose ``δ`` would move them),
+        #: stamped only when the execution was built with
+        #: ``track_enabled=True``; ``None`` otherwise.
+        self.enabled = enabled
+
+    @property
+    def changed(self) -> ChangeTuples:
+        """``(node, old_state, new_state)`` per moved node, decoded on
+        first read."""
+        changed = self._changed
+        if not isinstance(changed, tuple):
+            changed = self._changed = changed()
+        return changed
+
+    def _fields(self) -> tuple:
+        changed = self.changed
+        return (self.t, self.activated, changed, self.completed_round, self.enabled)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"StepRecord(t={self.t!r}, activated={self.activated!r}, "
+            f"changed={self.changed!r}, completed_round={self.completed_round!r}, "
+            f"enabled={self.enabled!r})"
+        )
 
 
 @dataclass
@@ -191,9 +244,10 @@ class ExecutionBase(ABC, Generic[Q]):
         already validated)."""
 
     @abstractmethod
-    def _apply(self, activated: FrozenSet[int]) -> Tuple[Tuple[int, Q, Q], ...]:
+    def _apply(self, activated: FrozenSet[int]) -> Changes:
         """Apply one simultaneous-update step for ``activated`` under
-        the pre-step configuration and return the change tuples."""
+        the pre-step configuration and return the change tuples (or a
+        callable that builds them; see :class:`StepRecord`)."""
 
     @property
     @abstractmethod

@@ -16,7 +16,10 @@ For deterministic algorithms the engine runs the incremental step
 pipeline of :class:`~repro.model.engine.ExecutionBase`: a per-node
 pending-action cache guarded by a dirty set, with signals built from
 the cached CSR neighborhoods (:mod:`repro.graphs.csr`) the vectorized
-backend shares — one adjacency representation for both engines.
+backend shares — one adjacency representation for both engines.  A
+dirty node's action is looked up in a per-execution δ memo keyed by
+``(own state, sensed set)``, the only inputs of a deterministic δ in
+the stone age model; a miss calls ``resolve`` once.
 Randomized algorithms (whose ``resolve`` tosses a coin per activation)
 always take the naive recompute path, so their rng streams are
 untouched; ``incremental=False`` forces the naive path for
@@ -84,9 +87,15 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         self._use_cache = bool(incremental) and getattr(
             algorithm, "deterministic", False
         )
+        #: δ memo of the cached pipeline: ``(state, sensed frozenset)`` →
+        #: next state (see :meth:`_delta`).
+        self._delta_memo: Dict[Tuple[Q, FrozenSet[Q]], Q] = {}
         from repro.core.algau import ThinUnison
 
         self._track_goodness = self._use_cache and isinstance(algorithm, ThinUnison)
+        if self._track_goodness:
+            # Level → adjacent levels, shared through the level system.
+            self._adjacency = algorithm.levels.adjacency
         super().__init__(
             topology,
             algorithm,
@@ -124,6 +133,21 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         neighborhood (no per-configuration memo machinery)."""
         return Signal(states[u] for u in self._hoods[v])
 
+    def _delta(self, v: int, states: Tuple[Q, ...]) -> Q:
+        """δ of ``v`` under ``states`` on the cached pipeline, looked up
+        in the per-execution memo keyed by ``(own state, sensed set)``;
+        a miss resolves it once through the algorithm."""
+        old = states[v]
+        sensed = frozenset([states[u] for u in self._hoods[v]])
+        key = (old, sensed)
+        try:
+            return self._delta_memo[key]
+        except KeyError:
+            # Signal adopts the frozenset as is: no second set build.
+            new = self.algorithm.resolve(old, Signal(sensed), self.rng)
+            self._delta_memo[key] = new
+            return new
+
     def _apply(self, activated: FrozenSet[int]) -> Tuple[Tuple[int, Q, Q], ...]:
         config = self._configuration
         updates: Dict[int, Q] = {}
@@ -133,11 +157,10 @@ class Execution(ExecutionBase[Q], Generic[Q]):
             dirty = self._dirty
             pending = self._pending
             enabled = self._enabled
-            resolve = self.algorithm.resolve  # deterministic: rng unused
             for v in activated:
                 old = states[v]
                 if v in dirty:
-                    new = resolve(old, self._signal(v, states), self.rng)
+                    new = self._delta(v, states)
                     pending[v] = new
                     dirty.discard(v)
                     if new != old:
@@ -175,9 +198,9 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         enabled = self._enabled
         hoods = self._hoods
         for v in moved:
-            for u in hoods[v]:
-                dirty.add(u)
-                enabled.discard(u)
+            hood = hoods[v]
+            dirty.update(hood)
+            enabled.difference_update(hood)
 
     def _refresh_pending(self) -> None:
         config = self._configuration
@@ -188,9 +211,8 @@ class Execution(ExecutionBase[Q], Generic[Q]):
             if not dirty:
                 return
             pending = self._pending
-            resolve = self.algorithm.resolve
             for v in dirty:
-                new = resolve(states[v], self._signal(v, states), self.rng)
+                new = self._delta(v, states)
                 pending[v] = new
                 if new != states[v]:
                     enabled.add(v)
@@ -293,21 +315,22 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         if not self._track_goodness or self._goodness is None or not changed:
             return
         n_faulty, bad = self._goodness
-        adjacent = self.algorithm.levels.adjacent
+        adjacency = self._adjacency
         new_of = {v: new for v, _, new in changed}
         hoods = self._hoods
+        old_states = old_config.states()
         for v, old, new in changed:
-            n_faulty += int(new.faulty) - int(old.faulty)
-            old_level = old.level
-            new_level = new.level
+            n_faulty += new.faulty - old.faulty
+            adjacent_to_old = adjacency[old.level]
+            adjacent_to_new = adjacency[new.level]
             for u in hoods[v]:
                 if u == v:
                     continue
-                u_old = old_config[u]
+                u_old_level = old_states[u].level
                 u_new = new_of.get(u)
-                u_new_level = u_old.level if u_new is None else u_new.level
-                was_bad = int(not adjacent(old_level, u_old.level))
-                now_bad = int(not adjacent(new_level, u_new_level))
+                u_new_level = u_old_level if u_new is None else u_new.level
+                was_bad = u_old_level not in adjacent_to_old
+                now_bad = u_new_level not in adjacent_to_new
                 delta = now_bad - was_bad
                 bad += delta
                 if u_new is None:
@@ -323,13 +346,13 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         if not self._track_goodness:
             return super().graph_is_good()
         if self._goodness is None:
-            config = self._configuration
-            adjacent = self.algorithm.levels.adjacent
-            n_faulty = sum(1 for q in config.states() if q.faulty)
+            states = self._configuration.states()
+            adjacency = self._adjacency
+            n_faulty = sum(1 for q in states if q.faulty)
             bad = 2 * sum(
                 1
                 for u, v in self.topology.edges
-                if not adjacent(config[u].level, config[v].level)
+                if states[v].level not in adjacency[states[u].level]
             )
             self._goodness = (n_faulty, bad)
         return self._goodness == (0, 0)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.reset_tail_unison import ResetTailUnison
 from repro.core.algau import ThinUnison
+from repro.core.algau_native import native_backend
 from repro.core.encoding import TurnEncoding
 from repro.core.predicates import is_good_graph
 from repro.core.turns import Turn, able, faulty
@@ -39,7 +40,7 @@ from repro.graphs.generators import (
     torus,
 )
 from repro.model.array_engine import ArrayExecution, supports_array_engine
-from repro.model.engine import create_execution
+from repro.model.engine import StepRecord, create_execution
 from repro.model.errors import ModelError
 from repro.model.execution import Execution
 from repro.model.scheduler import (
@@ -399,13 +400,35 @@ INCREMENTAL_CASES = [
 ]
 
 
-def _make_variant(topology, initial, sched_key, fault_kind, seed, engine, incremental):
+#: Extra inputs for the object lane's δ memo: (input, graph, scheduler,
+#: fault kind, seed).
+MEMO_CASES = [
+    ("no-cautious-af", "damaged10", "shuffled-rr", "storm", 4100),
+    ("no-cautious-af", "gnp12", "random-subset", "byz-oscillating", 4101),
+    ("reset-tail", "ring9", "round-robin", "storm", 4102),
+    ("reset-tail", "torus3x4", "sync", "none", 4103),
+    ("topology-deltas", "gnp12", "sync", "none", 4104),
+    ("topology-deltas", "damaged10", "random-subset", "none", 4105),
+]
+
+
+def _make_variant(
+    topology,
+    initial,
+    sched_key,
+    fault_kind,
+    seed,
+    engine,
+    incremental,
+    algorithm=None,
+    monitors=(),
+):
     """One execution with identically seeded rng streams regardless of
     engine/pipeline variant (topology and start shared across variants)."""
     from repro.resilience.adversary import PermanentFaultAdversary
     from repro.resilience.strategies import Crash, make_strategy
 
-    algorithm = ThinUnison(2)
+    algorithm = algorithm or ThinUnison(2)
     intervention = None
     if fault_kind == "storm":
         intervention = TransientFaultInjector(
@@ -429,6 +452,7 @@ def _make_variant(topology, initial, sched_key, fault_kind, seed, engine, increm
         initial,
         SCHEDULERS[sched_key](topology),
         rng=np.random.default_rng(seed + 3),
+        monitors=monitors,
         intervention=intervention,
         engine=engine,
         incremental=incremental,
@@ -483,6 +507,68 @@ class TestIncrementalPipelineDifferential:
         for key, execution in others:
             assert execution.configuration == reference.configuration, key
             assert execution.masked_nodes == reference.masked_nodes, key
+
+    @pytest.mark.parametrize(
+        "memo_input, graph_key, sched_key, fault_kind, seed",
+        MEMO_CASES,
+        ids=[f"{m}-{g}-{s}-{f}" for m, g, s, f, _ in MEMO_CASES],
+    )
+    def test_object_memo_matches_naive_reference(
+        self, memo_input, graph_key, sched_key, fault_kind, seed
+    ):
+        """The object lane's δ memo, beyond the matrix above: the
+        ablated AlgAU, the other deterministic algorithm, and a stream
+        of topology deltas (joins and leaves included) applied between
+        steps.  Change tuples must match the naive path exactly."""
+        algorithm = {
+            "no-cautious-af": ThinUnison(2, cautious_af=False),
+            "reset-tail": ResetTailUnison.for_diameter_bound(2),
+            "topology-deltas": ThinUnison(2),
+        }[memo_input]
+        topology = GRAPHS[graph_key](seed)
+        initial = random_configuration(
+            algorithm, topology, np.random.default_rng(seed + 1)
+        )
+        pair = [
+            _make_variant(
+                topology,
+                initial,
+                sched_key,
+                fault_kind,
+                seed,
+                "object",
+                incremental,
+                algorithm=algorithm,
+            )
+            for incremental in (True, False)
+        ]
+        deltas = [None] * 45
+        if memo_input == "topology-deltas":
+            from repro.faults.churn import ChurnProcess
+
+            churn = ChurnProcess(
+                topology,
+                seed=seed,
+                edge_add_rate=0.3,
+                edge_remove_rate=0.3,
+                join_rate=0.1,
+                leave_rate=0.1,
+                initial_state=algorithm.initial_state,
+            )
+            deltas = list(churn.deltas(45))
+            assert sum(delta is not None for delta in deltas) >= 10
+        polls_goodness = isinstance(algorithm, ThinUnison)
+        for step, delta in enumerate(deltas):
+            if delta is not None:
+                for execution in pair:
+                    execution.mutate_topology(delta)
+            cached, naive = (execution.step() for execution in pair)
+            assert cached == naive, step  # change tuples in order included
+            if polls_goodness:
+                assert pair[0].graph_is_good() == pair[1].graph_is_good(), step
+            assert pair[0].enabled_count() == pair[1].enabled_count(), step
+        assert pair[0].configuration.states() == pair[1].configuration.states()
+        assert pair[0]._delta_memo, "the cached lane never consulted its memo"
 
     @pytest.mark.parametrize("engine", ["object", "array"])
     def test_array_incremental_streams_are_bit_identical(self, engine):
@@ -614,6 +700,95 @@ class TestIncrementalPipelineDifferential:
         assert execution.enabled_nodes() == brute_force()
         execution.mask_nodes(())
         assert execution.enabled_nodes() == brute_force()
+
+
+# ----------------------------------------------------------------------
+# Lazily decoded change records on the array tier.
+# ----------------------------------------------------------------------
+
+#: (graph, scheduler, fault kind): dense steps, Byzantine-masked steps,
+#: and the scalar path (one activation per step).
+LAZY_RECORD_CASES = {
+    "dense": ("torus3x4", "sync", "none"),
+    "masked": ("gnp12", "random-subset", "byz-random"),
+    "scalar": ("damaged10", "round-robin", "byz-frozen"),
+}
+
+ARRAY_TIER = [
+    "array",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(native_backend() is None, reason="no native backend"),
+    ),
+]
+
+
+@pytest.mark.parametrize("engine", ARRAY_TIER)
+@pytest.mark.parametrize("case", sorted(LAZY_RECORD_CASES))
+class TestLazyChangeRecords:
+    """Array-tier records keep a step's moved rows and codes and decode
+    ``changed`` on first read; reading late, comparing records, and
+    folding monitors must all behave as with eager tuples."""
+
+    STEPS = 40
+
+    def _lane(self, case, engine, monitors=()):
+        """A fresh execution; equal ``case`` gives equal seeds."""
+        graph_key, sched_key, fault_kind = LAZY_RECORD_CASES[case]
+        seed = 5100 + sorted(LAZY_RECORD_CASES).index(case)
+        topology = GRAPHS[graph_key](seed)
+        initial = random_configuration(
+            ThinUnison(2), topology, np.random.default_rng(seed + 1)
+        )
+        return _make_variant(
+            topology,
+            initial,
+            sched_key,
+            fault_kind,
+            seed,
+            engine,
+            True,
+            monitors=monitors,
+        )
+
+    def test_late_reads_equal_eager_decoding(self, case, engine):
+        eager_lane, lazy_lane = self._lane(case, engine), self._lane(case, engine)
+        eager = [eager_lane.step().changed for _ in range(self.STEPS)]
+        records = [lazy_lane.step() for _ in range(self.STEPS)]
+        # Every record is read only after all later steps wrote codes.
+        assert [record.changed for record in records] == eager
+        assert sum(map(len, eager)) > 0
+        if case == "masked":
+            assert lazy_lane.masked_nodes
+
+    def test_equality_compares_decoded_changes(self, case, engine):
+        left, right = self._lane(case, engine), self._lane(case, engine)
+        for _ in range(self.STEPS):
+            a, b = left.step(), right.step()
+            assert a == b and hash(a) == hash(b)
+            if a.changed:
+                break
+        else:
+            pytest.fail("no step moved a node")
+        assert a == StepRecord(a.t, a.activated, a.changed, a.completed_round)
+        forged = StepRecord(a.t, a.activated, lambda: a.changed[1:], a.completed_round)
+        assert forged != a
+
+    def test_monitors_read_the_same_changes(self, case, engine):
+        from repro.analysis.monitors import MoveCounter, OutputChangeMonitor
+
+        algorithm = ThinUnison(2)
+        ref_moves, ref_output = MoveCounter(), OutputChangeMonitor(algorithm)
+        moves, output = MoveCounter(), OutputChangeMonitor(algorithm)
+        reference = self._lane(case, "object", (ref_moves, ref_output))
+        lane = self._lane(case, engine, (moves, output))
+        for _ in range(self.STEPS):
+            reference.step()
+            lane.step()
+        assert moves.moves == ref_moves.moves == lane.moves > 0
+        assert output.last_change_time == ref_output.last_change_time
+        assert output.current_vector == ref_output.current_vector
+        assert output.currently_complete == ref_output.currently_complete
 
 
 # ----------------------------------------------------------------------

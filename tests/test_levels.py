@@ -105,6 +105,41 @@ class TestAdjacency:
         assert ls.adjacent(-1, 1)
         assert not ls.adjacent(-1, 2)
 
+    @pytest.mark.parametrize(
+        "ls",
+        [LevelSystem(d) for d in range(1, 9)] + [LevelSystem(3, k=4)],
+        ids=[f"D={d}" for d in range(1, 9)] + ["D=3,k=4"],
+    )
+    def test_adjacency_table_equals_the_definition(self, ls):
+        table = ls.adjacency
+        assert set(table) == set(ls.levels)
+        for a in ls.levels:
+            for b in ls.levels:
+                assert (b in table[a]) == ls.adjacent(a, b), (a, b)
+
+    def test_executions_share_the_level_systems_table(self):
+        import numpy as np
+
+        from repro.core.algau import ThinUnison
+        from repro.faults.injection import random_configuration
+        from repro.graphs.generators import ring
+        from repro.model.execution import Execution
+        from repro.model.scheduler import SynchronousScheduler
+
+        algorithm = ThinUnison(2)
+        topology = ring(6)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(0))
+        table = algorithm.levels.adjacency
+        executions = [
+            Execution(topology, algorithm, initial, SynchronousScheduler())
+            for _ in range(2)
+        ]
+        for execution in executions:
+            execution.run(max_steps=5)
+            execution.graph_is_good()
+            assert execution._adjacency is table
+        assert algorithm.levels.adjacency is table
+
 
 class TestOutwardsOperator:
     def test_sign_preserved(self):

@@ -323,3 +323,66 @@ class TestEngineMoves:
                 )
                 assert execution.moves == before
         assert counter.moves > 0
+
+
+#: Runs in a fresh interpreter: an object-lane AlgAU execution, cached
+#: and naive, through goodness polling, a poke and a topology delta.
+_OBJECT_LANE_PROGRAM = """
+import sys
+
+import numpy as np
+
+from repro.core.algau import ThinUnison
+from repro.core.turns import faulty
+from repro.faults.injection import random_configuration
+from repro.graphs.dynamic import TopologyDelta
+from repro.graphs.generators import ring
+from repro.model.engine import create_execution, graph_is_good
+from repro.model.scheduler import ShuffledRoundRobinScheduler
+
+algorithm = ThinUnison(2)
+topology = ring(8)
+initial = random_configuration(algorithm, topology, np.random.default_rng(1))
+for incremental in (True, False):
+    execution = create_execution(
+        topology, algorithm, initial, ShuffledRoundRobinScheduler(),
+        rng=np.random.default_rng(2), engine="object", incremental=incremental,
+    )
+    execution.run(max_steps=40, until=graph_is_good)
+    execution.poke_states({0: faulty(3)})
+    execution.mutate_topology(
+        TopologyDelta(remove_edges=((0, 1),), add_edges=((0, 2),))
+    )
+    execution.run(max_steps=40, until=graph_is_good)
+    execution.enabled_count()
+loaded = [
+    name
+    for name in ("repro.core.algau_vec", "repro.core.algau_native",
+                 "repro.core.encoding")
+    if name in sys.modules
+]
+print(",".join(loaded))
+"""
+
+
+def test_object_lane_never_loads_the_array_kernels():
+    """The object lane is the oracle the array tiers are checked
+    against, so it must not lean on their encoding or kernels."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    paths = (src, os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _OBJECT_LANE_PROGRAM],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == ""
