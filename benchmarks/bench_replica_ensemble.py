@@ -11,8 +11,10 @@ with per-replica rng streams, round bookkeeping and goodness-count
 retirement (stabilized replicas drop out of the hot loop).
 
 This benchmark times the fused ensemble against the per-scenario array
-loop (create → ``run(until=graph_is_good)`` per replica — exactly the
-pre-batching campaign path) at ``n = 1000``, ``R = 64`` replicas on the
+loop (create → ``run(until=lambda e: e.graph_is_good())`` per replica:
+the per-step path, not the campaign path, which passes the shared
+``graph_is_good`` and runs whole rounds of these sequential daemons on
+the list sequence kernel) at ``n = 1000``, ``R = 64`` replicas on the
 ring and Erdős–Rényi (``gnp``) families, and asserts per-replica
 bit-identity (stabilization verdicts, paper-unit rounds, step counts
 and final code vectors).  Alongside the rendered table it persists
@@ -104,8 +106,11 @@ def _run_batched(family, scheduler_factory, max_rounds):
 
 
 def _run_solo(family, scheduler_factory, max_rounds):
-    """The pre-batching campaign path: one ArrayExecution per replica,
-    driven by ``run(max_rounds, until=graph_is_good)``."""
+    """One ArrayExecution per replica, driven by ``run(max_rounds,
+    until=lambda e: e.graph_is_good())``.  The lambda is not the shared
+    ``graph_is_good``, so it keeps the per-step path: this is the
+    per-step solo loop, not the campaign path (which takes whole-round
+    runs under the sequential daemons)."""
     algorithm, raw = _specs(family)
     start = time.perf_counter()
     outcomes = []

@@ -60,6 +60,8 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.algau_vec import checked_sequence
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.algau_vec import VectorKernel
     from repro.graphs.csr import CSRAdjacency
@@ -735,12 +737,8 @@ class NativeKernel:
         returns the number of activations applied (``len(order)`` when
         the graph never became good)."""
         t = self.tables
-        order = np.ascontiguousarray(order, dtype=np.int64)
         # The compiled lanes index and write through raw pointers.
-        if len(order) and not 0 <= order.min() <= order.max() < len(codes):
-            raise ValueError("run_sequence order names a node outside the codes")
-        if counts.dtype != np.int64 or counts.shape != (3,):
-            raise ValueError("run_sequence counts must be an int64 triple")
+        order = checked_sequence(codes, order, counts)
         return int(
             self.backend.run_sequence(
                 codes, csr.indptr, csr.indices, order,

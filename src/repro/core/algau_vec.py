@@ -99,6 +99,17 @@ class ScalarDelta:
         return own
 
 
+def checked_sequence(codes: np.ndarray, order, counts: np.ndarray) -> np.ndarray:
+    """``order`` as contiguous int64, checked as every ``run_sequence``
+    lane checks it (and ``counts``) before touching ``codes``."""
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    if len(order) and not 0 <= order.min() <= order.max() < len(codes):
+        raise ValueError("run_sequence order names a node outside the codes")
+    if counts.dtype != np.int64 or counts.shape != (3,):
+        raise ValueError("run_sequence counts must be an int64 triple")
+    return order
+
+
 def _row_masks(table: np.ndarray) -> List[int]:
     """Each row of a boolean ``(|Q|, |Q|)`` table as an int bit mask
     (bit ``s`` set iff ``table[row, s]``)."""
@@ -329,6 +340,59 @@ class VectorKernel:
         """
         hood = codes[neighborhood].tolist()
         return self.scalar_delta()(hood[0], hood)
+
+    def run_sequence(
+        self,
+        codes: np.ndarray,
+        csr: "CSRAdjacency",
+        order: np.ndarray,
+        counts: np.ndarray,
+    ) -> int:
+        """:meth:`~repro.core.algau_native.NativeKernel.run_sequence`
+        (same contract) at Python-list speed: :meth:`scalar_delta`'s
+        masks and :meth:`pair_bad_rows` over one ``tolist()`` of the
+        codes, written back once."""
+        order = checked_sequence(codes, order, counts).tolist()
+        delta = self.scalar_delta()
+        bit, block, free_to = delta._bit, delta._block, delta._free_to
+        fire, fire_to = delta._fire, delta._fire_to
+        pair_bad = self.pair_bad_rows()
+        k2 = self.num_clocks
+        hoods = csr.neighbor_lists()
+        values = codes.tolist()
+        faulty, bad, moves = counts.tolist()
+        applied = 0
+        for v in order:
+            applied += 1
+            c = values[v]
+            hood = hoods[v]
+            mask = 0
+            for u in hood:
+                mask |= bit[values[u]]
+            if not mask & block[c]:
+                new = free_to[c]
+            elif mask & fire[c]:
+                new = fire_to[c]
+            else:
+                new = c
+            if new != c:
+                bad_new = pair_bad[new]
+                bad_old = pair_bad[c]
+                fold = 0
+                for u in hood:
+                    if u != v:
+                        cu = values[u]
+                        fold += bad_new[cu] - bad_old[cu]
+                bad += 2 * fold
+                faulty += (new >= k2) - (c >= k2)
+                moves += 1
+                values[v] = new
+            if not faulty and not bad:
+                break
+        if moves != counts[2]:
+            codes[:] = values
+        counts[:] = (faulty, bad, moves)
+        return applied
 
     # ------------------------------------------------------------------
     # Incremental goodness accounting (shared by the engines).

@@ -19,7 +19,9 @@ that bypasses numpy dispatch entirely, which is what makes sparse
 schedules scale with *activity* instead of ``n``.  The engine also
 keeps incremental goodness counts (faulty nodes + unprotected ordered
 pairs), so the AlgAU stabilization predicate answers in O(changes)
-amortized instead of rescanning the configuration.
+amortized instead of rescanning the configuration, and
+``run(until=graph_is_good)`` hands each round of a round-order daemon
+to one sequence-kernel call (:meth:`VectorKernel.run_sequence`).
 ``incremental=False`` restores the naive full-recompute reference
 (bit-identical trajectories; the differential suite compares the two).
 
@@ -58,6 +60,7 @@ from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
 from repro.model.engine import Changes, ExecutionBase, Intervention, Monitor
+from repro.model.engine import RunResult, graph_is_good
 from repro.model.errors import ModelError
 from repro.model.scheduler import Scheduler
 
@@ -146,7 +149,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
         self._encoding = algorithm.encoding
         self._kernel = algorithm.vector_kernel()
         self._csr = topology.inclusive_csr()
-        self._hoods = None  # Python-list CSR view, built on first scalar use
         super().__init__(
             topology,
             algorithm,
@@ -340,13 +342,80 @@ class ArrayExecution(ExecutionBase["Turn"]):
     def _run_loop(self, max_steps, max_rounds, until, check_until_each_step):
         """Record-free :meth:`run` under the same conditions as
         :meth:`advance`'s fast path: identical budgets and ``until``
-        polling, with :meth:`_bare_step` in place of :meth:`step`."""
+        polling, with :meth:`_bare_step` in place of :meth:`step` — or
+        :meth:`_run_rounds` when ``until`` *is* :func:`graph_is_good`."""
         if not self._records_unused():
             return super()._run_loop(max_steps, max_rounds, until, check_until_each_step)
         with self._without_records():
+            if until is graph_is_good and check_until_each_step and self.incremental:
+                return self._run_rounds(max_steps, max_rounds)
             return self._drive(
                 self._bare_step, max_steps, max_rounds, until, check_until_each_step
             )
+
+    def _run_rounds(self, max_steps, max_rounds) -> RunResult:
+        """The round loop: stops on exactly the step, with exactly the
+        rounds, state and rng stream, of the per-step loop.
+
+        Rounds complete only at round ends, so the budgets are checked
+        once per round; each order is capped at the steps left.  A run
+        that finds itself mid-round (resumed after a mid-round stop)
+        steps to the boundary first, and a mid-round stop hands the
+        unapplied tail back to the scheduler.
+        """
+        rounds = self._rounds
+        nodes = self.topology.nodes
+        scheduler = self.scheduler
+        steps = 0
+        while True:
+            if not rounds.at_boundary:
+                cap = rounds.completed_rounds + 1
+                if max_rounds is not None:
+                    cap = min(cap, max_rounds)
+                result = self._drive(
+                    self._bare_step, max_steps, cap, graph_is_good, True, steps
+                )
+                if result.reason != "max_rounds" or cap == max_rounds:
+                    return result
+                steps = result.steps
+                continue
+            if max_steps is not None and steps >= max_steps:
+                return RunResult(steps, rounds.completed_rounds, False, "max_steps")
+            if max_rounds is not None and rounds.completed_rounds >= max_rounds:
+                return RunResult(steps, rounds.completed_rounds, False, "max_rounds")
+            order = scheduler.round_activation_order(nodes, self.rng)
+            if order is None:
+                return self._drive(
+                    self._bare_step, max_steps, max_rounds, graph_is_good, True, steps
+                )
+            capped = order if max_steps is None else order[: max_steps - steps]
+            applied = self._run_sequence(capped)
+            rounds.observe_sequence(order[:applied])
+            self._t += applied
+            steps += applied
+            if applied < len(order):
+                scheduler.hand_back(order[applied:])
+            if self._goodness == (0, 0):
+                return RunResult(steps, rounds.completed_rounds, True, "predicate")
+
+    def _run_sequence(self, order: np.ndarray) -> int:
+        """Apply ``order`` through the :meth:`_sequence` seam and fold
+        its effect into the engine: goodness counts, moves, and one
+        wholesale invalidation of the pending cache."""
+        counts = np.array([*self._goodness, 0], dtype=np.int64)
+        applied = self._sequence(self._codes, self._csr, order, counts)
+        self._goodness = (int(counts[0]), int(counts[1]))
+        if counts[2]:
+            self._moves += int(counts[2])
+            self._config_cache = None
+            self._invalidate_all()
+        return applied
+
+    def _sequence(self, codes: np.ndarray, csr, order: np.ndarray, counts) -> int:
+        """The kernel seam of :meth:`_run_sequence`
+        (:meth:`~repro.core.algau_vec.VectorKernel.run_sequence`); the
+        native tier overrides it with the compiled kernel."""
+        return self._kernel.run_sequence(codes, csr, order, counts)
 
     def _commit(self, diff: np.ndarray, new_diff: np.ndarray) -> Changes:
         """Apply the moved lanes: capture the change record (decoded
@@ -373,7 +442,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         """δ for the ``rows`` lanes of ``codes`` (all lanes when
         ``None``), returned in row order.
 
-        This is the single kernel seam of the array tier: every batched
+        This is the batched-δ kernel seam of the array tier: every batched
         evaluation — dense steps, stale-lane refreshes, the naive
         reference — funnels through it, and the replica ensemble's fused
         pass uses the same seam.  The base implementation is
@@ -416,16 +485,11 @@ class ArrayExecution(ExecutionBase["Turn"]):
     # The scalar fast path (|A_t| tiny — round-robin and friends).
     # ------------------------------------------------------------------
 
-    def _hood_lists(self):
-        if self._hoods is None:
-            self._hoods = self._csr.neighbor_lists()
-        return self._hoods
-
     def _apply_scalar(self, activated: FrozenSet[int]) -> Changes:
         codes = self._codes
         dirty = self._dirty
         pending = self._pending
-        hoods = self._hood_lists()
+        hoods = self._csr.neighbor_lists()
         kernel = self._kernel
         verts = sorted(activated)
         for v in verts:
@@ -480,7 +544,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
             top = DynamicTopology(top)
             self.topology = top
             self._csr = top.inclusive_csr()
-            self._hoods = None
         return top
 
     def _apply_topology_delta(self, delta):
@@ -667,7 +730,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         n_faulty, bad = self._goodness
         codes = self._codes  # pre-step codes (called before the writes)
         new_of = dict(zip(moved, new_codes))
-        hoods = self._hood_lists()
+        hoods = self._csr.neighbor_lists()
         for v, old, new in zip(moved, old_codes, new_codes):
             n_faulty += int(new >= k2) - int(old >= k2)
             bad_new_row = pair_bad[new]

@@ -59,9 +59,10 @@ with ``uses_enabled_view``) receive the view each step through
 Every engine counts its own *moves* (:attr:`ExecutionBase.moves`)
 where it writes δ's state changes, so no per-step monitor is needed to
 measure work.  When nothing consumes per-step records, the array-tier
-engines run :meth:`ExecutionBase.run` record-free, and the native tier
-also hands whole rounds of a round-order daemon to a compiled kernel
-when ``until`` is the shared :func:`graph_is_good` predicate.
+engines run :meth:`ExecutionBase.run` record-free, and when ``until``
+is the shared :func:`graph_is_good` predicate they hand whole rounds of
+a round-order daemon to one sequence kernel call (a list-walking kernel
+on ``array``, the compiled one on ``native``).
 
 Use :func:`create_execution` to pick an engine by name (any key of
 :data:`ENGINE_FACTORIES`).
@@ -627,8 +628,10 @@ def graph_is_good(execution: ExecutionBase) -> bool:
 
     This is the one shared goodness predicate: the campaign runner and
     the stabilization measurements pass this function itself, and the
-    native engine recognizes it by identity to hand whole rounds of a
-    sequential daemon to its compiled kernel."""
+    array-tier engines recognize it by identity to hand whole rounds of
+    a sequential daemon to their sequence kernel.  An equivalent
+    ``lambda e: e.graph_is_good()`` is not recognized and keeps the
+    per-step path."""
     return execution.graph_is_good()
 
 

@@ -93,7 +93,8 @@ class Scheduler(ABC):
         :meth:`activations` calls would consume (so trajectories stay
         bit-identical).  The replica-batched ensemble engine uses this
         to gather a whole fused step's activations with array indexing,
-        and the native engine hands whole rounds to one compiled kernel.
+        and the array-tier engines hand whole rounds to one sequence
+        kernel call.
         The default ``None`` (no rng consumed) keeps the per-step
         protocol.
         """

@@ -1,25 +1,29 @@
 """Differential validation of the compiled native kernel tier.
 
-The ``native`` engine reroutes three kernel seams of the array tier —
-batched δ, the pair-goodness fold, the full goodness scan — to the
-CSR-walking kernels of :mod:`repro.core.algau_native`.  Everything
-here checks the same contract the array engine owes the object model:
-*bit identity*.  Three layers:
+The ``native`` engine reroutes the kernel seams of the array tier —
+batched δ, the pair-goodness fold, the full goodness scan, the
+round-sequence kernel — to the CSR-walking kernels of
+:mod:`repro.core.algau_native`.  Everything here checks the same
+contract the array engine owes the object model: *bit identity*.
+Three layers:
 
 * kernel lanes — the pure-Python reference lane, the resolved compiled
   backend, the numpy :class:`VectorKernel`, and the scalar
   ``delta_one`` must agree pointwise (property-tested on random codes
-  over random inclusive-CSR neighborhoods);
+  over random inclusive-CSR neighborhoods); ``run_sequence`` adds the
+  array tier's list kernel as a lane;
 * engines — :class:`NativeExecution` must reproduce
   :class:`ArrayExecution` step for step across graphs, schedulers,
-  and every fault regime (storms, Byzantine pokes, crash masks), and
-  the record-free ``advance()`` bulk path must land on the same state
-  as the step loop;
+  and every fault regime (storms, Byzantine pokes, crash masks), the
+  record-free ``advance()`` bulk path must land on the same state as
+  the step loop, and both engines' whole-round
+  ``run(until=graph_is_good)`` must equal the per-step run;
 * plumbing — registry, CLI, fallback-when-unavailable, the frontier
   CSR builders, and the replica-batch lane.
 
 Compiled-backend tests skip when no backend resolves (no numba, no C
-compiler); the Python lane keeps the kernel logic covered regardless.
+compiler); the Python and list lanes keep the kernel logic covered
+regardless, and the array engine's round path runs on every lane.
 """
 
 from __future__ import annotations
@@ -114,6 +118,13 @@ def _lanes(kernel):
     if native_backend() is not None:
         lanes[native_backend_name()] = NativeKernel(kernel)
     return lanes
+
+
+def _sequence_lanes(kernel):
+    """The ``run_sequence`` lanes: the native ones plus the array tier's
+    list kernel (:meth:`VectorKernel.run_sequence`), which needs no
+    backend."""
+    return {"list": kernel, **_lanes(kernel)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,7 +246,7 @@ def test_run_sequence_lanes_agree_property(d, n, cautious, rounds, dirty, seed):
     codes[hit] = rng.integers(0, algorithm.encoding.size, int(hit.sum()))
     order = np.concatenate([rng.permutation(n) for _ in range(rounds)])
     full = _sequence_reference(kernel, codes, csr, order)
-    for name, lane in _lanes(kernel).items():
+    for name, lane in _sequence_lanes(kernel).items():
         for stop in range(full[0] + 1):
             applied, expected, counts = _sequence_reference(
                 kernel, codes, csr, order[:stop]
@@ -260,7 +271,7 @@ def test_run_sequence_stops_on_the_first_good_configuration():
     order = np.tile(np.arange(7, dtype=np.int64), 20)
     applied, expected, counts = _sequence_reference(kernel, codes, csr, order)
     assert applied < len(order) and counts[:2] == (0, 0)
-    for name, lane in _lanes(kernel).items():
+    for name, lane in _sequence_lanes(kernel).items():
         got = codes.copy()
         state = np.array([*kernel.goodness_counts(codes, csr), 0], dtype=np.int64)
         assert lane.run_sequence(got, csr, order, state) == applied, name
@@ -271,7 +282,7 @@ def test_run_sequence_rejects_out_of_range_orders():
     """Orders are bounds-checked before any lane sees a raw pointer."""
     kernel = ThinUnison(1).vector_kernel()
     csr = ring(5).inclusive_csr()
-    for lane in _lanes(kernel).values():
+    for lane in _sequence_lanes(kernel).values():
         for order in ([0, 5], [-1]):
             codes = np.zeros(5, dtype=np.int64)
             counts = np.array([1, 0, 0], dtype=np.int64)
@@ -540,7 +551,7 @@ class TestNativeEngineDifferential:
 
 
 # ----------------------------------------------------------------------
-# Compiled sequential-daemon rounds: run(until=graph_is_good) on native.
+# Whole-round runs: run(until=graph_is_good) on both array-tier engines.
 # ----------------------------------------------------------------------
 
 ROUND_ORDER_SCHEDULERS = {
@@ -548,10 +559,30 @@ ROUND_ORDER_SCHEDULERS = {
     "shuffled-rr": ShuffledRoundRobinScheduler,
 }
 
+#: The engines whose ``run(until=graph_is_good)`` goes by whole rounds:
+#: the numpy tier on the list kernel, the native tier on the compiled
+#: one.
+ROUND_ENGINES = [pytest.param("native", marks=needs_backend), "array"]
+
+
+@pytest.fixture
+def sequence_calls(monkeypatch):
+    """The order lengths of every :meth:`ArrayExecution._run_sequence`
+    call — the proof that a run took the round path."""
+    calls = []
+    original = ArrayExecution._run_sequence
+
+    def counted(self, order):
+        calls.append(len(order))
+        return original(self, order)
+
+    monkeypatch.setattr(ArrayExecution, "_run_sequence", counted)
+    return calls
+
 
 def _stepped_run(execution, max_steps=None, max_rounds=None):
     """``run(until=graph_is_good)`` spelled out over :meth:`step` — the
-    per-step loop the compiled round loop must reproduce."""
+    per-step loop the round loop must reproduce."""
     if execution.graph_is_good():
         return RunResult(0, execution.completed_rounds, True, "pre-satisfied")
     steps = 0
@@ -566,7 +597,9 @@ def _stepped_run(execution, max_steps=None, max_rounds=None):
             return RunResult(steps, execution.completed_rounds, True, "predicate")
 
 
-def _run_pair(topology, algorithm, initial, sched_key, seed, **kwargs):
+def _run_pair(engine, topology, algorithm, initial, sched_key, seed, **kwargs):
+    """The ``engine`` execution under test and a same-seeded array
+    reference for :func:`_stepped_run`."""
     return [
         create_execution(
             topology,
@@ -574,29 +607,32 @@ def _run_pair(topology, algorithm, initial, sched_key, seed, **kwargs):
             initial,
             ROUND_ORDER_SCHEDULERS[sched_key](),
             rng=np.random.default_rng(seed),
-            engine=engine,
+            engine=name,
             **kwargs,
         )
-        for engine in ("native", "array")
+        for name in (engine, "array")
     ]
 
 
-def _assert_same_state(native, array):
-    assert native.t == array.t
-    assert native.completed_rounds == array.completed_rounds
-    assert native.rounds.boundaries == array.rounds.boundaries
-    time = native.rounds.time
-    assert time == array.rounds.time
-    assert native.rounds.round_of_time(time) == array.rounds.round_of_time(time)
-    assert native.moves == array.moves
-    assert np.array_equal(native.codes, array.codes)
-    kernel = native.algorithm.vector_kernel()
-    counts = tuple(kernel.goodness_counts(native.codes, native.topology.inclusive_csr()))
-    assert native.graph_is_good() == array.graph_is_good() == (counts == (0, 0))
-    assert native._goodness == counts
+def _assert_same_state(execution, reference):
+    assert execution.t == reference.t
+    assert execution.completed_rounds == reference.completed_rounds
+    assert execution.rounds.boundaries == reference.rounds.boundaries
+    time = execution.rounds.time
+    assert time == reference.rounds.time
+    assert execution.rounds.round_of_time(time) == reference.rounds.round_of_time(time)
+    assert execution.moves == reference.moves
+    assert np.array_equal(execution.codes, reference.codes)
+    assert execution.rng.bit_generator.state == reference.rng.bit_generator.state
+    kernel = execution.algorithm.vector_kernel()
+    counts = tuple(
+        kernel.goodness_counts(execution.codes, execution.topology.inclusive_csr())
+    )
+    assert execution.graph_is_good() == reference.graph_is_good() == (counts == (0, 0))
+    assert execution._goodness == counts
 
 
-@needs_backend
+@pytest.mark.parametrize("engine", ROUND_ENGINES)
 class TestCompiledRounds:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -610,13 +646,14 @@ class TestCompiledRounds:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_run_matches_the_step_loop(
-        self, n, d, sched_key, start, max_steps, max_rounds, tail, seed
+        self, engine, n, d, sched_key, start, max_steps, max_rounds, tail, seed
     ):
-        """On generated connected graphs, native run(until=good) equals
-        the array engine's step()-driven run: the RunResult, time,
-        rounds, moves, codes and goodness counts — also under budgets
-        that cut a round, a resumed second run after a burst (which
-        starts mid-round), and ``tail`` further identical step()s."""
+        """On generated connected graphs, run(until=good) equals the
+        array engine's step()-driven run: the RunResult, time, rounds,
+        moves, codes, rng stream and goodness counts — also under
+        budgets that cut a round, a resumed second run after a burst
+        (which starts mid-round), and ``tail`` further identical
+        step()s."""
         rng = np.random.default_rng(seed)
         topology = random_connected(n, 0.3, rng)
         algorithm = ThinUnison(d)
@@ -624,100 +661,159 @@ class TestCompiledRounds:
             initial = random_configuration(algorithm, topology, rng)
         else:
             initial = uniform_configuration(algorithm, topology)
-        native, array = _run_pair(topology, algorithm, initial, sched_key, seed + 1)
-        result = native.run(max_steps=max_steps, max_rounds=max_rounds, until=graph_is_good)
-        assert result == _stepped_run(array, max_steps, max_rounds)
-        _assert_same_state(native, array)
+        execution, reference = _run_pair(
+            engine, topology, algorithm, initial, sched_key, seed + 1
+        )
+        result = execution.run(
+            max_steps=max_steps, max_rounds=max_rounds, until=graph_is_good
+        )
+        assert result == _stepped_run(reference, max_steps, max_rounds)
+        _assert_same_state(execution, reference)
 
         burst = {
             int(v): algorithm.random_state(rng)
             for v in rng.choice(n, size=max(1, n // 3), replace=False)
         }
-        for execution in (native, array):
-            execution.replace_configuration(execution.configuration.replace(burst))
-        budget = array.completed_rounds + 30
-        result = native.run(max_rounds=budget, until=graph_is_good)
-        assert result == _stepped_run(array, None, budget)
-        _assert_same_state(native, array)
+        for run in (execution, reference):
+            run.replace_configuration(run.configuration.replace(burst))
+        budget = reference.completed_rounds + 30
+        result = execution.run(max_rounds=budget, until=graph_is_good)
+        assert result == _stepped_run(reference, None, budget)
+        _assert_same_state(execution, reference)
         for _ in range(tail):
-            assert native.step().activated == array.step().activated
-        _assert_same_state(native, array)
+            assert execution.step().activated == reference.step().activated
+        _assert_same_state(execution, reference)
 
-    def test_mid_round_stop_resumes_the_same_shuffled_round(self):
+    def test_mid_round_stop_resumes_the_same_shuffled_round(
+        self, engine, sequence_calls
+    ):
         """A stop inside a round hands the unapplied tail back: later
         step()s replay it, then reshuffle from the same rng stream."""
         topology = damaged_clique(12, 2, np.random.default_rng(3))
         algorithm = ThinUnison(2)
         initial = random_configuration(algorithm, topology, np.random.default_rng(4))
-        native, array = _run_pair(topology, algorithm, initial, "shuffled-rr", 5)
-        result = native.run(max_rounds=10_000, until=graph_is_good)
-        assert result == _stepped_run(array, None, 10_000)
-        assert result.stopped_by_predicate and not native.rounds.at_boundary
+        execution, reference = _run_pair(
+            engine, topology, algorithm, initial, "shuffled-rr", 5
+        )
+        result = execution.run(max_rounds=10_000, until=graph_is_good)
+        assert result == _stepped_run(reference, None, 10_000)
+        assert result.stopped_by_predicate and not execution.rounds.at_boundary
+        assert sequence_calls
+        _assert_same_state(execution, reference)
         for _ in range(3 * topology.n):
-            assert native.step() == array.step()
-        _assert_same_state(native, array)
+            assert execution.step() == reference.step()
+        _assert_same_state(execution, reference)
 
-    def test_max_steps_cut_then_resume(self):
+    def test_max_steps_cut_then_resume(self, engine, sequence_calls):
         """Successive step-capped runs tile one long run exactly."""
         topology = ring(11)
         algorithm = ThinUnison(3)
         initial = random_configuration(algorithm, topology, np.random.default_rng(8))
-        native, array = _run_pair(topology, algorithm, initial, "shuffled-rr", 9)
+        execution, reference = _run_pair(
+            engine, topology, algorithm, initial, "shuffled-rr", 9
+        )
         for cap in (5, 17, 1, 11, 40, 3, 1000):
-            result = native.run(max_steps=cap, until=graph_is_good)
-            assert result == _stepped_run(array, cap)
-            _assert_same_state(native, array)
+            result = execution.run(max_steps=cap, until=graph_is_good)
+            assert result == _stepped_run(reference, cap)
+            _assert_same_state(execution, reference)
             if result.stopped_by_predicate:
                 break
         assert result.stopped_by_predicate
+        assert sequence_calls
+        assert execution.step() == reference.step()
 
-    def test_max_rounds_exhaustion(self):
+    def test_max_rounds_exhaustion(self, engine, sequence_calls):
         topology = ring(15)
         algorithm = ThinUnison(2)
         initial = random_configuration(algorithm, topology, np.random.default_rng(2))
-        native, array = _run_pair(topology, algorithm, initial, "round-robin", 3)
-        result = native.run(max_rounds=2, until=graph_is_good)
-        assert result == _stepped_run(array, None, 2)
-        assert result.reason == "max_rounds" and native.t == 2 * topology.n
-        _assert_same_state(native, array)
-
-    def test_round_order_tail_matches_the_per_step_pops(self):
-        """Partly consumed shuffled rounds are returned, not redrawn,
-        and a handed-back tail is popped in order."""
-        nodes = tuple(range(9))
-        stepped, bulk = ShuffledRoundRobinScheduler(), ShuffledRoundRobinScheduler()
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        head = [next(iter(stepped.activations(t, nodes, rng_a))) for t in range(4)]
-        for t in range(4):
-            bulk.activations(t, nodes, rng_b)
-        tail = bulk.round_activation_order(nodes, rng_b)
-        assert len(tail) == 5 and set(head).isdisjoint(tail.tolist())
-        bulk.hand_back(tail[2:])
-        rest = [next(iter(stepped.activations(t, nodes, rng_a))) for t in range(4, 9)]
-        assert rest[:2] == tail[:2].tolist()
-        assert rest[2:] == [next(iter(bulk.activations(t, nodes, rng_b))) for t in range(6, 9)]
-        assert np.array_equal(
-            bulk.round_activation_order(nodes, rng_b),
-            stepped.round_activation_order(nodes, rng_a),
+        execution, reference = _run_pair(
+            engine, topology, algorithm, initial, "round-robin", 3
         )
+        result = execution.run(max_rounds=2, until=graph_is_good)
+        assert result == _stepped_run(reference, None, 2)
+        assert result.reason == "max_rounds" and execution.t == 2 * topology.n
+        assert sequence_calls == [topology.n, topology.n]
+        _assert_same_state(execution, reference)
+        assert execution.step() == reference.step()
+
+    @pytest.mark.parametrize("sched_key", sorted(ROUND_ORDER_SCHEDULERS))
+    def test_rewired_topology_walks_the_mutable_csr(
+        self, engine, sched_key, sequence_calls
+    ):
+        """After a ``mutate_topology`` rewire (no joins or leaves, cut
+        mid-round) the round path walks the engine's private
+        :class:`~repro.graphs.dynamic.MutableCSR` and still equals the
+        step loop."""
+        from repro.graphs.dynamic import MutableCSR, TopologyDelta
+
+        topology = ring(12)
+        algorithm = ThinUnison(6)
+        initial = random_configuration(algorithm, topology, np.random.default_rng(6))
+        execution, reference = _run_pair(
+            engine, topology, algorithm, initial, sched_key, 7
+        )
+        result = execution.run(max_steps=7, until=graph_is_good)
+        assert result == _stepped_run(reference, 7)
+        delta = TopologyDelta(add_edges=((0, 6), (3, 9)), remove_edges=((0, 1),))
+        for run in (execution, reference):
+            run.mutate_topology(delta)
+        assert isinstance(execution._csr, MutableCSR)
+        result = execution.run(max_rounds=10_000, until=graph_is_good)
+        assert result == _stepped_run(reference, None, 10_000)
+        assert result.stopped_by_predicate and sequence_calls
+        _assert_same_state(execution, reference)
+        for _ in range(2 * topology.n):
+            assert execution.step() == reference.step()
 
 
-@needs_backend
+def test_round_order_tail_matches_the_per_step_pops():
+    """Partly consumed shuffled rounds are returned, not redrawn, and a
+    handed-back tail is popped in order."""
+    nodes = tuple(range(9))
+    stepped, bulk = ShuffledRoundRobinScheduler(), ShuffledRoundRobinScheduler()
+    rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+    head = [next(iter(stepped.activations(t, nodes, rng_a))) for t in range(4)]
+    for t in range(4):
+        bulk.activations(t, nodes, rng_b)
+    tail = bulk.round_activation_order(nodes, rng_b)
+    assert len(tail) == 5 and set(head).isdisjoint(tail.tolist())
+    bulk.hand_back(tail[2:])
+    rest = [next(iter(stepped.activations(t, nodes, rng_a))) for t in range(4, 9)]
+    assert rest[:2] == tail[:2].tolist()
+    assert rest[2:] == [
+        next(iter(bulk.activations(t, nodes, rng_b))) for t in range(6, 9)
+    ]
+    assert np.array_equal(
+        bulk.round_activation_order(nodes, rng_b),
+        stepped.round_activation_order(nodes, rng_a),
+    )
+
+
+def test_forced_fallback_takes_the_round_path(monkeypatch, sequence_calls):
+    """With no native backend, ``engine="native"`` builds the array
+    engine, whose run(until=graph_is_good) still goes by whole rounds
+    (on the list kernel) and still equals the step loop."""
+    monkeypatch.setattr(algau_native, "_RESOLVED", None)
+    topology = damaged_clique(12, 2, np.random.default_rng(3))
+    algorithm = ThinUnison(2)
+    initial = random_configuration(algorithm, topology, np.random.default_rng(4))
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        fallback, reference = _run_pair(
+            "native", topology, algorithm, initial, "shuffled-rr", 5
+        )
+    assert type(fallback) is ArrayExecution
+    result = fallback.run(max_rounds=10_000, until=graph_is_good)
+    assert result == _stepped_run(reference, None, 10_000)
+    assert result.stopped_by_predicate and sequence_calls
+    _assert_same_state(fallback, reference)
+    assert fallback.step() == reference.step()
+
+
+@pytest.mark.parametrize("engine", ROUND_ENGINES)
 class TestCompiledRoundFallbacks:
     """Every disqualifier keeps the per-step paths — and still matches
-    the array lane."""
-
-    @pytest.fixture
-    def sequence_calls(self, monkeypatch):
-        calls = []
-        original = NativeExecution._run_sequence
-
-        def counted(self, order):
-            calls.append(len(order))
-            return original(self, order)
-
-        monkeypatch.setattr(NativeExecution, "_run_sequence", counted)
-        return calls
+    the per-step reference (the same execution run with a lambda
+    ``until``, which is never recognized as the shared predicate)."""
 
     @staticmethod
     def _good_lambda(execution):
@@ -738,7 +834,7 @@ class TestCompiledRoundFallbacks:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_disqualifier_falls_back(self, case, sequence_calls):
+    def test_disqualifier_falls_back(self, engine, case, sequence_calls):
         spec = dict(self.CASES[case])
         topology = damaged_clique(10, 2, np.random.default_rng(21))
         algorithm = ThinUnison(2)
@@ -750,39 +846,39 @@ class TestCompiledRoundFallbacks:
             until = self._good_lambda
         each_step = spec.pop("check_until_each_step", True)
         pair = []
-        for engine in ("native", "array"):
+        for name in (engine, "array"):
             execution = create_execution(
                 topology,
                 algorithm,
                 initial,
                 make_scheduler(),
                 rng=np.random.default_rng(23),
-                engine=engine,
+                engine=name,
                 **spec,
             )
             execution.mask_nodes(mask)
             pair.append(execution)
-        results = [
-            execution.run(
-                max_steps=4000,
-                until=until,
-                check_until_each_step=each_step,
-            )
-            for execution in pair
-        ]
-        assert results[0] == results[1]
-        native, array = pair
-        assert native.t == array.t and native.moves == array.moves
-        assert np.array_equal(native.codes, array.codes)
-        assert native.rounds.boundaries == array.rounds.boundaries
+        execution, reference = pair
+        result = execution.run(
+            max_steps=4000, until=until, check_until_each_step=each_step
+        )
         assert bool(sequence_calls) == (case == "compiled")
+        expected = reference.run(
+            max_steps=4000, until=self._good_lambda, check_until_each_step=each_step
+        )
+        assert result == expected
+        assert execution.t == reference.t and execution.moves == reference.moves
+        assert np.array_equal(execution.codes, reference.codes)
+        assert execution.rounds.boundaries == reference.rounds.boundaries
+        assert execution.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
-@needs_backend
+@pytest.mark.parametrize("engine", ROUND_ENGINES)
 class TestCompiledRoundScenarios:
-    """No registry carries bursts or edge churn on native under a
-    sequential daemon; these cells pin native == array through the
-    whole scenario pipeline (a burst's recovery run starts mid-round)."""
+    """No registry carries bursts or edge churn under a sequential
+    daemon on the array tier; these cells pin the round path to the
+    object reference lane through the whole scenario pipeline (a
+    burst's recovery run starts mid-round)."""
 
     @pytest.mark.parametrize(
         "graph, params, d, scheduler, faults",
@@ -818,37 +914,29 @@ class TestCompiledRoundScenarios:
         ],
         ids=["bursts-shuffled", "bursts-rr", "churn-shuffled", "churn-rr"],
     )
-    def test_native_scenario_equals_array(
-        self, graph, params, d, scheduler, faults, monkeypatch
+    def test_scenario_equals_the_object_lane(
+        self, engine, graph, params, d, scheduler, faults, sequence_calls
     ):
         from repro.campaigns.aggregate import measured_payload
         from repro.campaigns.registry import CampaignBuilder
         from repro.campaigns.runner import run_scenario
 
-        calls = []
-        original = NativeExecution._run_sequence
-
-        def counted(self, order):
-            calls.append(len(order))
-            return original(self, order)
-
-        monkeypatch.setattr(NativeExecution, "_run_sequence", counted)
         builder = CampaignBuilder("compiled-rounds", 7)
-        for engine in ("native", "array"):
+        for name in (engine, "object"):
             builder.add_au(
                 graph,
                 params,
                 d,
                 scheduler=scheduler,
-                engine=engine,
+                engine=name,
                 faults=faults,
                 seed_index=0,
             )
-        native, array = (run_scenario(s) for s in builder.scenarios)
-        assert native.status == array.status == ""
-        assert native.stabilized
-        assert measured_payload(native) == measured_payload(array)
-        assert calls
+        rows = [run_scenario(s) for s in builder.scenarios]
+        assert rows[0].status == rows[1].status == ""
+        assert rows[0].stabilized
+        assert measured_payload(rows[0]) == measured_payload(rows[1])
+        assert sequence_calls
 
 
 @needs_backend
