@@ -1,9 +1,10 @@
 """Native kernel tier: compiled CSR-walking kernels at frontier scale.
 
 Times raw synchronous stepping of the ``native`` engine over the
-frontier graph families (ring, gnm, hub colony) at ``n`` up to one
-million nodes, reporting nanoseconds per node-step — the metric that
-stays comparable across sizes and families.  The same workloads are
+frontier graph families (ring, gnm, hub colony: numpy-built CSR arrays
+wrapped by ``Topology.from_csr``) at ``n`` up to one million nodes,
+reporting nanoseconds per node-step — the metric that stays comparable
+across sizes and families.  The same workloads are
 run once on the numpy array engine at the sizes it can still hold (the
 dense ``(n, |Q|)`` presence matrix rules it out of the million-node
 rows), giving the speedup column.

@@ -3,7 +3,8 @@
 Demonstrates what ``engine="native"`` buys:
 
 1. million-node graphs built directly in CSR form (the frontier
-   families bypass networkx entirely — ``O(n + m)`` numpy passes);
+   families bypass networkx entirely — ``O(n + m)`` numpy passes —
+   and wrap the arrays with ``Topology.from_csr``);
 2. the ``native`` engine stepping a million-node ring and hub colony,
    with throughput reported in nanoseconds per node-step — memory is
    ``O(n + m)``, not the ``O(n · |Q|)`` presence matrix of the numpy

@@ -223,9 +223,7 @@ def perturb_topology(
     # non-edge of the graph per attempt.
     n = topology.n
     adj: Dict[int, set] = {v: set(topology.neighbors(v)) for v in topology.nodes}
-    edges: List[Tuple[int, int]] = [
-        (u, v) if u < v else (v, u) for u, v in topology.graph.edges()
-    ]
+    edges: List[Tuple[int, int]] = list(topology.edges)
     edge_pos: Dict[Tuple[int, int], int] = {e: i for i, e in enumerate(edges)}
 
     def drop(e: Tuple[int, int]) -> None:

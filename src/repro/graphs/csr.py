@@ -14,22 +14,20 @@ stores the standard two-array layout:
   itself followed by its open neighborhood in ascending order (the same
   order as :meth:`Topology.inclusive_neighbors`).
 
-Instances are immutable and cached on the owning
-:class:`~repro.graphs.topology.Topology` (see
-:meth:`Topology.inclusive_csr`), so the construction cost is paid once
-per topology regardless of how many executions run on it.  The Python
+The CSR is the primary form of a
+:class:`~repro.graphs.topology.Topology`: the constructor builds it in
+one numpy pass with :func:`csr_from_edges` (the one CSR builder), and
+every execution on the topology shares it.  The Python
 :meth:`neighbor_lists` view is derived lazily from the same arrays and
-cached alongside them.
+cached alongside them; :func:`bfs_levels` walks it for the metric
+helpers (diameter, distance, ball).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.graphs.topology import Topology
 
 
 class CSRAdjacency:
@@ -96,18 +94,40 @@ class CSRAdjacency:
         return f"<CSRAdjacency n={self.n} nnz={len(self.indices)}>"
 
 
-def build_inclusive_csr(topology: "Topology") -> CSRAdjacency:
-    """Build the inclusive-neighborhood CSR arrays of ``topology``."""
-    counts = np.fromiter(
-        (len(topology.inclusive_neighbors(v)) for v in topology.nodes),
-        dtype=np.int64,
-        count=topology.n,
-    )
-    indptr = np.zeros(topology.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.fromiter(
-        (u for v in topology.nodes for u in topology.inclusive_neighbors(v)),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    return CSRAdjacency(indptr, indices)
+def csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> CSRAdjacency:
+    """Inclusive CSR of ``n`` nodes from an undirected simple edge list.
+
+    Symmetrizes the edges, adds the diagonal, and orders every row as
+    the layout above specifies: the node itself first, then the open
+    neighborhood ascending (a lexsort whose secondary key maps the
+    diagonal entry below every real neighbor).
+    """
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([src, dst, diag])
+    cols = np.concatenate([dst, src, diag])
+    order = np.lexsort((np.where(cols == rows, -1, cols), rows))
+    rows, cols = rows[order], cols[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CSRAdjacency(indptr, np.ascontiguousarray(cols))
+
+
+def bfs_levels(
+    rows: Sequence[Sequence[int]], source: int, cutoff: Optional[int] = None
+) -> Dict[int, int]:
+    """Hop distance from ``source`` to every node it reaches, walking
+    the (inclusive or open) neighbor ``rows``; with ``cutoff``, only the
+    nodes within that many hops."""
+    seen = {source: 0}
+    frontier = [source]
+    depth = 0
+    while frontier and (cutoff is None or depth < cutoff):
+        depth += 1
+        next_frontier = []
+        for v in frontier:
+            for u in rows[v]:
+                if u not in seen:
+                    seen[u] = depth
+                    next_frontier.append(u)
+        frontier = next_frontier
+    return seen

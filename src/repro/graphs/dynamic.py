@@ -31,16 +31,13 @@ setting (Dubois et al. for unison).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.csr import CSRAdjacency
-
-
-class TopologyError(ValueError):
-    """A delta is malformed or inconsistent with the current graph."""
+from repro.graphs.csr import CSRAdjacency, bfs_levels
+from repro.model.errors import TopologyError
 
 
 def canonical_edge(u: int, v: int) -> Tuple[int, int]:
@@ -229,10 +226,10 @@ class DynamicTopology:
     are the canonical structure, held as plain lists shared by value
     with the :class:`MutableCSR`'s ``neighbor_lists()`` cache — a delta
     patches both representations in one pass.  Unlike the frozen class
-    there is no networkx graph and no connectivity requirement: churn
-    may momentarily disconnect the alive part (the goodness predicate
-    and all engines are well-defined regardless), and left nodes remain
-    as isolated tombstones.
+    there is no connectivity requirement: churn may momentarily
+    disconnect the alive part (the goodness predicate and all engines
+    are well-defined regardless), and left nodes remain as isolated
+    tombstones.
     """
 
     __slots__ = (
@@ -323,29 +320,14 @@ class DynamicTopology:
     # Metrics (BFS on the alive part — no networkx).
     # ------------------------------------------------------------------
 
-    def _bfs_levels(self, source: int) -> Dict[int, int]:
-        seen = {source: 0}
-        frontier = [source]
-        depth = 0
-        while frontier:
-            depth += 1
-            next_frontier = []
-            for v in frontier:
-                for u in self._rows[v]:
-                    if u not in seen:
-                        seen[u] = depth
-                        next_frontier.append(u)
-            frontier = next_frontier
-        return seen
-
     def distance(self, u: int, v: int) -> int:
-        levels = self._bfs_levels(int(u))
+        levels = bfs_levels(self._rows, int(u))
         if int(v) not in levels:
             raise TopologyError(f"nodes {u} and {v} are not connected")
         return levels[int(v)]
 
     def ball(self, v: int, radius: int) -> FrozenSet[int]:
-        levels = self._bfs_levels(int(v))
+        levels = bfs_levels(self._rows, int(v))
         return frozenset(u for u, d in levels.items() if d <= radius)
 
     @property
@@ -355,7 +337,7 @@ class DynamicTopology:
             alive = [v for v in self._nodes if v not in self._left]
             worst = 0
             for v in alive:
-                levels = self._bfs_levels(v)
+                levels = bfs_levels(self._rows, v)
                 if len(levels) < len(alive):
                     raise TopologyError(
                         f"{self.name!r} alive part is disconnected"
@@ -368,7 +350,7 @@ class DynamicTopology:
         alive = [v for v in self._nodes if v not in self._left]
         if not alive:
             return False
-        return len(self._bfs_levels(alive[0])) >= len(alive)
+        return len(bfs_levels(self._rows, alive[0])) >= len(alive)
 
     def check_diameter_bound(self, bound: int) -> None:
         if self.diameter > bound:

@@ -1,17 +1,15 @@
-"""Frontier-scale topologies built directly in CSR form.
+"""Frontier-scale topology families built directly in CSR form.
 
-The :class:`~repro.graphs.topology.Topology` constructor routes every
-graph through networkx — per-node Python objects, adjacency dicts, a
-connectivity check — which tops out around ``n ~ 10^5`` before
-construction dwarfs any simulation we could run on the result.  The
-compiled kernel tier targets million-node graphs, so this module builds
-the :class:`~repro.graphs.csr.CSRAdjacency` arrays *directly* with
-vectorized numpy and wraps them in :class:`FrontierTopology`, a
-lightweight stand-in that satisfies the slice of the topology interface
-the execution engines actually touch (``nodes``, ``n``, ``m``,
-``name``, ``inclusive_csr()``, the neighborhood accessors).  The
-metric helpers of the full class (diameter, distances, balls) are
-deliberately absent — they are Ω(n·m) and have no place at this scale.
+The compiled kernel tier targets million-node graphs, where building a
+networkx graph first would dwarf any simulation run on the result.  The
+generators here draw their edge lists with vectorized numpy, build the
+inclusive CSR with :func:`~repro.graphs.csr.csr_from_edges`, and wrap
+it with :meth:`Topology.from_csr
+<repro.graphs.topology.Topology.from_csr>` — the same
+:class:`~repro.graphs.topology.Topology` every other family returns,
+minus the input-graph checks (each family is connected by
+construction).  The metric helpers (diameter, distances, balls) work
+on the result, but they are Ω(n·m) and have no place at this scale.
 
 Three families, chosen to stress different kernel regimes:
 
@@ -35,88 +33,9 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.graphs.csr import CSRAdjacency
+from repro.graphs.csr import csr_from_edges
+from repro.graphs.topology import Topology
 from repro.model.errors import TopologyError
-
-
-class FrontierTopology:
-    """A topology backed only by its inclusive-CSR arrays.
-
-    Duck-types the engine-facing slice of
-    :class:`~repro.graphs.topology.Topology`: identity-stable ``nodes``
-    (a ``range``, so schedulers' identity-keyed caches work), ``n``,
-    ``m``, ``name``, ``inclusive_csr()`` and the per-node neighborhood
-    accessors.  Anything metric (diameter, distance) is intentionally
-    unsupported.
-    """
-
-    __slots__ = ("_name", "_csr", "_m", "_nodes")
-
-    def __init__(self, name: str, csr: CSRAdjacency):
-        self._name = name
-        self._csr = csr
-        # Every CSR row is the inclusive neighborhood, so the entry
-        # count is n + 2m.
-        self._m = (len(csr.indices) - csr.n) // 2
-        self._nodes = range(csr.n)
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def nodes(self) -> range:
-        """Nodes ``0 .. n-1`` (a ``range`` — identity-stable, O(1))."""
-        return self._nodes
-
-    @property
-    def n(self) -> int:
-        return self._csr.n
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    def inclusive_csr(self) -> CSRAdjacency:
-        return self._csr
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        """The open neighborhood ``N(v)`` (materialized on demand)."""
-        row = self._csr.neighborhood(v)
-        return tuple(int(u) for u in row if u != v)
-
-    def inclusive_neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(int(u) for u in self._csr.neighborhood(v))
-
-    def degree(self, v: int) -> int:
-        return int(self._csr.indptr[v + 1] - self._csr.indptr[v]) - 1
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __repr__(self) -> str:
-        return f"<FrontierTopology {self._name!r} n={self.n} m={self.m}>"
-
-
-def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> CSRAdjacency:
-    """Inclusive CSR from an undirected simple edge list.
-
-    Symmetrizes the edges, adds the diagonal, and orders every row the
-    way :mod:`repro.graphs.csr` specifies: the node itself first, then
-    the open neighborhood ascending (a lexsort whose secondary key maps
-    the diagonal entry below every real neighbor).
-    """
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([src, dst, diag])
-    cols = np.concatenate([dst, src, diag])
-    order = np.lexsort((np.where(cols == rows, -1, cols), rows))
-    rows, cols = rows[order], cols[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CSRAdjacency(indptr, np.ascontiguousarray(cols))
 
 
 def _ring_edges(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,14 +48,14 @@ def _require_n(n: int, floor: int) -> None:
         raise TopologyError(f"frontier families need n >= {floor}, got {n}")
 
 
-def frontier_ring(n: int) -> FrontierTopology:
+def frontier_ring(n: int) -> Topology:
     """The n-ring, built without touching networkx."""
     _require_n(n, 3)
     src, dst = _ring_edges(n)
-    return FrontierTopology(f"frontier-ring({n})", _csr_from_edges(n, src, dst))
+    return Topology.from_csr(f"frontier-ring({n})", csr_from_edges(n, src, dst))
 
 
-def frontier_gnm(n: int, extra_edges: int, seed: int = 0) -> FrontierTopology:
+def frontier_gnm(n: int, extra_edges: int, seed: int = 0) -> Topology:
     """A connected ``G(n, m)``-style sample: ring backbone plus
     ``extra_edges`` uniform random chords (deduplicated, so the
     realized edge count can fall slightly short of ``n + extra_edges``).
@@ -157,12 +76,12 @@ def frontier_gnm(n: int, extra_edges: int, seed: int = 0) -> FrontierTopology:
     keys = keys[rng.permutation(len(keys))][:want]
     src = np.concatenate([ring_src, keys // n])
     dst = np.concatenate([ring_dst, keys % n])
-    return FrontierTopology(
-        f"frontier-gnm({n},+{want})", _csr_from_edges(n, src, dst)
+    return Topology.from_csr(
+        f"frontier-gnm({n},+{want})", csr_from_edges(n, src, dst)
     )
 
 
-def frontier_colony(n: int, hubs: int = 2) -> FrontierTopology:
+def frontier_colony(n: int, hubs: int = 2) -> Topology:
     """The signaling-hub colony at frontier scale: nodes ``0..hubs-1``
     are adjacent to every other node, the remaining members sit on a
     ring — diameter 2 with maximally skewed degrees."""
@@ -179,8 +98,8 @@ def frontier_colony(n: int, hubs: int = 2) -> FrontierTopology:
     ).reshape(-1, 2)
     src = np.concatenate([ring_src + hubs, hub_src, hub_pairs[:, 0]])
     dst = np.concatenate([ring_dst + hubs, hub_dst, hub_pairs[:, 1]])
-    return FrontierTopology(
-        f"frontier-colony({n},hubs={hubs})", _csr_from_edges(n, src, dst)
+    return Topology.from_csr(
+        f"frontier-colony({n},hubs={hubs})", csr_from_edges(n, src, dst)
     )
 
 

@@ -157,9 +157,12 @@ def random_connected(
         raise TopologyError("random graph needs n >= 1")
     for _ in range(max_attempts):
         seed = int(rng.integers(2**31))
-        graph = nx.gnp_random_graph(n, p, seed=seed)
-        if n == 1 or nx.is_connected(graph):
-            return Topology(graph, name=f"gnp(n={n}, p={p})")
+        try:
+            return Topology(
+                nx.gnp_random_graph(n, p, seed=seed), name=f"gnp(n={n}, p={p})"
+            )
+        except TopologyError:
+            continue
     raise TopologyError(f"G({n}, {p}) failed to produce a connected graph")
 
 
@@ -169,9 +172,13 @@ def random_regular(
     """A connected random ``degree``-regular graph."""
     for _ in range(max_attempts):
         seed = int(rng.integers(2**31))
-        graph = nx.random_regular_graph(degree, n, seed=seed)
-        if nx.is_connected(graph):
-            return Topology(graph, name=f"regular(n={n}, d={degree})")
+        try:
+            return Topology(
+                nx.random_regular_graph(degree, n, seed=seed),
+                name=f"regular(n={n}, d={degree})",
+            )
+        except TopologyError:
+            continue
     raise TopologyError(f"random regular graph (n={n}, d={degree}) not connected")
 
 

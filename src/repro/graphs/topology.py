@@ -1,18 +1,27 @@
 """Immutable network topologies for stone age executions.
 
-:class:`Topology` wraps an undirected :mod:`networkx` graph with the
-precomputed structures the simulator needs on its hot path (tuple node
-list, inclusive neighborhoods) plus cached graph-theoretic properties
-(diameter, eccentricities).  Node labels are normalized to the integers
-``0 .. n-1``; the original labels are preserved in :attr:`labels`.
+A :class:`Topology` *is* its inclusive CSR adjacency (see
+:mod:`repro.graphs.csr`): the constructor checks the graph, then builds
+``indptr``/``indices`` in one numpy pass from its edge list.  A
+:mod:`networkx` graph is only an input format: it is read once and
+never aliased, and :attr:`Topology.graph` rebuilds an equivalent one on
+demand.  Node labels are normalized to the integers ``0 .. n-1`` in
+sorted label order; the original labels are preserved in
+:attr:`labels`.  Everything else — neighbor tuples, the edge list, the
+metric helpers (diameter, distances, balls) — is derived lazily from
+the CSR rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from bisect import bisect_left
+from itertools import chain
+from typing import Iterable, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
+from repro.graphs.csr import CSRAdjacency, bfs_levels, csr_from_edges
 from repro.model.errors import TopologyError
 
 
@@ -27,47 +36,78 @@ class Topology:
         the node itself).
     name:
         Optional label used in reports.
+
+    :meth:`from_csr` wraps prebuilt CSR arrays instead (no checks, no
+    networkx) — the route of the frontier-scale families.
     """
 
     __slots__ = (
-        "_graph",
         "_name",
+        "_csr",
         "_nodes",
         "_labels",
+        "_m",
+        "_edge_array",
+        "_graph_order",
+        "_edges",
         "_neighbors",
         "_inclusive",
-        "_edges",
+        "_graph",
         "_diameter",
-        "_csr",
     )
 
     def __init__(self, graph: nx.Graph, name: str = "graph"):
-        if graph.number_of_nodes() == 0:
+        n = graph.number_of_nodes()
+        if n == 0:
             raise TopologyError("topology must contain at least one node")
-        if any(u == v for u, v in graph.edges()):
+        order = list(graph)
+        endpoints = chain.from_iterable(graph.edges())
+        # Labels keep their type (numpy ints, bools), so only the Python
+        # ints 0..n-1 in iteration order skip the relabelling.
+        if order == list(range(n)) and all(type(v) is int for v in order):
+            labels = graph_order = None
+        else:
+            labels = tuple(sorted(order))
+            code = {label: i for i, label in enumerate(labels)}
+            # The input's node order, which ``graph`` replays so that
+            # its ``edges()`` order stays the relabelled copy's.
+            graph_order = tuple(code[v] for v in order)
+            endpoints = (code[v] for v in endpoints)
+        pairs = np.fromiter(endpoints, dtype=np.int64).reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        if np.any(src == dst):
             raise TopologyError("self-loops are not allowed")
-        if not nx.is_connected(graph):
+        csr = csr_from_edges(n, src, dst)
+        if len(bfs_levels(csr.neighbor_lists(), 0)) < n:
             raise TopologyError("topology must be connected")
-        relabeled = nx.convert_node_labels_to_integers(
-            graph, ordering="sorted", label_attribute="original"
-        )
-        self._graph: nx.Graph = relabeled
+        # The relabelled graph's ``edges()`` order, in ``(min, max)`` form.
+        edge_array = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
+        self._setup(name, csr, labels, edge_array, graph_order)
+
+    @classmethod
+    def from_csr(cls, name: str, csr: CSRAdjacency) -> "Topology":
+        """A topology over prebuilt inclusive-CSR arrays (rows laid out
+        as :mod:`repro.graphs.csr` specifies).  Nothing is checked: the
+        caller guarantees a connected simple graph.  Edges list in row
+        order."""
+        topology = cls.__new__(cls)
+        topology._setup(name, csr, None, None, None)
+        return topology
+
+    def _setup(self, name, csr, labels, edge_array, graph_order) -> None:
         self._name = name
-        self._nodes: Tuple[int, ...] = tuple(range(relabeled.number_of_nodes()))
-        self._labels: Tuple[object, ...] = tuple(
-            relabeled.nodes[v].get("original", v) for v in self._nodes
-        )
-        self._neighbors: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(relabeled.neighbors(v))) for v in self._nodes
-        )
-        self._inclusive: Tuple[Tuple[int, ...], ...] = tuple(
-            (v,) + self._neighbors[v] for v in self._nodes
-        )
-        self._edges: Tuple[Tuple[int, int], ...] = tuple(
-            (min(u, v), max(u, v)) for u, v in relabeled.edges()
-        )
+        self._csr = csr
+        self._nodes: Tuple[int, ...] = tuple(range(csr.n))
+        self._labels: Tuple[object, ...] = self._nodes if labels is None else labels
+        # Every CSR row is the inclusive neighborhood: n + 2m entries.
+        self._m = (len(csr.indices) - csr.n) // 2
+        self._edge_array: Optional[np.ndarray] = edge_array
+        self._graph_order: Optional[Tuple[int, ...]] = graph_order
+        self._edges: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._neighbors: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._inclusive: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._graph: Optional[nx.Graph] = None
         self._diameter: Optional[int] = None
-        self._csr = None
 
     # ------------------------------------------------------------------
     # Basic structure.
@@ -89,6 +129,17 @@ class Topology:
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """Every edge once, as ``(min, max)``, in the input graph's
+        ``edges()`` order."""
+        if self._edges is None:
+            if self._edge_array is None:
+                csr = self._csr
+                upper = csr.indices > csr.row_index
+                self._edge_array = np.stack(
+                    [csr.row_index[upper], csr.indices[upper]], axis=1
+                )
+            lo, hi = self._edge_array.T.tolist()
+            self._edges = tuple(zip(lo, hi))
         return self._edges
 
     @property
@@ -99,61 +150,70 @@ class Topology:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self._edges)
+        return self._m
+
+    def _build_rows(self) -> None:
+        inclusive = tuple(map(tuple, self._csr.neighbor_lists()))
+        self._neighbors = tuple(row[1:] for row in inclusive)
+        self._inclusive = inclusive
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """The open neighborhood ``N(v)``."""
+        if self._neighbors is None:
+            self._build_rows()
         return self._neighbors[v]
 
     def inclusive_neighbors(self, v: int) -> Tuple[int, ...]:
         """The inclusive neighborhood ``N+(v) = N(v) ∪ {v}``."""
+        if self._inclusive is None:
+            self._build_rows()
         return self._inclusive[v]
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return len(self._csr.neighbor_lists()[v]) - 1
 
-    def inclusive_csr(self):
-        """The cached CSR form of the inclusive neighborhoods (built on
-        first use; see :mod:`repro.graphs.csr` for the layout)."""
-        if self._csr is None:
-            from repro.graphs.csr import build_inclusive_csr
-
-            self._csr = build_inclusive_csr(self)
+    def inclusive_csr(self) -> CSRAdjacency:
+        """The inclusive-neighborhood CSR (see :mod:`repro.graphs.csr`
+        for the layout)."""
         return self._csr
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._graph.has_edge(u, v)
+        row = self._csr.neighbor_lists()[u]
+        i = bisect_left(row, v, 1)
+        return i < len(row) and row[i] == v
 
     @property
     def graph(self) -> nx.Graph:
-        """The underlying networkx graph (normalized labels)."""
+        """An equivalent networkx graph (normalized labels), rebuilt on
+        first use with the input graph's node and edge order."""
+        if self._graph is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(
+                self._nodes if self._graph_order is None else self._graph_order
+            )
+            graph.add_edges_from(self.edges)
+            self._graph = graph
         return self._graph
 
     # ------------------------------------------------------------------
-    # Metric properties.
+    # Metric properties (BFS over the CSR rows).
     # ------------------------------------------------------------------
 
     @property
     def diameter(self) -> int:
         """The graph diameter ``diam(G)`` (cached)."""
         if self._diameter is None:
-            if self.n == 1:
-                self._diameter = 0
-            else:
-                self._diameter = nx.diameter(self._graph)
+            rows = self._csr.neighbor_lists()
+            self._diameter = max(max(bfs_levels(rows, v).values()) for v in self._nodes)
         return self._diameter
 
     def distance(self, u: int, v: int) -> int:
         """Graph distance ``dist_G(u, v)``."""
-        return nx.shortest_path_length(self._graph, u, v)
-
-    def shortest_path(self, u: int, v: int) -> Sequence[int]:
-        return nx.shortest_path(self._graph, u, v)
+        return bfs_levels(self._csr.neighbor_lists(), u)[v]
 
     def ball(self, v: int, radius: int) -> frozenset:
         """``B(v, d) = {u : dist_G(u, v) ≤ d}``."""
-        lengths = nx.single_source_shortest_path_length(self._graph, v, cutoff=radius)
-        return frozenset(lengths.keys())
+        return frozenset(bfs_levels(self._csr.neighbor_lists(), v, radius))
 
     def check_diameter_bound(self, bound: int) -> None:
         """Raise :class:`TopologyError` unless ``diam(G) ≤ bound``."""

@@ -32,5 +32,9 @@ class ScheduleError(ModelError):
     """A scheduler produced an illegal activation set."""
 
 
-class TopologyError(ReproError):
-    """A graph is unusable (disconnected, empty, diameter bound violated)."""
+class TopologyError(ReproError, ValueError):
+    """A graph is unusable (disconnected, empty, diameter bound violated)
+    or a topology delta is malformed or inconsistent with the graph.
+
+    Doubles as a :class:`ValueError`, the contract of delta validation.
+    """

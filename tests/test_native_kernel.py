@@ -60,6 +60,7 @@ from repro.graphs.frontier import (
     frontier_ring,
 )
 from repro.graphs.generators import damaged_clique, random_connected, ring
+from repro.graphs.topology import Topology
 from repro.model.array_engine import ArrayExecution
 from repro.model.engine import (
     ENGINE_NAMES,
@@ -989,10 +990,12 @@ class TestNativeReplicaBatch:
 
 class TestFrontierTopologies:
     def test_ring_matches_the_networkx_build(self):
-        reference = ring(12).inclusive_csr()
-        frontier = frontier_ring(12).inclusive_csr()
+        built, wrapped = ring(12), frontier_ring(12)
+        reference, frontier = built.inclusive_csr(), wrapped.inclusive_csr()
         assert np.array_equal(reference.indptr, frontier.indptr)
         assert np.array_equal(reference.indices, frontier.indices)
+        assert sorted(built.edges) == list(wrapped.edges)
+        assert wrapped.diameter == built.diameter == 6
 
     @pytest.mark.parametrize(
         "build",
@@ -1007,6 +1010,7 @@ class TestFrontierTopologies:
         """Self-first rows, ascending open neighborhoods, symmetry, and
         an edge count consistent with the row lengths."""
         topology = build()
+        assert isinstance(topology, Topology)
         csr = topology.inclusive_csr()
         neighbor_sets = {}
         for v in range(topology.n):
@@ -1019,6 +1023,8 @@ class TestFrontierTopologies:
             for u in peers:
                 assert v in neighbor_sets[u], (u, v)
         assert sum(len(s) for s in neighbor_sets.values()) == 2 * topology.m
+        assert len(topology.edges) == topology.m
+        assert all(topology.has_edge(u, v) for u, v in topology.edges)
         assert topology.nodes is topology.nodes  # identity-stable
         assert len(topology) == topology.n
         assert topology.inclusive_neighbors(1)[0] == 1
