@@ -6,9 +6,9 @@ Demonstrates what ``engine="native"`` buys:
    families bypass networkx entirely — ``O(n + m)`` numpy passes —
    and wrap the arrays with ``Topology.from_csr``);
 2. the ``native`` engine stepping a million-node ring and hub colony,
-   with throughput reported in nanoseconds per node-step — memory is
-   ``O(n + m)``, not the ``O(n · |Q|)`` presence matrix of the numpy
-   array tier, so ``n = 10^6`` fits comfortably;
+   with throughput reported in nanoseconds per node-step — one
+   compiled loop over the CSR with no intermediate arrays, so
+   ``n = 10^6`` fits comfortably;
 3. a bit-identity spot check against the array engine at a size both
    tiers can hold — the native tier is a faster route to the *same*
    trajectory, not an approximation.
@@ -38,8 +38,9 @@ from repro.model.scheduler import SynchronousScheduler
 
 D = 2
 BACKEND = native_backend_name()
-#: The fallback (numpy) tier is ~10x slower and pays the dense
-#: presence matrix, so the walk shrinks when no backend resolved.
+#: The fallback (numpy) tier pays a few numpy passes and temporaries
+#: over the CSR entries per step, so the walk shrinks when no backend
+#: resolved.
 N = 1_000_000 if BACKEND else 100_000
 
 

@@ -138,19 +138,6 @@ class ResetTailUnison(Algorithm):
             self._vector_kernel = TailKernel(self)
         return self._vector_kernel
 
-    def delta_batch(
-        self,
-        codes: np.ndarray,
-        presence: np.ndarray,
-        active: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Vectorized ``δ`` over a whole configuration (the masked
-        variant mirroring :meth:`ThinUnison.delta_batch`)."""
-        new_codes = self.vector_kernel().delta_batch(codes, presence)
-        if active is None:
-            return new_codes
-        return np.where(active, new_codes, codes)
-
     # ------------------------------------------------------------------
     # Transition function.
     # ------------------------------------------------------------------

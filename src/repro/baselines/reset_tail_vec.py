@@ -1,12 +1,13 @@
 """Vectorized transition kernel for :class:`ResetTailUnison`.
 
 The array engine (:mod:`repro.model.array_engine`) is algorithm-agnostic
-behind three seams — a dense state encoding, a presence-matrix builder,
-and a batched/scalar δ — originally built for AlgAU
+behind two seams — a dense state encoding and a code-level δ
+(:class:`~repro.core.algau_vec.CodeDelta`, evaluated on one node or on
+packed signal words) — originally built for AlgAU
 (:mod:`repro.core.algau_vec`).  The reset-tail rules fit the same shape:
 every transition guard is a *set* condition on the sensed states, so the
 whole rule table compiles into three ``(|Q|, |Q|)`` boolean trigger
-tables applied to presence rows:
+tables over (own code, sensed code):
 
 * ``reset_trigger[c]`` — sensed codes that send ring code ``c`` to the
   bottom of the tail: ring values at cyclic distance > 1, plus every
@@ -32,16 +33,15 @@ bit-for-bit against the object engine.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.algau_vec import ScalarDelta
+from repro.core.algau_vec import CodeDelta, CodeKernel
 from repro.model.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.baselines.reset_tail_unison import ResetTailUnison
-    from repro.graphs.csr import CSRAdjacency
 
 
 class TailEncoding:
@@ -114,9 +114,9 @@ class TailEncoding:
         )
 
 
-class TailKernel:
-    """Precomputed trigger tables + the batched transition function for
-    one :class:`ResetTailUnison` instance."""
+class TailKernel(CodeKernel):
+    """Precomputed trigger tables + the code-level transition function
+    for one :class:`ResetTailUnison` instance."""
 
     def __init__(self, algorithm: "ResetTailUnison"):
         self.algorithm = algorithm
@@ -162,65 +162,14 @@ class TailKernel:
         #: The reset target: the bottom of the tail.
         self.reset_code = 0
 
-        self._scalar_delta: Optional[ScalarDelta] = None
-
-    # ------------------------------------------------------------------
-    # Presence matrix (identical idiom to VectorKernel.signal_presence).
-    # ------------------------------------------------------------------
-
-    def signal_presence(
-        self,
-        codes: np.ndarray,
-        csr: "CSRAdjacency",
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """The boolean presence matrix of the configuration: full
-        ``(n, |Q|)`` without ``rows``, else ``(len(rows), |Q|)`` for the
-        sparse-activation fast path."""
-        if rows is None:
-            presence = np.zeros((len(codes), self.size), dtype=bool)
-            presence[csr.row_index, codes[csr.indices]] = True
-            return presence
-        flat, counts = csr.gather(rows)
-        out_row = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        presence = np.zeros((len(rows), self.size), dtype=bool)
-        presence[out_row, codes[flat]] = True
-        return presence
-
-    # ------------------------------------------------------------------
-    # The batched transition function.
-    # ------------------------------------------------------------------
-
-    def delta_batch(self, codes: np.ndarray, presence: np.ndarray) -> np.ndarray:
-        """Next codes for a batch of activated nodes (``codes[i]`` with
-        signal row ``presence[i]``); returns a fresh array."""
-        reset = (presence & self.reset_trigger[codes]).any(axis=1)
-        blocked = (presence & self.advance_block[codes]).any(axis=1)
-        held = (presence & self.climb_block[codes]).any(axis=1)
-        tail = self.is_tail_code[codes]
-
-        new = np.where(blocked, codes, self.advance_to[codes])
-        new = np.where(reset, self.reset_code, new)
-        return np.where(tail, np.where(held, codes, codes + 1), new)
-
-    def scalar_delta(self) -> ScalarDelta:
-        """The code-level δ entry ``(own code, sensed codes) → code``
-        (built lazily): the climb and the ring advance are the free
-        rules, blocked by ``climb_block`` and by either ring trigger;
-        the reset is the fire rule."""
-        if self._scalar_delta is None:
-            codes = np.arange(self.size, dtype=np.int64)
-            self._scalar_delta = ScalarDelta(
-                self.climb_block | self.reset_trigger | self.advance_block,
-                np.where(self.is_tail_code, codes + 1, self.advance_to),
-                self.reset_trigger,
-                np.full(self.size, self.reset_code, dtype=np.int64),
-            )
-        return self._scalar_delta
-
-    def delta_one(self, codes: np.ndarray, neighborhood: List[int]) -> int:
-        """Scalar ``δ`` for one node: :meth:`scalar_delta` over the codes
-        of its inclusive neighborhood (node first) — the one-row
-        :meth:`delta_batch` without numpy dispatch."""
-        hood = codes[neighborhood].tolist()
-        return self.scalar_delta()(hood[0], hood)
+    def _build_code_delta(self) -> CodeDelta:
+        """The climb and the ring advance are the free rules, blocked by
+        ``climb_block`` and by either ring trigger; the reset is the
+        fire rule."""
+        codes = np.arange(self.size, dtype=np.int64)
+        return CodeDelta(
+            self.climb_block | self.reset_trigger | self.advance_block,
+            np.where(self.is_tail_code, codes + 1, self.advance_to),
+            self.reset_trigger,
+            np.full(self.size, self.reset_code, dtype=np.int64),
+        )

@@ -5,7 +5,7 @@
  * the host C compiler when numba is not importable (see the module
  * docstring for the backend resolution order).  The two lanes must stay
  * semantically identical — the kernel-level agreement tests compare
- * them against VectorKernel.delta_batch (and run_sequence against a
+ * them against VectorKernel.delta_rows (and run_sequence against a
  * per-activation delta_one + goodness_counts reference) on random codes
  * x random CSR neighborhoods.
  *
@@ -24,7 +24,7 @@
 /* delta_code: the Table 1 transition of node v (current code c) from
  * its inclusive CSR row [lo, hi) — the per-lane body of delta_rows and
  * run_sequence.  Tests sensed clocks against the per-code window masks
- * inline; no (n, |Q|) presence matrix is ever materialized. */
+ * inline; no per-node signal is ever materialized. */
 static inline int64_t
 delta_code(const int64_t *codes, const int64_t *indices, int64_t lo,
            int64_t hi, int64_t c, const int64_t *clock_of,

@@ -192,25 +192,6 @@ class ThinUnison(Algorithm[Turn, int]):
             self._vector_kernel = VectorKernel(self)
         return self._vector_kernel
 
-    def delta_batch(
-        self,
-        codes: np.ndarray,
-        presence: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Vectorized ``δ`` over a whole configuration.
-
-        ``codes`` is the dense code vector, ``presence`` the ``(n, |Q|)``
-        boolean signal matrix (see
-        :meth:`~repro.core.algau_vec.VectorKernel.signal_presence`), and
-        ``active`` an optional boolean activation mask — inactive nodes
-        keep their code, realizing an arbitrary scheduler's step.
-        """
-        new_codes = self.vector_kernel().delta_batch(codes, presence)
-        if active is None:
-            return new_codes
-        return np.where(active, new_codes, codes)
-
     # ------------------------------------------------------------------
     # Auxiliary contract.
     # ------------------------------------------------------------------

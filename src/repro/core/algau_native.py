@@ -1,12 +1,12 @@
 """Compiled AlgAU kernels over CSR neighborhoods (the ``native`` tier).
 
 :class:`~repro.core.algau_vec.VectorKernel` evaluates Table 1 with a
-handful of numpy passes, but every batched call first materializes the
-dense ``(rows, |Q|)`` presence matrix — O(n·|Q|) memory and several
-full-array sweeps per step.  The kernels here walk the CSR
-``indptr``/``indices`` arrays directly and test each sensed clock
-against the per-code window masks inline, so memory is O(n + m) and the
-per-step cost is one tight loop over the active lanes' neighborhoods.
+handful of numpy passes over packed signal words — one gather and one
+``reduceat`` per word across every CSR entry, then a few passes per
+lane.  The kernels here walk the CSR ``indptr``/``indices`` arrays
+directly and test each sensed clock against the per-code window masks
+inline, so the per-step cost is one tight loop over the active lanes'
+neighborhoods with no intermediate arrays.
 
 Four kernels cover every seam the array-tier engines use:
 
@@ -704,8 +704,8 @@ class NativeKernel:
         rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Next codes for the lanes in ``rows`` (all lanes when
-        ``None``) — the compiled counterpart of presence gather +
-        :meth:`VectorKernel.delta_batch`."""
+        ``None``) — the compiled counterpart of the packed-signal
+        :meth:`~repro.core.algau_vec.CodeKernel.delta_rows`."""
         if rows is None:
             rows = self._rows_for(len(codes))
         elif rows.dtype != np.int64:

@@ -1,4 +1,4 @@
-"""Vectorized AlgAU transition kernel (Table 1 as boolean masks).
+"""Vectorized AlgAU transition kernel (Table 1 in code space).
 
 This module is the computational core of the array engine: it evaluates
 the AA/AF/FA transition conditions of
@@ -10,32 +10,30 @@ at once, operating on the dense turn codes of
 Representation
 --------------
 A configuration is a code vector ``codes`` of shape ``(n,)``.  The
-node-local view (the set-broadcast signal) is the boolean *presence
-matrix* ``P`` of shape ``(n, |Q|)`` with ``P[v, q] = 1`` iff some node
-in ``N+(v)`` holds code ``q`` — exactly the paper's binary signal
-vector ``S_v ∈ {0, 1}^Q``, materialized for every node by a single
-scatter over the CSR arrays.
+node-local view (the set-broadcast signal) is the paper's binary signal
+vector ``S_v ∈ {0, 1}^Q``: the set of codes held in ``N+(v)``.  AlgAU
+is thin — ``|Q| = 4k - 2 = 12D + 6`` does not depend on ``n`` — so
+``S_v`` packs into ``⌈|Q|/64⌉`` ``uint64`` words (two at ``D = 9``),
+built word by word with one ``bitwise_or.reduceat`` over the inclusive
+CSR.
 
-Because able codes coincide with clock values (see
-:mod:`repro.core.encoding`), the sensed level set ``Λ_v`` becomes the
-boolean vector ``sensed_clock[v] ∈ {0, 1}^{2k}``: the able half of the
-presence row OR-ed with the faulty half scattered onto its levels'
-clocks.  Every Table 1 condition is then a per-code row mask applied to
-``sensed_clock``:
+Every Table 1 condition is a set condition on the sensed codes, so each
+becomes one ``(|Q|, |Q|)`` boolean table over (own code, sensed code),
+packed into bit masks by :class:`CodeDelta`:
 
-* **AA** (``v`` good and ``Λ_v ⊆ {ℓ, φ+1(ℓ)}``) — no sensed clock
-  outside the two-clock window, no faulty turn sensed;
-* **AF** (``v`` not protected, or senses ``ψ-1(ℓ)̂``) — some sensed
-  clock outside the three-clock adjacency window, or the precomputed
-  inward-faulty code present (the ``cautious_af`` ablation simply drops
-  the second disjunct);
-* **FA** (``Λ_v ∩ Ψ>(ℓ) = ∅``) — no sensed clock in the strictly
-  outwards mask of the node's level.
+* **AA** (``v`` good and ``Λ_v ⊆ {ℓ, φ+1(ℓ)}``) — blocked by any
+  faulty code or any code whose clock is outside the two-clock window;
+* **AF** (``v`` not protected, or senses ``ψ-1(ℓ)̂``) — fired by a
+  code whose clock is outside the three-clock adjacency window, or by
+  the precomputed inward-faulty code (the ``cautious_af`` ablation
+  simply drops the second disjunct);
+* **FA** (``Λ_v ∩ Ψ>(ℓ) = ∅``) — blocked by any code whose clock lies
+  in the strictly outwards mask of the node's level.
 
-All masks are ``(|Q|, 2k)`` tables built once per algorithm instance;
-each step is a handful of gathers and reductions, giving the
+The same masks serve one node at a time (Python int ANDs, no numpy
+dispatch) and a batch of nodes (one AND per signal word), giving the
 ``O(D)``-state promise of Thm 1.1 a simulator whose per-step cost is a
-few numpy passes over ``(n, 2k)`` arrays.
+few numpy passes over the CSR entries.
 """
 
 from __future__ import annotations
@@ -49,15 +47,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.csr import CSRAdjacency
 
 
-class ScalarDelta:
-    """The one-node ``δ`` on codes: ``(own code, sensed codes) → code``.
+#: Below this activated fraction :meth:`CodeDelta.rows` gathers only the
+#: activated rows' neighborhoods instead of evaluating every row and
+#: slicing.
+SPARSE_ACTIVATION_FRACTION = 0.5
 
-    The batched kernel pays ~20 numpy dispatches per call, which
-    dominates when a single node steps at a time (round-robin daemons,
-    the net lane's actors).  Here each rule of a state machine whose
-    guards are set conditions on the sensed codes is one bit mask per
-    own code, so a transition is two integer ANDs over the mask of the
-    sensed codes:
+_WORD = (1 << 64) - 1
+
+
+class CodeDelta:
+    """The code-level ``δ``: Table 1 in code space, one table set
+    behind every lane that evaluates δ on codes.
+
+    Each rule of a state machine whose guards are set conditions on the
+    sensed codes is one bit mask per own code:
 
     * the *free* rule fires unless some code in ``block[own]`` is
       sensed, moving to ``free_to[own]``;
@@ -66,10 +69,26 @@ class ScalarDelta:
     * otherwise the node stays.
 
     ``block`` and ``fire`` are ``(|Q|, |Q|)`` boolean tables indexed
-    ``[own code, sensed code]``.
+    ``[own code, sensed code]``.  Two entries read them:
+
+    * :meth:`__call__` — one node, with the masks as Python ints (the
+      scalar ``delta_one``, the list ``run_sequence`` kernel, the net
+      lane's actors): two integer ANDs per transition;
+    * :meth:`rows` — a batch of nodes over an inclusive CSR, with the
+      masks split into ``⌈|Q|/64⌉`` ``uint64`` words: the signal
+      ``S_v`` of every node is OR-reduced word by word over its
+      neighborhood, and each rule is one AND per word.
     """
 
-    __slots__ = ("_bit", "_block", "_free_to", "_fire", "_fire_to")
+    __slots__ = (
+        "_bit",
+        "_block",
+        "_free_to",
+        "_fire",
+        "_fire_to",
+        "_words",
+        "_targets",
+    )
 
     def __init__(
         self,
@@ -83,6 +102,19 @@ class ScalarDelta:
         self._free_to = free_to.tolist()
         self._fire = _row_masks(fire)
         self._fire_to = fire_to.tolist()
+        # Word-major batched tables: per word, the (|Q|,) uint64 arrays
+        # of each code's own bit, block mask and fire mask.  One
+        # contiguous array per word keeps every gather 1-D.
+        self._words = tuple(
+            tuple(
+                np.array([(mask >> shift) & _WORD for mask in masks], dtype=np.uint64)
+                for masks in (self._bit, self._block, self._fire)
+            )
+            for shift in range(0, len(block), 64)
+        )
+        # Per own code: the free target, itself (stay), the fire target.
+        targets = np.stack([free_to, np.arange(len(block)), fire_to], axis=1)
+        self._targets = targets.astype(np.int64).ravel()
 
     def __call__(self, own: int, sensed: Iterable[int]) -> int:
         """The next code of a node in ``own`` sensing ``sensed`` (its
@@ -97,6 +129,40 @@ class ScalarDelta:
         if mask & self._fire[own]:
             return self._fire_to[own]
         return own
+
+    def rows(
+        self,
+        codes: np.ndarray,
+        csr: "CSRAdjacency",
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Next codes for the ``rows`` lanes of ``codes`` (sorted node
+        ids; all lanes when ``None``), in row order — a fresh array.
+
+        Every inclusive CSR row holds at least its own node, so no
+        ``reduceat`` segment is empty (an empty segment would silently
+        read the next row's first entry)."""
+        if rows is None:
+            own = codes
+            sensed = codes.take(csr.indices)
+            starts = csr.indptr[:-1]
+        elif len(rows) <= SPARSE_ACTIVATION_FRACTION * len(codes):
+            flat, counts = csr.gather(rows)
+            own = codes.take(rows)
+            sensed = codes.take(flat)
+            starts = np.cumsum(counts) - counts
+        else:
+            return self.rows(codes, csr).take(rows)
+        blocked = np.zeros(len(own), dtype=bool)
+        fired = np.zeros(len(own), dtype=bool)
+        for bit, block, fire in self._words:
+            word = np.bitwise_or.reduceat(bit.take(sensed), starts)
+            blocked |= (word & block.take(own)) != 0
+            fired |= (word & fire.take(own)) != 0
+        # 0 = free rule, 1 = stay, 2 = fire rule: the column of ``own``'s
+        # row in the (|Q|, 3) target table.
+        outcome = blocked.view(np.uint8) << fired.view(np.uint8)
+        return self._targets.take(3 * own + outcome)
 
 
 def checked_sequence(codes: np.ndarray, order, counts: np.ndarray) -> np.ndarray:
@@ -117,9 +183,45 @@ def _row_masks(table: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-class VectorKernel:
-    """Precomputed lookup tables + the batched transition function for
-    one :class:`ThinUnison` instance."""
+class CodeKernel:
+    """The δ entries of a kernel whose Table 1 is one :class:`CodeDelta`
+    (built lazily by the subclass's :meth:`_build_code_delta`)."""
+
+    _code_delta: Optional[CodeDelta] = None
+
+    def _build_code_delta(self) -> CodeDelta:
+        raise NotImplementedError
+
+    def code_delta(self) -> CodeDelta:
+        """The code-level δ tables of this kernel (built on first use)."""
+        if self._code_delta is None:
+            self._code_delta = self._build_code_delta()
+        return self._code_delta
+
+    def delta_one(self, codes: np.ndarray, neighborhood: List[int]) -> int:
+        """Scalar ``δ`` for one node over the codes of its inclusive
+        neighborhood (node first — see
+        :meth:`~repro.graphs.csr.CSRAdjacency.neighbor_lists`): a
+        one-row :meth:`delta_rows` without numpy's per-call dispatch,
+        for sparsely scheduled steps that refresh a single dirty node."""
+        hood = codes[neighborhood].tolist()
+        return self.code_delta()(hood[0], hood)
+
+    def delta_rows(
+        self,
+        codes: np.ndarray,
+        csr: "CSRAdjacency",
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Batched ``δ`` for the ``rows`` lanes (all when ``None``) on
+        packed signal words — :meth:`CodeDelta.rows`, with the contract
+        of :meth:`~repro.core.algau_native.NativeKernel.delta_rows`."""
+        return self.code_delta().rows(codes, csr, rows)
+
+
+class VectorKernel(CodeKernel):
+    """Precomputed lookup tables + the code-level transition function
+    for one :class:`ThinUnison` instance."""
 
     def __init__(self, algorithm: "ThinUnison"):
         self.algorithm = algorithm
@@ -192,98 +294,15 @@ class VectorKernel:
         pair_cyc = np.minimum((qc - pc) % k2, (pc - qc) % k2)
         self.pair_unprotected = pair_cyc > 1
 
-        self._scalar_delta: Optional[ScalarDelta] = None
         self._pair_bad_rows: Optional[List[List[int]]] = None
         self._outwards_gg: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Signals.
+    # The code-level δ.
     # ------------------------------------------------------------------
 
-    def signal_presence(
-        self,
-        codes: np.ndarray,
-        csr: "CSRAdjacency",
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """The boolean presence matrix ``S`` of the configuration.
-
-        Without ``rows``: shape ``(n, |Q|)``, one row per node.  With
-        ``rows`` (sorted node ids): shape ``(len(rows), |Q|)``, only
-        those nodes' signals — the sparse-activation fast path.
-        """
-        if rows is None:
-            presence = np.zeros((len(codes), self.size), dtype=bool)
-            presence[csr.row_index, codes[csr.indices]] = True
-            return presence
-        flat, counts = csr.gather(rows)
-        out_row = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        presence = np.zeros((len(rows), self.size), dtype=bool)
-        presence[out_row, codes[flat]] = True
-        return presence
-
-    def sensed_clocks(self, presence: np.ndarray) -> np.ndarray:
-        """``Λ`` per row: the ``(rows, 2k)`` boolean matrix of sensed
-        levels (clock-indexed), merging able and faulty codes."""
-        k2 = self.num_clocks
-        sensed = presence[:, :k2].copy()
-        faulty_clocks = self.encoding.clock_of_code[k2:]
-        # Each faulty code maps to a distinct clock, so fancy |= is safe.
-        sensed[:, faulty_clocks] |= presence[:, k2:]
-        return sensed
-
-    # ------------------------------------------------------------------
-    # The batched transition function.
-    # ------------------------------------------------------------------
-
-    def delta_batch(self, codes: np.ndarray, presence: np.ndarray) -> np.ndarray:
-        """Next codes for a batch of activated nodes.
-
-        ``codes[i]`` is the state of the ``i``-th batch node and
-        ``presence[i]`` its signal row; every batch node is considered
-        activated (callers slice out the active rows — see
-        :meth:`ThinUnison.delta_batch` for the masked variant).  Returns
-        a fresh array; ``codes`` is not modified.
-        """
-        k2 = self.num_clocks
-        sensed = self.sensed_clocks(presence)
-
-        any_faulty = presence[:, k2:].any(axis=1)
-        not_protected = (sensed & ~self.adjacent_mask[codes]).any(axis=1)
-        outside_aa = (sensed & ~self.aa_mask[codes]).any(axis=1)
-        is_able = ~self.is_faulty_code[codes]
-
-        # Table 1, type AA: v good and Λ ⊆ {ℓ, φ+1(ℓ)}.
-        aa_fire = is_able & ~not_protected & ~any_faulty & ~outside_aa
-
-        # Table 1, type AF: able with a faulty twin; not protected, or
-        # (cautious) sensing the inward faulty turn.  AA takes
-        # precedence, mirroring ThinUnison.classify.
-        sense_codes = self.af_sense_code[codes]
-        af_sense = np.zeros(len(codes), dtype=bool)
-        defined = sense_codes >= 0
-        af_sense[defined] = presence[np.nonzero(defined)[0], sense_codes[defined]]
-        af_condition = not_protected
-        if self.cautious_af:
-            af_condition = af_condition | af_sense
-        af_fire = is_able & ~aa_fire & self.has_faulty_twin[codes] & af_condition
-
-        # Table 1, type FA: faulty with Λ ∩ Ψ>(ℓ) = ∅.
-        fa_fire = ~is_able & ~(sensed & self.outwards_mask[codes]).any(axis=1)
-
-        new_codes = codes.copy()
-        new_codes[aa_fire] = self.aa_succ[codes[aa_fire]]
-        new_codes[af_fire] = self.af_code[codes[af_fire]]
-        new_codes[fa_fire] = self.fa_succ[codes[fa_fire]]
-        return new_codes
-
-    # ------------------------------------------------------------------
-    # The scalar δ (one node at a time).
-    # ------------------------------------------------------------------
-
-    def scalar_delta(self) -> ScalarDelta:
-        """The code-level δ entry ``(own code, sensed codes) → code``
-        (built lazily): Table 1 with each guard in code space.
+    def _build_code_delta(self) -> CodeDelta:
+        """Table 1 with each guard in code space.
 
         AA (able) and FA (faulty) are the free rules: AA is blocked by
         any faulty code or any clock outside ``{ℓ, φ+1(ℓ)}``, FA by any
@@ -291,23 +310,21 @@ class VectorKernel:
         faulty twin: a clock outside the three-clock adjacency window,
         or (cautious) the inward faulty code ``ψ-1(ℓ)̂``.
         """
-        if self._scalar_delta is None:
-            rows = np.arange(self.size)[:, None]
-            sensed = self.encoding.clock_of_code[None, :]
-            is_faulty = self.is_faulty_code
-            aa_block = is_faulty[None, :] | ~self.aa_mask[rows, sensed]
-            fa_block = self.outwards_mask[rows, sensed]
-            af_fire = self.has_faulty_twin[:, None] & ~self.adjacent_mask[rows, sensed]
-            if self.cautious_af:
-                twins = np.nonzero(self.af_sense_code >= 0)[0]
-                af_fire[twins, self.af_sense_code[twins]] = True
-            self._scalar_delta = ScalarDelta(
-                np.where(is_faulty[:, None], fa_block, aa_block),
-                np.where(is_faulty, self.fa_succ, self.aa_succ),
-                af_fire,
-                self.af_code,
-            )
-        return self._scalar_delta
+        rows = np.arange(self.size)[:, None]
+        sensed = self.encoding.clock_of_code[None, :]
+        is_faulty = self.is_faulty_code
+        aa_block = is_faulty[None, :] | ~self.aa_mask[rows, sensed]
+        fa_block = self.outwards_mask[rows, sensed]
+        af_fire = self.has_faulty_twin[:, None] & ~self.adjacent_mask[rows, sensed]
+        if self.cautious_af:
+            twins = np.nonzero(self.af_sense_code >= 0)[0]
+            af_fire[twins, self.af_sense_code[twins]] = True
+        return CodeDelta(
+            np.where(is_faulty[:, None], fa_block, aa_block),
+            np.where(is_faulty, self.fa_succ, self.aa_succ),
+            af_fire,
+            self.af_code,
+        )
 
     def pair_bad_rows(self) -> List[List[int]]:
         """``pair_unprotected`` as nested lists of 0/1 ints (built
@@ -328,19 +345,6 @@ class VectorKernel:
             self._outwards_gg = self.outwards_mask & ~self.adjacent_mask
         return self._outwards_gg
 
-    def delta_one(self, codes: np.ndarray, neighborhood: List[int]) -> int:
-        """Scalar ``δ`` for one node: :meth:`scalar_delta` over the codes
-        of its inclusive neighborhood (node first — see
-        :meth:`~repro.graphs.csr.CSRAdjacency.neighbor_lists`).
-
-        Exactly equivalent to a one-row :meth:`delta_batch` call but
-        without numpy's per-call dispatch — the incremental engines use
-        it when a sparsely scheduled step needs to refresh a single
-        dirty node.
-        """
-        hood = codes[neighborhood].tolist()
-        return self.scalar_delta()(hood[0], hood)
-
     def run_sequence(
         self,
         codes: np.ndarray,
@@ -349,11 +353,11 @@ class VectorKernel:
         counts: np.ndarray,
     ) -> int:
         """:meth:`~repro.core.algau_native.NativeKernel.run_sequence`
-        (same contract) at Python-list speed: :meth:`scalar_delta`'s
+        (same contract) at Python-list speed: :meth:`code_delta`'s
         masks and :meth:`pair_bad_rows` over one ``tolist()`` of the
         codes, written back once."""
         order = checked_sequence(codes, order, counts).tolist()
-        delta = self.scalar_delta()
+        delta = self.code_delta()
         bit, block, free_to = delta._bit, delta._block, delta._free_to
         fire, fire_to = delta._fire, delta._fire_to
         pair_bad = self.pair_bad_rows()

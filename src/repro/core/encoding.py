@@ -19,10 +19,9 @@ code range                turn
 Total: ``4k - 2 = |Q|`` codes, matching
 :meth:`~repro.core.turns.TurnSystem.size`.  Placing the able codes
 first and identifying them with clock values keeps every kernel lookup
-in :mod:`repro.core.algau_vec` a plain table gather, and makes the
-boolean *presence* matrix of a neighborhood (shape ``(n, |Q|)``)
-trivially splittable into its able (``[:, :2k]``) and faulty
-(``[:, 2k:]``) halves.
+in :mod:`repro.core.algau_vec` a plain table gather, and makes a
+sensed-code set trivially splittable into its able (codes below
+``2k``) and faulty (codes ``2k`` and up) halves.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Both engines need the *inclusive* neighborhoods ``N+(v) = N(v) ∪ {v}``
 of every node: the array backend as flat integer arrays so that the
-per-step signal computation is a single scatter over contiguous memory,
-and the object engine as plain Python lists so that signal sets and
-dirty-neighborhood propagation iterate at list speed.
+per-step signal computation is one segmented reduction over contiguous
+memory, and the object engine as plain Python lists so that signal sets
+and dirty-neighborhood propagation iterate at list speed.
 :class:`CSRAdjacency` is the one shared adjacency representation; it
 stores the standard two-array layout:
 
@@ -39,7 +39,7 @@ class CSRAdjacency:
         self.indptr = indptr
         self.indices = indices
         # Row id of every entry of ``indices`` — precomputed because the
-        # presence scatter needs it on every step.
+        # full goodness scans pair it with ``indices`` on every call.
         self.row_index = np.repeat(
             np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
         )

@@ -2,11 +2,12 @@
 
 :class:`ArrayExecution` is the scale backend of the simulator: it keeps
 the configuration as a dense integer code vector (see
-:mod:`repro.core.encoding`), computes activated nodes' signals as a
-boolean presence matrix scattered over the topology's CSR neighborhoods
-(:mod:`repro.graphs.csr`), and applies the batched Table 1 kernel of
-:mod:`repro.core.algau_vec` — turning one step into a handful of numpy
-passes instead of ``|A_t|`` Python-level transition evaluations.
+:mod:`repro.core.encoding`), packs activated nodes' signals into
+``⌈|Q|/64⌉`` bit words per node, OR-reduced over the topology's CSR
+neighborhoods (:mod:`repro.graphs.csr`), and applies the code-level
+Table 1 of :mod:`repro.core.algau_vec` one word at a time — turning one
+step into a handful of numpy passes instead of ``|A_t|`` Python-level
+transition evaluations.
 
 On top of the batched kernel the engine runs the incremental step
 pipeline of :class:`~repro.model.engine.ExecutionBase`: a pending-code
@@ -14,7 +15,7 @@ vector guarded by a dirty mask.  A step only pays kernel work for the
 ``activated ∩ dirty`` lane subset; clean activated lanes replay their
 cached pending code, and a state change re-dirties exactly its CSR
 neighborhood.  Tiny activation sets (round-robin and friends)
-additionally take a scalar fast path (:meth:`VectorKernel.delta_one`)
+additionally take a scalar fast path (:meth:`CodeKernel.delta_one`)
 that bypasses numpy dispatch entirely, which is what makes sparse
 schedules scale with *activity* instead of ``n``.  The engine also
 keeps incremental goodness counts (faulty nodes + unprotected ordered
@@ -40,12 +41,14 @@ The engine implements the exact contract of
   objects;
 * any scheduler works: the activation set is translated to an index
   array, and sparse activations take a fast path that only gathers the
-  activated rows of the presence matrix.
+  activated rows' neighborhoods.
 
 Requirements: the algorithm must expose the vectorized backend
-(``encoding``, ``vector_kernel()``, ``delta_batch``) and be
+(``encoding`` and a ``vector_kernel()`` with the
+:class:`~repro.core.algau_vec.CodeKernel` δ entries) and be
 deterministic — currently :class:`~repro.core.algau.ThinUnison` (both
-the paper's variant and the ``cautious_af=False`` ablation).
+the paper's variant and the ``cautious_af=False`` ablation) and
+:class:`~repro.baselines.reset_tail_unison.ResetTailUnison`.
 """
 
 from __future__ import annotations
@@ -91,34 +94,7 @@ def _decode_changes(
 
 def supports_array_engine(algorithm: Algorithm) -> bool:
     """Whether ``algorithm`` exposes the vectorized backend."""
-    return (
-        hasattr(algorithm, "encoding")
-        and hasattr(algorithm, "vector_kernel")
-        and hasattr(algorithm, "delta_batch")
-    )
-
-
-#: Below this activated fraction :func:`evaluate_delta` gathers only the
-#: activated rows of the presence matrix instead of scattering the full
-#: ``(n, |Q|)`` signal.
-SPARSE_ACTIVATION_FRACTION = 0.5
-
-
-def evaluate_delta(
-    kernel, codes: np.ndarray, rows: Optional[np.ndarray], csr
-) -> np.ndarray:
-    """δ for the ``rows`` lanes of ``codes`` (all lanes when ``None``),
-    returned in row order: the presence-matrix gather + batched numpy
-    kernel behind the array tier's ``_evaluate`` seam, shared by
-    :class:`ArrayExecution` and the replica ensemble."""
-    if rows is None:
-        presence = kernel.signal_presence(codes, csr)
-        return kernel.delta_batch(codes, presence)
-    if len(rows) <= SPARSE_ACTIVATION_FRACTION * len(codes):
-        presence = kernel.signal_presence(codes, csr, rows=rows)
-    else:
-        presence = kernel.signal_presence(codes, csr)[rows]
-    return kernel.delta_batch(codes[rows], presence)
+    return hasattr(algorithm, "encoding") and hasattr(algorithm, "vector_kernel")
 
 
 class ArrayExecution(ExecutionBase["Turn"]):
@@ -144,7 +120,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         if not supports_array_engine(algorithm):
             raise ModelError(
                 f"{algorithm.name} does not expose the vectorized backend "
-                "(encoding/vector_kernel/delta_batch); use the object engine"
+                "(encoding/vector_kernel); use the object engine"
             )
         self._encoding = algorithm.encoding
         self._kernel = algorithm.vector_kernel()
@@ -445,12 +421,11 @@ class ArrayExecution(ExecutionBase["Turn"]):
         This is the batched-δ kernel seam of the array tier: every batched
         evaluation — dense steps, stale-lane refreshes, the naive
         reference — funnels through it, and the replica ensemble's fused
-        pass uses the same seam.  The base implementation is
-        :func:`evaluate_delta`; the native tier overrides it with a
-        compiled CSR-walking kernel (O(n + m) memory, no presence
-        matrix).
+        pass uses the same seam.  The base implementation is the
+        kernel's packed-signal :meth:`~repro.core.algau_vec.CodeKernel.delta_rows`;
+        the native tier overrides it with a compiled CSR-walking kernel.
         """
-        return evaluate_delta(self._kernel, codes, rows, csr)
+        return self._kernel.delta_rows(codes, csr, rows)
 
     def _apply_dense(self, rows: Optional[np.ndarray]) -> Changes:
         """Dense-activation step: batch-recompute the activated lanes

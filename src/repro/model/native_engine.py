@@ -5,7 +5,8 @@ with its five kernel seams rerouted to the compiled CSR-walking kernels
 of :mod:`repro.core.algau_native`:
 
 * :meth:`~repro.model.array_engine.ArrayExecution._evaluate` — batched δ
-  without the ``(rows, |Q|)`` presence matrix (O(n + m) memory);
+  as one compiled walk over the active lanes' neighborhoods, testing
+  each sensed clock inline (no signal words, no numpy passes);
 * :meth:`~repro.model.array_engine.ArrayExecution._pair_fold` and
   :meth:`~repro.model.replica_engine.ReplicaBatchExecution._fold_pair_counts`
   — the incremental goodness folds of the engine and of the ensemble

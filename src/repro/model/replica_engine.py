@@ -12,9 +12,9 @@ strategy for fault-free seed ensembles: it holds the code vectors of
 neighborhoods into one block-diagonal adjacency, and advances every
 live replica's activated lanes in a single fused Table 1 kernel pass
 per ensemble step.  δ and the goodness seed go through the array
-tier's kernel seams (:func:`~repro.model.array_engine.evaluate_delta`
-and the kernel's goodness scan), which the native tier reroutes to its
-compiled kernels.
+tier's kernel seams (the kernel's packed-signal
+:meth:`~repro.core.algau_vec.CodeKernel.delta_rows` and its goodness
+scan), which the native tier reroutes to its compiled kernels.
 
 Per replica the runner keeps exactly the state the per-scenario path
 keeps: its own scheduler instance, its own ``SeedSequence``-derived rng
@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.topology import Topology
-from repro.model.array_engine import evaluate_delta, supports_array_engine
+from repro.model.array_engine import supports_array_engine
 from repro.model.configuration import Configuration
 from repro.model.errors import ModelError
 from repro.model.rounds import RoundTracker
@@ -188,7 +188,7 @@ class ReplicaBatchExecution:
         if not supports_array_engine(algorithm):
             raise ModelError(
                 f"{algorithm.name} does not expose the vectorized backend "
-                "(encoding/vector_kernel/delta_batch); replica ensembles "
+                "(encoding/vector_kernel); replica ensembles "
                 "need it"
             )
         self._encoding = algorithm.encoding
@@ -200,7 +200,7 @@ class ReplicaBatchExecution:
     # ------------------------------------------------------------------
 
     def _evaluate(self, codes, rows, csr) -> np.ndarray:
-        return evaluate_delta(self._kernel, codes, rows, csr)
+        return self._kernel.delta_rows(codes, csr, rows)
 
     def _goodness_counts(self, codes, csr):
         return self._kernel.goodness_counts(codes, csr)

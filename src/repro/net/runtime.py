@@ -6,7 +6,7 @@ contract, so schedulers, monitors, round bookkeeping, the
 permanent-fault adversary and the ``run`` driver all compose unchanged.
 What changes is *how one step happens*: instead of reading the shared
 configuration, each activated node actor steps with the algorithm
-kernel's code-level δ (``vector_kernel().scalar_delta()``) over its own
+kernel's code-level δ (``vector_kernel().code_delta()``) over its own
 state code and its neighbor registers, then broadcasts its code over the
 simulated links.  Codes are decoded through the encoding's
 ``turn_table`` only where callers need states (``configuration``,
@@ -139,7 +139,7 @@ class NetExecution(ExecutionBase):
         self.network = MessageNetwork(self.link_config, self.noise_rng)
         self._kernel = algorithm.vector_kernel()
         #: The code-level δ every actor steps with.
-        self._delta = self._kernel.scalar_delta()
+        self._delta = self._kernel.code_delta()
         self._encode = algorithm.encoding.encode
         self._turns = algorithm.encoding.turn_table
         self._seq = 0

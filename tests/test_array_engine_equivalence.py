@@ -245,9 +245,9 @@ def test_array_engine_rejects_non_vectorizable_algorithms():
         )
 
 
-def test_delta_batch_matches_classify_pointwise():
-    """ThinUnison.delta_batch with an activation mask agrees with the
-    scalar successor() on every node, active or not."""
+def test_delta_rows_matches_classify_pointwise():
+    """The kernel's packed-signal delta_rows under an activation mask
+    agrees with the scalar successor() on every node, active or not."""
     topology = damaged_clique(11, 2, np.random.default_rng(4))
     for cautious_af in (True, False):
         algorithm = ThinUnison(2, cautious_af=cautious_af)
@@ -258,8 +258,7 @@ def test_delta_batch_matches_classify_pointwise():
         config = random_configuration(algorithm, topology, rng)
         codes = encoding.encode_configuration(config)
         active = rng.random(topology.n) < 0.6
-        presence = kernel.signal_presence(codes, csr)
-        new_codes = algorithm.delta_batch(codes, presence, active=active)
+        new_codes = np.where(active, kernel.delta_rows(codes, csr), codes)
         for v in topology.nodes:
             expected = (
                 algorithm.successor(config[v], config.signal(v))
@@ -285,7 +284,7 @@ def test_scalar_delta_matches_resolve(algorithm):
     ``resolve`` on random own codes and register multisets (half of
     them drawn near the own code, so the advancing rules fire too)."""
     encoding = algorithm.encoding
-    delta = algorithm.vector_kernel().scalar_delta()
+    delta = algorithm.vector_kernel().code_delta()
     size = encoding.size
     rng = np.random.default_rng(11)
     moved = 0

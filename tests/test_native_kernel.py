@@ -8,7 +8,7 @@ contract the array engine owes the object model: *bit identity*.
 Three layers:
 
 * kernel lanes — the pure-Python reference lane, the resolved compiled
-  backend, the numpy :class:`VectorKernel`, and the scalar
+  backend, the packed-signal ``delta_rows``, and the scalar
   ``delta_one`` must agree pointwise (property-tested on random codes
   over random inclusive-CSR neighborhoods); ``run_sequence`` adds the
   array tier's list kernel as a lane;
@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reset_tail_unison import ResetTailUnison
 from repro.core import algau_native
 from repro.core.algau import ThinUnison
 from repro.core.algau_native import (
@@ -53,6 +55,7 @@ from repro.faults.injection import (
     uniform_configuration,
 )
 from repro.graphs.csr import CSRAdjacency
+from repro.graphs.dynamic import DynamicTopology, TopologyDelta
 from repro.graphs.frontier import (
     FRONTIER_FAMILIES,
     frontier_colony,
@@ -128,32 +131,59 @@ def _sequence_lanes(kernel):
     return {"list": kernel, **_lanes(kernel)}
 
 
-@settings(max_examples=60, deadline=None)
+def _churned(csr: CSRAdjacency) -> CSRAdjacency:
+    """The :class:`MutableCSR` of ``csr`` as a dynamic topology, patched
+    in place by one delta that tombstones node 0 (its row collapses to
+    ``[0]``) and joins node ``n`` attached to up to three survivors."""
+    n = csr.n
+    base = SimpleNamespace(
+        name="random",
+        nodes=tuple(range(n)),
+        m=(len(csr.indices) - n) // 2,
+        inclusive_csr=lambda: csr,
+    )
+    dynamic = DynamicTopology(base)
+    mutable = dynamic.inclusive_csr()
+    dynamic.apply_delta(
+        TopologyDelta(leave=(0,), join=((n, tuple(range(1, min(n, 4))), None),))
+    )
+    return mutable
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    d=st.integers(min_value=1, max_value=3),
+    d=st.sampled_from([1, 2, 3, 4, 5, 11]),
     n=st.integers(min_value=1, max_value=11),
-    cautious=st.booleans(),
+    algorithm_name=st.sampled_from(["algau", "algau-plain-af", "reset-tail"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_delta_lanes_agree_property(d, n, cautious, seed):
-    """delta_one == delta_batch == python lane == compiled lane on
-    random codes over random inclusive neighborhoods."""
+def test_delta_lanes_agree_property(d, n, algorithm_name, seed):
+    """delta_one == delta_rows on packed signal words == python lane ==
+    compiled lane on random codes over random inclusive neighborhoods:
+    AlgAU tables of one to three words (|Q| = 18 … 138) and the
+    reset-tail kernel, full calls and row subsets, on a frozen CSR and
+    on a MutableCSR after a leave and a join."""
     rng = np.random.default_rng(seed)
-    algorithm = ThinUnison(d, cautious_af=cautious)
+    if algorithm_name == "reset-tail":
+        algorithm = ResetTailUnison.for_diameter_bound(d)
+    else:
+        algorithm = ThinUnison(d, cautious_af=algorithm_name == "algau")
     kernel = algorithm.vector_kernel()
-    csr = _random_inclusive_csr(rng, n)
-    codes = rng.integers(0, algorithm.encoding.size, n)
-    scalar = np.array(
-        [kernel.delta_one(codes, row) for row in csr.neighbor_lists()],
-        dtype=np.int64,
-    )
-    batched = kernel.delta_batch(codes, kernel.signal_presence(codes, csr))
-    assert np.array_equal(scalar, batched)
-    for name, lane in _lanes(kernel).items():
-        assert np.array_equal(lane.delta_rows(codes, csr), scalar), name
-        # Partial row sets too — the incremental engines' call shape.
-        rows = np.flatnonzero(rng.random(n) < 0.5).astype(np.int64)
-        if len(rows):
+    lanes = {"packed": kernel}
+    if isinstance(algorithm, ThinUnison):  # the compiled tables are AlgAU's
+        lanes.update(_lanes(kernel))
+    frozen = _random_inclusive_csr(rng, n)
+    for csr in [frozen, _churned(frozen)] if n >= 2 else [frozen]:
+        codes = rng.integers(0, algorithm.encoding.size, csr.n)
+        scalar = np.array(
+            [kernel.delta_one(codes, row) for row in csr.neighbor_lists()],
+            dtype=np.int64,
+        )
+        # Partial row sets too — the incremental engines' call shape —
+        # on both sides of the sparse-gather threshold.
+        rows = np.flatnonzero(rng.random(csr.n) < rng.random()).astype(np.int64)
+        for name, lane in lanes.items():
+            assert np.array_equal(lane.delta_rows(codes, csr), scalar), name
             assert np.array_equal(
                 lane.delta_rows(codes, csr, rows), scalar[rows]
             ), name
@@ -178,7 +208,7 @@ def test_goodness_and_fold_lanes_agree_property(d, n, seed):
         assert lane.goodness_counts(codes, csr) == tuple(expected_counts), name
 
     # A synthetic step: activate a random subset, take its δ.
-    new = kernel.delta_batch(codes, kernel.signal_presence(codes, csr))
+    new = kernel.delta_rows(codes, csr)
     new = np.where(rng.random(n) < 0.5, new, codes)
     diff = np.flatnonzero(new != codes).astype(np.int64)
     if not len(diff):
