@@ -20,14 +20,15 @@ from __future__ import annotations
 import numpy as np
 from conftest import emit
 
+from repro.analysis.stabilization import settle
 from repro.analysis.stats import Summary
 from repro.analysis.tables import render_table
 from repro.baselines.min_unison import MinUnison, min_unison_stable
 from repro.baselines.reset_tail_unison import ResetTailUnison, reset_tail_stable
 from repro.core.algau import ThinUnison
-from repro.core.predicates import is_good_graph
 from repro.faults.injection import random_configuration
 from repro.graphs.generators import damaged_clique
+from repro.model.engine import graph_is_good
 from repro.model.execution import Execution
 from repro.model.scheduler import ShuffledRoundRobinScheduler
 
@@ -40,22 +41,24 @@ def make_topology(rng):
 
 
 def run_unison(name, rng, topology):
+    """Stabilization round of one random start (``None`` if the budget
+    ran out) and the algorithm's state count."""
     if name == "AlgAU":
         algorithm = ThinUnison(D)
-
-        def stable(config, alg=algorithm):
-            return is_good_graph(alg, config)
-
+        stable = graph_is_good
         states = str(algorithm.state_space_size())
     elif name == "MinUnison":
         algorithm = MinUnison(initial_spread=24)
-        stable = min_unison_stable
+
+        def stable(e):
+            return min_unison_stable(e.configuration)
+
         states = "unbounded"
     else:
         algorithm = ResetTailUnison.for_diameter_bound(D)
 
-        def stable(config, alg=algorithm):
-            return reset_tail_stable(alg, config)
+        def stable(e):
+            return reset_tail_stable(algorithm, e.configuration)
 
         states = str(algorithm.state_space_size())
     execution = Execution(
@@ -65,16 +68,15 @@ def run_unison(name, rng, topology):
         ShuffledRoundRobinScheduler(),
         rng=rng,
     )
-    result = execution.run(max_rounds=50_000, until=lambda e: stable(e.configuration))
-    return result.stopped_by_predicate, execution.completed_rounds, states
+    return settle(execution, stable, 50_000), states
 
 
 def kernel():
     rng = np.random.default_rng(0)
     topology = make_topology(rng)
     for name in ("AlgAU", "MinUnison", "ResetTail"):
-        ok, rounds, _ = run_unison(name, np.random.default_rng(1), topology)
-        assert ok
+        rounds, _ = run_unison(name, np.random.default_rng(1), topology)
+        assert rounds is not None
 
 
 def test_baseline_comparison(benchmark):
@@ -86,8 +88,8 @@ def test_baseline_comparison(benchmark):
         for trial in range(TRIALS):
             rng = np.random.default_rng(trial)
             topology = make_topology(rng)
-            ok, r, states = run_unison(name, rng, topology)
-            if ok:
+            r, states = run_unison(name, rng, topology)
+            if r is not None:
                 stabilized += 1
                 rounds.append(r)
         rows.append(

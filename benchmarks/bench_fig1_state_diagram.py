@@ -1,54 +1,24 @@
 """Figure 1 — the turn/transition diagram of AlgAU.
 
 Extracts the diagram from the implemented ``δ`` (the AA 2k-cycle, the
-AF detours, the FA returns), verifies its structure against the figure,
-prints the text rendering, and persists the DOT source.  The timed
-kernel is the diagram extraction (probing δ per turn).
+AF detours, the FA returns); the claim (``FIGURE1`` in
+:mod:`repro.analysis.claims`) verifies its structure against the figure
+and prints the text rendering, and this benchmark also persists the DOT
+source.  The timed kernel is the diagram extraction (probing δ per
+turn).
 """
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import check_claim
 
-from repro.analysis.tables import persist_table, render_table
+from repro.analysis.claims import FIGURE1, FIGURE1_DIAMETER_BOUND
+from repro.analysis.tables import persist_table
 from repro.core.algau import ThinUnison
-from repro.viz.state_diagram import (
-    state_diagram,
-    to_dot,
-    to_text,
-    verify_figure1_structure,
-)
-
-DIAMETER_BOUND = 2
+from repro.viz.state_diagram import state_diagram, to_dot
 
 
 def test_figure1_regeneration(benchmark):
-    algorithm = ThinUnison(DIAMETER_BOUND)
-    diagram = benchmark(state_diagram, algorithm)
-
-    problems = verify_figure1_structure(diagram, algorithm.levels.k)
-    assert problems == [], problems
-
-    k = algorithm.levels.k
-    table = render_table(
-        ["element", "count", "paper"],
-        [
-            (
-                "able turns (clock cycle)",
-                len([t for t in diagram.turns if t.able]),
-                f"2k = {2*k}",
-            ),
-            (
-                "faulty turns (detours)",
-                len([t for t in diagram.turns if t.faulty]),
-                f"2(k-1) = {2*(k-1)}",
-            ),
-            ("AA edges (solid)", len(diagram.aa_edges), f"one 2k-cycle = {2*k}"),
-            ("AF edges (dashed red)", len(diagram.af_edges), f"2(k-1) = {2*(k-1)}"),
-            ("FA edges (dotted blue)", len(diagram.fa_edges), f"2(k-1) = {2*(k-1)}"),
-            ("total states", len(diagram.turns), f"4k-2 = {4*k-2} = 12D+6"),
-        ],
-        title=f"Figure 1 — AlgAU state diagram structure (D={DIAMETER_BOUND}, k={k})",
-    )
-    emit("fig1_state_diagram", table + "\n\n```\n" + to_text(diagram) + "\n```")
+    diagram = benchmark(state_diagram, ThinUnison(FIGURE1_DIAMETER_BOUND))
+    check_claim(FIGURE1)
     persist_table("fig1_state_diagram_dot", "```dot\n" + to_dot(diagram) + "\n```")

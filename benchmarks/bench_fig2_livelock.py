@@ -3,99 +3,20 @@
 Replays the counterexample: on the 8-ring with c = 2, D = 2, the
 rotating fair adversary keeps the reset-based algorithm in a
 configuration cycle of period n forever, while AlgAU under the *same*
-adversary on the *same* ring stabilizes.  The timed kernel is one full
-live-lock period (n rounds of the failed algorithm).
+adversary on the *same* ring stabilizes (``FIGURE2`` in
+:mod:`repro.analysis.claims`).  The timed kernel is one full live-lock
+period (n rounds of the failed algorithm).
 """
 
 from __future__ import annotations
 
-import numpy as np
-from conftest import emit
+from conftest import check_claim
 
-from repro.analysis.tables import render_table
-from repro.baselines.failed_reset_au import (
-    livelock_witness,
-    rotate_configuration,
-)
-from repro.core.algau import ThinUnison
-from repro.core.predicates import is_good_graph
-from repro.faults.injection import random_configuration
-from repro.model.execution import Execution
-from repro.model.scheduler import RotatingScheduler
-
-
-def one_livelock_period(witness):
-    execution = Execution(
-        witness.topology,
-        witness.algorithm,
-        witness.initial,
-        witness.scheduler,
-        rng=np.random.default_rng(0),
-    )
-    for _ in range(witness.topology.n * witness.topology.n):
-        execution.step()
-    return execution.configuration
+from repro.analysis.claims import FIGURE2, livelock_replay
+from repro.baselines.failed_reset_au import livelock_witness
 
 
 def test_figure2_livelock(benchmark):
-    witness = livelock_witness(diameter_bound=2, c=2)
-    n = witness.topology.n
-
-    final = benchmark(one_livelock_period, witness)
-    # After n rounds of n single-node steps the configuration is back
-    # exactly at the start: a live-lock with period n.
-    assert final == witness.initial
-
-    # Round-by-round: each round is the previous configuration rotated.
-    execution = Execution(
-        witness.topology,
-        witness.algorithm,
-        witness.initial,
-        witness.scheduler,
-        rng=np.random.default_rng(0),
-    )
-    rows = []
-    for round_index in range(n + 1):
-        rows.append(
-            (
-                round_index,
-                " ".join(
-                    str(execution.configuration[v])
-                    for v in witness.topology.nodes
-                ),
-                "initial" if execution.configuration == witness.initial
-                else f"initial rotated by {round_index % n}",
-            )
-        )
-        assert execution.configuration == rotate_configuration(
-            witness.initial, round_index % n
-        )
-        for _ in range(n):
-            execution.step()
-
-    # Contrast: AlgAU stabilizes under the same adversary.
-    rng = np.random.default_rng(1)
-    algorithm = ThinUnison(witness.topology.diameter)
-    contrast = Execution(
-        witness.topology,
-        algorithm,
-        random_configuration(algorithm, witness.topology, rng),
-        RotatingScheduler(witness.base_order, shift=witness.shift),
-        rng=rng,
-    )
-    result = contrast.run(
-        max_rounds=50_000,
-        until=lambda e: is_good_graph(algorithm, e.configuration),
-    )
-    assert result.stopped_by_predicate
-
-    table = render_table(
-        ["round", "ring configuration", "relation to round 0"],
-        rows,
-        title=(
-            "Figure 2 — live-lock of the failed reset-based AU "
-            f"(8-ring, c=2, D=2; period {n}).  AlgAU under the same "
-            f"rotating adversary stabilized in {result.rounds} rounds."
-        ),
-    )
-    emit("fig2_livelock", table)
+    witness = livelock_witness()
+    benchmark(livelock_replay, witness, witness.topology.n)
+    check_claim(FIGURE2)

@@ -4,65 +4,24 @@ This is the probabilistic engine behind RandPhase (AlgMIS) and
 RandCount (AlgLE): the random phase/stage length is the maximum of n
 independent geometric variables, which must grow logarithmically in n
 (both the O(log n) upper and the c·log n lower whp).  The Monte-Carlo
-sweep checks both sides.  The timed kernel is the sampling routine.
+sweep (``OBS32`` in :mod:`repro.analysis.claims`) checks both sides.
+The timed kernel is the sampling routine.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from conftest import emit
+from conftest import check_claim
 
-from repro.analysis.stats import geometric_max_statistics, max_geometric_sample
-from repro.analysis.tables import render_table
-
-NS = (4, 16, 64, 256, 1024)
-P = 0.25
-TRIALS = 400
+from repro.analysis.claims import OBS32, OBS32_P
+from repro.analysis.stats import max_geometric_sample
 
 
 def kernel():
     rng = np.random.default_rng(0)
-    return [max_geometric_sample(256, P, rng) for _ in range(200)]
+    return [max_geometric_sample(256, OBS32_P, rng) for _ in range(200)]
 
 
 def test_obs32_geometric_max(benchmark):
-    rows = []
-    means = []
-    for n in NS:
-        stats = geometric_max_statistics(n, P, trials=TRIALS, seed=n)
-        means.append(stats.mean)
-        rows.append(
-            (
-                n,
-                f"{stats.mean:.2f}",
-                f"{stats.median:.0f}",
-                f"{stats.maximum:.0f}",
-                f"{stats.mean / math.log2(n):.2f}",
-            )
-        )
-
-    table = render_table(
-        ["n", "mean", "median", "max", "mean / log2(n)"],
-        rows,
-        title=(
-            f"Obs 3.2 — max of n Geom(p={P}) over {TRIALS} trials: "
-            "Θ(log n) (flat normalized column)"
-        ),
-    )
-    emit("obs32_geometric_max", table)
-
-    ratios = [m / math.log2(n) for m, n in zip(means, NS)]
-    # Θ(log n): the normalized ratios stay within a tight band.
-    assert max(ratios) <= 2.0 * min(ratios)
-    # Growth is genuinely increasing in n.
-    assert means == sorted(means)
-    # Lower bound side (whp): with c < ln(2)/(2p) = 1.386, the max
-    # should essentially never fall below c·log2(n)·ln(2)... check the
-    # empirical minimum against a conservative 0.5·log2(n).
-    rng = np.random.default_rng(7)
-    worst = min(max_geometric_sample(1024, P, rng) for _ in range(200))
-    assert worst >= 0.5 * math.log2(1024)
-
+    check_claim(OBS32)
     benchmark(kernel)

@@ -49,6 +49,7 @@ from repro.campaigns import (
     verify_engine_pairing,
 )
 from repro.campaigns.registry import PARETO_ALGORITHMS, PARETO_GRAPHS
+from repro.core.algau import ThinUnison
 
 PAIRED = tuple(name for name, engines in PARETO_ALGORITHMS if len(engines) > 1)
 DAEMONS = ("synchronous", "shuffled-round-robin")
@@ -124,12 +125,12 @@ def test_pareto_unison(benchmark):
         ), key
 
     # Thin-unison's measured bits match the declared formula exactly on
-    # every family (log2(12D+6) with the registry's diameter bounds).
+    # every family (log2 |Q| with the registry's diameter bounds).
     for graph, _, d in PARETO_GRAPHS:
         for daemon in DAEMONS:
             cell = pareto[f"{graph}|{daemon}"]
             assert cell["cells"]["thin-unison"]["state_bits"] == (
-                math.log2(12 * d + 6)
+                math.log2(ThinUnison(d).state_space_size())
             ), (graph, daemon)
 
     table = render_table(

@@ -2,105 +2,20 @@
 
 Regenerates the table from the *implemented* transition function by
 exhaustively classifying ``δ`` over every (turn, signal) pair of a small
-instance, checking that exactly the three families of Table 1 occur with
-exactly the paper's guard semantics, and printing the table.  The timed
-kernel is the exhaustive classification sweep — the hot path of every
-simulation step.
+instance; the claim (``TABLE1`` in :mod:`repro.analysis.claims`) checks
+that exactly the three families of Table 1 occur with exactly the
+paper's guard semantics.  The timed kernel is the exhaustive
+classification sweep — the hot path of every simulation step.
 """
 
 from __future__ import annotations
 
-import itertools
+from conftest import check_claim
 
-from conftest import emit
-
-from repro.analysis.tables import render_table
-from repro.core.algau import ThinUnison, TransitionType
-from repro.core.turns import faulty, levels_sensed
-from repro.model.signal import Signal
-
-DIAMETER_BOUND = 1  # k = 5: small enough for exhaustive signal pairs
-
-
-def classify_all(algorithm: ThinUnison):
-    """Classify δ over all (turn, sensed-pair) combinations."""
-    turns = algorithm.turns.all_turns
-    tally = {kind: 0 for kind in TransitionType}
-    for state in turns:
-        for extra in itertools.combinations(turns, 2):
-            signal = Signal((state,) + extra)
-            tally[algorithm.classify(state, signal)] += 1
-    return tally
+from repro.analysis.claims import TABLE1, TABLE1_DIAMETER_BOUND, classify_all
+from repro.core.algau import ThinUnison
 
 
 def test_table1_regeneration(benchmark):
-    algorithm = ThinUnison(DIAMETER_BOUND)
-    levels = algorithm.levels
-    tally = benchmark(classify_all, algorithm)
-
-    # Semantic verification of each row over the exhaustive sweep.
-    turns = algorithm.turns.all_turns
-    for state in turns:
-        for extra in itertools.combinations(turns, 2):
-            signal = Signal((state,) + extra)
-            kind = algorithm.classify(state, signal)
-            sensed = levels_sensed(signal)
-            fwd = levels.forward(state.level)
-            if kind is TransitionType.AA:
-                assert state.able
-                assert algorithm.locally_good(state, signal)
-                assert sensed <= {state.level, fwd}
-            elif kind is TransitionType.AF:
-                assert state.able and abs(state.level) >= 2
-                assert (not algorithm.locally_protected(state, signal)) or (
-                    signal.senses(faulty(levels.outwards(state.level, -1)))
-                )
-            elif kind is TransitionType.FA:
-                assert state.faulty
-                assert not (sensed & levels.strictly_outwards(state.level))
-
-    rows = [
-        (
-            "AA",
-            "ℓ̄, 1 ≤ |ℓ| ≤ k",
-            "φ+1(ℓ)",
-            "v is good and Λ_v ⊆ {ℓ, φ+1(ℓ)}",
-            tally[TransitionType.AA],
-        ),
-        (
-            "AF",
-            "ℓ̄, 2 ≤ |ℓ| ≤ k",
-            "ℓ̂",
-            "v ∉ V_p or v senses turn ψ-1(ℓ)̂",
-            tally[TransitionType.AF],
-        ),
-        (
-            "FA",
-            "ℓ̂, 2 ≤ |ℓ| ≤ k",
-            "ψ-1(ℓ)",
-            "Λ_v ∩ Ψ>(ℓ) = ∅",
-            tally[TransitionType.FA],
-        ),
-        ("(stay)", "-", "-", "no guard fires", tally[TransitionType.STAY]),
-    ]
-    table = render_table(
-        [
-            "Type",
-            "Pre-transition turn",
-            "Post-transition turn",
-            "Condition",
-            "occurrences (exhaustive sweep)",
-        ],
-        rows,
-        title=(
-            f"Table 1 — AlgAU transition types (D={DIAMETER_BOUND}, "
-            f"k={algorithm.levels.k}, |Q|={algorithm.state_space_size()})"
-        ),
-    )
-    emit("table1_transition_types", table)
-
-    # All three paper rows occur; nothing outside Table 1 ever fires.
-    assert tally[TransitionType.AA] > 0
-    assert tally[TransitionType.AF] > 0
-    assert tally[TransitionType.FA] > 0
-    assert sum(tally.values()) == len(turns) * len(turns) * (len(turns) - 1) // 2
+    benchmark(classify_all, ThinUnison(TABLE1_DIAMETER_BOUND))
+    check_claim(TABLE1)

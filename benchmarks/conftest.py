@@ -4,7 +4,9 @@ Every benchmark in this directory regenerates one of the paper's tables
 or figures (or validates one quantitative theorem): it prints the
 paper-shaped rows, persists them under ``benchmarks/results/``, asserts
 the claim's *shape*, and times a representative kernel via
-pytest-benchmark.  Run with::
+pytest-benchmark.  The paper claims' tables and gates live in
+:mod:`repro.analysis.claims`; their benchmarks run them through
+:func:`check_claim`.  Run with::
 
     pytest benchmarks/ --benchmark-only
 """
@@ -15,6 +17,7 @@ import os
 import resource
 import sys
 
+from repro.analysis.claims import Claim
 from repro.analysis.tables import persist_table, results_dir
 from repro.campaigns import (
     aggregate_results,
@@ -63,3 +66,13 @@ def run_registry_campaign(name: str, workers: int = 0) -> dict:
         meta={},
     )
     return aggregates
+
+
+def check_claim(claim: Claim) -> None:
+    """Check a paper claim at full size (a sweep claim over its whole
+    registry, through :func:`run_registry_campaign`), emit its table
+    under ``benchmarks/results/<claim.artifact>.md`` and assert that it
+    holds."""
+    check = claim.run(run_registry_campaign)
+    emit(claim.artifact, check.table)
+    assert not check.problems, check.problems

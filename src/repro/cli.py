@@ -5,10 +5,13 @@ Subcommands regenerate the paper's artifacts from the terminal:
 * ``repro figure1 --diameter-bound 2`` — the AlgAU state diagram (text
   or DOT);
 * ``repro figure2`` — the Appendix-A live-lock trace;
-* ``repro table1`` — the transition-type table extracted from ``δ``;
+* ``repro table1`` — Table 1 regenerated from ``δ``: an exhaustive
+  classification of every turn against every sensed pair, with the
+  occurrences of each transition type and a check of its guard;
 * ``repro au --diameter-bound 3`` — one adversarial AlgAU run with a
   per-round goodness trace;
-* ``repro report`` — the whole reproduction battery at small sizes;
+* ``repro report`` — every paper claim of ``repro.analysis.claims``
+  checked, the sweeps on their first ``--trials`` trials;
 * ``repro engines`` — the execution-engine registry with a per-engine
   availability probe (the ``native`` row reports which compiled backend
   resolved, or why it fell back);
@@ -55,30 +58,17 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    from repro.baselines.failed_reset_au import (
-        livelock_witness,
-        rotate_configuration,
-    )
-    from repro.model.execution import Execution
+    from repro.analysis.claims import livelock_problems, livelock_replay
+    from repro.baselines.failed_reset_au import livelock_witness
 
     witness = livelock_witness(args.diameter_bound, args.c)
-    rng = np.random.default_rng(0)
-    execution = Execution(
-        witness.topology,
-        witness.algorithm,
-        witness.initial,
-        witness.scheduler,
-        rng=rng,
-    )
+    replay = livelock_replay(witness, args.rounds)
     n = witness.topology.n
     print(f"ring of {n} nodes, algorithm {witness.algorithm.name}")
-    for round_index in range(args.rounds):
-        states = " ".join(f"{str(execution.configuration[v]):>3s}" for v in range(n))
+    for round_index, configuration in enumerate(replay[:-1]):
+        states = " ".join(f"{str(configuration[v]):>3s}" for v in range(n))
         print(f"round {round_index:2d}: {states}")
-        for _ in range(n):
-            execution.step()
-    expected = rotate_configuration(witness.initial, args.rounds % n)
-    verdict = "LIVE-LOCK" if execution.configuration == expected else "??"
+    verdict = "??" if livelock_problems(witness, replay) else "LIVE-LOCK"
     print(
         f"after {args.rounds} rounds: configuration = initial rotated "
         f"by {args.rounds % n} -> {verdict}"
@@ -87,39 +77,13 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import render_table
-    from repro.core.algau import ThinUnison
+    from repro.analysis.claims import check_table1
 
-    algorithm = ThinUnison(args.diameter_bound)
-    k = algorithm.levels.k
-    rows = [
-        (
-            "AA",
-            "ℓ̄, 1 ≤ |ℓ| ≤ k",
-            "φ+1(ℓ)",
-            "v is good and Λ ⊆ {ℓ, φ+1(ℓ)}",
-        ),
-        (
-            "AF",
-            "ℓ̄, 2 ≤ |ℓ| ≤ k",
-            "ℓ̂",
-            "v not protected, or v senses ψ-1(ℓ)̂",
-        ),
-        (
-            "FA",
-            "ℓ̂, 2 ≤ |ℓ| ≤ k",
-            "ψ-1(ℓ)",
-            "Λ ∩ Ψ>(ℓ) = ∅",
-        ),
-    ]
-    print(
-        render_table(
-            ["Type", "Pre-transition turn", "Post-transition turn", "Condition"],
-            rows,
-            title=f"Table 1 (k = {k}, |Q| = {algorithm.state_space_size()})",
-        )
-    )
-    return 0
+    check = check_table1(args.diameter_bound)
+    print(check.table)
+    for problem in check.problems:
+        print(f"PROBLEM: {problem}")
+    return 0 if check.passed else 1
 
 
 def _cmd_au(args: argparse.Namespace) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.claims import CLAIMS
+from repro.campaigns import build_campaign, run_campaign
 from repro.core.algau import ThinUnison
 from repro.graphs.generators import (
     complete_graph,
@@ -64,6 +66,21 @@ def au_d2() -> ThinUnison:
 @pytest.fixture
 def au_d4() -> ThinUnison:
     return ThinUnison(4)
+
+
+@pytest.fixture(scope="session")
+def trial_zero_runs() -> dict:
+    """``registry -> (scenarios, results)`` over the trial-0 scenarios of
+    every sweep claim's registry (the slice ``repro report --trials 1``
+    folds), run once per session."""
+    runs = {}
+    for claim in CLAIMS:
+        if claim.registry:
+            scenarios = [
+                s for s in build_campaign(claim.registry) if s.tag("trial") == "0"
+            ]
+            runs[claim.registry] = (scenarios, run_campaign(scenarios))
+    return runs
 
 
 def pytest_configure(config) -> None:

@@ -1,8 +1,9 @@
-"""The paper-claim campaign registries and the Thm 3.1 trial function.
+"""The paper-claim campaign registries and the claims that fold them.
 
 The benchmarks run the full sweeps; these tests run the first trial of
-each registry (the slice ``repro report`` uses) and check every claim's
-invariants on those rows, so sweep regressions are caught in seconds.
+each registry (the slice ``repro report`` uses) through the same claim
+checks of :mod:`repro.analysis.claims`, plus the registry facts no claim
+checks, so sweep regressions are caught in seconds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.report import paper_campaign
+from repro.analysis.claims import CLAIMS, THM31
 from repro.analysis.stabilization import measure_static_task_stabilization
 from repro.campaigns import (
     aggregate_results,
@@ -23,12 +24,10 @@ from repro.campaigns import (
     measured_payload,
     run_campaign,
     run_scenario,
-    state_count,
 )
 from repro.campaigns.spec import ALGORITHM_FACTORIES
 from repro.faults.injection import random_configuration
 from repro.graphs.generators import make_graph
-from repro.tasks.restart import restart_exit_time
 from repro.tasks.spec import output_validator
 
 #: SHA-256 of the canonical JSON list of ``measured_payload`` over every
@@ -42,56 +41,40 @@ STATIC_REGISTRY_DIGESTS = {
     ),
 }
 
+SWEEP_CLAIMS = [claim for claim in CLAIMS if claim.registry]
+
 
 @pytest.fixture(scope="module")
-def campaigns():
-    """Trial-0 aggregates of every paper-claim registry, run once."""
-    names = (
-        "thm11-scaling",
-        "thm13-le-scaling",
-        "thm14-mis-scaling",
-        "cor12-synchronizer",
-        "fault-recovery",
-    )
-    return {name: paper_campaign(name, 1) for name in names}
+def campaigns(trial_zero_runs):
+    """Trial-0 aggregates of every paper-claim registry."""
+    return {
+        name: aggregate_results(name, scenarios, results, 0)
+        for name, (scenarios, results) in trial_zero_runs.items()
+    }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "thm11-scaling",
-        "thm13-le-scaling",
-        "thm14-mis-scaling",
-        "cor12-synchronizer",
-        "fault-recovery",
-    ],
-)
-def test_trial_zero_slice_has_no_failed_rows(campaigns, name):
-    aggregates = campaigns[name]
+@pytest.mark.parametrize("claim", SWEEP_CLAIMS, ids=lambda claim: claim.registry)
+def test_claim_holds_on_the_trial_zero_slice(campaigns, claim):
+    aggregates = campaigns[claim.registry]
     assert aggregates["scenario_count"] > 0
-    assert aggregates["failure_count"] == 0, aggregates["failures"]
+    check = claim.check(aggregates)
+    assert not check.problems, check.problems
 
 
-class TestThm11:
-    def test_exact_states_and_cubic_round_bound(self, campaigns):
-        rows = campaigns["thm11-scaling"]["rows"]
-        assert sorted({row["diameter_bound"] for row in rows}) == [1, 2, 3, 4, 5]
-        for row in rows:
-            d = row["diameter_bound"]
-            assert state_count(row) == 12 * d + 6
-            assert row["rounds"] <= (3 * d + 2) ** 3
+def test_thm31_claim_holds():
+    check = THM31.check()
+    assert not check.problems, check.problems
+
+
+def test_thm11_sweeps_every_diameter_bound(campaigns):
+    rows = campaigns["thm11-scaling"]["rows"]
+    assert sorted({row["diameter_bound"] for row in rows}) == [1, 2, 3, 4, 5]
 
 
 class TestStaticTaskScaling:
     def test_le_sweep_points(self, campaigns):
         groups = set(campaigns["thm13-le-scaling"]["groups"])
         assert groups == {"n=4", "n=8", "n=16", "n=32", "D=1", "D=2", "D=3"}
-
-    def test_le_state_space_does_not_depend_on_n(self, campaigns):
-        rows = campaigns["thm13-le-scaling"]["rows"]
-        n_sweep = [row for row in rows if row["group"].startswith("n=")]
-        assert len({row["n"] for row in n_sweep}) == 4
-        assert len({state_count(row) for row in n_sweep}) == 1
 
     def test_le_d1_point_runs_on_the_complete_graph(self, campaigns):
         rows = campaigns["thm13-le-scaling"]["rows"]
@@ -105,31 +88,12 @@ class TestStaticTaskScaling:
         assert all(row["rounds"] > 0 for row in rows)
 
 
-class TestRestart:
-    def test_concurrent_exit_within_6d_plus_4_growing_with_d(self):
-        means = []
-        for d in (1, 3):
-            times = [
-                restart_exit_time(d, 8, np.random.default_rng(100 * d + trial))
-                for trial in range(5)
-            ]
-            assert None not in times  # every trial exits concurrently
-            assert max(times) <= 6 * d + 4
-            means.append(sum(times) / len(times))
-        assert means[1] > means[0]
-
-
 class TestCor12:
     def _pairs(self, campaigns):
         pairs = {}
         for row in campaigns["cor12-synchronizer"]["rows"]:
             pairs.setdefault(row["tags"]["pairing"], []).append(row)
         return pairs
-
-    def test_product_state_accounting(self, campaigns):
-        for sync, lifted in self._pairs(campaigns).values():
-            assert lifted["algorithm"] == f"sync-{sync['algorithm']}"
-            assert state_count(lifted) == state_count(sync) ** 2 * (12 * 2 + 6)
 
     def test_pairs_share_one_graph_sample(self, campaigns):
         pairs = self._pairs(campaigns)
@@ -139,6 +103,7 @@ class TestCor12:
                 "synchronous",
                 "shuffled-round-robin",
             )
+            assert lifted["algorithm"] == f"sync-{sync['algorithm']}"
             assert sync["seed"] == lifted["seed"]
             assert (sync["n"], sync["m"]) == (lifted["n"], lifted["m"])
 
