@@ -32,7 +32,6 @@ from repro.analysis.stats import (
     loglog_slope,
     max_geometric_sample,
     ratio_to_log,
-    within_factor,
 )
 from repro.analysis.tables import persist_table, render_table, results_dir
 from repro.analysis.trace import (
@@ -78,5 +77,4 @@ __all__ = [
     "render_table",
     "results_dir",
     "save_trace",
-    "within_factor",
 ]

@@ -86,9 +86,3 @@ def geometric_max_statistics(n: int, p: float, trials: int, seed: int = 0) -> Su
     """Monte-Carlo summary of ``max`` of ``n`` Geom(p)."""
     rng = np.random.default_rng(seed)
     return Summary.of([max_geometric_sample(n, p, rng) for _ in range(trials)])
-
-
-def within_factor(measured: float, reference: float, factor: float) -> bool:
-    """Whether ``measured <= factor * reference`` — the harness's notion
-    of "the shape holds" for upper-bound claims."""
-    return measured <= factor * reference

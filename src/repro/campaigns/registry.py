@@ -8,6 +8,16 @@ from the campaign seed via :class:`numpy.random.SeedSequence` — the
 same scenario list (ids, seeds, and all) regardless of process, shard,
 or worker count.
 
+A *pairing* (:meth:`CampaignBuilder.add_paired`) is one cell run once
+per lane under one shared seed, as index-adjacent scenarios.  In the
+lane-paired registries (``byzantine``, ``enabled-daemons``,
+``native-pairing``, ``net-smoke``, ``pareto-unison``, ``churn-phase``)
+the lanes are engines or runtimes, the members differ in nothing else,
+and :func:`~repro.campaigns.aggregate.verify_engine_pairing` requires
+their measured columns to agree.  ``cor12-synchronizer`` pairs
+algorithms instead: its two lanes share the graph sample only.  Either
+way the runner samples a pairing's graph once for all its lanes.
+
 Shipped registries:
 
 * ``micro`` — a handful of scenarios; test-suite and CLI sanity runs;
@@ -56,7 +66,8 @@ Shipped registries:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +96,8 @@ class CampaignBuilder:
         self.name = name
         self.seed = seed
         self.scenarios: List[Scenario] = []
+        #: Pairings added so far (the next pairing's number).
+        self.pairings = 0
 
     def add(
         self,
@@ -152,6 +165,53 @@ class CampaignBuilder:
         kwargs.setdefault("engine", "array")
         kwargs.setdefault("start", "random")
         return self.add("au", graph, graph_params, diameter_bound, **kwargs)
+
+    def add_paired(
+        self,
+        lanes: Sequence[Mapping[str, object]],
+        graph: str,
+        graph_params: Tuple[Tuple[str, object], ...],
+        diameter_bound: int,
+        task: str = "au",
+        tags: Tuple[Tuple[str, str], ...] = (),
+        **fields,
+    ) -> List[Scenario]:
+        """Append one pairing: the same cell once per lane.
+
+        Each lane maps the fields that set it apart (``{"engine":
+        "native"}``, ``{"runtime": "net"}``); ``fields`` holds the ones
+        all lanes share.  The members are index-adjacent, lead their
+        tags with ``("pairing", k)`` for the campaign's ``k``-th
+        pairing, and derive their seed from ``k`` (``seed_index``), so
+        every lane samples the same graph.  The runner builds that
+        graph, and the start configuration and churn stream the lanes
+        have in common, once for the whole pairing, and
+        :func:`~repro.campaigns.aggregate.verify_engine_pairing` checks
+        that engine and runtime lanes agree column for column.  AU
+        cells get :meth:`add_au`'s defaults; other tasks name every
+        field.
+        """
+        pair = self.pairings
+        self.pairings += 1
+        tags = (("pairing", str(pair)), *tags)
+        add = self.add_au if task == "au" else functools.partial(self.add, task)
+        return [
+            add(
+                graph,
+                graph_params,
+                diameter_bound,
+                tags=tags,
+                seed_index=pair,
+                **fields,
+                **lane,
+            )
+            for lane in lanes
+        ]
+
+
+def engine_lanes(*engines: str) -> Tuple[Dict[str, str], ...]:
+    """One :meth:`CampaignBuilder.add_paired` lane per engine."""
+    return tuple({"engine": engine} for engine in engines)
 
 
 CampaignFn = Callable[[CampaignBuilder], None]
@@ -619,33 +679,38 @@ def _thm14_mis_scaling(builder: CampaignBuilder) -> None:
     "Cor 1.2 — synchronous Π vs its asynchronous synchronizer lift Π*",
 )
 def _cor12_synchronizer(builder: CampaignBuilder) -> None:
-    """Each trial is a pair sharing one ``seed_index``: the paper's
-    algorithm under the synchronous daemon and its ``sync-alg-*`` lift
-    under the shuffled round-robin daemon, on the same graph sample."""
-    pair = 0
+    """Each trial is an *algorithm* pairing: the paper's algorithm
+    under the synchronous daemon and its ``sync-alg-*`` lift under the
+    shuffled round-robin daemon, on the same graph sample.  The two
+    rows measure different algorithms, so they share the graph but
+    not the start configuration, and they are compared by the Cor 1.2
+    claim, not by :func:`~repro.campaigns.aggregate.verify_engine_pairing`."""
     for task in ("mis", "le"):
         for n in (6, 10, 14):
             graph, params = _static_task_graph(n, 2)
-            for trial in range(3):
+            lanes = [
+                {
+                    "algorithm": algorithm,
+                    "scheduler": scheduler,
+                    "group": f"{algorithm}@n={n}",
+                }
                 for algorithm, scheduler in (
                     (f"alg-{task}", "synchronous"),
                     (f"sync-alg-{task}", "shuffled-round-robin"),
-                ):
-                    builder.add(
-                        task,
-                        graph,
-                        params,
-                        2,
-                        scheduler=scheduler,
-                        engine="object",
-                        start="random",
-                        max_rounds=120_000,
-                        algorithm=algorithm,
-                        group=f"{algorithm}@n={n}",
-                        tags=(("pairing", str(pair)), ("trial", str(trial))),
-                        seed_index=pair,
-                    )
-                pair += 1
+                )
+            ]
+            for trial in range(3):
+                builder.add_paired(
+                    lanes,
+                    graph,
+                    params,
+                    2,
+                    task=task,
+                    engine="object",
+                    start="random",
+                    max_rounds=120_000,
+                    tags=(("trial", str(trial)),),
+                )
 
 
 #: Large-hop-distance workloads for the permanent-fault campaign —
@@ -676,25 +741,7 @@ def _byzantine(builder: CampaignBuilder) -> None:
     differential property the transient campaigns get from
     ``_alternating_engine`` is promoted to a hard pairwise check here
     (see :func:`repro.campaigns.aggregate.verify_engine_pairing`)."""
-    pair = 0
-
-    def add_pair(graph, params, d, faults):
-        """One engine-paired cell: both engines, one shared seed."""
-        nonlocal pair
-        for engine in ("object", "array"):
-            builder.add_au(
-                graph,
-                params,
-                d,
-                engine=engine,
-                max_rounds=4000,
-                faults=faults,
-                group=f"{faults.kind}-{faults.strategy or 'stop'}@{graph}",
-                tags=(("pairing", str(pair)), ("density", f"{faults.density:.2f}")),
-                seed_index=pair,
-            )
-        pair += 1
-
+    cells = []
     for graph, params, d in BYZANTINE_GRAPHS:
         for strategy in ("frozen", "random", "oscillating", "noisy"):
             for density, radius in sorted(BYZANTINE_RADII.items()):
@@ -704,31 +751,32 @@ def _byzantine(builder: CampaignBuilder) -> None:
                     # graphs the jam chain runs one hop farther than on
                     # the ring, so the target loosens accordingly.
                     radius += 1
-                add_pair(
-                    graph,
-                    params,
-                    d,
-                    FaultPlan(
-                        kind="byzantine",
-                        strategy=strategy,
-                        density=density,
-                        radius=radius,
-                    ),
+                faults = FaultPlan(
+                    kind="byzantine",
+                    strategy=strategy,
+                    density=density,
+                    radius=radius,
                 )
-        add_pair(
-            graph,
-            params,
-            d,
-            FaultPlan(kind="crash", density=0.14, times=(25,), radius=3),
-        )
+                cells.append((graph, params, d, faults))
+        faults = FaultPlan(kind="crash", density=0.14, times=(25,), radius=3)
+        cells.append((graph, params, d, faults))
     # The targeted max-disruption adversary gets one small cell per
     # family.
     for graph, params, d in BYZANTINE_GRAPHS:
-        add_pair(
+        faults = FaultPlan(
+            kind="byzantine", strategy="targeted", density=0.06, radius=3
+        )
+        cells.append((graph, params, d, faults))
+    for graph, params, d, faults in cells:
+        builder.add_paired(
+            engine_lanes("object", "array"),
             graph,
             params,
             d,
-            FaultPlan(kind="byzantine", strategy="targeted", density=0.06, radius=3),
+            max_rounds=4000,
+            faults=faults,
+            group=f"{faults.kind}-{faults.strategy or 'stop'}@{graph}",
+            tags=(("density", f"{faults.density:.2f}"),),
         )
 
 
@@ -761,41 +809,30 @@ def _enabled_daemons(builder: CampaignBuilder) -> None:
     identical enabled sets along whole trajectories — the sharpest
     cross-check of the dirty-set invariant the campaign layer can run
     (enforced by :func:`repro.campaigns.aggregate.verify_engine_pairing`)."""
-    pair = 0
-
-    def add_pair(graph, params, d, scheduler, start, faults=NO_FAULTS):
-        """One engine-paired cell: both engines, one shared seed."""
-        nonlocal pair
-        for engine in ("object", "array"):
-            builder.add_au(
-                graph,
-                params,
-                d,
-                scheduler=scheduler,
-                engine=engine,
-                start=start,
-                max_rounds=au_round_budget(d),
-                faults=faults,
-                group=f"{scheduler}@{graph}",
-                tags=(("pairing", str(pair)), ("daemon", scheduler)),
-                seed_index=pair,
-            )
-        pair += 1
-
-    for graph, params, d in ENABLED_DAEMON_GRAPHS:
-        for scheduler in ("enabled-only", "locally-central"):
-            for start in ("random", "all-faulty"):
-                add_pair(graph, params, d, scheduler, start)
+    cells = [
+        (graph, params, d, scheduler, start, NO_FAULTS)
+        for graph, params, d in ENABLED_DAEMON_GRAPHS
+        for scheduler in ("enabled-only", "locally-central")
+        for start in ("random", "all-faulty")
+    ]
     # The daemons must also compose with mid-run state corruption (the
     # bursts re-dirty whole neighborhoods at once).
+    bursts = FaultPlan(kind="bursts", bursts=1, fraction=0.3)
     for scheduler in ("enabled-only", "locally-central"):
-        add_pair(
-            "hub-colony",
-            (("n", 12), ("hubs", 2)),
-            2,
-            scheduler,
-            "random",
-            faults=FaultPlan(kind="bursts", bursts=1, fraction=0.3),
+        cells.append(
+            ("hub-colony", (("n", 12), ("hubs", 2)), 2, scheduler, "random", bursts)
+        )
+    for graph, params, d, scheduler, start, faults in cells:
+        builder.add_paired(
+            engine_lanes("object", "array"),
+            graph,
+            params,
+            d,
+            scheduler=scheduler,
+            start=start,
+            faults=faults,
+            group=f"{scheduler}@{graph}",
+            tags=(("daemon", scheduler),),
         )
 
 
@@ -830,61 +867,38 @@ def _native_pairing(builder: CampaignBuilder) -> None:
     runners without a native backend the native lane degrades to the
     array engine, and the pairing check degenerates to a tautology
     rather than a failure."""
-    pair = 0
-
-    def add_pair(graph, params, d, scheduler="shuffled-round-robin",
-                 start="random", faults=NO_FAULTS, max_rounds=4000):
-        """One array/native-paired cell under one shared seed."""
-        nonlocal pair
-        for engine in ("array", "native"):
-            builder.add_au(
-                graph,
-                params,
-                d,
-                scheduler=scheduler,
-                engine=engine,
-                start=start,
-                max_rounds=max_rounds,
-                faults=faults,
-                group=f"{faults.kind}@{graph}",
-                tags=(("pairing", str(pair)),),
-                seed_index=pair,
-            )
-        pair += 1
-
+    cells = []
     for graph, params, d in NATIVE_PAIRING_GRAPHS:
         for scheduler in ("synchronous", "shuffled-round-robin"):
             for start in ("random", "all-faulty"):
-                add_pair(graph, params, d, scheduler=scheduler, start=start)
-        add_pair(
-            graph,
-            params,
-            d,
-            faults=FaultPlan(kind="storm", times=(5, 40, 80), fraction=0.25),
-        )
-        add_pair(
-            graph,
-            params,
-            d,
-            faults=FaultPlan(kind="rewire", remove=1, add=1),
-        )
+                cells.append((graph, params, d, scheduler, start, NO_FAULTS))
+        for faults in (
+            FaultPlan(kind="storm", times=(5, 40, 80), fraction=0.25),
+            FaultPlan(kind="rewire", remove=1, add=1),
+        ):
+            cells.append((graph, params, d, "shuffled-round-robin", "random", faults))
     # The permanent-fault machinery (masks, pokes, containment
     # analytics) must agree too.
     for graph, params, d in BYZANTINE_GRAPHS:
-        for strategy in ("frozen", "random", "oscillating"):
-            add_pair(
-                graph,
-                params,
-                d,
-                faults=FaultPlan(
-                    kind="byzantine", strategy=strategy, density=0.2, radius=4
-                ),
-            )
-        add_pair(
+        for faults in (
+            *(
+                FaultPlan(kind="byzantine", strategy=strategy, density=0.2, radius=4)
+                for strategy in ("frozen", "random", "oscillating")
+            ),
+            FaultPlan(kind="crash", density=0.14, times=(25,), radius=3),
+        ):
+            cells.append((graph, params, d, "shuffled-round-robin", "random", faults))
+    for graph, params, d, scheduler, start, faults in cells:
+        builder.add_paired(
+            engine_lanes("array", "native"),
             graph,
             params,
             d,
-            faults=FaultPlan(kind="crash", density=0.14, times=(25,), radius=3),
+            scheduler=scheduler,
+            start=start,
+            max_rounds=4000,
+            faults=faults,
+            group=f"{faults.kind}@{graph}",
         )
 
 
@@ -925,30 +939,22 @@ def _pareto_unison(builder: CampaignBuilder) -> None:
     cell without double-weighting.  The aggregation side lives in
     :func:`repro.campaigns.aggregate.compute_pareto`; the CI gate in
     ``benchmarks/bench_pareto_unison.py``."""
-    pair = 0
     for graph, params, d in PARETO_GRAPHS:
         for scheduler in ("synchronous", "shuffled-round-robin"):
             for algorithm, engines in PARETO_ALGORITHMS:
                 for trial in range(3):
-                    for engine in engines:
-                        builder.add_au(
-                            graph,
-                            params,
-                            d,
-                            scheduler=scheduler,
-                            engine=engine,
-                            start="random",
-                            max_rounds=20_000,
-                            algorithm=algorithm,
-                            group=f"{algorithm}@{graph}/{scheduler}",
-                            tags=(
-                                ("pairing", str(pair)),
-                                ("daemon", scheduler),
-                                ("trial", str(trial)),
-                            ),
-                            seed_index=pair,
-                        )
-                    pair += 1
+                    builder.add_paired(
+                        engine_lanes(*engines),
+                        graph,
+                        params,
+                        d,
+                        scheduler=scheduler,
+                        start="random",
+                        max_rounds=20_000,
+                        algorithm=algorithm,
+                        group=f"{algorithm}@{graph}/{scheduler}",
+                        tags=(("daemon", scheduler), ("trial", str(trial))),
+                    )
 
 
 #: Families for the sim-vs-net differential: a large-diameter ring, a
@@ -980,56 +986,32 @@ def _net_smoke(builder: CampaignBuilder) -> None:
     unpaired block runs lossy/delayed links for coverage of the noise
     machinery; those rows carry no pairing tag, so the cross-check
     skips them."""
-    pair = 0
-
-    def add_pair(graph, params, d, scheduler="synchronous",
-                 start="uniform", faults=NO_FAULTS):
-        """One sim/net-paired cell under one shared seed."""
-        nonlocal pair
-        group = (
-            f"au@{graph}" if faults.kind == "none"
-            else f"{faults.kind}@{graph}"
-        )
-        for runtime in ("sim", "net"):
-            builder.add_au(
-                graph,
-                params,
-                d,
-                scheduler=scheduler,
-                engine="array",
-                start=start,
-                max_rounds=4000,
-                faults=faults,
-                runtime=runtime,
-                group=group,
-                tags=(("pairing", str(pair)),),
-                seed_index=pair,
-            )
-        pair += 1
-
+    cells = []
     for graph, params, d, _ in NET_SMOKE_GRAPHS:
-        for start in ("uniform", "random"):
-            add_pair(graph, params, d, start=start)
-        add_pair(graph, params, d, scheduler="shuffled-round-robin",
-                 start="random")
+        for scheduler, start in (
+            ("synchronous", "uniform"),
+            ("synchronous", "random"),
+            ("shuffled-round-robin", "random"),
+        ):
+            cells.append((graph, params, d, scheduler, start, NO_FAULTS))
     for graph, params, d, radius in NET_SMOKE_GRAPHS:
-        add_pair(
+        for faults in (
+            FaultPlan(kind="byzantine", strategy="frozen", density=0.1, radius=radius),
+            FaultPlan(kind="crash", density=0.12, times=(25,), radius=radius),
+        ):
+            cells.append((graph, params, d, "synchronous", "random", faults))
+    for graph, params, d, scheduler, start, faults in cells:
+        builder.add_paired(
+            ({"runtime": "sim"}, {"runtime": "net"}),
             graph,
             params,
             d,
-            start="random",
-            faults=FaultPlan(
-                kind="byzantine", strategy="frozen", density=0.1,
-                radius=radius,
-            ),
-        )
-        add_pair(
-            graph,
-            params,
-            d,
-            start="random",
-            faults=FaultPlan(kind="crash", density=0.12, times=(25,),
-                             radius=radius),
+            scheduler=scheduler,
+            engine="array",
+            start=start,
+            max_rounds=4000,
+            faults=faults,
+            group=f"au@{graph}" if faults.kind == "none" else f"{faults.kind}@{graph}",
         )
     # Unpaired noisy-link coverage: lossy and delayed variants of the
     # ring cell (stabilization slows but must still complete).
@@ -1088,37 +1070,25 @@ def _churn_phase(builder: CampaignBuilder) -> None:
     sustainable-churn phase diagram; the boundary extraction lives in
     :func:`repro.analysis.restabilization.churn_phase_boundary` and the
     CI gate in ``benchmarks/bench_churn.py``."""
-    pair = 0
     lanes = (
-        ("object", "sim"),
-        ("array", "sim"),
-        ("native", "sim"),
-        ("array", "net"),
+        *engine_lanes("object", "array", "native"),
+        {"engine": "array", "runtime": "net"},
     )
     for graph, params, d in CHURN_GRAPHS:
         for kind in ("churn", "membership"):
             for rate in CHURN_RATES:
-                faults = FaultPlan(kind=kind, rate=rate, times=(CHURN_WINDOW,))
-                for engine, runtime in lanes:
-                    builder.add_au(
-                        graph,
-                        params,
-                        d,
-                        scheduler="synchronous",
-                        engine=engine,
-                        start="random",
-                        max_rounds=4000,
-                        faults=faults,
-                        runtime=runtime,
-                        group=f"{kind}(r={rate:g})@{graph}",
-                        tags=(
-                            ("pairing", str(pair)),
-                            ("kind", kind),
-                            ("rate", f"{rate:g}"),
-                        ),
-                        seed_index=pair,
-                    )
-                pair += 1
+                builder.add_paired(
+                    lanes,
+                    graph,
+                    params,
+                    d,
+                    scheduler="synchronous",
+                    start="random",
+                    max_rounds=4000,
+                    faults=FaultPlan(kind=kind, rate=rate, times=(CHURN_WINDOW,)),
+                    group=f"{kind}(r={rate:g})@{graph}",
+                    tags=(("kind", kind), ("rate", f"{rate:g}")),
+                )
 
 
 @campaign(

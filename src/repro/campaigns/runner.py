@@ -19,7 +19,13 @@ Design constraints, in order:
 3. **Throughput.**  Shards are sized so each worker receives several
    (amortizing process start-up) while keeping enough shards in flight
    to even out scenario-length skew; AU scenarios default to the
-   vectorized array engine in the registries.
+   vectorized array engine in the registries.  A shard runs jobs, and a
+   job is either a replica ensemble (seeds fused into one run) or an
+   input group: index-adjacent scenarios sharing seed, graph family and
+   graph parameters (the lanes of a pairing), which build the graph,
+   the start configuration and the churn stream once and then run one
+   by one, each on its own rng restored to the state the build left.
+   Grouping has no switch: a grouped row equals the solo row.
 
 A scenario that raises is folded into a failed result (``stabilized
 False``, ``detail`` holding the error) rather than aborting the
@@ -260,7 +266,7 @@ def _recover(scenario: Scenario, execution, stable, event: str) -> Dict:
     return {"recovered": True, "recovery_rounds": rounds}
 
 
-def _bursts(scenario, topology, algorithm, execution, rng, stable) -> Dict:
+def _bursts(scenario, topology, algorithm, execution, rng, stable, inputs) -> Dict:
     """Corrupt a ``plan.fraction`` of the nodes ``plan.bursts`` times,
     re-stabilizing after each; ``recovery_rounds`` is the worst burst."""
     plan = scenario.faults
@@ -284,7 +290,7 @@ def _bursts(scenario, topology, algorithm, execution, rng, stable) -> Dict:
     return {"recovered": True, "recovery_rounds": worst}
 
 
-def _rewire(scenario, topology, algorithm, execution, rng, stable) -> Dict:
+def _rewire(scenario, topology, algorithm, execution, rng, stable, inputs) -> Dict:
     """Land a :func:`perturb_topology` rewiring on the running execution
     as an incremental delta, then recover."""
     plan = scenario.faults
@@ -310,7 +316,7 @@ def _rewire(scenario, topology, algorithm, execution, rng, stable) -> Dict:
     return _recover(scenario, execution, stable, "rewire")
 
 
-def _churn(scenario, topology, algorithm, execution, rng, stable) -> Dict:
+def _churn(scenario, topology, algorithm, execution, rng, stable, inputs) -> Dict:
     """Survive a churn window, then recover.
 
     ``plan.times[0]`` engine steps run under a
@@ -323,22 +329,30 @@ def _churn(scenario, topology, algorithm, execution, rng, stable) -> Dict:
     of window steps spent stable (the sustainable-churn order
     parameter); ``pulse_tightness`` is measured on the surviving clocks
     after recovery.
+
+    The process mirrors the graph on its own, so the stream is drawn
+    whole up front and recorded in ``inputs``: the other lanes of an
+    input group replay it instead of drawing it again.
     """
     plan = scenario.faults
-    half = plan.rate / 2.0
-    if plan.kind == "churn":
-        rates = {"edge_add_rate": half, "edge_remove_rate": half}
-    else:
-        rates = {
-            "join_rate": half,
-            "leave_rate": half,
-            "initial_state": algorithm.initial_state,
-        }
-    churn = ChurnProcess(execution.topology, seed=scenario.seed, **rates)
     window = int(plan.times[0])
+    key = ("churn", scenario.algorithm, scenario.diameter_bound, plan)
+    if key not in inputs:
+        half = plan.rate / 2.0
+        if plan.kind == "churn":
+            rates = {"edge_add_rate": half, "edge_remove_rate": half}
+        else:
+            rates = {
+                "join_rate": half,
+                "leave_rate": half,
+                "initial_state": algorithm.initial_state,
+            }
+        churn = ChurnProcess(execution.topology, seed=scenario.seed, **rates)
+        inputs[key] = (list(churn.deltas(window)), churn.events)
+    deltas, events = inputs[key]
     tracker = RestabilizationTracker()
     good_steps = 0
-    for delta in churn.deltas(window):
+    for delta in deltas:
         if delta is not None:
             execution.mutate_topology(delta)
             tracker.on_event(execution.t)
@@ -357,14 +371,15 @@ def _churn(scenario, topology, algorithm, execution, rng, stable) -> Dict:
     return dict(
         columns,
         clean_fraction=good_steps / window,
-        churn_events=churn.events,
+        churn_events=events,
         pulse_tightness=pulse_tightness(
             algorithm, (execution.state_of(v) for v in alive)
         ),
     )
 
 
-#: Post-stabilization disturbances by fault kind; each returns only its
+#: Post-stabilization disturbances by fault kind; each gets the input
+#: group's memo (only ``_churn`` records into it) and returns only its
 #: extra result columns.  Kinds absent here (``none``, ``storm``, whose
 #: injector strikes during stabilization) have none.
 _DISTURBANCES = {
@@ -433,15 +448,25 @@ def _run(
     scenario: Scenario,
     topology: Topology,
     rng,
-    extra_monitors: Tuple[Monitor, ...] = (),
+    extra_monitors: Tuple[Monitor, ...],
+    inputs: Dict,
 ) -> ScenarioResult:
     """One scenario of any task: set up, stabilize (containment for
     permanent faults, a held valid output for the static tasks), apply
-    the fault kind's disturbance, recover, one row."""
+    the fault kind's disturbance, recover, one row.
+
+    ``inputs`` is the input group's memo (see :func:`run_scenario`):
+    the start configuration is drawn once per algorithm, bound and
+    start kind, and ``rng`` resumes from the state that draw left.
+    """
     started = time.perf_counter()
     algorithm = _make_algorithm(scenario, topology)
     bits = _state_bits(algorithm)
-    initial = _initial_configuration(scenario, algorithm, topology, rng)
+    key = ("start", scenario.algorithm, scenario.diameter_bound, scenario.start)
+    if key not in inputs:
+        initial = _initial_configuration(scenario, algorithm, topology, rng)
+        inputs[key] = (initial, rng.bit_generator.state)
+    initial, rng.bit_generator.state = inputs[key]
     plan = scenario.faults
 
     intervention = distances = output = None
@@ -511,7 +536,7 @@ def _run(
         return row(stabilized=False, rounds=execution.completed_rounds, detail=detail)
     disturb = _DISTURBANCES.get(plan.kind)
     extra = (
-        disturb(scenario, topology, algorithm, execution, rng, stable)
+        disturb(scenario, topology, algorithm, execution, rng, stable, inputs)
         if disturb
         else {}
     )
@@ -580,8 +605,18 @@ def _failed_result(
     )
 
 
+def _input_key(scenario: Scenario) -> Tuple:
+    """The inputs a scenario derives from its seed before any lane
+    differs: scenarios sharing this key sample the same graph (and,
+    with the same algorithm, bound and start kind, the same start
+    configuration and churn stream)."""
+    return (scenario.seed, scenario.graph, scenario.graph_params)
+
+
 def run_scenario(
-    scenario: Scenario, timeout_s: Optional[float] = None
+    scenario: Scenario,
+    timeout_s: Optional[float] = None,
+    shared: Optional[Dict] = None,
 ) -> ScenarioResult:
     """Execute one scenario; a pure function of the spec.
 
@@ -589,15 +624,28 @@ def run_scenario(
     exceeds the budget stops between steps and reports the deterministic
     ``status="timeout"`` row from :func:`_timeout_result` instead of
     hanging its shard.
+
+    ``shared`` is an input memo, keyed by :func:`_input_key`, that the
+    runner passes to every member of an input group: the first member
+    stores its graph (with the rng state after sampling it), start
+    configuration and churn stream, and later members reuse them.  Each
+    member still runs on its own ``Generator``, set to the stored state,
+    so its row is bit-identical to a run without the memo.  A build that
+    raises stores nothing, so the next member fails through the same
+    frames.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(scenario.seed)
     extra_monitors: Tuple[Monitor, ...] = ()
     if timeout_s is not None:
         extra_monitors = (_DeadlineMonitor(started + timeout_s),)
+    inputs = {} if shared is None else shared.setdefault(_input_key(scenario), {})
     try:
-        topology = make_graph(scenario.graph, rng, **scenario.params())
-        return _run(scenario, topology, rng, extra_monitors)
+        if "graph" not in inputs:
+            topology = make_graph(scenario.graph, rng, **scenario.params())
+            inputs["graph"] = (topology, rng.bit_generator.state)
+        topology, rng.bit_generator.state = inputs["graph"]
+        return _run(scenario, topology, rng, extra_monitors, inputs)
     except ScenarioTimeout:
         return _timeout_result(scenario, timeout_s, started)
     except Exception as error:  # one bad sample must not sink the campaign
@@ -766,16 +814,19 @@ def _append_checkpoint(path: str, results: Iterable[ScenarioResult]) -> None:
 # ----------------------------------------------------------------------
 
 
-#: A job is the unit of work a shard executes atomically: a singleton
-#: list (one solo scenario) or a replica batch (scenarios differing
-#: only by seed, fused into one ensemble run).
+#: A job is the unit of work a shard executes atomically: a replica
+#: ensemble (scenarios differing only by seed, fused into one ensemble
+#: run) or an input group (index-adjacent scenarios sharing
+#: :func:`_input_key`, run one by one on the inputs the first built).
+#: A single scenario is an input group of one.
 Job = List[Scenario]
 
 
 def _run_job(job: Job, timeout_s: Optional[float] = None) -> List[ScenarioResult]:
-    if len(job) > 1:
+    if len(job) > 1 and job[0].batch_replicas > 1:
         return run_scenario_batch(job, timeout_s)
-    return [run_scenario(job[0], timeout_s)]
+    shared: Dict = {}
+    return [run_scenario(scenario, timeout_s, shared) for scenario in job]
 
 
 def _run_shard(
@@ -792,29 +843,38 @@ def _make_jobs(pending: Sequence[Scenario], batch: bool) -> List[Job]:
 
     Scenarios with ``batch_replicas > 1`` (and ``batch`` enabled) are
     bucketed by :meth:`Scenario.batch_key` and chunked into ensembles of
-    at most ``batch_replicas`` members; everything else runs solo.  Jobs
-    keep the campaign's scenario order (each batch sits at the position
-    of its first member), so inline runs checkpoint in a stable order.
+    at most ``batch_replicas`` members; with ``batch`` off they run
+    alone.  Every other scenario joins the job before it when both share
+    :func:`_input_key` (the lanes of a pairing), so the group's graph,
+    start configuration and churn stream are built once.  Jobs keep the
+    campaign's scenario order (each ensemble sits at the position of
+    its first member), so inline runs checkpoint in a stable order.
     """
-    if not batch:
-        return [[scenario] for scenario in pending]
-    groups: Dict[tuple, List[Scenario]] = {}
+    ensembles: Dict[tuple, List[Scenario]] = {}
     for scenario in pending:
-        if scenario.batch_replicas > 1:
-            groups.setdefault(scenario.batch_key(), []).append(scenario)
+        if batch and scenario.batch_replicas > 1:
+            ensembles.setdefault(scenario.batch_key(), []).append(scenario)
     leader_chunk: Dict[str, Job] = {}
     follower_ids = set()
-    for members in groups.values():
+    for members in ensembles.values():
         width = members[0].batch_replicas
         for start in range(0, len(members), width):
             chunk = members[start : start + width]
             leader_chunk[chunk[0].scenario_id] = chunk
             follower_ids.update(s.scenario_id for s in chunk[1:])
     jobs: List[Job] = []
+    group_key = None
     for scenario in pending:
-        if scenario.scenario_id in leader_chunk:
-            jobs.append(leader_chunk[scenario.scenario_id])
-        elif scenario.scenario_id not in follower_ids:
+        if scenario.batch_replicas > 1:
+            group_key = None
+            if scenario.scenario_id in leader_chunk:
+                jobs.append(leader_chunk[scenario.scenario_id])
+            elif scenario.scenario_id not in follower_ids:
+                jobs.append([scenario])
+        elif _input_key(scenario) == group_key:
+            jobs[-1].append(scenario)
+        else:
+            group_key = _input_key(scenario)
             jobs.append([scenario])
     return jobs
 
@@ -838,8 +898,13 @@ def run_campaign(
     independent of ``workers``/``shard_size``/``dispatch``/completion
     order *and* of ``batch`` (replica batching is an execution strategy
     with bit-identical per-scenario results; pass ``batch=False`` to
-    force solo runs, e.g. for the differential CI shard), so downstream
-    aggregation is reproducible bit for bit.  ``timeout_s`` arms the
+    run replica ensembles as solo scenarios, e.g. for the differential
+    CI shard), so downstream aggregation is reproducible bit for bit.
+    Each job is a replica ensemble or an input group (see
+    :func:`_make_jobs`): the lanes of a pairing share one graph, start
+    configuration and churn stream, built by the first member to run.
+    Input grouping has no switch; it changes no row, and it runs after
+    the cache lookup, so cached members never run.  ``timeout_s`` arms the
     per-scenario wall-clock guard of :func:`run_scenario` in every
     worker (timed-out scenarios yield deterministic ``status="timeout"``
     rows; note the budget is per scenario, so the rows themselves stay

@@ -23,7 +23,6 @@ from repro.analysis.stats import (
     loglog_slope,
     max_geometric_sample,
     ratio_to_log,
-    within_factor,
 )
 from repro.analysis.tables import render_table, results_dir
 from repro.core.algau import ThinUnison, TransitionType
@@ -65,10 +64,6 @@ class TestSummaryAndFits:
         ratios = ratio_to_log([4, 16], [10, 20])
         assert ratios[0] == pytest.approx(5.0)
         assert ratios[1] == pytest.approx(5.0)
-
-    def test_within_factor(self):
-        assert within_factor(10, 5, 2.0)
-        assert not within_factor(11, 5, 2.0)
 
     def test_max_geometric_sample_grows_with_n(self):
         rng = np.random.default_rng(0)

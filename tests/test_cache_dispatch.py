@@ -565,7 +565,7 @@ class TestRunnerCacheIntegration:
     def test_timeout_rows_are_not_cached(self, tmp_path, monkeypatch):
         scenarios = build_campaign("micro")[:2]
 
-        def timed_out(scn, timeout_s=None):
+        def timed_out(scn, timeout_s=None, shared=None):
             return result_for(scn, scenario_id=scn.scenario_id, status="timeout")
 
         monkeypatch.setattr(runner_module, "run_scenario", timed_out)

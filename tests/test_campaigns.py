@@ -248,9 +248,9 @@ class TestRunner:
         calls = []
         real_run = run_scenario
 
-        def counting_run(scenario, timeout_s=None):
+        def counting_run(scenario, timeout_s=None, shared=None):
             calls.append(scenario.scenario_id)
-            return real_run(scenario, timeout_s)
+            return real_run(scenario, timeout_s, shared)
 
         monkeypatch.setattr(runner_module, "run_scenario", counting_run)
         resumed = run_campaign(
