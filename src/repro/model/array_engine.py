@@ -180,40 +180,46 @@ class ArrayExecution(ExecutionBase["Turn"]):
         return snapshot
 
     def poke_states(self, updates) -> None:
-        """Sparse state overwrite without decoding the configuration.
-
-        The permanent-fault fast path: only the poked code lanes are
-        written (O(|updates|) encode calls), and only the poked
-        neighborhoods are re-dirtied; the batched step kernel never sees
-        a Python-level configuration.
-        """
-        if not updates:
-            return
+        """Encode ``updates`` and write them through :meth:`poke_codes`."""
         encode = self._encoding.encode
-        codes = self._codes
-        n = len(codes)
-        poked = []
-        for v, state in updates.items():
-            v = int(v)
+        self.poke_codes(list(updates), [encode(state) for state in updates.values()])
+
+    def poke_codes(self, rows, codes) -> None:
+        """Sparse code-lane writes without decoding the configuration.
+
+        Only the moved lanes are written and only their neighborhoods
+        re-dirtied.  Up to :attr:`SCALAR_ACTIVATION_MAX` moved lanes take
+        the scalar goodness fold and per-row re-dirtying of
+        :meth:`_apply_scalar`; more take the vectorized fold and gather.
+        """
+        current = self._codes
+        n = len(current)
+        size = self._encoding.size
+        moved, old_codes, new_codes = [], [], []
+        for v, code in zip(rows, codes):
+            v, code = int(v), int(code)
             if not 0 <= v < n:
                 raise ModelError(f"cannot poke unknown node {v}")
-            code = encode(state)
-            if code != codes[v]:
-                poked.append((v, int(codes[v]), code))
-        self._state_epoch += 1
-        if not poked:
+            if not 0 <= code < size:
+                raise ModelError(f"code {code} out of range for |Q|={size}")
+            old = int(current[v])
+            if old != code:
+                moved.append(v)
+                old_codes.append(old)
+                new_codes.append(code)
+        if not moved:
             return
-        rows = np.fromiter((v for v, _, _ in poked), dtype=np.int64, count=len(poked))
-        old_codes = np.fromiter(
-            (c for _, c, _ in poked), dtype=np.int64, count=len(poked)
-        )
-        new_codes = np.fromiter(
-            (c for _, _, c in poked), dtype=np.int64, count=len(poked)
-        )
-        self._update_goodness(rows, old_codes, new_codes)
-        codes[rows] = new_codes
+        self._state_epoch += 1
+        if len(moved) <= self.SCALAR_ACTIVATION_MAX:
+            self._update_goodness_scalar(moved, old_codes, new_codes)
+            self._write_scalar(moved, new_codes)
+            return
+        moved_rows = np.array(moved, dtype=np.int64)
+        new_diff = np.array(new_codes, dtype=np.int64)
+        self._update_goodness(moved_rows, np.array(old_codes, dtype=np.int64), new_diff)
+        current[moved_rows] = new_diff
         self._config_cache = None
-        self._mark_dirty_rows(rows)
+        self._mark_dirty_rows(moved_rows)
 
     def _apply(self, activated: FrozenSet[int]) -> Changes:
         if not self.incremental:
@@ -488,10 +494,20 @@ class ArrayExecution(ExecutionBase["Turn"]):
             changed = ()
         self._update_goodness_scalar(moved, old_codes, new_codes)
         self._moves += len(moved)
+        self._write_scalar(moved, new_codes)
+        return changed
+
+    def _write_scalar(self, moved, new_codes) -> None:
+        """Write a few moved lanes one by one and re-dirty each one's
+        CSR neighborhood (the scalar counterpart of a vectorized write
+        plus :meth:`_mark_dirty_rows`)."""
+        codes = self._codes
+        dirty = self._dirty
         enabled_mask = self._enabled_mask
+        neighborhood = self._csr.neighborhood
         for v, code in zip(moved, new_codes):
             codes[v] = code
-            hood = self._csr.neighborhood(v)
+            hood = neighborhood(v)
             newly = hood[~dirty[hood]]
             if newly.size:
                 self._enabled_count -= int(enabled_mask[newly].sum())
@@ -499,7 +515,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
                 enabled_mask[newly] = False
                 dirty[newly] = True
         self._config_cache = None
-        return changed
 
     # ------------------------------------------------------------------
     # Dynamic topology.

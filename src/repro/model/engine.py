@@ -36,12 +36,12 @@ evaluated, plus a per-node **cached pending action**.  The invariant:
 reuses the cache for the rest, and — whenever a node's state actually
 changes — re-dirties its closed neighborhood.  Anything that mutates
 state outside the pipeline (interventions replacing the configuration,
-:meth:`poke_states`, :meth:`replace_configuration`) conservatively
-re-dirties the affected neighborhoods, so the pipeline composes with
-transient faults, permanent-fault adversaries and dynamic-topology
-rewires.  Trajectories are bit-identical to the naive full-recompute
-reference (``incremental=False`` rebuilds the pre-pipeline behavior,
-which the differential suite checks against).
+:meth:`poke_codes`/:meth:`poke_states`, :meth:`replace_configuration`)
+conservatively re-dirties the affected neighborhoods, so the pipeline
+composes with transient faults, permanent-fault adversaries and
+dynamic-topology rewires.  Trajectories are bit-identical to the naive
+full-recompute reference (``incremental=False`` rebuilds the
+pre-pipeline behavior, which the differential suite checks against).
 
 On top of the maintained cache the engines expose an **enabled-set
 view**: a node is *enabled* when ``δ`` can move it out of its current
@@ -80,6 +80,7 @@ from typing import (
     Iterable,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
     Union,
@@ -318,8 +319,8 @@ class ExecutionBase(ABC, Generic[Q]):
     @property
     def state_epoch(self) -> int:
         """Counts *out-of-band* state mutations: intervention
-        replacements, :meth:`replace_configuration` and
-        :meth:`poke_states`.  Incremental monitors that fold state
+        replacements, :meth:`replace_configuration`, :meth:`poke_codes`
+        and :meth:`poke_states`.  Incremental monitors that fold state
         forward from ``StepRecord.changed`` (which only covers
         ``_apply``'s updates) compare this counter to know when a full
         re-snapshot is needed."""
@@ -358,20 +359,46 @@ class ExecutionBase(ABC, Generic[Q]):
         self._state_epoch += 1
         self._load_configuration(configuration)
 
-    def poke_states(self, updates: Mapping[int, Q]) -> None:
-        """Overwrite the states of a few nodes in place.
+    @property
+    def codes(self) -> np.ndarray:
+        """A read-only snapshot of the current state-code vector (codes
+        of the algorithm's ``encoding``, indexed by node).  The base
+        encodes the configuration; the code lanes read their own
+        codes."""
+        snapshot = self.algorithm.encoding.encode_configuration(self.configuration)
+        snapshot.flags.writeable = False
+        return snapshot
 
-        This is the *permanent-fault* entry point: a Byzantine adversary
-        rewrites the states of its faulty nodes before a step, leaving
-        every other node's state (and, on the object engine, its
-        memoized signals) untouched.  Engines may override this with a
-        sparse implementation that avoids rebuilding the configuration —
-        the vectorized backend writes the affected code lanes directly.
-        """
+    def poke_states(self, updates: Mapping[int, Q]) -> None:
+        """Overwrite the states of a few nodes in place, leaving every
+        other node's state untouched.  Engines override this with a
+        sparse write that avoids rebuilding the configuration."""
         if not updates:
             return
         self._state_epoch += 1
         self._load_configuration(self.configuration.replace(updates))
+
+    def poke_codes(self, rows: Sequence[int], codes: Sequence[int]) -> None:
+        """Overwrite the states of the distinct nodes ``rows`` with the
+        state codes ``codes`` (of the algorithm's ``encoding``).
+
+        This is the *permanent-fault* entry point: a Byzantine adversary
+        rewrites its faulty nodes before a step.  Writes that leave a
+        node's state unchanged are dropped, and :attr:`state_epoch`
+        moves only when some state did.  The base decodes the moved
+        codes through the encoding's ``turn_table`` and hands them to
+        :meth:`poke_states`; the code lanes compare and write codes
+        directly.
+        """
+        table = self.algorithm.encoding.turn_table
+        state_of = self.state_of
+        updates = {}
+        for v, code in zip(rows, codes):
+            state = table[code]
+            if state_of(v) != state:
+                updates[int(v)] = state
+        if updates:
+            self.poke_states(updates)
 
     # ------------------------------------------------------------------
     # Dynamic topology.
@@ -457,11 +484,12 @@ class ExecutionBase(ABC, Generic[Q]):
         Masked nodes still count as activated for the round bookkeeping
         (fairness is a scheduler notion, and a crashed cell does not
         speed up anyone else's rounds), but :meth:`_apply` never touches
-        them: their states change only through :meth:`poke_states` /
-        :meth:`replace_configuration`.  This is how permanent faults
-        compose with both engines — on the vectorized backend the faulty
-        nodes simply drop out of the batched activation rows, so the hot
-        loop stays batched.  Passing an empty iterable unmasks everyone.
+        them: their states change only through :meth:`poke_codes` /
+        :meth:`poke_states` / :meth:`replace_configuration`.  This is how
+        permanent faults compose with both engines — on the vectorized
+        backend the faulty nodes simply drop out of the batched
+        activation rows, so the hot loop stays batched.  Passing an
+        empty iterable unmasks everyone.
         """
         masked = frozenset(int(v) for v in nodes)
         unknown = masked - set(self.topology.nodes)

@@ -231,9 +231,20 @@ class NetExecution(ExecutionBase):
             for actor in actors.values()
         )
 
+    @property
+    def codes(self) -> np.ndarray:
+        """A read-only snapshot of the actors' state codes."""
+        actors = self._actors
+        snapshot = np.array(
+            [actors[v].state for v in range(len(actors))], dtype=np.int64
+        )
+        snapshot.flags.writeable = False
+        return snapshot
+
     def poke_states(self, updates) -> None:
-        """Overwrite a few actor states in place (permanent-fault entry
-        point), refreshing the neighbors' registers instantly."""
+        """Overwrite a few actor states in place, refreshing the
+        neighbors' registers instantly (even where a state is
+        unchanged)."""
         if not updates:
             return
         unknown = set(int(v) for v in updates) - set(self._actors)
@@ -244,6 +255,24 @@ class NetExecution(ExecutionBase):
         for v, state in updates.items():
             self._actors[int(v)].state = self._encode(state)
             self._push_registers(int(v))
+
+    def poke_codes(self, rows, codes) -> None:
+        """Write actor codes in place (the permanent-fault entry point),
+        refreshing the registers of every moved actor's neighbors
+        instantly; unchanged actors are skipped."""
+        actors = self._actors
+        moved = False
+        for v, code in zip(rows, codes):
+            actor = actors.get(int(v))
+            if actor is None:
+                raise ModelError(f"cannot poke unknown node {v}")
+            if actor.state != code:
+                actor.state = int(code)
+                self._push_registers(actor.node)
+                moved = True
+        if moved:
+            self._state_epoch += 1
+            self._config_cache = None
 
     def _refresh_pending(self) -> None:
         raise ModelError(

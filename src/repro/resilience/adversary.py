@@ -12,10 +12,11 @@ before every step:
    masked nodes drop out of the engine's batched δ application, so the
    vectorized hot loop stays batched (the faulty lanes simply are not
    rows of the update);
-2. it writes the strategy's per-step state overrides through
-   :meth:`~repro.model.engine.ExecutionBase.poke_states`, which the
-   array engine implements as sparse code-lane writes — no
-   configuration decode/encode on the per-step path.
+2. it writes the strategy's per-step ``(rows, codes)`` overrides
+   through :meth:`~repro.model.engine.ExecutionBase.poke_codes`, which
+   drops no-op writes.  The array-tier engines and the net runtime
+   compare and write codes directly; only the object engine decodes
+   them, at its own boundary.
 
 Because honest nodes evaluate their signals under the *pre-step*
 configuration, they sense exactly the adversarial states for the whole
@@ -24,11 +25,10 @@ step, never a faulty node's hypothetical honest transition.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.turns import Turn
 from repro.graphs.topology import Topology
 from repro.model.errors import ModelError
 from repro.resilience.strategies import ByzantineStrategy
@@ -87,31 +87,19 @@ class PermanentFaultAdversary:
                     f"faulty nodes {self.nodes} exceed the topology "
                     f"({execution.topology.n} nodes)"
                 )
-            self._poke(
-                execution,
-                self.strategy.initial_states(
+            execution.poke_codes(
+                *self.strategy.initial_states(
                     execution.algorithm, execution.topology, self.nodes, self._rng
-                ),
+                )
             )
         masked = self.strategy.masked_at(t)
         if masked != self._masked:
             execution.mask_nodes(self.nodes if masked else ())
             self._masked = masked
-        self._poke(
-            execution, self.strategy.states_at(execution, self.nodes, self._rng, t)
-        )
+        rows, codes = self.strategy.states_at(execution, self.nodes, self._rng, t)
+        if len(rows):
+            execution.poke_codes(rows, codes)
         return None  # states were poked in place; no configuration swap
-
-    def _poke(self, execution, updates) -> None:
-        # Drop no-op writes so the object engine keeps its memoized
-        # signals (and the array engine skips the code-vector copy).
-        effective: Dict[int, Turn] = {
-            int(v): state
-            for v, state in updates.items()
-            if execution.state_of(int(v)) != state
-        }
-        if effective:
-            execution.poke_states(effective)
 
     def __repr__(self) -> str:
         return (

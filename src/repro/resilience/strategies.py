@@ -13,6 +13,15 @@ nodes at every step ``t``:
 * :meth:`ByzantineStrategy.states_at` — which states does the adversary
   write into the faulty nodes before step ``t``?
 
+Strategies speak state codes: both :meth:`~ByzantineStrategy.states_at`
+and :meth:`~ByzantineStrategy.initial_states` return ``(rows, codes)``,
+parallel sequences of faulty nodes and the codes of the turns written
+into them.  A turn's code is its index in ``TurnSystem.all_turns``,
+which is the code of the algorithm's
+:class:`~repro.core.encoding.TurnEncoding`, so the adversary hands the
+writes to :meth:`~repro.model.engine.ExecutionBase.poke_codes` without
+building a single :class:`~repro.core.turns.Turn`.
+
 Shipped strategies (registry :data:`BYZANTINE_STRATEGIES`):
 
 ==============  ====================================================
@@ -27,7 +36,7 @@ name            behavior of a faulty node
 ``targeted``    greedily picks the turn maximizing the proof-aligned
                 :func:`~repro.core.potential.disorder_potential`,
                 scored locally in ``O(Σ_{u ∈ N[v]} deg u)`` per
-                faulty node ``v`` (plus one ``O(n)`` encode per step)
+                faulty node ``v`` on a copy of the execution's codes
 ``crash``       behaves correctly until step ``at``, then freezes at
                 whatever turn it had reached (crash-stop)
 ``noisy``       runs the protocol honestly, but each step its
@@ -44,12 +53,28 @@ object and array backends.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.turns import Turn, able
+from repro.core.turns import able
 from repro.model.errors import ModelError
+
+#: What a strategy writes: parallel ``(rows, codes)`` sequences of
+#: faulty nodes and state codes.
+Writes = Tuple[Sequence[int], Sequence[int]]
+
+#: The empty write.
+NO_WRITES: Writes = ((), ())
+
+
+def _draw_codes(execution, rng: np.random.Generator, count: int) -> list:
+    """``count`` uniform state codes: the draws of ``count``
+    ``random_state`` calls, one scalar draw each (on the one to three
+    faulty nodes of a typical cell, scalar draws beat a batched one)."""
+    size = execution.algorithm.encoding.size
+    integers = rng.integers
+    return [int(integers(size)) for _ in range(count)]
 
 
 class ByzantineStrategy(ABC):
@@ -66,16 +91,17 @@ class ByzantineStrategy(ABC):
 
     def initial_states(
         self, algorithm, topology, nodes: Tuple[int, ...], rng: np.random.Generator
-    ) -> Mapping[int, Turn]:
-        """States written into the faulty nodes before the first step
-        (default: keep whatever the initial configuration assigned)."""
-        return {}
+    ) -> Writes:
+        """``(rows, codes)`` written into the faulty nodes before the
+        first step (default: keep whatever the initial configuration
+        assigned)."""
+        return NO_WRITES
 
     @abstractmethod
     def states_at(
         self, execution, nodes: Tuple[int, ...], rng: np.random.Generator, t: int
-    ) -> Mapping[int, Turn]:
-        """State overrides applied immediately before step ``t``."""
+    ) -> Writes:
+        """``(rows, codes)`` written immediately before step ``t``."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -93,12 +119,13 @@ class FrozenClock(ByzantineStrategy):
 
     def initial_states(self, algorithm, topology, nodes, rng):
         if self._level is None:
-            return {}
+            return NO_WRITES
         algorithm.levels.require_level(self._level)
-        return {v: able(self._level) for v in nodes}
+        code = algorithm.encoding.encode(able(self._level))
+        return nodes, (code,) * len(nodes)
 
     def states_at(self, execution, nodes, rng, t):
-        return {}  # masked ⇒ the frozen state can never drift
+        return NO_WRITES  # masked ⇒ the frozen state can never drift
 
 
 class RandomClock(ByzantineStrategy):
@@ -114,9 +141,8 @@ class RandomClock(ByzantineStrategy):
 
     def states_at(self, execution, nodes, rng, t):
         if t % self._period:
-            return {}
-        algorithm = execution.algorithm
-        return {v: algorithm.random_state(rng) for v in nodes}
+            return NO_WRITES
+        return nodes, _draw_codes(execution, rng, len(nodes))
 
 
 class Oscillating(ByzantineStrategy):
@@ -134,11 +160,20 @@ class Oscillating(ByzantineStrategy):
         if period < 1:
             raise ModelError("oscillation period must be >= 1")
         self._period = period
+        self._faces: Tuple[object, int, int] | None = None
 
     def states_at(self, execution, nodes, rng, t):
-        k = execution.algorithm.levels.k
-        face = able(k) if (t // self._period) % 2 == 0 else able(-k)
-        return {v: face for v in nodes}
+        encoding = execution.algorithm.encoding
+        faces = self._faces
+        if faces is None or faces[0] is not encoding:
+            k = execution.algorithm.levels.k
+            faces = self._faces = (
+                encoding,
+                encoding.encode(able(k)),
+                encoding.encode(able(-k)),
+            )
+        face = faces[1] if (t // self._period) % 2 == 0 else faces[2]
+        return nodes, (face,) * len(nodes)
 
 
 class Targeted(ByzantineStrategy):
@@ -150,10 +185,9 @@ class Targeted(ByzantineStrategy):
 
     Every candidate turn is scored at once from the faulty node's
     two-hop neighborhood by :func:`~repro.core.potential.disorder_gain`
-    on the configuration's code vector; code order is turn order, so the
-    first maximum is the first such turn in ``all_turns``.  One decision
-    costs ``O(Σ_{u ∈ N[v]} deg u)`` numpy row reads, on top of one
-    ``O(n)`` encode of the configuration per call.
+    on a copy of the execution's code vector; code order is turn order,
+    so the first maximum is the first such turn in ``all_turns``.  One
+    decision costs ``O(Σ_{u ∈ N[v]} deg u)`` numpy row reads.
     """
 
     name = "targeted"
@@ -165,20 +199,18 @@ class Targeted(ByzantineStrategy):
 
     def states_at(self, execution, nodes, rng, t):
         if t % self._period:
-            return {}
+            return NO_WRITES
         from repro.core.potential import disorder_gain
 
-        config = execution.configuration
         kernel = execution.algorithm.vector_kernel()
-        encoding = kernel.encoding
-        codes = encoding.encode_configuration(config)
-        csr = config.topology.inclusive_csr()
-        updates: Dict[int, Turn] = {}
+        codes = execution.codes.copy()
+        csr = execution.topology.inclusive_csr()
+        chosen = []
         for v in nodes:
             best = int(np.argmax(disorder_gain(kernel, codes, csr, v)))
             codes[v] = best
-            updates[v] = encoding.decode(best)
-        return updates
+            chosen.append(best)
+        return nodes, chosen
 
 
 class Crash(ByzantineStrategy):
@@ -198,7 +230,7 @@ class Crash(ByzantineStrategy):
         return t >= self.at
 
     def states_at(self, execution, nodes, rng, t):
-        return {}
+        return NO_WRITES
 
 
 class Noisy(ByzantineStrategy):
@@ -218,13 +250,11 @@ class Noisy(ByzantineStrategy):
         return False
 
     def states_at(self, execution, nodes, rng, t):
-        hits = rng.random(len(nodes)) < self.p
-        algorithm = execution.algorithm
-        return {
-            v: algorithm.random_state(rng)
-            for v, hit in zip(nodes, hits)
-            if hit
-        }
+        p = self.p
+        rows = [v for v, x in zip(nodes, rng.random(len(nodes)).tolist()) if x < p]
+        if not rows:
+            return NO_WRITES
+        return rows, _draw_codes(execution, rng, len(rows))
 
 
 #: Strategy factories by declarative name — the single source of truth

@@ -46,6 +46,7 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
 )
+from repro.net.runtime import create_net_execution
 from repro.resilience import (
     BYZANTINE_STRATEGIES,
     Crash,
@@ -238,8 +239,16 @@ class TestTargetedLocalScore:
     @given(case=_targeted_cases())
     def test_matches_the_full_rescore_reference(self, case):
         algorithm, config, nodes = case
-        execution = SimpleNamespace(algorithm=algorithm, configuration=config)
-        chosen = Targeted().states_at(execution, nodes, np.random.default_rng(0), 0)
+        execution = SimpleNamespace(
+            algorithm=algorithm,
+            topology=config.topology,
+            codes=algorithm.encoding.encode_configuration(config),
+        )
+        rows, codes = Targeted().states_at(
+            execution, nodes, np.random.default_rng(0), 0
+        )
+        table = algorithm.encoding.turn_table
+        chosen = {v: table[code] for v, code in zip(rows, codes)}
         assert chosen == _full_rescore_targeted(algorithm, config, nodes)
 
     @settings(max_examples=100, deadline=None)
@@ -259,7 +268,7 @@ class TestTargetedLocalScore:
         )
         assert np.array_equal(gain - gain[0], potential - potential[0])
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_code_order_is_turn_order(self, d):
         # The first-maximum tie rule over codes is the reference's
         # first-in-all_turns rule only because the orders coincide.
@@ -388,6 +397,189 @@ class TestAdversary:
             assert ref_record.completed_round == vec_record.completed_round
             assert reference.configuration == vectorized.configuration
             assert reference.masked_nodes == vectorized.masked_nodes
+
+
+def _reference_states(name, params, execution, nodes, rng, t):
+    """The Turn-dict strategies: each strategy's state overrides as a
+    ``{node: Turn}`` dict, drawn exactly as before strategies returned
+    ``(rows, codes)``."""
+    algorithm = execution.algorithm
+    period = params.get("period", 1)
+    if name == "random":
+        if t % period:
+            return {}
+        return {v: algorithm.random_state(rng) for v in nodes}
+    if name == "oscillating":
+        k = algorithm.levels.k
+        face = able(k) if (t // period) % 2 == 0 else able(-k)
+        return {v: face for v in nodes}
+    if name == "targeted":
+        if t % period:
+            return {}
+        config = execution.configuration
+        kernel = algorithm.vector_kernel()
+        encoding = kernel.encoding
+        codes = encoding.encode_configuration(config)
+        csr = config.topology.inclusive_csr()
+        updates = {}
+        for v in nodes:
+            best = int(np.argmax(disorder_gain(kernel, codes, csr, v)))
+            codes[v] = best
+            updates[v] = encoding.decode(best)
+        return updates
+    if name == "noisy":
+        hits = rng.random(len(nodes)) < params.get("p", 0.3)
+        return {v: algorithm.random_state(rng) for v, hit in zip(nodes, hits) if hit}
+    return {}  # frozen and crash write nothing per step
+
+
+class _TurnDictAdversary:
+    """The reference adversary: Turn-dict strategies, a no-op filter
+    that decodes every faulty node with ``state_of``, and
+    ``poke_states``.  Masking follows the strategy's ``masked_at``."""
+
+    def __init__(self, name, params, nodes, rng):
+        self.name = name
+        self.params = params
+        self.strategy = make_strategy(name, **params)
+        self.nodes = tuple(sorted(nodes))
+        self._rng = rng
+        self._masked = None
+        self._initialized = False
+
+    def __call__(self, execution):
+        t = execution.t
+        if not self._initialized:
+            self._initialized = True
+            level = self.params.get("level")
+            if self.name == "frozen" and level is not None:
+                self._poke(execution, {v: able(level) for v in self.nodes})
+        masked = self.strategy.masked_at(t)
+        if masked != self._masked:
+            execution.mask_nodes(self.nodes if masked else ())
+            self._masked = masked
+        self._poke(
+            execution,
+            _reference_states(
+                self.name, self.params, execution, self.nodes, self._rng, t
+            ),
+        )
+        return None
+
+    @staticmethod
+    def _poke(execution, updates):
+        effective = {
+            v: state for v, state in updates.items() if execution.state_of(v) != state
+        }
+        if effective:
+            execution.poke_states(effective)
+
+
+#: ``(strategy name, parameters)``: every strategy, ``frozen`` also with
+#: a level and the periodic ones also off their default period.
+_CODE_SPACE_CASES = [
+    ("frozen", {}),
+    ("frozen", {"level": 1}),
+    ("random", {}),
+    ("random", {"period": 3}),
+    ("oscillating", {}),
+    ("oscillating", {"period": 2}),
+    ("targeted", {}),
+    ("crash", {"at": 40}),
+    ("noisy", {}),
+]
+_CASE_IDS = [
+    "-".join([name, *map(str, params.values())]) for name, params in _CODE_SPACE_CASES
+]
+
+#: A two-node faulty set (scalar pokes) and a six-node one (more moved
+#: rows than ``ArrayExecution.SCALAR_ACTIVATION_MAX``: vectorized pokes).
+_FAULTY_SETS = [(2, 9), (0, 3, 5, 8, 10, 13)]
+
+
+def _lane_execution(lane, intervention, seed=21):
+    rng = np.random.default_rng(seed)
+    topology = damaged_clique(14, 3, rng, damage=0.4)
+    algorithm = ThinUnison(3)
+    initial = random_configuration(algorithm, topology, rng)
+    build = create_net_execution if lane == "net" else create_execution
+    kwargs = {} if lane == "net" else {"engine": lane}
+    return build(
+        topology,
+        algorithm,
+        initial,
+        RandomSubsetScheduler(0.5),
+        rng=np.random.default_rng(seed + 1),
+        intervention=intervention,
+        **kwargs,
+    )
+
+
+class TestCodeSpaceContract:
+    """Strategies return ``(rows, codes)`` and every lane writes them
+    through ``poke_codes``; the result must equal the Turn-dict
+    reference adversary step for step, on every lane."""
+
+    @pytest.mark.parametrize("nodes", _FAULTY_SETS, ids=["scalar", "vectorized"])
+    @pytest.mark.parametrize("name,params", _CODE_SPACE_CASES, ids=_CASE_IDS)
+    @pytest.mark.parametrize("lane", ["object", "array", "native", "net"])
+    def test_matches_the_turn_dict_reference(self, lane, name, params, nodes):
+        reference_rng = np.random.default_rng(7)
+        rng = np.random.default_rng(7)
+        reference = _lane_execution(
+            lane, _TurnDictAdversary(name, params, nodes, reference_rng)
+        )
+        execution = _lane_execution(
+            lane,
+            PermanentFaultAdversary(make_strategy(name, **params), nodes, rng=rng),
+        )
+        for _ in range(200):
+            reference.step()
+            execution.step()
+            assert np.array_equal(reference.codes, execution.codes)
+            assert reference.state_epoch == execution.state_epoch
+            assert reference.moves == execution.moves
+        assert reference_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("lane", ["object", "array", "native", "net"])
+    def test_poke_codes_drops_no_op_writes(self, lane):
+        execution = _lane_execution(lane, None)
+        before = execution.codes
+        execution.poke_codes((1, 4), (int(before[1]), int(before[4])))
+        assert execution.state_epoch == 0
+        assert np.array_equal(execution.codes, before)
+        moved = (int(before[4]) + 1) % execution.algorithm.encoding.size
+        execution.poke_codes((1, 4), (int(before[1]), moved))
+        assert execution.state_epoch == 1
+        assert execution.codes[4] == moved
+        assert execution.state_of(4) == execution.algorithm.encoding.decode(moved)
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    @pytest.mark.parametrize("engine", ["array", "native"])
+    def test_poked_goodness_counts_match_a_recount(self, engine, count):
+        # Up to SCALAR_ACTIVATION_MAX moved rows fold goodness scalar by
+        # scalar, more take the vectorized fold; both must stay exact.
+        execution = _lane_execution(engine, None)
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            execution.graph_is_good()  # (re)seeds the incremental counts
+            rows = rng.choice(execution.topology.n, size=count, replace=False)
+            codes = rng.integers(execution.algorithm.encoding.size, size=count)
+            execution.poke_codes(rows, codes)
+            recount = execution._goodness_counts(execution._codes, execution._csr)
+            if count <= execution.SCALAR_ACTIVATION_MAX:
+                assert execution._goodness == recount
+            else:  # a dense change set may defer to a lazy recount
+                assert execution._goodness in (None, recount)
+            assert execution.graph_is_good() == (recount == (0, 0))
+            execution.step()
+
+    def test_array_poke_codes_rejects_bad_rows_and_codes(self):
+        execution = _lane_execution("array", None)
+        with pytest.raises(ModelError):
+            execution.poke_codes((42,), (0,))
+        with pytest.raises(ModelError):
+            execution.poke_codes((0,), (execution.algorithm.encoding.size,))
 
 
 class TestContainmentAnalytics:
