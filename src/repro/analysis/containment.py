@@ -17,10 +17,9 @@ The vocabulary used here:
   inwards are charged to the inner endpoint, and edges to faulty
   nodes (distance 0 < any correct distance) never count against a
   correct node — a Byzantine neighbor cannot be required to agree;
-* the graph is **stabilized outside radius r**
-  (:func:`stabilized_outside`) when every correct node at distance
-  ``> r`` is clean — equivalently, the subgraph induced by
-  ``{v : distances[v] > r}`` is a good graph;
+* the graph is **stabilized outside radius r** when every correct
+  node at distance ``> r`` is clean — equivalently, the subgraph
+  induced by ``{v : distances[v] > r}`` is a good graph;
 * the **containment radius** (:func:`containment_radius`) of a
   configuration is the smallest such ``r``: the largest distance of
   any unclean correct node (0 when every correct node is clean).
@@ -168,28 +167,6 @@ def containment_radius(
     return radius_of_mask(
         clean_node_mask(algorithm, configuration, distances), distances
     )
-
-
-def stabilized_outside(
-    algorithm: ThinUnison,
-    configuration: Configuration,
-    distances: np.ndarray,
-    radius: int,
-) -> bool:
-    """Whether every correct node at hop distance ``> radius`` from the
-    faulty set is clean — the predicate that replaces the all-nodes
-    stabilization check when permanent faults are present.  Vacuously
-    true when no node lies beyond the radius."""
-    return containment_radius(algorithm, configuration, distances) <= radius
-
-
-def execution_stabilized_outside(
-    execution: ExecutionBase, distances: np.ndarray, radius: int
-) -> bool:
-    """Engine-aware :func:`stabilized_outside` (vectorized on the array
-    engine)."""
-    clean = execution_clean_mask(execution, distances)
-    return radius_of_mask(clean, distances) <= radius
 
 
 # ----------------------------------------------------------------------

@@ -1,48 +1,32 @@
 """Execution monitors.
 
-Monitors observe executions step by step without influencing them; the
-analysis layer uses them to measure stabilization in the paper's units,
-count AlgAU transition types, verify invariant closure (the paper's
-Observations), and record output-vector dynamics for the static tasks.
+Monitors observe executions step by step without influencing them,
+through the :class:`~repro.model.execution.Monitor` /
+:class:`~repro.model.execution.StepRecord` protocol.  This module holds
+the three the repo attaches:
+
+* :class:`OutputChangeMonitor` — the output vector of a static task,
+  attached by the campaign runner on static LE/MIS rows;
+* :class:`AlgAUInvariantMonitor` — the paper's monotone invariants
+  (Obs 2.3, Lem 2.10, Lem 2.16), checked after every step in tests;
+* :class:`MoveCounter` — a moves count over a window of steps.
+
+The stabilization round itself is measured by
+:func:`repro.analysis.stabilization.settle`, not by a monitor.
 """
 
 from __future__ import annotations
 
-from collections import Counter as TallyCounter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.algau import ThinUnison, TransitionType
+from repro.core.algau import ThinUnison
 from repro.core.predicates import (
     is_good_graph,
     is_out_protected_graph,
     out_protected_nodes,
     unjustifiably_faulty_nodes,
 )
-from repro.model.configuration import Configuration
 from repro.model.execution import Execution, Monitor, StepRecord
-
-
-class TransitionCounter(Monitor):
-    """Tallies AlgAU transition types (AA/AF/FA) per node and overall."""
-
-    def __init__(self, algorithm: ThinUnison):
-        self.algorithm = algorithm
-        self.totals: TallyCounter = TallyCounter()
-        self.per_node: Dict[int, TallyCounter] = {}
-
-    def on_start(self, execution: Execution) -> None:
-        self.per_node = {v: TallyCounter() for v in execution.topology.nodes}
-
-    def on_step(self, execution: Execution, record: StepRecord) -> None:
-        for node, old, new in record.changed:
-            kind = self.algorithm.classify_change(old, new)
-            if kind is not None and kind is not TransitionType.STAY:
-                self.totals[kind] += 1
-                self.per_node[node][kind] += 1
-
-    def pulses(self, node: int) -> int:
-        """Type-AA count for ``node`` (its unison pulses)."""
-        return self.per_node.get(node, TallyCounter())[TransitionType.AA]
 
 
 class MoveCounter(Monitor):
@@ -69,38 +53,6 @@ class MoveCounter(Monitor):
 
     def on_step(self, execution: Execution, record: StepRecord) -> None:
         self.moves += len(record.changed)
-
-
-class GoodGraphMonitor(Monitor):
-    """Records when the graph first becomes good and asserts closure
-    (Lem 2.10: goodness, once reached, is never lost).
-
-    The check goes through :meth:`ExecutionBase.graph_is_good`, which
-    every engine answers from its incrementally maintained goodness
-    counts — O(changes) amortized per step, not an O(n + m)
-    configuration scan, always under the execution's own algorithm."""
-
-    def __init__(self, check_every_step: bool = False):
-        self.check_every_step = check_every_step
-        self.first_good_time: Optional[int] = None
-        self.first_good_round: Optional[int] = None
-        self.goodness_lost_at: Optional[int] = None
-
-    def _check(self, execution: Execution, t: int) -> None:
-        good = execution.graph_is_good()
-        if good and self.first_good_time is None:
-            self.first_good_time = t
-            rounds = execution.rounds
-            self.first_good_round = rounds.round_of_time(rounds.time)
-        if not good and self.first_good_time is not None:
-            self.goodness_lost_at = t
-
-    def on_start(self, execution: Execution) -> None:
-        self._check(execution, 0)
-
-    def on_step(self, execution: Execution, record: StepRecord) -> None:
-        if self.check_every_step or record.completed_round:
-            self._check(execution, record.t + 1)
 
 
 class InvariantViolation(AssertionError):
@@ -178,8 +130,9 @@ class OutputChangeMonitor(Monitor):
     activity, not for ``n``.  Records only cover ``_apply``'s updates,
     so the monitor watches :attr:`ExecutionBase.state_epoch` and falls
     back to a full re-snapshot on the (rare) steps where an
-    intervention, ``poke_states`` or ``replace_configuration`` mutated
-    state out-of-band.
+    intervention mutated state out-of-band: ``poke_codes`` (the
+    Byzantine adversary's write path), ``poke_states`` or
+    ``replace_configuration``.
     """
 
     def __init__(self, algorithm):
@@ -254,24 +207,3 @@ class OutputChangeMonitor(Monitor):
     @property
     def currently_complete(self) -> bool:
         return self._incomplete == 0
-
-
-class PredicateTimeline(Monitor):
-    """Records, per completed round, the value of a configuration
-    predicate — handy for plots/tables of recovery dynamics."""
-
-    def __init__(self, predicate: Callable[[Configuration], object]):
-        self.predicate = predicate
-        self.timeline: List[Tuple[int, object]] = []
-
-    def on_start(self, execution: Execution) -> None:
-        self.timeline.append((0, self.predicate(execution.configuration)))
-
-    def on_step(self, execution: Execution, record: StepRecord) -> None:
-        if record.completed_round:
-            self.timeline.append(
-                (
-                    execution.completed_rounds,
-                    self.predicate(execution.configuration),
-                )
-            )

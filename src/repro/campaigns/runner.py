@@ -394,7 +394,7 @@ def _contain(scenario: Scenario, execution, distances, row) -> ScenarioResult:
     """Permanent faults: run until the containment predicate (every
     correct node at hop distance > ``plan.radius`` from the faulty set
     is clean) holds and survives a confirmation window — the
-    ``stabilized_outside`` check replacing the all-nodes stabilization
+    containment check replacing the all-nodes stabilization
     predicate."""
     radius = scenario.faults.radius
 

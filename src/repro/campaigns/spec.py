@@ -24,8 +24,9 @@ The :class:`FaultPlan` axis covers the repertoire of
   new graph;
 * ``byzantine`` — permanent faults: ``density`` of the nodes run a
   :mod:`repro.resilience` Byzantine strategy forever and success is
-  *containment* (:func:`~repro.analysis.containment.stabilized_outside`
-  at the plan's ``radius``) instead of global stabilization;
+  *containment* (the
+  :func:`~repro.analysis.containment.containment_radius` is at most
+  the plan's ``radius``) instead of global stabilization;
 * ``crash`` — permanent crash-stop faults at step ``times[0]``
   (default 0); measured like ``byzantine``.
 """

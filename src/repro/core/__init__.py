@@ -12,16 +12,13 @@ from repro.core.potential import (
 )
 from repro.core.predicates import (
     edge_protected,
-    faulty_node_set,
     good_nodes,
     grounded_nodes,
     is_good_graph,
-    is_justified_graph,
     is_level_out_protected,
     is_out_protected_graph,
     is_protected_graph,
     justifiably_faulty_nodes,
-    level_span,
     out_protected_nodes,
     protected_edges,
     protected_nodes,
@@ -32,7 +29,6 @@ from repro.core.turns import (
     TurnSystem,
     able,
     faulty,
-    faulty_levels_sensed,
     levels_sensed,
 )
 
@@ -49,18 +45,14 @@ __all__ = [
     "disorder_potential",
     "edge_protected",
     "faulty",
-    "faulty_levels_sensed",
-    "faulty_node_set",
     "good_nodes",
     "grounded_nodes",
     "is_good_graph",
-    "is_justified_graph",
     "is_level_out_protected",
     "is_out_protected_graph",
     "is_protected_graph",
     "justifiably_faulty_nodes",
     "k_for_diameter_bound",
-    "level_span",
     "levels_sensed",
     "out_protected_nodes",
     "progress_report",

@@ -153,11 +153,6 @@ def unjustifiably_faulty_nodes(
     )
 
 
-def is_justified_graph(algorithm: ThinUnison, config: Configuration) -> bool:
-    """No unjustifiably faulty nodes."""
-    return not unjustifiably_faulty_nodes(algorithm, config)
-
-
 def grounded_nodes(algorithm: ThinUnison, config: Configuration) -> FrozenSet[int]:
     """Nodes lying on a grounded path: a path of length ≤ D whose nodes
     are all protected and with an endpoint at level ±1.
@@ -181,14 +176,3 @@ def grounded_nodes(algorithm: ThinUnison, config: Configuration) -> FrozenSet[in
         if not frontier:
             break
     return frozenset(reached)
-
-
-def faulty_node_set(config: Configuration) -> FrozenSet[int]:
-    """All nodes currently in a faulty turn."""
-    return frozenset(v for v in config.topology.nodes if config[v].faulty)
-
-
-def level_span(config: Configuration) -> Tuple[int, int]:
-    """The min and max |level| present (diagnostics)."""
-    magnitudes = [abs(config[v].level) for v in config.topology.nodes]
-    return min(magnitudes), max(magnitudes)

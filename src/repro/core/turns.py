@@ -110,8 +110,3 @@ class TurnSystem:
 def levels_sensed(signal) -> FrozenSet[int]:
     """``Λ_v`` — the set of levels appearing in a turn signal."""
     return frozenset(turn.level for turn in signal)
-
-
-def faulty_levels_sensed(signal) -> FrozenSet[int]:
-    """Levels whose *faulty* turn appears in the signal."""
-    return frozenset(turn.level for turn in signal if turn.faulty)

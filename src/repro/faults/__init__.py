@@ -3,7 +3,6 @@
 from repro.faults.churn import ChurnProcess
 from repro.faults.injection import (
     FaultEvent,
-    PeriodicFaultInjector,
     TransientFaultInjector,
     au_adversarial_suite,
     au_all_faulty,
@@ -16,7 +15,6 @@ from repro.faults.injection import (
 __all__ = [
     "ChurnProcess",
     "FaultEvent",
-    "PeriodicFaultInjector",
     "TransientFaultInjector",
     "au_adversarial_suite",
     "au_all_faulty",

@@ -375,21 +375,3 @@ def carry_configuration(
             f"{topology.name!r} with {topology.n} nodes"
         )
     return Configuration(topology, {v: configuration[v] for v in topology.nodes})
-
-
-class PeriodicFaultInjector(TransientFaultInjector):
-    """Injects a burst every ``period`` steps starting at ``start``."""
-
-    def __init__(
-        self,
-        algorithm: Algorithm,
-        period: int,
-        start: int = 0,
-        horizon: int = 10**7,
-        fraction: float = 0.25,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if period < 1:
-            raise ModelError("fault period must be >= 1")
-        times = range(start, horizon, period)
-        super().__init__(algorithm, times, fraction=fraction, rng=rng)

@@ -19,8 +19,6 @@ from repro.graphs.generators import (
 from repro.graphs.properties import (
     degree_stats,
     diameter,
-    eccentricities,
-    is_valid_diameter_bound,
     radius,
     summary,
 )
@@ -40,10 +38,8 @@ __all__ = [
     "degree_stats",
     "diameter",
     "dumbbell",
-    "eccentricities",
     "grid",
     "hypercube",
-    "is_valid_diameter_bound",
     "path",
     "proneural_cluster",
     "quorum_colony",

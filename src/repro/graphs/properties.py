@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import networkx as nx
 
@@ -12,13 +12,6 @@ from repro.graphs.topology import Topology
 def diameter(topology: Topology) -> int:
     """``diam(G)`` (delegates to the topology's cache)."""
     return topology.diameter
-
-
-def eccentricities(topology: Topology) -> Dict[int, int]:
-    """Per-node eccentricity."""
-    if topology.n == 1:
-        return {0: 0}
-    return dict(nx.eccentricity(topology.graph))
 
 
 def radius(topology: Topology) -> int:
@@ -32,11 +25,6 @@ def degree_stats(topology: Topology) -> Tuple[int, float, int]:
     """(min degree, mean degree, max degree)."""
     degrees = [topology.degree(v) for v in topology.nodes]
     return min(degrees), sum(degrees) / len(degrees), max(degrees)
-
-
-def is_valid_diameter_bound(topology: Topology, bound: int) -> bool:
-    """Whether ``diam(G) <= bound``."""
-    return topology.diameter <= bound
 
 
 def summary(topology: Topology) -> str:

@@ -38,7 +38,6 @@ from repro.model.scheduler import (
     Scheduler,
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
-    default_schedulers,
 )
 from repro.model.signal import Signal
 
@@ -73,7 +72,6 @@ __all__ = [
     "UnknownEngineError",
     "TransitionResult",
     "create_execution",
-    "default_schedulers",
     "supports_array_engine",
     "greedy_au_adversary",
     "product_distribution",

@@ -264,10 +264,10 @@ class RandomSubsetScheduler(Scheduler):
 class ExplicitScheduler(Scheduler):
     """Replays a prescribed finite schedule, optionally repeating it.
 
-    Used to reproduce hand-crafted adversarial schedules such as the
-    Appendix-A live-lock.  When the prescribed sequence is exhausted and
-    ``repeat`` is false, the scheduler falls back to synchronous steps
-    (keeping the execution fair).
+    Replays the activation sets that a run's step records list, or
+    drives a hand-built adversarial schedule.  When the prescribed
+    sequence is exhausted and ``repeat`` is false, the scheduler falls
+    back to synchronous steps (keeping the execution fair).
     """
 
     name = "explicit"
@@ -433,14 +433,3 @@ class LocallyCentralScheduler(Scheduler):
             f"{self.name} needs the engine's enabled view; drive it "
             "through an execution (it is selected via select())"
         )
-
-
-def default_schedulers() -> Tuple[Scheduler, ...]:
-    """The scheduler battery used by integration tests and experiments."""
-    return (
-        SynchronousScheduler(),
-        RoundRobinScheduler(),
-        ShuffledRoundRobinScheduler(),
-        RandomSubsetScheduler(0.5),
-        LaggardScheduler(victim=0, period=6),
-    )

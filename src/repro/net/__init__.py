@@ -22,11 +22,6 @@ Modules:
   :class:`~repro.model.engine.ExecutionBase` implementation driving the
   actors (so schedulers, monitors, adversaries, and the ``run`` driver
   compose unchanged), and :func:`create_net_execution`;
-* :mod:`repro.net.detectors` — timeout-based failure detectors
-  (:class:`ExcludeOnTimeout`, :class:`IncreasingTimeout`);
-* :mod:`repro.net.election` — leader election over the runtime: LCR
-  ring election and monarchical election over detector suspicions,
-  validated with the LE task oracle;
 * :mod:`repro.net.adapter` — :class:`NetAdapter`, mapping campaign
   :class:`~repro.campaigns.spec.Scenario` axes onto the runtime.
 
@@ -38,26 +33,15 @@ system still stabilizes, with a bounded slowdown.
 """
 
 from repro.net.adapter import NetAdapter
-from repro.net.detectors import ExcludeOnTimeout, IncreasingTimeout
-from repro.net.election import (
-    elect_monarch,
-    run_lcr_election,
-    run_monarchical_election,
-)
 from repro.net.links import FairLossyLink, LinkConfig, MessageNetwork, NetStats
 from repro.net.runtime import NetExecution, create_net_execution
 
 __all__ = [
-    "ExcludeOnTimeout",
     "FairLossyLink",
-    "IncreasingTimeout",
     "LinkConfig",
     "MessageNetwork",
     "NetAdapter",
     "NetExecution",
     "NetStats",
     "create_net_execution",
-    "elect_monarch",
-    "run_lcr_election",
-    "run_monarchical_election",
 ]

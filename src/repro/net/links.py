@@ -16,7 +16,7 @@ consults no randomness at all, which keeps the noise RNG stream empty
 and makes zero-noise runs bit-identical to the simulation engines.
 
 :class:`MessageNetwork` puts the links to work: one heap of in-flight
-deliveries shared by the AlgAU runtime and the election protocols.
+deliveries, driven by the AlgAU runtime.
 """
 
 from __future__ import annotations

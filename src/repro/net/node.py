@@ -53,7 +53,7 @@ class NodeActor:
         # register: neighbor -> (seq, code); seeded by the runtime's
         # omniscient refresh on configuration load.
         self.registers: Dict[int, Tuple[int, int]] = {}
-        # last_heard: neighbor -> virtual receive time, for detectors.
+        # last_heard: neighbor -> virtual receive time (link liveness).
         self.last_heard: Dict[int, float] = {}
         self.crashed = False
 
@@ -61,8 +61,8 @@ class NodeActor:
         """Apply one delivered message to the matching register.
 
         Stale deliveries (sequence number at or below the register's)
-        are dropped; every delivery still refreshes ``last_heard`` so
-        failure detectors measure link liveness, not state novelty.
+        are dropped; every delivery still refreshes ``last_heard``, which
+        measures link liveness, not state novelty.
         Deliveries from non-neighbors are discarded outright — under
         dynamic topology an in-flight copy may outlive the edge (or the
         sender) it travelled on, and must not resurrect a register that

@@ -382,17 +382,16 @@ class NetExecution(ExecutionBase):
 
     def crash_node(self, v: int) -> None:
         """Crash actor ``v``: it stops acting, broadcasting, and
-        processing deliveries (its heartbeats go silent, so neighbors'
-        failure detectors will eventually suspect it).  Also masks the
-        node so the inherited step machinery never activates it."""
+        processing deliveries (its heartbeats go silent).  Also masks
+        the node so the inherited step machinery never activates it."""
         if v not in self._actors:
             raise ModelError(f"cannot crash unknown node {v}")
         self._actors[v].crashed = True
         self.mask_nodes(self._masked | {v})
 
     def last_heard(self, v: int) -> Dict[int, float]:
-        """Node ``v``'s per-neighbor last-delivery virtual times (the
-        failure detectors' heartbeat view)."""
+        """Node ``v``'s per-neighbor last-delivery virtual times (its
+        heartbeat view of link liveness)."""
         return dict(self._actors[v].last_heard)
 
     @property

@@ -6,8 +6,7 @@ crash-stop, and probabilistic signal noise
 :class:`~repro.resilience.adversary.PermanentFaultAdversary`
 intervention, which composes with both execution engines (faulty nodes
 become masked lanes on the vectorized backend).  Containment analytics
-(per-node recovery vs hop distance, containment radius, the
-``stabilized_outside`` predicate) live in
+(per-node recovery vs hop distance, the containment radius) live in
 :mod:`repro.analysis.containment`; campaign integration (the
 ``byzantine`` registry and the ``byzantine``/``crash`` fault-plan
 kinds) in :mod:`repro.campaigns`.

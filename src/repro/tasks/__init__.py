@@ -1,4 +1,6 @@
-"""Distributed tasks: specifications, Restart, AlgLE and AlgMIS."""
+"""Distributed tasks: AlgLE, AlgMIS, the Restart module they share,
+and the task specifications (:mod:`repro.tasks.spec`) — the LE, MIS
+and AU oracles that campaign rows and tests check outputs against."""
 
 from repro.tasks.le import COMPUTE, VERIFY, AlgLE, LEState
 from repro.tasks.mis import IN, OUT, UNDECIDED, AlgMIS, MISState
@@ -17,7 +19,6 @@ from repro.tasks.spec import (
     check_au_update_is_pulse,
     check_le_output,
     check_mis_output,
-    greedy_mis,
     output_validator,
 )
 
@@ -42,7 +43,6 @@ __all__ = [
     "check_au_update_is_pulse",
     "check_le_output",
     "check_mis_output",
-    "greedy_mis",
     "output_validator",
     "restart_exit_time",
 ]

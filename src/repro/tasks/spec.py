@@ -148,16 +148,3 @@ def output_validator(
     if task == "mis":
         return lambda outputs: check_mis_output(topology, outputs).valid
     raise ValueError(f"no output validator for task {task!r}: valid tasks are le, mis")
-
-
-def greedy_mis(topology: Topology, order: Optional[Sequence[int]] = None) -> frozenset:
-    """A reference (centralized) MIS — sanity oracle for tests."""
-    chosen = set()
-    blocked = set()
-    for v in order if order is not None else topology.nodes:
-        if v in blocked:
-            continue
-        chosen.add(v)
-        blocked.add(v)
-        blocked.update(topology.neighbors(v))
-    return frozenset(chosen)

@@ -1,4 +1,4 @@
-"""Presentation helpers: Figure-1 regeneration and ASCII timelines."""
+"""Presentation helpers: Figure-1 regeneration."""
 
 from repro.viz.state_diagram import (
     StateDiagram,
@@ -7,19 +7,9 @@ from repro.viz.state_diagram import (
     to_text,
     verify_figure1_structure,
 )
-from repro.viz.timeline import (
-    clock_timeline,
-    output_timeline,
-    record_snapshots,
-    sparkline,
-)
 
 __all__ = [
     "StateDiagram",
-    "clock_timeline",
-    "output_timeline",
-    "record_snapshots",
-    "sparkline",
     "state_diagram",
     "to_dot",
     "to_text",

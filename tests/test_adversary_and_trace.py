@@ -1,16 +1,12 @@
-"""The greedy adaptive adversary and the trace/replay machinery."""
+"""The greedy adaptive adversary, and step records as a replayable trace."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.analysis.trace import (
-    ScheduleRecorder,
-    TraceRecorder,
-    load_trace,
-    save_trace,
-)
 from repro.core.algau import ThinUnison
 from repro.core.predicates import is_good_graph
 from repro.core.turns import able
@@ -20,7 +16,7 @@ from repro.model.adversary import GreedyAdversary, greedy_au_adversary
 from repro.model.configuration import Configuration
 from repro.model.errors import ScheduleError
 from repro.model.execution import Execution
-from repro.model.scheduler import ShuffledRoundRobinScheduler
+from repro.model.scheduler import ExplicitScheduler, ShuffledRoundRobinScheduler
 
 
 class TestGreedyAdversary:
@@ -128,65 +124,52 @@ class TestGreedyAdversary:
         assert np.mean(greedy_rounds) >= np.mean(benign_rounds) - 1
 
 
-class TestTraceRecorder:
+class TestStepRecordTrace:
     def make_run(self, rounds=5):
         rng = np.random.default_rng(3)
         alg = ThinUnison(1)
         topology = ring(4)
-        recorder = TraceRecorder()
-        schedule = ScheduleRecorder()
         execution = Execution(
             topology,
             alg,
             Configuration.uniform(topology, able(1)),
             ShuffledRoundRobinScheduler(),
             rng=rng,
-            monitors=(recorder, schedule),
         )
-        execution.run(max_rounds=rounds)
-        return alg, topology, recorder, schedule, execution
+        records = []
+        while execution.completed_rounds < rounds:
+            records.append(execution.step())
+        return alg, topology, records, execution
 
-    def test_trace_records_steps_and_rounds(self):
-        _, topology, recorder, _, execution = self.make_run()
-        trace = recorder.trace
-        assert trace is not None
-        assert trace.n == topology.n
-        assert trace.length == execution.t
-        assert trace.rounds() == 5
-        assert len(trace.initial) == topology.n
+    def test_records_cover_steps_and_rounds(self):
+        _, _, records, execution = self.make_run()
+        assert len(records) == execution.t
+        assert sum(r.completed_round for r in records) == 5
 
     def test_activation_counts_fair(self):
-        _, topology, recorder, _, _ = self.make_run()
-        counts = recorder.trace.activation_counts()
+        _, topology, records, _ = self.make_run()
+        counts = Counter(v for r in records for v in r.activated)
         assert set(counts) == set(topology.nodes)
         assert max(counts.values()) - min(counts.values()) <= 1
 
     def test_changes_of_node(self):
-        _, _, recorder, _, _ = self.make_run()
-        changes = recorder.trace.changes_of(0)
+        _, _, records, _ = self.make_run()
+        changes = [
+            (old, new) for r in records for v, old, new in r.changed if v == 0
+        ]
         assert changes  # node 0 advanced at least once
-        for t, old, new in changes:
+        for old, new in changes:
             assert old != new
-
-    def test_json_roundtrip(self, tmp_path):
-        _, _, recorder, _, _ = self.make_run()
-        path = str(tmp_path / "trace.json")
-        save_trace(recorder.trace, path)
-        loaded = load_trace(path)
-        assert loaded.algorithm == recorder.trace.algorithm
-        assert loaded.length == recorder.trace.length
-        assert loaded.steps[0].activated == recorder.trace.steps[0].activated
-        assert loaded.final == recorder.trace.final
 
     def test_schedule_replay_reproduces_deterministic_run(self):
         """Replaying a recorded schedule on the deterministic AlgAU
         reproduces the exact final configuration."""
-        alg, topology, recorder, schedule, execution = self.make_run()
+        alg, topology, records, execution = self.make_run()
         replay = Execution(
             topology,
             alg,
             Configuration.uniform(topology, able(1)),
-            schedule.as_scheduler(),
+            ExplicitScheduler([r.activated for r in records]),
             rng=np.random.default_rng(999),  # rng is irrelevant: δ is pure
         )
         replay.run(max_steps=execution.t)

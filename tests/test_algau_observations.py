@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.monitors import AlgAUInvariantMonitor, TransitionCounter
-from repro.core.algau import ThinUnison
+from repro.analysis.monitors import AlgAUInvariantMonitor
+from repro.core.algau import ThinUnison, TransitionType
 from repro.core.predicates import (
     edge_protected,
     is_good_graph,
@@ -31,6 +31,7 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
 )
+from repro.tasks.spec import check_au_liveness_counts
 
 
 def run_with_invariant_monitor(topology, d, seed, rounds, scheduler):
@@ -208,17 +209,18 @@ class TestLemma210AND211:
             until=lambda e: is_good_graph(alg, e.configuration),
         )
         assert result.stopped_by_predicate
-        counter = TransitionCounter(alg)
-        execution.monitors = (counter,)
-        counter.on_start(execution)
+        pulses = [0] * topology.n
         window = topology.diameter + 10
-        execution.run_rounds(window)
+        target = execution.completed_rounds + window
+        while execution.completed_rounds < target:
+            for node, old, new in execution.step().changed:
+                if alg.classify_change(old, new) is TransitionType.AA:
+                    pulses[node] += 1
         assert is_good_graph(alg, execution.configuration)  # Lem 2.10
         # Lem 2.11 with i = window - D; one round of slack because the
         # counting window starts mid-round (the ϱ operator from an
         # arbitrary time t reaches the next boundary late).
-        for v in topology.nodes:
-            assert counter.pulses(v) >= window - d - 1
+        assert check_au_liveness_counts(pulses, window - 1, d).valid
 
 
 class TestLemma218:

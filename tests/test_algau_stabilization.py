@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.monitors import GoodGraphMonitor, TransitionCounter
-from repro.analysis.stabilization import measure_au_stabilization
-from repro.core.algau import ThinUnison
+from repro.analysis.monitors import AlgAUInvariantMonitor
+from repro.analysis.stabilization import measure_au_stabilization, settle
+from repro.core.algau import ThinUnison, TransitionType
 from repro.core.clock import CyclicClock
 from repro.core.predicates import is_good_graph
 from repro.faults.injection import (
@@ -33,6 +33,7 @@ from repro.graphs.generators import (
     star,
 )
 from repro.graphs.topology import single_node_topology
+from repro.model.engine import create_execution, graph_is_good
 from repro.model.execution import Execution
 from repro.model.scheduler import (
     LaggardScheduler,
@@ -164,11 +165,8 @@ class TestPostStabilizationBehavior:
             until=lambda e: is_good_graph(alg, e.configuration),
         )
         assert is_good_graph(alg, execution.configuration)
-        counter = TransitionCounter(alg)
-        execution.monitors = (counter,)
-        counter.on_start(execution)
+        pulses = [0] * topology.n
         window = topology.diameter + 12
-        previous = execution.configuration
         for _ in range(window * topology.n):
             record = execution.step()
             config = execution.configuration
@@ -178,47 +176,89 @@ class TestPostStabilizationBehavior:
                 assert check_au_update_is_pulse(
                     group, alg.output(old), alg.output(new)
                 ).valid
-            previous = config
-        for v in topology.nodes:
-            assert counter.pulses(v) >= 1  # everyone advanced
+                if alg.classify_change(old, new) is TransitionType.AA:
+                    pulses[node] += 1
+        assert min(pulses) >= 1  # everyone advanced
 
-    def test_good_graph_monitor_detects_stabilization(self):
+    def test_goodness_is_reached_and_closed(self):
+        """Lem 2.10: once good, the graph stays good — the invariant
+        monitor raises on any step that loses goodness."""
         rng = np.random.default_rng(7)
         alg = ThinUnison(1)
         topology = complete_graph(5)
-        monitor = GoodGraphMonitor(check_every_step=True)
         execution = Execution(
             topology,
             alg,
             random_configuration(alg, topology, rng),
             SynchronousScheduler(),
             rng=rng,
-            monitors=(monitor,),
+            monitors=(AlgAUInvariantMonitor(alg),),
         )
+        assert settle(execution, graph_is_good, 2000) is not None
         execution.run(max_rounds=2000)
-        assert monitor.first_good_time is not None
-        assert monitor.goodness_lost_at is None  # Lem 2.10
+        assert execution.graph_is_good()
 
-    def test_good_graph_monitor_rounds_goodness_reached_mid_round(self):
+    def test_settle_rounds_goodness_reached_mid_round(self):
         """Regression: goodness first holding partway through a round
-        reported ``first_good_round=None``; the round in progress counts
-        (the paper's smallest ``i`` with a good graph by ``R(i)``)."""
+        counts the round in progress (the paper's smallest ``i`` with a
+        good graph by ``R(i)``)."""
         rng = np.random.default_rng(0)
         alg = ThinUnison(1)
         topology = complete_graph(5)
-        monitor = GoodGraphMonitor(check_every_step=True)
         execution = Execution(
             topology,
             alg,
             random_configuration(alg, topology, rng),
             ShuffledRoundRobinScheduler(),
             rng=rng,
-            monitors=(monitor,),
         )
-        execution.run(max_rounds=50)
-        assert monitor.first_good_time == 39  # mid-round: R(7) < 39 < R(8)
-        assert execution.rounds.boundary(7) < 39 < execution.rounds.boundary(8)
-        assert monitor.first_good_round == 8
+        assert settle(execution, graph_is_good, 50) == 8
+        assert execution.t == 39  # mid-round: R(7) = 35 < 39, round 8 open
+        assert execution.rounds.boundary(7) == 35
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    @pytest.mark.parametrize(
+        "graph_factory,d,scheduler_factory,seed",
+        [
+            (lambda: complete_graph(5), 1, ShuffledRoundRobinScheduler, 0),
+            (lambda: ring(6), 3, SynchronousScheduler, 1),
+            (lambda: path(5), 4, RoundRobinScheduler, 2),
+            (lambda: star(6), 2, lambda: RandomSubsetScheduler(0.5), 3),
+        ],
+        ids=["k5-shuffled", "ring6-sync", "path5-round-robin", "star6-subset"],
+    )
+    def test_settle_is_the_first_round_with_a_good_graph(
+        self, graph_factory, d, scheduler_factory, seed, engine
+    ):
+        """``settle`` agrees with the paper's definition computed from
+        the step records alone: the smallest ``i`` whose boundary
+        ``R(i)`` is at or after the first step with a good graph."""
+        alg = ThinUnison(d)
+        topology = graph_factory()
+        initial = random_configuration(alg, topology, np.random.default_rng(seed))
+
+        def fresh():
+            return create_execution(
+                topology,
+                alg,
+                initial,
+                scheduler_factory(),
+                rng=np.random.default_rng(seed),
+                engine=engine,
+            )
+
+        execution = fresh()
+        if is_good_graph(alg, execution.configuration):
+            expected = 0
+        else:
+            expected, completed, good = None, 0, False
+            while expected is None:
+                record = execution.step()
+                good = good or is_good_graph(alg, execution.configuration)
+                completed += record.completed_round
+                if good and record.completed_round:
+                    expected = completed
+        assert settle(fresh(), graph_is_good, 10_000) == expected
 
 
 class TestAdversarialRotatingScheduler:

@@ -1,5 +1,5 @@
-"""Analysis layer: monitors, stabilization measurement, statistics and
-table rendering."""
+"""Analysis layer: the output monitor, stabilization measurement,
+statistics and table rendering."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.monitors import (
-    OutputChangeMonitor,
-    PredicateTimeline,
-    TransitionCounter,
-)
+from repro.analysis.monitors import OutputChangeMonitor
 from repro.analysis.stabilization import (
     measure_au_stabilization,
     measure_static_task_stabilization,
@@ -24,13 +20,13 @@ from repro.analysis.stats import (
     max_geometric_sample,
     ratio_to_log,
 )
-from repro.analysis.tables import render_table, results_dir
+from repro.analysis.tables import render_table
 from repro.core.algau import ThinUnison, TransitionType
 from repro.core.predicates import good_nodes
 from repro.faults.injection import random_configuration, uniform_configuration
 from repro.graphs.generators import complete_graph, ring
 from repro.model.execution import Execution
-from repro.model.scheduler import SynchronousScheduler
+from repro.model.scheduler import ShuffledRoundRobinScheduler, SynchronousScheduler
 from repro.tasks.le import AlgLE
 from repro.tasks.spec import check_le_output
 
@@ -78,22 +74,49 @@ class TestSummaryAndFits:
 
 
 class TestMonitors:
-    def test_transition_counter_counts_pulses(self):
+    def test_synchronous_round_is_one_aa_pulse_per_node(self):
         rng = np.random.default_rng(0)
         alg = ThinUnison(1)
         topology = complete_graph(4)
-        counter = TransitionCounter(alg)
         execution = Execution(
             topology,
             alg,
             uniform_configuration(alg, topology),
             SynchronousScheduler(),
             rng=rng,
-            monitors=(counter,),
         )
-        execution.run(max_rounds=5)
-        assert counter.totals[TransitionType.AA] == 20  # 4 nodes × 5 rounds
-        assert counter.pulses(0) == 5
+        pulses = [0] * topology.n
+        while execution.completed_rounds < 5:
+            for node, old, new in execution.step().changed:
+                kind = alg.classify_change(old, new)
+                assert kind is TransitionType.AA
+                pulses[node] += 1
+        assert sum(pulses) == 20  # 4 nodes × 5 rounds
+        assert pulses[0] == 5
+
+    def test_round_records_sample_a_predicate_once_per_round(self):
+        """A per-round timeline of a predicate, sampled at the steps
+        whose record closes a round, lands exactly on ``R(0..10)``."""
+        rng = np.random.default_rng(0)
+        alg = ThinUnison(1)
+        topology = ring(5)
+        execution = Execution(
+            topology,
+            alg,
+            random_configuration(alg, topology, rng),
+            ShuffledRoundRobinScheduler(),
+            rng=rng,
+        )
+        timeline = [(0, execution.t, len(good_nodes(alg, execution.configuration)))]
+        while execution.completed_rounds < 10:
+            if execution.step().completed_round:
+                good = len(good_nodes(alg, execution.configuration))
+                timeline.append((execution.completed_rounds, execution.t, good))
+        assert [r for r, _, _ in timeline] == list(range(11))
+        boundaries = [execution.rounds.boundary(i) for i in range(11)]
+        assert [t for _, t, _ in timeline] == boundaries
+        # Shuffled round robin activates one node per step.
+        assert boundaries == [5 * i for i in range(11)]
 
     def test_output_change_monitor(self):
         rng = np.random.default_rng(0)
@@ -184,24 +207,6 @@ class TestMonitors:
         assert records[poke_at].changed
         assert all(not r.changed for r in records[poke_at + 1 :])
         assert monitor.last_change_time == poke_at + 1
-
-    def test_predicate_timeline_records_rounds(self):
-        rng = np.random.default_rng(0)
-        alg = ThinUnison(1)
-        topology = ring(5)
-        timeline = PredicateTimeline(lambda config: len(good_nodes(alg, config)))
-        execution = Execution(
-            topology,
-            alg,
-            random_configuration(alg, topology, rng),
-            SynchronousScheduler(),
-            rng=rng,
-            monitors=(timeline,),
-        )
-        execution.run(max_rounds=10)
-        assert len(timeline.timeline) == 11  # round 0 plus 10 rounds
-        rounds = [r for r, _ in timeline.timeline]
-        assert rounds == sorted(rounds)
 
 
 class TestStabilizationMeasurement:

@@ -50,15 +50,10 @@ from repro.graphs.dynamic import (
     canonical_edge,
 )
 from repro.graphs.generators import complete_graph, make_graph, ring
-from repro.graphs.properties import (
-    diameter,
-    is_valid_diameter_bound,
-    summary,
-)
+from repro.graphs.properties import diameter, summary
 from repro.model.engine import create_execution
 from repro.model.errors import ModelError
 from repro.model.scheduler import RoundRobinScheduler, SynchronousScheduler
-from repro.viz.timeline import clock_timeline, record_snapshots, sparkline
 
 
 def _delta_stream(topology, *, seed, steps, membership, algorithm=None):
@@ -549,36 +544,13 @@ class TestChurnScenarioSpec:
         assert "pulse_tightness" in MEASURED_COLUMNS
 
 
-class TestPropertiesAndVizUnderChurn:
+class TestPropertiesUnderChurn:
     def test_property_helpers_on_a_mutated_topology(self):
         base = ring(8)
         assert diameter(base) == 4
-        assert is_valid_diameter_bound(base, 4)
-        assert not is_valid_diameter_bound(base, 3)
+        assert base.diameter <= 4
+        assert not base.diameter <= 3
         assert "n=8 m=8" in summary(base)
         dyn = DynamicTopology(base)
         dyn.apply_delta(TopologyDelta(add_edges=((0, 4), (2, 6))))
         assert dyn.diameter == 3  # properties track incremental edits
-
-    def test_clock_timeline_renders_a_churned_run(self):
-        algorithm = ThinUnison(2)
-        topology = ring(6)
-        initial = random_configuration(
-            algorithm, topology, np.random.default_rng(4)
-        )
-        execution = _execution("object", topology, algorithm, initial)
-        snapshots = record_snapshots(execution, rounds=2)
-        execution.mutate_topology(TopologyDelta(add_edges=((0, 3),)))
-        snapshots.extend(record_snapshots(execution, rounds=1))
-        rendered = clock_timeline(algorithm, snapshots)
-        lines = rendered.splitlines()
-        assert lines[0].startswith("round |")
-        assert "v5" in lines[0]
-        assert len(lines) == 2 + len(snapshots)
-
-    def test_sparkline_shapes(self):
-        assert sparkline([]) == ""
-        assert sparkline([2.0, 2.0, 2.0]) == "▁▁▁"
-        line = sparkline([0, 1, 2, 3])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"

@@ -8,7 +8,6 @@ import pytest
 from repro.core.algau import ThinUnison
 from repro.core.predicates import is_good_graph
 from repro.faults.injection import (
-    PeriodicFaultInjector,
     TransientFaultInjector,
     au_adversarial_suite,
     au_all_faulty,
@@ -84,17 +83,12 @@ class TestTransientFaultInjector:
         assert [e.t for e in injector.events] == [3, 7]
         assert all(len(e.nodes) == 4 for e in injector.events)
 
-    def test_fraction_validation(self):
-        alg = ThinUnison(1)
-        with pytest.raises(ModelError):
-            TransientFaultInjector(alg, times=(1,), fraction=0.0)
-
-    def test_periodic_injector(self):
+    def test_periodic_schedule(self):
         rng = np.random.default_rng(0)
         alg = ThinUnison(1)
         topology = ring(6)
-        injector = PeriodicFaultInjector(
-            alg, period=5, start=2, fraction=0.2, rng=np.random.default_rng(2)
+        injector = TransientFaultInjector(
+            alg, times=range(2, 13, 5), fraction=0.2, rng=np.random.default_rng(2)
         )
         execution = Execution(
             topology,
@@ -106,6 +100,12 @@ class TestTransientFaultInjector:
         )
         execution.run(max_rounds=13)
         assert [e.t for e in injector.events] == [2, 7, 12]
+        assert all(len(e.nodes) == 2 for e in injector.events)  # ceil(0.2 * 6)
+
+    def test_fraction_validation(self):
+        alg = ThinUnison(1)
+        with pytest.raises(ModelError):
+            TransientFaultInjector(alg, times=(1,), fraction=0.0)
 
 
 class TestRecovery:

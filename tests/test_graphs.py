@@ -24,8 +24,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.properties import (
     degree_stats,
-    eccentricities,
-    is_valid_diameter_bound,
     radius,
     summary,
 )
@@ -189,12 +187,10 @@ class TestBiological:
 
 
 class TestProperties:
-    def test_radius_and_eccentricities(self):
-        topo = path(5)
-        ecc = eccentricities(topo)
-        assert ecc[0] == 4
-        assert ecc[2] == 2
-        assert radius(topo) == 2
+    def test_radius(self):
+        assert radius(path(5)) == 2
+        assert radius(path(4)) == 2
+        assert radius(star(5)) == 1
 
     def test_degree_stats(self):
         topo = star(5)
@@ -202,9 +198,9 @@ class TestProperties:
         assert dmin == 1
         assert dmax == 4
 
-    def test_is_valid_diameter_bound(self):
-        assert is_valid_diameter_bound(ring(6), 3)
-        assert not is_valid_diameter_bound(ring(6), 2)
+    def test_diameter_bound_is_a_diameter_comparison(self):
+        assert ring(6).diameter <= 3
+        assert not ring(6).diameter <= 2
 
     def test_summary_mentions_name(self):
         assert "path" in summary(path(3))

@@ -2,8 +2,8 @@
 
 Four layers of coverage:
 
-* units — the message network's event heap, the fair-lossy link model,
-  and timeout failure detectors;
+* units — the message network's event heap and the fair-lossy link
+  model;
 * parity — under zero-delay/zero-loss links the net runtime's whole
   trajectory (activation sets, change sets, round boundaries, final
   configurations) is bit-identical to the ``array`` simulation engine;
@@ -11,9 +11,8 @@ Four layers of coverage:
   prevent it, the message counters stay consistent, and pinned noisy
   trajectories guard the noise rng's draw order;
 * integration — the ``net-smoke`` campaign's sim/net pairings agree on
-  every measured column, elections pass the LE task oracle, and the
-  runner's per-scenario wall-clock timeout guard produces deterministic
-  ``status="timeout"`` rows.
+  every measured column, and the runner's per-scenario wall-clock
+  timeout guard produces deterministic ``status="timeout"`` rows.
 """
 
 from __future__ import annotations
@@ -48,17 +47,11 @@ from repro.model.scheduler import (
     SynchronousScheduler,
 )
 from repro.net import (
-    ExcludeOnTimeout,
     FairLossyLink,
-    IncreasingTimeout,
     LinkConfig,
     MessageNetwork,
     create_net_execution,
-    elect_monarch,
-    run_lcr_election,
-    run_monarchical_election,
 )
-from repro.tasks.spec import check_le_output
 
 #: SHA-256 of the canonical JSON of the seed-0 ``net-smoke`` aggregates.
 NET_SMOKE_DIGEST = "5cec372879f764c95f47b25022cc99146d435e8dcb75237dd76a490f55358e71"
@@ -168,88 +161,6 @@ class TestLinks:
         latencies = link.transmit(rng)
         assert len(latencies) == 2
         assert all(0.0 <= latency < 0.5 for latency in latencies)
-
-
-# ----------------------------------------------------------------------
-# Failure detectors.
-# ----------------------------------------------------------------------
-
-
-class TestDetectors:
-    def test_exclude_on_timeout_suspects_silent_peers_permanently(self):
-        detector = ExcludeOnTimeout(peers=(1, 2), timeout=3.0)
-        assert detector.observe(2.0, {1: 1.0, 2: 1.5}) == frozenset()
-        assert detector.observe(6.0, {1: 5.0, 2: 1.5}) == frozenset({2})
-        # Even a late heartbeat does not restore an excluded peer.
-        assert detector.observe(7.0, {1: 6.5, 2: 6.9}) == frozenset({2})
-        assert detector.trusted() == frozenset({1})
-
-    def test_increasing_timeout_recovers_and_backs_off(self):
-        detector = IncreasingTimeout(peers=(1,), timeout=2.0, factor=2.0)
-        assert detector.observe(5.0, {1: 1.0}) == frozenset({1})
-        # The peer was merely slow: hearing it again restores trust and
-        # doubles its timeout so the mistake is not repeated.
-        assert detector.observe(6.0, {1: 5.5}) == frozenset()
-        assert detector.false_suspicions == 1
-        assert detector.timeouts[1] == pytest.approx(4.0)
-        assert detector.observe(9.0, {1: 5.5}) == frozenset()
-        assert detector.observe(10.0, {1: 5.5}) == frozenset({1})
-
-
-# ----------------------------------------------------------------------
-# Elections (LE oracle = thm13's checker).
-# ----------------------------------------------------------------------
-
-
-class TestElections:
-    @pytest.mark.timeout(60)
-    def test_lcr_elects_the_max_uid_on_clean_links(self):
-        uids = [31, 2, 57, 11, 40]
-        result = run_lcr_election(uids)
-        assert result.leader == uids.index(57)
-        assert check_le_output(result.outputs).valid
-
-    @pytest.mark.timeout(60)
-    def test_lcr_survives_lossy_duplicating_links(self):
-        uids = [5, 9, 1, 14, 3, 8]
-        clean = run_lcr_election(uids)
-        noisy = run_lcr_election(
-            uids,
-            link_config=LinkConfig(loss=0.3, duplicate=0.2, jitter=0.5),
-            seed=11,
-        )
-        assert noisy.leader == clean.leader == uids.index(14)
-        assert check_le_output(noisy.outputs).valid
-        assert noisy.slots >= clean.slots  # noise can only slow it down
-
-    def test_elect_monarch_rule(self):
-        assert elect_monarch(range(6), suspected=(5, 3)) == 4
-        with pytest.raises(ModelError):
-            elect_monarch((0, 1), suspected=(0, 1))
-
-    @pytest.mark.timeout(60)
-    @pytest.mark.parametrize("detector", ["exclude", "increasing"])
-    def test_monarchical_election_excludes_crashed_monarch(self, detector):
-        result = run_monarchical_election(
-            6, crashed=(5,), timeout=4.0, detector=detector
-        )
-        assert result.leader == 4
-        assert check_le_output(result.outputs).valid
-        for node, suspected in result.suspected.items():
-            assert 5 in suspected
-
-    @pytest.mark.timeout(60)
-    def test_monarchical_election_under_lossy_links(self):
-        # Fair-lossy links bound heartbeat gaps, so a generous timeout
-        # never false-suspects and the full clique elects its max.
-        result = run_monarchical_election(
-            5,
-            link_config=LinkConfig(loss=0.3),
-            timeout=8.0,
-            seed=3,
-        )
-        assert result.leader == 4
-        assert check_le_output(result.outputs).valid
 
 
 # ----------------------------------------------------------------------
@@ -376,15 +287,6 @@ class TestNoisyTrajectoryPins:
             for v in topology.nodes
         ]
         assert codes == [22, 23, 24, 23, 22, 21, 20, 19, 18, 19, 20, 21]
-
-    @pytest.mark.timeout(60)
-    def test_noisy_lcr_election(self):
-        result = run_lcr_election(
-            [5, 9, 1, 14, 3, 8],
-            LinkConfig(loss=0.3, duplicate=0.2, jitter=0.5),
-            seed=11,
-        )
-        assert (result.slots, result.messages) == (30, 180)
 
 
 class TestNoisyLinks:

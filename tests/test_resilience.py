@@ -7,8 +7,7 @@ sparse-poke hooks, the :class:`PermanentFaultAdversary` intervention
 (including step-for-step bit-identity between the object and array
 engines under every strategy), and the containment analytics (hop
 distances, the clean mask's object/vectorized agreement, containment
-radius, the ``stabilized_outside`` predicate, and the measurement
-harness).
+radius, and the measurement harness).
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ from repro.analysis.containment import (
     clean_node_mask_codes,
     containment_radius,
     execution_clean_mask,
-    execution_stabilized_outside,
     hop_distances,
     measure_containment,
     radius_of_mask,
-    stabilized_outside,
 )
 from repro.core.algau import ThinUnison
 from repro.core.potential import disorder_gain, disorder_potential
@@ -608,8 +605,6 @@ class TestContainmentAnalytics:
         assert clean.tolist() == [False, False, True, True, True]
         assert radius_of_mask(clean, distances) == 1
         assert containment_radius(algorithm, config, distances) == 1
-        assert stabilized_outside(algorithm, config, distances, radius=1)
-        assert not stabilized_outside(algorithm, config, distances, radius=0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_clean_mask_object_vs_vectorized(self, seed):
@@ -633,9 +628,7 @@ class TestContainmentAnalytics:
             mask = execution_clean_mask(execution, distances)
             assert mask.dtype == bool and len(mask) == execution.topology.n
             assert not mask[0]  # the faulty node is never clean
-            assert execution_stabilized_outside(
-                execution, distances, radius=int(distances.max())
-            )
+            assert radius_of_mask(mask, distances) <= int(distances.max())
 
     def test_tracker_records_radius_and_recovery(self):
         strategy = make_strategy("random")

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.baselines.luby_mis import IDGreedyMIS, IDState
 from repro.core.clock import CyclicClock
 from repro.graphs.generators import complete_graph, path, ring, star
+from repro.model.configuration import Configuration
 from repro.model.errors import ModelError
+from repro.model.execution import Execution
+from repro.model.scheduler import SynchronousScheduler
 from repro.tasks.spec import (
     check_au_liveness_counts,
     check_au_safety,
     check_au_update_is_pulse,
     check_le_output,
     check_mis_output,
-    greedy_mis,
 )
 
 
@@ -137,18 +141,47 @@ class TestMISVerifier:
         assert not check_mis_output(topology, [1, 0, 1, 0]).valid
 
 
+def greedy_outputs(topology, identifiers):
+    """The MIS that greedy-by-identifier picks: run the ID-greedy
+    baseline from an all-undecided start until every node decides."""
+    algorithm = IDGreedyMIS(max(identifiers.values()) + 1)
+    execution = Execution(
+        topology,
+        algorithm,
+        Configuration.from_function(
+            topology, lambda v: IDState("U", identifiers[v])
+        ),
+        SynchronousScheduler(),
+        rng=np.random.default_rng(0),
+    )
+    result = execution.run(
+        max_rounds=topology.n + 1,
+        until=lambda e: e.configuration.is_output_configuration(algorithm),
+    )
+    assert result.stopped_by_predicate
+    return execution.configuration.output_vector(algorithm)
+
+
 class TestGreedyOracle:
     @pytest.mark.parametrize(
         "topology_factory",
         [lambda: path(7), lambda: ring(8), lambda: complete_graph(5), lambda: star(6)],
+        ids=["path7", "ring8", "k5", "star6"],
     )
     def test_greedy_mis_is_valid(self, topology_factory):
         topology = topology_factory()
-        chosen = greedy_mis(topology)
-        outputs = [1 if v in chosen else 0 for v in topology.nodes]
+        outputs = greedy_outputs(topology, {v: v for v in topology.nodes})
         assert check_mis_output(topology, outputs).valid
+        # An MIS is flip-critical: dropping a member breaks maximality,
+        # adding a non-member breaks independence.
+        for v in topology.nodes:
+            flipped = list(outputs)
+            flipped[v] = 1 - flipped[v]
+            assert not check_mis_output(topology, flipped).valid, v
 
     def test_greedy_respects_order(self):
         topology = path(3)
-        assert greedy_mis(topology, order=[1, 0, 2]) == {1}
-        assert greedy_mis(topology, order=[0, 1, 2]) == {0, 2}
+        chosen = greedy_outputs(topology, {0: 0, 1: 2, 2: 1})
+        assert {v for v in topology.nodes if chosen[v]} == {1}
+        chosen = greedy_outputs(topology, {0: 2, 1: 0, 2: 1})
+        assert {v for v in topology.nodes if chosen[v]} == {0, 2}

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.stabilization import measure_static_task_stabilization
+from repro.core.predicates import is_good_graph
 from repro.core.turns import able, faulty
 from repro.faults.injection import random_configuration, uniform_configuration
 from repro.graphs.generators import complete_graph, damaged_clique, ring
+from repro.model.configuration import Configuration
 from repro.model.execution import Execution
 from repro.model.scheduler import (
     LaggardScheduler,
@@ -16,7 +18,6 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
 )
 from repro.model.signal import Signal
-from repro.sync.pulses import PulseMonitor
 from repro.sync.synchronizer import Synchronizer, SyncState
 from repro.tasks.le import AlgLE
 from repro.tasks.mis import AlgMIS
@@ -156,7 +157,7 @@ class TestEndToEndAsynchronous:
         assert result.stabilized, result.detail
 
 
-class TestPulseMonitor:
+class TestPulses:
     def test_pulse_counts_stay_within_one_neighborhood_gap(self):
         """Post-AU-stabilization, neighboring pulse counters differ by
         at most ... they track the AU clocks, whose neighborhood gap is
@@ -165,16 +166,20 @@ class TestPulseMonitor:
         topology = ring(6)
         inner = AlgLE(3)
         sync = Synchronizer(inner, 3)
-        monitor = PulseMonitor(sync)
         execution = Execution(
             topology,
             sync,
             uniform_configuration(sync, topology),
             ShuffledRoundRobinScheduler(),
             rng=rng,
-            monitors=(monitor,),
         )
-        execution.run(max_rounds=60)
-        assert monitor.max_pulses() > 0
-        assert monitor.max_pulses() - monitor.min_pulses() <= topology.diameter + 1
-        assert monitor.first_good_round is not None
+        pulses = [0] * topology.n
+        while execution.completed_rounds < 60:
+            for node, old, new in execution.step().changed:
+                pulses[node] += sync.pulse_advanced(old, new)
+        assert max(pulses) > 0
+        assert max(pulses) - min(pulses) <= topology.diameter + 1
+        turns = Configuration.from_function(
+            topology, lambda v: execution.configuration[v].turn
+        )
+        assert is_good_graph(sync.unison, turns)

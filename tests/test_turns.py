@@ -10,7 +10,6 @@ from repro.core.turns import (
     TurnSystem,
     able,
     faulty,
-    faulty_levels_sensed,
     levels_sensed,
 )
 from repro.model.errors import ModelError
@@ -72,11 +71,3 @@ class TestSignalHelpers:
     def test_levels_sensed(self):
         signal = Signal((able(3), faulty(3), able(-1)))
         assert levels_sensed(signal) == {3, -1}
-
-    def test_faulty_levels_sensed(self):
-        signal = Signal((able(3), faulty(3), faulty(-2)))
-        assert faulty_levels_sensed(signal) == {3, -2}
-
-    def test_empty_faulty(self):
-        signal = Signal((able(1), able(2)))
-        assert faulty_levels_sensed(signal) == frozenset()
