@@ -119,7 +119,7 @@ class TailKernel(CodeKernel):
     for one :class:`ResetTailUnison` instance."""
 
     def __init__(self, algorithm: "ResetTailUnison"):
-        self.algorithm = algorithm
+        # No back-reference to ``algorithm`` (see VectorKernel).
         self.encoding = algorithm.encoding
         alpha = algorithm.tail_length
         ring = algorithm.ring.order

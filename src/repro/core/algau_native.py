@@ -45,6 +45,14 @@ use the module resolves the fastest available backend:
 ``python``) or disables the tier entirely (``none``).  When nothing is
 available, :func:`native_backend` returns ``None`` and the engine
 factory falls back to the numpy tier with a warning.
+
+Every backend has one seam, ``bind(tables)``: it returns the backend's
+entry points with one kernel's constant Table 1 arrays bound, so a call
+passes only what changes between calls — the codes, the CSR arrays and
+the row or change arrays.  :class:`NativeKernel` binds once per kernel.
+On graphs of a dozen nodes a kernel call costs a few microseconds, and
+converting an array to a ``ctypes`` address costs about two, so the
+``cc`` lane converts the ten tables once instead of on every call.
 """
 
 from __future__ import annotations
@@ -347,6 +355,57 @@ def _fold_pairs_owner_impl(
 # ----------------------------------------------------------------------
 
 
+class _ArrayKernels:
+    """An array-taking backend's kernels (the ``python`` and ``numba``
+    lanes) with one kernel's Table 1 arrays bound: the per-call
+    arguments are the codes, the CSR and the row or change arrays."""
+
+    def __init__(self, backend, tables: NativeTables):
+        t = tables
+        self._backend = backend
+        self._tables = t
+        self._delta_tables = (
+            t.clock_of, t.aa_succ, t.fa_succ, t.af_code, t.af_sense,
+            t.is_faulty, t.has_twin, t.adjacent_mask, t.aa_mask,
+            t.outwards_mask, t.cautious,
+        )
+
+    def delta_rows(self, codes, indptr, indices, rows, out) -> None:
+        self._backend.delta_rows(codes, indptr, indices, rows, out, *self._delta_tables)
+
+    def run_sequence(self, codes, indptr, indices, order, counts) -> int:
+        return self._backend.run_sequence(
+            codes, indptr, indices, order, *self._delta_tables,
+            self._tables.pair_bad, counts,
+        )
+
+    def goodness_counts(self, codes, indptr, indices) -> Tuple[int, int]:
+        t = self._tables
+        faulty, bad = self._backend.goodness_counts(
+            codes, indptr, indices, t.is_faulty, t.pair_bad
+        )
+        return int(faulty), int(bad)
+
+    def fold_pairs(
+        self, codes, indptr, indices, diff, old_diff, new_diff, in_diff, new_code_of
+    ) -> int:
+        return int(
+            self._backend.fold_pairs(
+                codes, indptr, indices, diff, old_diff, new_diff,
+                in_diff, new_code_of, self._tables.pair_bad,
+            )
+        )
+
+    def fold_pairs_owner(
+        self, codes, indptr, indices, diff, old_diff, new_diff,
+        in_diff, new_code_of, owner, bad_out,
+    ) -> None:
+        self._backend.fold_pairs_owner(
+            codes, indptr, indices, diff, old_diff, new_diff,
+            in_diff, new_code_of, self._tables.pair_bad, owner, bad_out,
+        )
+
+
 class _PythonBackend:
     """The un-jitted kernels — correctness reference, test-only lane."""
 
@@ -358,8 +417,11 @@ class _PythonBackend:
     fold_pairs_owner = staticmethod(_fold_pairs_owner_impl)
     run_sequence = staticmethod(_run_sequence_impl)
 
+    def bind(self, tables: NativeTables) -> _ArrayKernels:
+        return _ArrayKernels(self, tables)
 
-class _NumbaBackend:
+
+class _NumbaBackend(_PythonBackend):
     """The Python kernels under ``numba.njit(cache=True)``."""
 
     name = "numba"
@@ -428,8 +490,81 @@ def compile_native_library(source: Path = _C_SOURCE) -> Path:
     )
 
 
-def _ptr(array: Optional[np.ndarray]):
-    return None if array is None else array.ctypes.data
+def _ptr(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
+class _CKernels:
+    """The ``cc`` lane's entry points with one kernel's Table 1 pointers
+    bound.
+
+    ``ndarray.ctypes.data`` costs about as much as a small kernel call,
+    so the constant tables (and a private output buffer) are converted
+    once here; only the codes, the CSR and the row or change arrays —
+    which the engines replace between calls (``MutableCSR.patch`` swaps
+    its buffers) — are converted per call.  The tables object is held so
+    the bound addresses stay valid.
+    """
+
+    def __init__(self, backend: "_CBackend", tables: NativeTables):
+        t = tables
+        self._tables = t
+        self._c = backend
+        self._out = np.zeros(2, dtype=np.int64)
+        ptr = ctypes.c_void_p
+        self._out_ptr = ptr(_ptr(self._out))
+        self._delta_tables = tuple(
+            ptr(_ptr(a))
+            for a in (
+                t.clock_of, t.aa_succ, t.fa_succ, t.af_code, t.af_sense,
+                t.is_faulty, t.has_twin, t.adjacent_mask, t.aa_mask,
+                t.outwards_mask,
+            )
+        ) + (t.aa_mask.shape[1], t.cautious)
+        self._is_faulty = self._delta_tables[5]
+        self._pair_bad = (ptr(_ptr(t.pair_bad)), t.pair_bad.shape[1])
+
+    def delta_rows(self, codes, indptr, indices, rows, out) -> None:
+        self._c.delta(
+            _ptr(codes), _ptr(indptr), _ptr(indices), _ptr(rows), rows.shape[0],
+            _ptr(out), *self._delta_tables,
+        )
+
+    def run_sequence(self, codes, indptr, indices, order, counts) -> int:
+        return self._c.sequence(
+            _ptr(codes), _ptr(indptr), _ptr(indices), _ptr(order), order.shape[0],
+            *self._delta_tables, *self._pair_bad, _ptr(counts),
+        )
+
+    def goodness_counts(self, codes, indptr, indices) -> Tuple[int, int]:
+        out = self._out
+        self._c.goodness(
+            _ptr(codes), _ptr(indptr), _ptr(indices), codes.shape[0],
+            self._is_faulty, *self._pair_bad, self._out_ptr,
+        )
+        return int(out[0]), int(out[1])
+
+    def fold_pairs(
+        self, codes, indptr, indices, diff, old_diff, new_diff, in_diff, new_code_of
+    ) -> int:
+        out = self._out
+        out[0] = 0
+        self._c.fold(
+            _ptr(codes), _ptr(indptr), _ptr(indices), _ptr(diff), _ptr(old_diff),
+            _ptr(new_diff), diff.shape[0], _ptr(in_diff), _ptr(new_code_of),
+            *self._pair_bad, None, self._out_ptr,
+        )
+        return int(out[0])
+
+    def fold_pairs_owner(
+        self, codes, indptr, indices, diff, old_diff, new_diff,
+        in_diff, new_code_of, owner, bad_out,
+    ) -> None:
+        self._c.fold(
+            _ptr(codes), _ptr(indptr), _ptr(indices), _ptr(diff), _ptr(old_diff),
+            _ptr(new_diff), diff.shape[0], _ptr(in_diff), _ptr(new_code_of),
+            *self._pair_bad, _ptr(owner), _ptr(bad_out),
+        )
 
 
 class _CBackend:
@@ -441,159 +576,23 @@ class _CBackend:
         lib = ctypes.CDLL(str(compile_native_library()))
         p = ctypes.c_void_p
         i64 = ctypes.c_int64
-        self._delta = lib.delta_rows
-        self._delta.restype = None
-        self._delta.argtypes = [p] * 4 + [i64, p] + [p] * 10 + [i64, ctypes.c_int32]
-        self._goodness = lib.goodness_counts
-        self._goodness.restype = None
-        self._goodness.argtypes = [p, p, p, i64, p, p, i64, p]
-        self._fold = lib.fold_pairs
-        self._fold.restype = None
-        self._fold.argtypes = [p] * 6 + [i64] + [p] * 3 + [i64] + [p, p]
-        self._sequence = lib.run_sequence
-        self._sequence.restype = i64
-        self._sequence.argtypes = (
+        self.delta = lib.delta_rows
+        self.delta.restype = None
+        self.delta.argtypes = [p] * 4 + [i64, p] + [p] * 10 + [i64, ctypes.c_int32]
+        self.goodness = lib.goodness_counts
+        self.goodness.restype = None
+        self.goodness.argtypes = [p, p, p, i64, p, p, i64, p]
+        self.fold = lib.fold_pairs
+        self.fold.restype = None
+        self.fold.argtypes = [p] * 6 + [i64] + [p] * 3 + [i64] + [p, p]
+        self.sequence = lib.run_sequence
+        self.sequence.restype = i64
+        self.sequence.argtypes = (
             [p] * 4 + [i64] + [p] * 10 + [i64, ctypes.c_int32, p, i64, p]
         )
 
-    def delta_rows(
-        self,
-        codes,
-        indptr,
-        indices,
-        rows,
-        out,
-        clock_of,
-        aa_succ,
-        fa_succ,
-        af_code,
-        af_sense,
-        is_faulty,
-        has_twin,
-        adjacent_mask,
-        aa_mask,
-        outwards_mask,
-        cautious,
-    ):
-        self._delta(
-            _ptr(codes),
-            _ptr(indptr),
-            _ptr(indices),
-            _ptr(rows),
-            rows.shape[0] if rows is not None else codes.shape[0],
-            _ptr(out),
-            _ptr(clock_of),
-            _ptr(aa_succ),
-            _ptr(fa_succ),
-            _ptr(af_code),
-            _ptr(af_sense),
-            _ptr(is_faulty),
-            _ptr(has_twin),
-            _ptr(adjacent_mask),
-            _ptr(aa_mask),
-            _ptr(outwards_mask),
-            aa_mask.shape[1],
-            cautious,
-        )
-
-    def run_sequence(
-        self,
-        codes,
-        indptr,
-        indices,
-        order,
-        clock_of,
-        aa_succ,
-        fa_succ,
-        af_code,
-        af_sense,
-        is_faulty,
-        has_twin,
-        adjacent_mask,
-        aa_mask,
-        outwards_mask,
-        cautious,
-        pair_bad,
-        counts,
-    ):
-        return self._sequence(
-            _ptr(codes),
-            _ptr(indptr),
-            _ptr(indices),
-            _ptr(order),
-            order.shape[0],
-            _ptr(clock_of),
-            _ptr(aa_succ),
-            _ptr(fa_succ),
-            _ptr(af_code),
-            _ptr(af_sense),
-            _ptr(is_faulty),
-            _ptr(has_twin),
-            _ptr(adjacent_mask),
-            _ptr(aa_mask),
-            _ptr(outwards_mask),
-            aa_mask.shape[1],
-            cautious,
-            _ptr(pair_bad),
-            pair_bad.shape[1],
-            _ptr(counts),
-        )
-
-    def goodness_counts(self, codes, indptr, indices, is_faulty, pair_bad):
-        out = np.zeros(2, dtype=np.int64)
-        self._goodness(
-            _ptr(codes),
-            _ptr(indptr),
-            _ptr(indices),
-            codes.shape[0],
-            _ptr(is_faulty),
-            _ptr(pair_bad),
-            pair_bad.shape[1],
-            _ptr(out),
-        )
-        return int(out[0]), int(out[1])
-
-    def fold_pairs(
-        self, codes, indptr, indices, diff, old_diff, new_diff,
-        in_diff, new_code_of, pair_bad,
-    ):
-        out = np.zeros(1, dtype=np.int64)
-        self._fold(
-            _ptr(codes),
-            _ptr(indptr),
-            _ptr(indices),
-            _ptr(diff),
-            _ptr(old_diff),
-            _ptr(new_diff),
-            diff.shape[0],
-            _ptr(in_diff),
-            _ptr(new_code_of),
-            _ptr(pair_bad),
-            pair_bad.shape[1],
-            None,
-            _ptr(out),
-        )
-        return int(out[0])
-
-    def fold_pairs_owner(
-        self, codes, indptr, indices, diff, old_diff, new_diff,
-        in_diff, new_code_of, pair_bad, owner, bad_out,
-    ):
-        self._fold(
-            _ptr(codes),
-            _ptr(indptr),
-            _ptr(indices),
-            _ptr(diff),
-            _ptr(old_diff),
-            _ptr(new_diff),
-            diff.shape[0],
-            _ptr(in_diff),
-            _ptr(new_code_of),
-            _ptr(pair_bad),
-            pair_bad.shape[1],
-            _ptr(owner),
-            _ptr(bad_out),
-        )
+    def bind(self, tables: NativeTables) -> _CKernels:
+        return _CKernels(self, tables)
 
 
 # ----------------------------------------------------------------------
@@ -620,19 +619,23 @@ def _probe(backend) -> None:
     instead of mid-run.  Correctness is the test suite's job; the probe
     only proves the lane is callable.
     """
-    codes = np.zeros(2, dtype=np.int64)
-    indptr = np.array([0, 2, 4], dtype=np.int64)
-    indices = np.array([0, 1, 1, 0], dtype=np.int64)
-    rows = np.arange(2, dtype=np.int64)
-    out = np.empty(2, dtype=np.int64)
     two = np.array([0, 1], dtype=np.int64)
     off = np.zeros(2, dtype=np.uint8)
     on = np.ones((2, 1), dtype=np.uint8)
-    backend.delta_rows(
-        codes, indptr, indices, rows, out,
-        np.zeros(2, dtype=np.int64), two, two, two,
-        np.full(2, -1, dtype=np.int64), off, off,
-        on, on, np.zeros((2, 1), dtype=np.uint8), 0,
+    tables = NativeTables(
+        clock_of=np.zeros(2, dtype=np.int64), aa_succ=two, fa_succ=two,
+        af_code=two, af_sense=np.full(2, -1, dtype=np.int64), is_faulty=off,
+        has_twin=off, adjacent_mask=on, aa_mask=on,
+        outwards_mask=np.zeros((2, 1), dtype=np.uint8),
+        pair_bad=np.zeros((2, 2), dtype=np.int8), num_clocks=1, size=2, cautious=0,
+    )
+    out = np.empty(2, dtype=np.int64)
+    backend.bind(tables).delta_rows(
+        np.zeros(2, dtype=np.int64),
+        np.array([0, 2, 4], dtype=np.int64),
+        np.array([0, 1, 1, 0], dtype=np.int64),
+        np.arange(2, dtype=np.int64),
+        out,
     )
     if out[0] != 0 or out[1] != 0:
         raise NativeBackendError(f"{backend.name} probe returned {out!r}")
@@ -688,6 +691,8 @@ class NativeKernel:
                 "no native backend available (numba not installed, no C compiler)"
             )
         self.backend = backend
+        #: The backend's entry points with this kernel's tables bound.
+        self.kernels = backend.bind(self.tables)
         self._all_rows: Dict[int, np.ndarray] = {}
 
     def _rows_for(self, n: int) -> np.ndarray:
@@ -711,13 +716,7 @@ class NativeKernel:
         elif rows.dtype != np.int64:
             rows = rows.astype(np.int64)
         out = np.empty(len(rows), dtype=np.int64)
-        t = self.tables
-        self.backend.delta_rows(
-            codes, csr.indptr, csr.indices, rows, out,
-            t.clock_of, t.aa_succ, t.fa_succ, t.af_code, t.af_sense,
-            t.is_faulty, t.has_twin, t.adjacent_mask, t.aa_mask,
-            t.outwards_mask, t.cautious,
-        )
+        self.kernels.delta_rows(codes, csr.indptr, csr.indices, rows, out)
         return out
 
     def run_sequence(
@@ -736,24 +735,14 @@ class NativeKernel:
         first activation that leaves both goodness counts at zero and
         returns the number of activations applied (``len(order)`` when
         the graph never became good)."""
-        t = self.tables
         # The compiled lanes index and write through raw pointers.
         order = checked_sequence(codes, order, counts)
         return int(
-            self.backend.run_sequence(
-                codes, csr.indptr, csr.indices, order,
-                t.clock_of, t.aa_succ, t.fa_succ, t.af_code, t.af_sense,
-                t.is_faulty, t.has_twin, t.adjacent_mask, t.aa_mask,
-                t.outwards_mask, t.cautious, t.pair_bad, counts,
-            )
+            self.kernels.run_sequence(codes, csr.indptr, csr.indices, order, counts)
         )
 
     def goodness_counts(self, codes: np.ndarray, csr: "CSRAdjacency") -> Tuple[int, int]:
-        t = self.tables
-        faulty, bad = self.backend.goodness_counts(
-            codes, csr.indptr, csr.indices, t.is_faulty, t.pair_bad
-        )
-        return int(faulty), int(bad)
+        return self.kernels.goodness_counts(codes, csr.indptr, csr.indices)
 
     def fold_pair_delta(
         self,
@@ -770,12 +759,9 @@ class NativeKernel:
         must still hold pre-write codes; ``in_diff``/``new_code_of`` are
         the engine's scratch arrays (``in_diff`` all-False on entry,
         restored on exit)."""
-        t = self.tables
-        return int(
-            self.backend.fold_pairs(
-                codes, csr.indptr, csr.indices, diff, old_diff, new_diff,
-                in_diff.view(np.uint8), new_code_of, t.pair_bad,
-            )
+        return self.kernels.fold_pairs(
+            codes, csr.indptr, csr.indices, diff, old_diff, new_diff,
+            in_diff.view(np.uint8), new_code_of,
         )
 
     def fold_pair_delta_by_owner(
@@ -792,8 +778,7 @@ class NativeKernel:
     ) -> None:
         """Replica-batch flavor: scatter each lane's delta into
         ``bad_out[owner[lane]]`` (the per-replica pair counters)."""
-        t = self.tables
-        self.backend.fold_pairs_owner(
+        self.kernels.fold_pairs_owner(
             codes, csr.indptr, csr.indices, diff, old_diff, new_diff,
-            in_diff.view(np.uint8), new_code_of, t.pair_bad, owner, bad_out,
+            in_diff.view(np.uint8), new_code_of, owner, bad_out,
         )

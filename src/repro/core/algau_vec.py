@@ -224,7 +224,9 @@ class VectorKernel(CodeKernel):
     for one :class:`ThinUnison` instance."""
 
     def __init__(self, algorithm: "ThinUnison"):
-        self.algorithm = algorithm
+        # No back-reference to ``algorithm``: it caches this kernel, and
+        # a cycle would keep every scenario's tables alive until the
+        # cyclic collector runs.
         self.cautious_af = algorithm.cautious_af
         encoding = algorithm.encoding
         self.encoding = encoding

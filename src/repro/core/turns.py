@@ -12,23 +12,53 @@ which is the paper's ``O(D)`` state space (Thm 1.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.core.levels import LevelSystem
 from repro.model.errors import ModelError
 
 
-@dataclass(frozen=True, slots=True)
 class Turn:
     """One AlgAU state: a level plus the able/faulty flavor.
 
     The notation follows the paper: ``str(able(3)) == "3"`` (the paper's
     ``3̄``) and ``str(faulty(3)) == "^3"`` (the paper's ``3̂``).
+
+    Turns are interned and immutable: ``Turn(level, faulty)`` returns
+    the one shared instance of its ``(level, faulty)`` pair (pickling
+    and copying included), so equality is identity and set and dict
+    lookups never call back into Python.  The hash is
+    ``hash((level, faulty))``, computed once per pair; set iteration
+    order, which some outputs follow, is therefore that of the pairs.
     """
+
+    __slots__ = ("level", "faulty", "_hash")
 
     level: int
     faulty: bool
+
+    def __new__(cls, level: int, faulty: bool) -> "Turn":
+        key = (level, faulty)
+        turn = _INTERNED.get(key)
+        if turn is None:
+            turn = object.__new__(cls)
+            object.__setattr__(turn, "level", level)
+            object.__setattr__(turn, "faulty", faulty)
+            object.__setattr__(turn, "_hash", hash(key))
+            _INTERNED[key] = turn
+        return turn
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned Turn")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned Turn")
+
+    def __reduce__(self):
+        return (Turn, (self.level, self.faulty))
 
     @property
     def able(self) -> bool:
@@ -42,14 +72,18 @@ class Turn:
         return f"Turn({self})"
 
 
+#: ``(level, faulty)`` → its one :class:`Turn`.
+_INTERNED: Dict[Tuple[int, bool], Turn] = {}
+
+
 def able(level: int) -> Turn:
     """The able turn ``ℓ̄``."""
-    return Turn(level=level, faulty=False)
+    return _INTERNED.get((level, False)) or Turn(level, False)
 
 
 def faulty(level: int) -> Turn:
     """The faulty turn ``ℓ̂``."""
-    return Turn(level=level, faulty=True)
+    return _INTERNED.get((level, True)) or Turn(level, True)
 
 
 class TurnSystem:

@@ -7,15 +7,16 @@ replaces that abstraction with an executable deployment model — each
 node is an actor holding only its own AlgAU state, neighbors exchange
 constant-size clock messages over simulated fair-lossy links
 (configurable delay, jitter, reordering, loss, duplication), and every
-message in flight waits on one virtual-time event heap, so every run is
-seeded and fully deterministic.
+message in flight waits in one virtual-time delivery queue, so every
+run is seeded and fully deterministic.
 
 Modules:
 
 * :mod:`repro.net.links` — :class:`LinkConfig`, the fair-lossy link
   model (per-edge loss/duplication with a bounded-consecutive-loss
-  fairness guarantee) and :class:`MessageNetwork`, the event heap of
-  in-flight deliveries;
+  fairness guarantee) and :class:`MessageNetwork`, the queue of
+  in-flight deliveries (a FIFO of broadcasts under noiseless links, a
+  heap otherwise);
 * :mod:`repro.net.node` — the per-node actor: neighbor-state
   registers, one AlgAU transition per activation, stubborn broadcast;
 * :mod:`repro.net.runtime` — :class:`NetExecution`, the

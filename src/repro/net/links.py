@@ -15,19 +15,26 @@ layout).  Determinism note: when every stochastic knob is zero the link
 consults no randomness at all, which keeps the noise RNG stream empty
 and makes zero-noise runs bit-identical to the simulation engines.
 
-:class:`MessageNetwork` puts the links to work: one heap of in-flight
-deliveries, driven by the AlgAU runtime.
+:class:`MessageNetwork` puts the links to work: the in-flight
+deliveries of the AlgAU runtime, drained in ``(time, send order)``
+order from a FIFO of broadcasts under noiseless links and from a heap
+otherwise.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.model.errors import ModelError
+
+#: Copies of one send sharing a delivery instant: ``(time, order of the
+#: first copy, sender, receivers, payloads)``.
+Batch = Tuple[float, int, int, Sequence[int], Sequence[object]]
 
 
 @dataclass(frozen=True)
@@ -156,15 +163,29 @@ class NetStats:
 class MessageNetwork:
     """In-flight messages over lazily created per-edge fair-lossy links.
 
-    Every surviving copy of a send becomes one heap entry
-    ``(time, order, sender, receiver, payload)``: ``time`` is the
-    caller's departure instant plus the link latency, and ``order``
-    counts copies, so deliveries due at the same instant pop in send
-    order.  Under a noisy config a directed edge gets its
-    :class:`FairLossyLink` on its first send; a caller that tears an edge
-    down pops it from :attr:`links`, so a re-added edge starts a fresh
-    loss streak.  A noiseless config keeps no per-edge state: every send
-    is delivered exactly once, ``delay`` after its departure.
+    The unit of the queues is a *batch* ``(time, order, sender,
+    receivers, payloads)``: copies of one broadcast that share a
+    delivery instant.  ``time`` is the caller's departure instant plus
+    the link latency; ``order`` numbers the batch's first copy, and
+    copies are numbered in send order, so deliveries leave
+    :meth:`due_batches` (and, copy by copy, :meth:`due`) in ``(time,
+    send order)`` order.  Two queues keep that order:
+
+    * the *outbox*, a FIFO, while the config is noiseless and departures
+      never decrease.  The latency is then one fixed ``delay``, so
+      delivery times rise with send order and the FIFO drains in
+      exactly the heap's order, with no heap operation and one entry per
+      broadcast;
+    * the *heap* otherwise.  Under a noisy config each surviving copy is
+      a batch of its own: a directed edge gets its
+      :class:`FairLossyLink` on its first send, and a caller that tears
+      an edge down pops it from :attr:`links`, so a re-added edge starts
+      a fresh loss streak.  A noiseless network that sees a departure
+      earlier than the last one moves its outbox into the heap and keeps
+      to the heap from then on.
+
+    A noiseless config keeps no per-edge state: every send is delivered
+    exactly once, ``delay`` after its departure.
     """
 
     def __init__(self, config: LinkConfig, rng: np.random.Generator) -> None:
@@ -172,39 +193,75 @@ class MessageNetwork:
         self.rng = rng
         self.links: Dict[Tuple[int, int], FairLossyLink] = {}
         self.stats = NetStats()
-        self._heap: List[Tuple[float, int, int, int, object]] = []
+        self._heap: List[Batch] = []
         self._order = 0
         self._fixed_delay = config.delay if config.is_noiseless else None
+        #: ``None`` once departures went backwards, or when noisy.
+        self._outbox: Optional[Deque[Batch]] = deque() if config.is_noiseless else None
+        self._last_departure = float("-inf")
 
     def send(
         self, departure: float, sender: int, receiver: int, payload: object
     ) -> None:
         """Send one message; schedule each surviving copy for delivery."""
-        stats = self.stats
-        stats.messages_sent += 1
-        if self._fixed_delay is not None:
-            self._order += 1
-            time = departure + self._fixed_delay
-            heapq.heappush(self._heap, (time, self._order, sender, receiver, payload))
-            return
-        link = self.links.get((sender, receiver))
-        if link is None:
-            link = self.links[(sender, receiver)] = FairLossyLink(self.config)
-        latencies = link.transmit(self.rng)
-        if not latencies:
-            stats.messages_dropped += 1
-        elif len(latencies) > 1:
-            stats.messages_duplicated += 1
-        for latency in latencies:
-            self._order += 1
-            heapq.heappush(
-                self._heap,
-                (departure + latency, self._order, sender, receiver, payload),
-            )
+        self.broadcast(departure, sender, (receiver,), (payload,))
 
-    def due(self, until: float) -> Iterator[Tuple[float, int, int, int, object]]:
-        """Pop every delivery due at or before ``until``, in
-        ``(time, send order)`` order."""
+    def broadcast(
+        self,
+        departure: float,
+        sender: int,
+        receivers: Sequence[int],
+        payloads: Sequence[object],
+    ) -> None:
+        """Send ``payloads[i]`` to ``receivers[i]`` for every ``i``, all
+        departing at ``departure``, in that send order."""
+        stats = self.stats
+        stats.messages_sent += len(receivers)
+        order = self._order + 1
+        if self._fixed_delay is not None:
+            self._order += len(receivers)
+            batch = (departure + self._fixed_delay, order, sender, receivers, payloads)
+            outbox = self._outbox
+            if outbox is not None:
+                if departure >= self._last_departure:
+                    self._last_departure = departure
+                    outbox.append(batch)
+                    return
+                self._heap.extend(outbox)
+                heapq.heapify(self._heap)
+                self._outbox = None
+            heapq.heappush(self._heap, batch)
+            return
+        for receiver, payload in zip(receivers, payloads):
+            link = self.links.get((sender, receiver))
+            if link is None:
+                link = self.links[(sender, receiver)] = FairLossyLink(self.config)
+            latencies = link.transmit(self.rng)
+            if not latencies:
+                stats.messages_dropped += 1
+            elif len(latencies) > 1:
+                stats.messages_duplicated += 1
+            for latency in latencies:
+                self._order += 1
+                heapq.heappush(
+                    self._heap,
+                    (departure + latency, self._order, sender, (receiver,), (payload,)),
+                )
+
+    def due_batches(self, until: float) -> Iterator[Batch]:
+        """Pop every batch due at or before ``until``, in ``(time, send
+        order)`` order."""
+        outbox = self._outbox
+        while outbox and outbox[0][0] <= until:
+            yield outbox.popleft()
         heap = self._heap
         while heap and heap[0][0] <= until:
             yield heapq.heappop(heap)
+
+    def due(self, until: float) -> Iterator[Tuple[float, int, int, int, object]]:
+        """:meth:`due_batches` copy by copy: ``(time, order, sender,
+        receiver, payload)``."""
+        for time, order, sender, receivers, payloads in self.due_batches(until):
+            for receiver, payload in zip(receivers, payloads):
+                yield time, order, sender, receiver, payload
+                order += 1

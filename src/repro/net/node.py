@@ -42,7 +42,6 @@ class NodeActor:
         "neighbors",
         "state",
         "registers",
-        "last_heard",
         "crashed",
     )
 
@@ -53,27 +52,23 @@ class NodeActor:
         # register: neighbor -> (seq, code); seeded by the runtime's
         # omniscient refresh on configuration load.
         self.registers: Dict[int, Tuple[int, int]] = {}
-        # last_heard: neighbor -> virtual receive time (link liveness).
-        self.last_heard: Dict[int, float] = {}
         self.crashed = False
 
-    def accept(self, sender: int, seq: int, code: int, now: float) -> None:
-        """Apply one delivered message to the matching register.
+    def accept(self, sender: int, message: Tuple[int, int]) -> None:
+        """Apply one delivered ``(seq, code)`` message to the matching
+        register.
 
         Stale deliveries (sequence number at or below the register's)
-        are dropped; every delivery still refreshes ``last_heard``, which
-        measures link liveness, not state novelty.
-        Deliveries from non-neighbors are discarded outright — under
-        dynamic topology an in-flight copy may outlive the edge (or the
-        sender) it travelled on, and must not resurrect a register that
-        the membership change already tore down.
+        are dropped.  Deliveries from non-neighbors are discarded
+        outright — under dynamic topology an in-flight copy may outlive
+        the edge (or the sender) it travelled on, and must not resurrect
+        a register that the membership change already tore down.
         """
         if sender not in self.neighbors:
             return
-        self.last_heard[sender] = now
         current = self.registers.get(sender)
-        if current is None or seq > current[0]:
-            self.registers[sender] = (seq, code)
+        if current is None or message[0] > current[0]:
+            self.registers[sender] = message
 
     def _act(self, runtime: "NetExecution") -> None:
         old = self.state

@@ -27,7 +27,7 @@ Each call to :meth:`NetExecution._apply` advances virtual time by one
   every register mirrors the true neighbor states before the next step
   computes at ``T + 1.0``.
 * ``T + 1.0`` — the slot ends: every delivery due by then has been
-  popped from the shared :class:`~repro.net.links.MessageNetwork` heap
+  popped from the shared :class:`~repro.net.links.MessageNetwork` queue
   into its receiver, in ``(time, send order)`` order, and control
   returns to the inherited ``step()``.
 
@@ -142,6 +142,13 @@ class NetExecution(ExecutionBase):
         self._delta = self._kernel.code_delta()
         self._encode = algorithm.encoding.encode
         self._turns = algorithm.encoding.turn_table
+        #: AlgAU's pair table for the goodness fold (``None`` for other
+        #: algorithms, whose ``graph_is_good`` raises).
+        self._pair_bad = (
+            self._kernel.pair_bad_rows()
+            if hasattr(self._kernel, "pair_unprotected")
+            else None
+        )
         self._seq = 0
         self._slots = 0
         self._pending_changes: list = []
@@ -173,6 +180,7 @@ class NetExecution(ExecutionBase):
         """Adopt ``configuration``: set actor states and refresh every
         register instantly (omniscient out-of-band write)."""
         self._config_cache = configuration
+        self._goodness: Optional[Tuple[int, int]] = None
         for v, actor in self._actors.items():
             actor.state = self._encode(configuration[v])
         for v in self._actors:
@@ -194,12 +202,16 @@ class NetExecution(ExecutionBase):
         stats = self.stats
         stats.acts += len(activated)
         self._slots += 1
-        for when, _, sender, receiver, payload in self.network.due(self.virtual_time):
-            actor = actors[receiver]
-            if not actor.crashed:
-                seq, code = payload
-                actor.accept(sender, seq, code, when)
-                stats.messages_delivered += 1
+        delivered = 0
+        for _, _, sender, receivers, messages in self.network.due_batches(
+            self.virtual_time
+        ):
+            for receiver, message in zip(receivers, messages):
+                actor = actors[receiver]
+                if not actor.crashed:
+                    actor.accept(sender, message)
+                    delivered += 1
+        stats.messages_delivered += delivered
         return tuple(self._pending_changes)
 
     @property
@@ -219,17 +231,33 @@ class NetExecution(ExecutionBase):
 
     def graph_is_good(self) -> bool:
         """The AlgAU stabilization predicate over the actors' codes:
-        every actor able, every edge protected (``pair_unprotected``)."""
-        if not hasattr(self._kernel, "pair_unprotected"):
-            return super().graph_is_good()  # not AlgAU: raises
+        every actor able, every edge protected (``pair_unprotected``).
+
+        Answered from the ``(faulty actors, unprotected ordered pairs)``
+        counts that :meth:`_record_change` folds forward; loads, pokes,
+        crashes and topology deltas drop them for one full recount on
+        the next query."""
+        goodness = self._goodness
+        if goodness is None:
+            if self._pair_bad is None:
+                return super().graph_is_good()  # not AlgAU: raises
+            goodness = self._goodness = self._goodness_counts()
+        return goodness == (0, 0)
+
+    def _goodness_counts(self) -> Tuple[int, int]:
+        """The full scan behind :meth:`graph_is_good`'s counts."""
         able = self._kernel.num_clocks
-        pair_bad = self._kernel.pair_bad_rows()
+        pair_bad = self._pair_bad
         actors = self._actors
-        return all(
-            actor.state < able
-            and not any(pair_bad[actor.state][actors[u].state] for u in actor.neighbors)
-            for actor in actors.values()
-        )
+        faulty = bad = 0
+        for actor in actors.values():
+            state = actor.state
+            if state >= able:
+                faulty += 1
+            row = pair_bad[state]
+            for u in actor.neighbors:
+                bad += row[actors[u].state]
+        return faulty, bad
 
     @property
     def codes(self) -> np.ndarray:
@@ -252,6 +280,7 @@ class NetExecution(ExecutionBase):
             raise ModelError(f"cannot poke unknown nodes {sorted(unknown)}")
         self._state_epoch += 1
         self._config_cache = None
+        self._goodness = None
         for v, state in updates.items():
             self._actors[int(v)].state = self._encode(state)
             self._push_registers(int(v))
@@ -273,6 +302,7 @@ class NetExecution(ExecutionBase):
         if moved:
             self._state_epoch += 1
             self._config_cache = None
+            self._goodness = None
 
     def _refresh_pending(self) -> None:
         raise ModelError(
@@ -288,24 +318,47 @@ class NetExecution(ExecutionBase):
     # ------------------------------------------------------------------
 
     def _record_change(self, node: int, old: int, new: int) -> None:
+        """Count one actor's move (its state is already ``new``) and fold
+        it into the goodness counts, against its neighbors' current
+        states."""
         self._moves += 1
         if self._record_changes:
             self._pending_changes.append((node, self._turns[old], self._turns[new]))
+        goodness = self._goodness
+        if goodness is not None:
+            faulty, bad = goodness
+            able = self._kernel.num_clocks
+            bad_new = self._pair_bad[new]
+            bad_old = self._pair_bad[old]
+            actors = self._actors
+            delta = 0
+            for u in actors[node].neighbors:
+                state = actors[u].state
+                delta += bad_new[state] - bad_old[state]
+            # Protection is symmetric: the reverse ordered pairs move too.
+            self._goodness = (
+                faulty + (new >= able) - (old >= able),
+                bad + 2 * delta,
+            )
 
     def _broadcast(self, actor: NodeActor) -> None:
         """Stubbornly send ``actor``'s current state to every neighbor.
 
-        Each directed send departs at ``now + BROADCAST_PHASE * slot``
-        and draws its fate from the link model; each surviving copy is
-        delivered a link latency later.
+        The sends depart together at ``now + BROADCAST_PHASE * slot``,
+        each with its own sequence number, and each draws its fate from
+        the link model; each surviving copy is delivered a link latency
+        later.
         """
         code = actor.state
-        departure = self.virtual_time + BROADCAST_PHASE * self.slot
-        send = self.network.send
-        node = actor.node
-        for v in actor.neighbors:
-            self._seq += 1
-            send(departure, node, v, (self._seq, code))
+        neighbors = actor.neighbors
+        first = self._seq + 1
+        self._seq += len(neighbors)
+        self.network.broadcast(
+            self.virtual_time + BROADCAST_PHASE * self.slot,
+            actor.node,
+            neighbors,
+            [(seq, code) for seq in range(first, self._seq + 1)],
+        )
 
     def _push_registers(self, v: int) -> None:
         """Write node ``v``'s current state into every neighbor's
@@ -348,7 +401,6 @@ class NetExecution(ExecutionBase):
             for a, b in ((u, v), (v, u)):
                 links.pop((a, b), None)
                 actors[b].registers.pop(a, None)
-                actors[b].last_heard.pop(a, None)
         # Departed nodes become silent tombstones (rest state, no
         # neighbors, no message processing).
         if applied.left:
@@ -358,7 +410,6 @@ class NetExecution(ExecutionBase):
                 actor.crashed = True
                 actor.state = rest
                 actor.registers.clear()
-                actor.last_heard.clear()
                 actor.neighbors = ()
         # Joined nodes: one fresh actor per join.
         for v, state in applied.joined:
@@ -374,6 +425,7 @@ class NetExecution(ExecutionBase):
             if not actors[v].crashed:
                 self._push_registers(v)
         self._config_cache = None
+        self._goodness = None
         return applied
 
     # ------------------------------------------------------------------
@@ -388,11 +440,7 @@ class NetExecution(ExecutionBase):
             raise ModelError(f"cannot crash unknown node {v}")
         self._actors[v].crashed = True
         self.mask_nodes(self._masked | {v})
-
-    def last_heard(self, v: int) -> Dict[int, float]:
-        """Node ``v``'s per-neighbor last-delivery virtual times (its
-        heartbeat view of link liveness)."""
-        return dict(self._actors[v].last_heard)
+        self._goodness = None
 
     @property
     def stats(self) -> NetStats:

@@ -368,6 +368,29 @@ def test_configuration_round_trip_property(d, seed):
     assert np.array_equal(encoding.encode_configuration(decoded), arbitrary)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ThinUnison(2), lambda: ResetTailUnison.for_diameter_bound(2)],
+    ids=["algau", "reset-tail"],
+)
+def test_a_kernel_does_not_keep_its_algorithm_alive(make):
+    """The algorithm caches its kernel and the kernel holds no reference
+    back, so dropping the algorithm frees both at once, without waiting
+    for the cyclic collector."""
+    import gc
+    import weakref
+
+    algorithm = make()
+    kernel = weakref.ref(algorithm.vector_kernel())
+    alive = weakref.ref(algorithm)
+    gc.disable()
+    try:
+        del algorithm
+        assert alive() is None and kernel() is None
+    finally:
+        gc.enable()
+
+
 def test_encoding_rejects_garbage():
     encoding = TurnEncoding(ThinUnison(1).turns)
     with pytest.raises(ModelError):

@@ -118,7 +118,7 @@ def _random_inclusive_csr(rng: np.random.Generator, n: int) -> CSRAdjacency:
 
 
 def _lanes(kernel):
-    lanes = {"python": NativeKernel(kernel, backend=_PythonBackend)}
+    lanes = {"python": NativeKernel(kernel, backend=_PythonBackend())}
     if native_backend() is not None:
         lanes[native_backend_name()] = NativeKernel(kernel)
     return lanes
@@ -231,6 +231,73 @@ def test_goodness_and_fold_lanes_agree_property(d, n, seed):
         )
         assert fold == vec_fold, name
         assert not scratch.any(), name  # restored on exit
+
+
+def _backend_lanes():
+    """Every backend that builds here, each constructed directly (not
+    the resolved one): ``python`` always, ``cc`` with a C compiler,
+    ``numba`` when installed."""
+    lanes = []
+    for name in ("python", "cc", "numba"):
+        try:
+            lanes.append(pytest.param(algau_native._BUILDERS[name](), id=name))
+        except Exception:
+            lanes.append(pytest.param(None, id=name, marks=pytest.mark.skip(
+                reason=f"the {name} backend does not build here")))
+    return lanes
+
+
+@pytest.mark.parametrize("backend", _backend_lanes())
+@pytest.mark.parametrize("d", [1, 3])
+def test_bound_tables_agree_with_per_call_binding(backend, d):
+    """A :class:`NativeKernel` binds its tables once; its δ, goodness
+    and fold equal a fresh per-call binding (every pointer taken at the
+    call, as before binding existed) on random codes, also after
+    :meth:`MutableCSR.patch` swaps and regrows the CSR buffers."""
+    from repro.graphs.dynamic import MutableCSR
+
+    rng = np.random.default_rng(d)
+    kernel = ThinUnison(d).vector_kernel()
+    bound = NativeKernel(kernel, backend=backend)
+    size = kernel.size
+
+    def unbound():
+        return backend.bind(algau_native.NativeTables.from_kernel(kernel))
+
+    n = 8
+    csr = MutableCSR.from_rows([[v, (v - 1) % n, (v + 1) % n] for v in range(n)])
+    buffer = csr._buf
+    complete = {v: [v] + [u for u in range(n) if u != v] for v in range(n)}
+    for phase in range(3):
+        if phase == 1:
+            csr.patch({v: sorted(row) for v, row in complete.items()})
+        elif phase == 2:
+            csr.patch({}, appended=[[n, 0, 1]])
+            csr.patch({0: sorted(complete[0] + [n]), 1: sorted(complete[1] + [n])})
+        for _ in range(20):
+            codes = rng.integers(0, size, csr.n)
+            rows = np.flatnonzero(rng.random(csr.n) < 0.6).astype(np.int64)
+            out = np.empty(len(rows), dtype=np.int64)
+            unbound().delta_rows(codes, csr.indptr, csr.indices, rows, out)
+            assert np.array_equal(bound.delta_rows(codes, csr, rows), out)
+            assert np.array_equal(
+                bound.delta_rows(codes, csr), kernel.delta_rows(codes, csr)
+            )
+            assert bound.goodness_counts(codes, csr) == unbound().goodness_counts(
+                codes, csr.indptr, csr.indices
+            )
+            diff = rows[: max(1, len(rows) // 2)]
+            new_diff = rng.integers(0, size, len(diff))
+            scratch = np.zeros(csr.n, dtype=bool)
+            new_code_of = np.zeros(csr.n, dtype=np.int64)
+            fold = bound.fold_pair_delta(
+                codes, csr, diff, codes[diff], new_diff, scratch, new_code_of
+            )
+            assert fold == unbound().fold_pairs(
+                codes, csr.indptr, csr.indices, diff, codes[diff], new_diff,
+                scratch.view(np.uint8), new_code_of,
+            )
+    assert len(csr._buf) > len(buffer)  # the patches regrew the buffers
 
 
 def _sequence_reference(kernel, codes, csr, order):

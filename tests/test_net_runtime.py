@@ -86,6 +86,47 @@ class TestMessageNetwork:
         ]
         assert net.stats.messages_sent == 5
 
+    @pytest.mark.parametrize("delay", [0.0, 0.3, 0.5, 0.7, 1.5])
+    @pytest.mark.parametrize("rewind", [False, True])
+    def test_noiseless_deliveries_keep_the_heap_order(self, delay, rewind):
+        """Under a fixed delay, sends and broadcasts with non-decreasing
+        departures (the runtime's) leave ``due`` in exactly the order of
+        a heap of ``(time, send order)``, in every drain window; with
+        ``rewind`` one departure goes backwards halfway and the network
+        falls back to its heap for the rest."""
+        import heapq
+
+        rng = np.random.default_rng(int(10 * delay) + rewind)
+        net = MessageNetwork(LinkConfig(delay=delay), _PoisonRng())
+        reference = []
+        sent = 0
+        departure = 0.0
+        until = 0.0
+        for step in range(200):
+            departure += float(rng.choice([0.0, 0.0, 0.5, 1.0]))
+            at = departure - 2.0 if rewind and step == 100 else departure
+            sender = int(rng.integers(0, 6))
+            receivers = tuple(int(r) for r in rng.integers(0, 6, rng.integers(1, 5)))
+            payloads = [f"m{sent + i}" for i in range(len(receivers))]
+            if len(receivers) == 1 and rng.random() < 0.5:
+                net.send(at, sender, receivers[0], payloads[0])
+            else:
+                net.broadcast(at, sender, receivers, payloads)
+            for receiver, payload in zip(receivers, payloads):
+                sent += 1
+                heapq.heappush(reference, (at + delay, sent, sender, receiver, payload))
+            if rng.random() < 0.4:
+                until = max(until, departure + float(rng.choice([0.0, 0.5, 1.0])))
+                expected = []
+                while reference and reference[0][0] <= until:
+                    expected.append(heapq.heappop(reference))
+                assert list(net.due(until)) == expected
+            if not rewind:
+                assert net._outbox is not None  # the FIFO path ran
+        assert list(net.due(float("inf"))) == sorted(reference)
+        assert net.stats.messages_sent == sent
+        assert (net._outbox is None) == rewind
+
     @pytest.mark.timeout(60)
     def test_a_re_added_edge_starts_a_fresh_loss_streak(self):
         from repro.graphs.dynamic import TopologyDelta
@@ -435,18 +476,23 @@ class TestNetExecutionContract:
     @pytest.mark.timeout(60)
     def test_crash_node_freezes_the_actor(self):
         execution = self._execution()
+        actors = execution._actors
         execution.run_rounds(2)
-        before = {u: execution.last_heard(u) for u in (1, 3)}
-        assert all(2 in heard for heard in before.values())
+        before = {u: dict(actors[u].registers) for u in (1, 3)}
+        assert all(2 in registers for registers in before.values())
+        frozen = actors[2].state
         execution.crash_node(2)
         execution.run_rounds(3)
-        # A crashed node never acts, so its neighbors stop hearing from
-        # it while their other neighbor keeps heartbeating.
+        # A crashed node never acts, so its neighbors' registers of it
+        # keep its last message while their other neighbor keeps
+        # refreshing theirs with newer sequence numbers.
         assert 2 in execution._masked
+        assert actors[2].state == frozen
         for u, other in ((1, 0), (3, 4)):
-            after = execution.last_heard(u)
+            after = actors[u].registers
             assert after[2] == before[u][2]
-            assert after[other] > before[u][other]
+            assert after[2][1] == frozen
+            assert after[other][0] > before[u][other][0]
 
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize("slot", [1.0, 0.1])
@@ -474,13 +520,16 @@ class TestNetExecutionContract:
         )
         actors = execution._actors
         for t in range(8):
+            sent_before = execution._seq
             execution.step()
             # Broadcasts from slot t depart at t + 0.5, land at t + 1,
-            # and sit in the registers before slot t + 1's acts.
+            # and sit in the registers before slot t + 1's acts: every
+            # register carries a sequence number of slot t's broadcasts.
             for u in topology.nodes:
                 for v in topology.neighbors(u):
-                    assert execution.last_heard(u)[v] == t + 1.0
-                    assert actors[u].registers[v][1] == actors[v].state
+                    seq, code = actors[u].registers[v]
+                    assert sent_before < seq <= execution._seq
+                    assert code == actors[v].state
 
     @pytest.mark.timeout(120)
     def test_changes_list_nodes_in_ascending_order_after_joins(self):
@@ -513,6 +562,56 @@ class TestNetExecutionContract:
                 nodes = [v for v, _, _ in execution.step().changed]
                 assert nodes == sorted(nodes)
         assert joins > 0
+
+
+class TestGoodnessFold:
+    """``graph_is_good`` answers from counts folded per move; every
+    out-of-band write drops them for a recount."""
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_folded_goodness_equals_a_rescan_after_every_step(self, noisy, seed):
+        rng = np.random.default_rng(seed)
+        algorithm = ThinUnison(2)
+        topology = quorum_colony(12, 2, rng)
+        link = LinkConfig(loss=0.3, jitter=0.4, delay=0.5) if noisy else LinkConfig()
+        execution = create_net_execution(
+            topology,
+            algorithm,
+            random_configuration(algorithm, topology, rng),
+            ShuffledRoundRobinScheduler() if seed == 2 else SynchronousScheduler(),
+            rng=np.random.default_rng(seed),
+            link_config=link,
+            noise_seed=seed,
+        )
+        churn = ChurnProcess(
+            topology,
+            seed=seed,
+            edge_add_rate=0.1,
+            edge_remove_rate=0.1,
+            join_rate=0.05,
+            leave_rate=0.05,
+            initial_state=algorithm.initial_state,
+        )
+        size = algorithm.encoding.size
+        folded = 0
+        for t in range(300):
+            live = [v for v, actor in execution._actors.items() if not actor.crashed]
+            if t % 11 == 5:
+                rows = rng.choice(live, size=min(2, len(live)), replace=False)
+                execution.poke_codes(rows, rng.integers(0, size, len(rows)))
+            if t == 60:
+                execution.crash_node(live[0])
+            delta = churn.sample()
+            if delta is not None:
+                execution.mutate_topology(delta)
+            folded += execution._goodness is not None
+            execution.step()
+            good = execution.graph_is_good()
+            assert good == is_good_graph(algorithm, execution.configuration)
+            assert execution._goodness == execution._goodness_counts()
+        assert folded > 100
 
 
 # ----------------------------------------------------------------------

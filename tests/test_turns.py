@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.levels import LevelSystem
@@ -65,6 +69,55 @@ class TestTurnSystem:
         assert set(turns_d1.all_turns) == set(turns_d1.able_turns) | set(
             turns_d1.faulty_turns
         )
+
+
+class TestInternedTurns:
+    """``Turn(level, faulty)`` is one shared instance per pair, hashed
+    like the pair itself."""
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_every_turn_is_interned_and_hashed_as_its_pair(self, d):
+        system = TurnSystem(LevelSystem(d))
+        for turn in system.all_turns:
+            make = faulty if turn.faulty else able
+            assert make(turn.level) is make(turn.level) is turn
+            assert Turn(turn.level, turn.faulty) is turn
+            assert Turn(level=turn.level, faulty=turn.faulty) is turn
+            assert hash(turn) == hash((turn.level, turn.faulty))
+        for level in system.levels.levels:
+            assert able(level) is able(level)
+            if system.has_faulty(level):
+                assert faulty(level) is faulty(level)
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    def test_set_iteration_order_is_that_of_the_pairs(self, d):
+        turns = TurnSystem(LevelSystem(d)).all_turns
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            picks = [turns[i] for i in rng.integers(0, len(turns), rng.integers(1, 40))]
+            pairs = [(t.level, t.faulty) for t in picks]
+            assert [(t.level, t.faulty) for t in set(picks)] == list(set(pairs))
+            assert [(t.level, t.faulty) for t in frozenset(picks)] == list(
+                frozenset(pairs)
+            )
+
+    def test_pickle_and_copy_return_the_interned_turn(self):
+        for turn in TurnSystem(LevelSystem(4)).all_turns:
+            for clone in (
+                pickle.loads(pickle.dumps(turn)),
+                copy.copy(turn),
+                copy.deepcopy(turn),
+            ):
+                assert clone == turn and hash(clone) == hash(turn)
+                assert clone is turn
+
+    def test_turns_are_immutable(self):
+        turn = able(2)
+        with pytest.raises(AttributeError):
+            turn.level = 3
+        with pytest.raises(AttributeError):
+            del turn.faulty
+        assert able(2).level == 2
 
 
 class TestSignalHelpers:
