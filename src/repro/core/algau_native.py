@@ -521,7 +521,7 @@ class _CKernels:
                 t.outwards_mask,
             )
         ) + (t.aa_mask.shape[1], t.cautious)
-        self._is_faulty = self._delta_tables[5]
+        self._is_faulty = ptr(_ptr(t.is_faulty))
         self._pair_bad = (ptr(_ptr(t.pair_bad)), t.pair_bad.shape[1])
 
     def delta_rows(self, codes, indptr, indices, rows, out) -> None:

@@ -217,10 +217,10 @@ class MessageNetwork:
         departing at ``departure``, in that send order."""
         stats = self.stats
         stats.messages_sent += len(receivers)
-        order = self._order + 1
         if self._fixed_delay is not None:
+            time = departure + self._fixed_delay
+            batch = (time, self._order + 1, sender, receivers, payloads)
             self._order += len(receivers)
-            batch = (departure + self._fixed_delay, order, sender, receivers, payloads)
             outbox = self._outbox
             if outbox is not None:
                 if departure >= self._last_departure:

@@ -234,16 +234,18 @@ def test_goodness_and_fold_lanes_agree_property(d, n, seed):
 
 
 def _backend_lanes():
-    """Every backend that builds here, each constructed directly (not
-    the resolved one): ``python`` always, ``cc`` with a C compiler,
-    ``numba`` when installed."""
+    """Every backend, each constructed directly (not the resolved one):
+    ``python`` always, ``cc`` with a C compiler, ``numba`` when
+    installed; an unavailable one is a skipped case."""
     lanes = []
     for name in ("python", "cc", "numba"):
         try:
-            lanes.append(pytest.param(algau_native._BUILDERS[name](), id=name))
-        except Exception:
-            lanes.append(pytest.param(None, id=name, marks=pytest.mark.skip(
-                reason=f"the {name} backend does not build here")))
+            backend = algau_native._BUILDERS[name]()
+        except (ImportError, OSError, NativeBackendError):
+            skip = pytest.mark.skip(reason=f"the {name} backend is unavailable")
+            lanes.append(pytest.param(None, id=name, marks=skip))
+        else:
+            lanes.append(pytest.param(backend, id=name))
     return lanes
 
 
