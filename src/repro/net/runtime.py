@@ -385,7 +385,7 @@ class NetExecution(ExecutionBase):
         convention as configuration loads, which is what keeps zero-
         noise churn runs bit-identical to the simulation engines.
         In-flight deliveries from a removed neighbor are dropped by the
-        actors' membership guard, not by scanning the message heap.
+        actors' membership guard, not by scanning the message queues.
         """
         from repro.graphs.dynamic import DynamicTopology
 
