@@ -1,16 +1,14 @@
-"""Content-addressed result cache + dispatch backends, as a gate.
+"""Content-addressed result cache + the worker pool, as a gate.
 
 Runs the ``dispatch-straggler`` campaign (28 ~5 ms scenarios plus 4
-~40x-slower adjacent stragglers — the static-sharding worst case) in
-four configurations:
+~40x-slower adjacent stragglers) in three configurations:
 
 * **cold** — serial, against a fresh content-addressed result store:
   every scenario is computed and cached;
 * **warm** — serial, against the now-populated store: every scenario
   must be served from cache without recomputation;
-* **shards** vs. **queue** — the static-sharding and work-stealing
-  process-pool backends over ``CAMPAIGN_WORKERS`` workers, measuring
-  how each absorbs the straggler skew.
+* **pool** — the work-stealing process pool over ``CAMPAIGN_WORKERS``
+  workers, without the cache (inline when that is one worker).
 
 Acceptance gates:
 
@@ -18,13 +16,12 @@ Acceptance gates:
   hit rate** (0 misses), and its aggregates are **bit-identical** to
   the cold run's — a cache hit is indistinguishable from a fresh
   computation everywhere except wall-clock;
-* all three dispatch backends produce bit-identical aggregates (the
-  dispatch axis is pure execution strategy).
+* the pool's aggregates are bit-identical to the serial run's (the
+  worker count is pure execution strategy).
 
 Persists ``benchmarks/results/BENCH_campaign_cache.json``: the
-deterministic hit/miss accounting in the body, wall-clock timings and
-the shards-vs-queue ratio in ``meta`` (machine-dependent, so never
-compared across PRs).  The timed kernel is one fully warm campaign run
+deterministic hit/miss accounting in the body, wall-clock timings in
+``meta`` (machine-dependent, so never compared across PRs).  The timed kernel is one fully warm campaign run
 — the steady-state cost of re-running an already-computed campaign.
 """
 
@@ -83,18 +80,10 @@ def test_campaign_cache(benchmark, tmp_path):
         f"the floor is {WARM_SPEEDUP_FLOOR:.0f}x"
     )
 
-    # The dispatch seam: static shards vs. the work-stealing queue on
-    # the straggler-skewed mix, both bit-identical to the serial
-    # reference (wall-clock comparison is informational — on a
-    # single-core runner the two coincide).
-    shards, shards_s, _ = _run(
-        scenarios, workers=CAMPAIGN_WORKERS, dispatch="shards"
-    )
-    queue, queue_s, _ = _run(
-        scenarios, workers=CAMPAIGN_WORKERS, dispatch="queue"
-    )
-    assert json.dumps(shards, sort_keys=True) == json.dumps(cold, sort_keys=True)
-    assert json.dumps(queue, sort_keys=True) == json.dumps(cold, sort_keys=True)
+    # The pool on the straggler-skewed mix is bit-identical to the
+    # serial reference (its wall-clock is informational).
+    pool, pool_s, _ = _run(scenarios, workers=CAMPAIGN_WORKERS)
+    assert json.dumps(pool, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
     rows = [
         (
@@ -107,8 +96,7 @@ def test_campaign_cache(benchmark, tmp_path):
             f"{warm_s * 1000:.1f}",
             f"{warm_stats['cache']['hits']}/{len(scenarios)}",
         ),
-        (f"shards x{CAMPAIGN_WORKERS}", f"{shards_s * 1000:.1f}", "—"),
-        (f"queue x{CAMPAIGN_WORKERS}", f"{queue_s * 1000:.1f}", "—"),
+        (f"pool x{CAMPAIGN_WORKERS} (no cache)", f"{pool_s * 1000:.1f}", "—"),
     ]
     emit(
         "campaign_cache",
@@ -116,7 +104,7 @@ def test_campaign_cache(benchmark, tmp_path):
             ["configuration", "wall-clock (ms)", "hits"],
             rows,
             title=(
-                f"Campaign cache + dispatch — {REGISTRY} "
+                f"Campaign cache + pool — {REGISTRY} "
                 f"({len(scenarios)} scenarios), warm speedup "
                 f"{speedup:.1f}x (floor {WARM_SPEEDUP_FLOOR:.0f}x)"
             ),
@@ -129,14 +117,12 @@ def test_campaign_cache(benchmark, tmp_path):
             "scenario_count": len(scenarios),
             "cold_cache": cold_stats["cache"],
             "warm_cache": warm_stats["cache"],
-            "dispatch_bit_identical": True,
+            "pool_bit_identical": True,
             "meta": {
                 "cold_s": cold_s,
                 "warm_s": warm_s,
                 "warm_speedup": speedup,
-                "shards_s": shards_s,
-                "queue_s": queue_s,
-                "queue_over_shards": queue_s / shards_s,
+                "pool_s": pool_s,
                 "workers": CAMPAIGN_WORKERS,
             },
         },

@@ -5,7 +5,7 @@ Two experiments on biological topologies, checked together as
 
 1. **AU recovery** — the ``fault-recovery`` campaign: a stabilized
    quorum-colony clock is hit by repeated transient fault bursts, one
-   scenario per trial, run through the sharded parallel runner;
+   scenario per trial, run through the parallel runner;
    recovery always succeeds (Thm 1.1) and small faults heal in far
    fewer rounds than the worst-case bound.
 2. **MIS fault-tolerance contrast**: the same corrupted initial

@@ -98,11 +98,11 @@ def kernel():
 
 def test_net_runtime(benchmark):
     solo = _run(workers=1)
-    sharded = _run(workers=CAMPAIGN_WORKERS)
+    pooled = _run(workers=CAMPAIGN_WORKERS)
     assert solo["failure_count"] == 0, solo["failures"]
     assert [r["scenario_id"] for r in solo["rows"] if r["status"]] == []
     # Worker-count determinism, bit for bit.
-    assert solo == sharded
+    assert solo == pooled
 
     # The zero-loss sim-vs-net agreement assertion: every pairing
     # bit-identical across the sim and net lanes on every measured

@@ -68,11 +68,11 @@ def kernel():
 
 def test_pareto_unison(benchmark):
     solo = _run(workers=1)
-    sharded = _run(workers=CAMPAIGN_WORKERS)
+    pooled = _run(workers=CAMPAIGN_WORKERS)
     assert solo["failure_count"] == 0, solo["failures"]
     # Worker-count determinism, bit for bit (moves and state_bits
     # included — they ride the same aggregation as rounds).
-    assert solo == sharded
+    assert solo == pooled
 
     # The reset-tail array lane and thin-unison's engines agree on
     # every measured column within each seed pairing.

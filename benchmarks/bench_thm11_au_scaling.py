@@ -2,7 +2,7 @@
 
 Registry-driven since the campaign subsystem landed: the sweep is the
 ``thm11-scaling`` campaign — one scenario per (D, trial, adversarial
-start), enumerated declaratively and run through the sharded parallel
+start), enumerated declaratively and run through the parallel
 runner — and the claim (``THM11_SCALING`` in
 :mod:`repro.analysis.claims`) folds the campaign rows back into the
 paper's table: worst stabilization rounds over the adversarial-start

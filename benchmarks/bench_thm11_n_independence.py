@@ -4,7 +4,7 @@ The distinguishing feature of AlgAU over prior AU algorithms is that
 both its state space and its stabilization-time bound depend on the
 diameter bound ``D`` only.  The sweep is the ``thm11-n-independence``
 campaign: ``D`` fixed at 2 while ``n`` grows by an order of magnitude,
-one scenario per (n, trial, adversarial start), run through the sharded
+one scenario per (n, trial, adversarial start), run through the
 parallel runner on the vectorized array engine.  The claim
 (``THM11_N_INDEPENDENCE`` in :mod:`repro.analysis.claims`) requires the
 state count to stay exactly ``12D + 6`` and the stabilization rounds to

@@ -3,7 +3,7 @@
 
 A *campaign* is a programmatically enumerated list of declarative
 scenarios — graph family × scheduler × adversarial start × fault plan ×
-engine — run through a sharded parallel runner with JSONL
+engine — run through a parallel runner with JSONL
 checkpointing, then folded into one deterministic aggregate artifact.
 This example builds a tiny custom campaign by hand (the shipped
 registries are listed by ``repro campaign list``), runs it, and prints
@@ -28,7 +28,7 @@ def main() -> None:
     # 1. Enumerate scenarios declaratively.  Each `add_au` call pins
     #    every axis; the builder derives one independent seed per
     #    scenario from the campaign seed, so the whole campaign is a
-    #    pure function of (spec, seed) — no matter how it is sharded.
+    #    pure function of (spec, seed) — no matter which worker runs it.
     builder = CampaignBuilder("quickstart", seed=7)
     for graph, params, d in (
         ("damaged-clique", (("n", 10), ("diameter_bound", 2), ("damage", 0.4)), 2),
@@ -51,7 +51,7 @@ def main() -> None:
     print(f"  {scenarios[0].scenario_id}")
     print(f"  {scenarios[-1].scenario_id}")
 
-    # 2. Run — workers=2 shards the campaign over worker processes;
+    # 2. Run — workers=2 spreads the campaign over worker processes;
     #    the aggregates are bit-identical for any worker count.
     results = run_campaign(scenarios, workers=2)
     aggregates = aggregate_results("quickstart", scenarios, results, 7)

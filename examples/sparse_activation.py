@@ -7,7 +7,7 @@ asynchronous schedules:
    full-recompute reference, bit-identical trajectories, with the
    pipeline's step-rate advantage printed;
 2. the O(activity)-amortized quiescence API (`enabled_nodes`,
-   `enabled_count`, `is_quiescent`, `StepRecord.enabled`);
+   `enabled_count`, `is_quiescent`);
 3. the enabled-aware daemons (`EnabledOnlyScheduler`,
    `LocallyCentralScheduler`) driving AlgAU to stabilization on both
    engines, with identical results — the daemons choose activations
@@ -88,12 +88,9 @@ def main() -> None:
     # 2. Quiescence detection.
     # ------------------------------------------------------------------
     print("\n== enabled-set view (O(activity) amortized) ==")
-    execution = build(topology, initial, RoundRobinScheduler(), track_enabled=True)
-    record = execution.step()
-    print(
-        f"  after one step: {record.enabled} of {N} nodes enabled "
-        f"(stamped into StepRecord.enabled)"
-    )
+    execution = build(topology, initial, RoundRobinScheduler())
+    execution.step()
+    print(f"  after one step: {execution.enabled_count()} of {N} nodes enabled")
     print(
         f"  is_quiescent() = {execution.is_quiescent()} "
         "(unison never quiesces: a good graph keeps pulsing)"

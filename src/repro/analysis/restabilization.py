@@ -111,16 +111,14 @@ def pulse_tightness(algorithm, states: Iterable) -> Optional[float]:
     return float(group - max(gaps)) / float(group)
 
 
-def churn_phase_boundary(
-    points: Sequence[Tuple[float, float]], threshold: float = 0.5
-) -> Optional[float]:
+def churn_phase_boundary(points: Sequence[Tuple[float, float]]) -> Optional[float]:
     """The sustainable-churn phase boundary of a rate sweep.
 
     ``points`` are ``(churn_rate, clean_fraction)`` observations —
     typically one per scenario, several per rate.  Fractions are
     averaged per rate, rates are scanned in increasing order, and the
     boundary is the midpoint between the last *sustainable* rate (mean
-    clean fraction at or above ``threshold``) and the first
+    clean fraction at or above one half) and the first
     *unsustainable* one.  Returns ``None`` when the sweep never
     collapses (the boundary lies beyond the sweep — not measurable),
     and the smallest swept rate when even that rate is unsustainable.
@@ -134,7 +132,7 @@ def churn_phase_boundary(
     previous: Optional[float] = None
     for rate in rates:
         mean = sum(by_rate[rate]) / len(by_rate[rate])
-        if mean < threshold:
+        if mean < 0.5:
             if previous is None:
                 return rate
             return (previous + rate) / 2.0

@@ -1,11 +1,12 @@
 """Scenario-campaign subsystem.
 
 Declarative :class:`Scenario` specs (:mod:`repro.campaigns.spec`),
-named campaign registries (:mod:`repro.campaigns.registry`), a parallel
-runner with JSONL checkpointing behind pluggable dispatch backends
-(:mod:`repro.campaigns.runner`, :mod:`repro.campaigns.dispatch`), a
-content-addressed deterministic result cache
-(:mod:`repro.campaigns.cache`), and deterministic aggregation into
+named campaign registries (:mod:`repro.campaigns.registry`), a runner
+that works inline or over a work-stealing process pool and streams
+every finished job to a JSONL checkpoint
+(:mod:`repro.campaigns.runner`), a content-addressed deterministic
+result cache (:mod:`repro.campaigns.cache`), and deterministic
+aggregation into
 ``BENCH_campaign_*.json`` artifacts
 (:mod:`repro.campaigns.aggregate`).  Exposed on the command line as
 ``repro campaign {list,run,report}`` and ``repro cache
@@ -26,14 +27,6 @@ from repro.campaigns.cache import (
     CacheRunStats,
     ResultCache,
     default_cache_dir,
-)
-from repro.campaigns.dispatch import (
-    DISPATCHER_NAMES,
-    Dispatcher,
-    ProcessPoolDispatcher,
-    QueueDispatcher,
-    SerialDispatcher,
-    make_dispatcher,
 )
 from repro.campaigns.registry import (
     CampaignBuilder,
@@ -62,16 +55,11 @@ __all__ = [
     "CONTENT_HASH_VERSION",
     "CacheRunStats",
     "CampaignBuilder",
-    "DISPATCHER_NAMES",
-    "Dispatcher",
     "FaultPlan",
-    "ProcessPoolDispatcher",
-    "QueueDispatcher",
     "ResultCache",
     "Scenario",
     "ScenarioResult",
     "ScenarioTimeout",
-    "SerialDispatcher",
     "aggregate_results",
     "build_campaign",
     "campaign",
@@ -80,7 +68,6 @@ __all__ = [
     "describe_registry",
     "fold_worst_rounds",
     "load_checkpoint",
-    "make_dispatcher",
     "make_scheduler",
     "measured_payload",
     "registry_names",

@@ -5,8 +5,8 @@ one deterministic payload: per-scenario rows (scenario axes joined with
 measured outcomes) plus per-group :class:`~repro.analysis.stats.Summary`
 statistics.  Wall-clock timing never enters the payload — it lives in
 the separate ``meta`` section of the artifact — so equal campaigns
-serialize byte-identically regardless of worker count, shard sizes, or
-completion order.
+serialize byte-identically regardless of worker count or completion
+order.
 
 :func:`write_campaign_artifact` persists ``{"aggregates": ..., "meta":
 ...}`` via :func:`repro.analysis.tables.write_json`; the rendering side
@@ -248,10 +248,8 @@ def aggregate_results(
     return payload
 
 
-def fold_worst_rounds(
-    rows: Sequence[Dict[str, object]], tag: str = "trial"
-) -> Dict[tuple, int]:
-    """Worst ``rounds`` per ``(group, tag value)`` over aggregate rows.
+def fold_worst_rounds(rows: Sequence[Dict[str, object]]) -> Dict[tuple, int]:
+    """Worst ``rounds`` per ``(group, trial tag)`` over aggregate rows.
 
     The paper's scaling measurements report the worst stabilization
     over the adversarial-start suite per trial; campaigns encode each
@@ -260,12 +258,12 @@ def fold_worst_rounds(
     """
     worst: Dict[tuple, int] = {}
     for row in rows:
-        value = row["tags"].get(tag)
+        value = row["tags"].get("trial")
         if value is None:
             raise ValueError(
-                f"row {row['scenario_id']!r} carries no {tag!r} tag; "
+                f"row {row['scenario_id']!r} carries no 'trial' tag; "
                 f"fold_worst_rounds needs a campaign whose scenarios are "
-                f"tagged with {tag!r} (its tags: {sorted(row['tags'])})"
+                f"tagged with 'trial' (its tags: {sorted(row['tags'])})"
             )
         worst[(row["group"], value)] = max(
             worst.get((row["group"], value), 0), int(row["rounds"])
@@ -340,7 +338,6 @@ def _lane(row: Dict[str, object]) -> str:
 
 def verify_engine_pairing(
     rows: Sequence[Dict[str, object]],
-    tag: str = "pairing",
     allow_unpaired: bool = False,
 ) -> List[str]:
     """Cross-check engine-paired aggregate rows.
@@ -353,19 +350,20 @@ def verify_engine_pairing(
     zero-noise runs mirror the sim parity stream), all measured columns
     must be bit-identical within a pairing.  Returns a list of
     human-readable mismatch descriptions (empty = the lanes agree), and
-    raises :class:`ValueError` if the rows are not actually paired.
-    ``allow_unpaired`` skips tag-less rows instead (for campaigns like
+    raises :class:`ValueError` if the rows are not actually paired (a
+    row without a ``pairing`` tag).  ``allow_unpaired`` skips tag-less
+    rows instead (for campaigns like
     ``net-smoke`` that mix paired cells with deliberately unpaired
     ones, e.g. lossy-link coverage that cannot be bit-compared).
     """
     pairs: Dict[str, List[Dict[str, object]]] = {}
     for row in rows:
-        value = row["tags"].get(tag)
+        value = row["tags"].get("pairing")
         if value is None:
             if allow_unpaired:
                 continue
             raise ValueError(
-                f"row {row['scenario_id']!r} carries no {tag!r} tag; "
+                f"row {row['scenario_id']!r} carries no 'pairing' tag; "
                 f"verify_engine_pairing needs an engine-paired campaign"
             )
         pairs.setdefault(str(value), []).append(row)

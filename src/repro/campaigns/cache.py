@@ -51,6 +51,10 @@ UNCACHEABLE_STATUS: Tuple[str, ...] = ("timeout", "error")
 #: Name of the per-run stats file kept beside the object store.
 LAST_RUN_FILENAME = "last_run.json"
 
+#: Prefix of the temp files writes publish with :func:`os.replace`; a
+#: writer killed before the replace leaves one behind.
+_TEMP_PREFIX = ".tmp-"
+
 
 def default_cache_dir() -> str:
     """The result-store root when none is configured explicitly:
@@ -115,8 +119,10 @@ class ResultCache:
             self._objects_dir(), content_hash[:2], f"{content_hash}.json"
         )
 
-    def _entry_paths(self) -> List[str]:
-        """All entry files, sorted for deterministic iteration."""
+    def _entry_paths(self, temp: bool = False) -> List[str]:
+        """All entry files, sorted for deterministic iteration; with
+        ``temp=True``, the temp files of interrupted :meth:`put` calls
+        instead."""
         paths: List[str] = []
         objects = self._objects_dir()
         if not os.path.isdir(objects):
@@ -126,7 +132,7 @@ class ResultCache:
             if not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
+                if name.endswith(".json") and name.startswith(_TEMP_PREFIX) == temp:
                     paths.append(os.path.join(shard_dir, name))
         return paths
 
@@ -156,7 +162,7 @@ class ResultCache:
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=".json"
+            dir=directory, prefix=_TEMP_PREFIX, suffix=".json"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -269,21 +275,24 @@ class ResultCache:
     def gc(self, older_than_s: float) -> Dict[str, object]:
         """Delete entries whose file mtime is older than
         ``older_than_s`` seconds; returns ``{"removed", "kept",
-        "freed_bytes"}``."""
+        "freed_bytes"}``.  Temp files that interrupted writes left
+        behind and that are older than the same cutoff go too; they
+        count toward ``freed_bytes`` only (newer ones may belong to a
+        write still in progress)."""
         cutoff = time.time() - older_than_s
-        removed = kept = 0
-        freed = 0
-        for path in self._entry_paths():
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            if stat.st_mtime < cutoff:
-                freed += stat.st_size
-                os.remove(path)
-                removed += 1
-            else:
-                kept += 1
+        removed = kept = freed = 0
+        for temp in (False, True):
+            for path in self._entry_paths(temp):
+                try:
+                    stat = os.stat(path)
+                except OSError:
+                    continue
+                if stat.st_mtime < cutoff:
+                    freed += stat.st_size
+                    os.remove(path)
+                    removed += not temp
+                elif not temp:
+                    kept += 1
         return {"removed": removed, "kept": kept, "freed_bytes": freed}
 
     # -- last-run stats (for `repro cache stats`) -----------------------
@@ -297,7 +306,7 @@ class ResultCache:
             payload.update(meta)
         path = os.path.join(self.root, LAST_RUN_FILENAME)
         fd, temp_path = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
+            dir=self.root, prefix=_TEMP_PREFIX, suffix=".json"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True, indent=1)

@@ -5,8 +5,8 @@ A *campaign* is a programmatically enumerated list of
 registered with the :func:`campaign` decorator and built with
 :func:`build_campaign`, which derives one independent seed per scenario
 from the campaign seed via :class:`numpy.random.SeedSequence` — the
-same scenario list (ids, seeds, and all) regardless of process, shard,
-or worker count.
+same scenario list (ids, seeds, and all) regardless of process or
+worker count.
 
 A *pairing* (:meth:`CampaignBuilder.add_paired`) is one cell run once
 per lane under one shared seed, as index-adjacent scenarios.  In the
@@ -84,7 +84,7 @@ def au_round_budget(diameter_bound: int) -> int:
 
 
 def derive_seed(campaign_seed: int, index: int) -> int:
-    """A stable per-scenario seed, independent of sharding."""
+    """A stable per-scenario seed, independent of the worker count."""
     sequence = np.random.SeedSequence([campaign_seed, index])
     return int(sequence.generate_state(1)[0])
 
@@ -1093,18 +1093,16 @@ def _churn_phase(builder: CampaignBuilder) -> None:
 
 @campaign(
     "dispatch-straggler",
-    "straggler-skewed mix stress-testing the dispatch backends",
+    "straggler-skewed mix stress-testing the worker pool",
 )
 def _dispatch_straggler(builder: CampaignBuilder) -> None:
     """Many ~5 ms scenarios plus a few ~40x-slower stragglers, with the
     stragglers *adjacent* in index order — the worst case for static
-    sharding, which packs contiguous runs of jobs into the same shard
-    and leaves the other workers idle while one drains the slow shard.
-    The work-stealing ``queue`` backend hands each straggler to a
-    different idle worker, which is exactly the gap
-    ``benchmarks/bench_campaign_cache.py`` measures (and every backend
-    still aggregates bit-identically — the dispatch axis is pure
-    execution strategy)."""
+    sharding, which packs contiguous runs of jobs together and leaves
+    the other workers idle while one drains the slow run.  The
+    work-stealing pool hands each straggler to a different idle worker,
+    and ``benchmarks/bench_campaign_cache.py`` checks that it still
+    aggregates bit-identically to the serial run."""
     for trial in range(28):
         builder.add_au(
             "complete",

@@ -1,31 +1,31 @@
-"""Sharded parallel campaign execution.
+"""Parallel campaign execution.
 
 :func:`run_scenario` turns one declarative :class:`Scenario` into a
 measured :class:`ScenarioResult`; :func:`run_campaign` drives a whole
-campaign through a pool of worker processes.
+campaign, inline or through a pool of worker processes.
 
 Design constraints, in order:
 
 1. **Determinism.**  Every scenario carries its own seed (derived from
    the campaign seed and the scenario index by the registry), so a
    scenario's result is a pure function of its spec — independent of
-   which shard ran it, in which process, in which order.  Aggregates
+   which worker ran it, in which process, in which order.  Aggregates
    over a result set are computed from index-sorted rows, which is what
    makes 1-worker and N-worker campaign runs bit-identical.
 2. **Resumability.**  Completed scenarios stream to a JSONL checkpoint
-   as soon as their shard finishes (per scenario in the inline path);
-   a killed campaign restarted with ``resume=True`` skips everything
-   the checkpoint already holds and re-runs only the remainder.
-3. **Throughput.**  Shards are sized so each worker receives several
-   (amortizing process start-up) while keeping enough shards in flight
-   to even out scenario-length skew; AU scenarios default to the
-   vectorized array engine in the registries.  A shard runs jobs, and a
-   job is either a replica ensemble (seeds fused into one run) or an
-   input group: index-adjacent scenarios sharing seed, graph family and
-   graph parameters (the lanes of a pairing), which build the graph,
-   the start configuration and the churn stream once and then run one
-   by one, each on its own rng restored to the state the build left.
-   Grouping has no switch: a grouped row equals the solo row.
+   as soon as their job finishes; a killed campaign restarted with
+   ``resume=True`` skips everything the checkpoint already holds and
+   re-runs only the remainder.
+3. **Throughput.**  Above one worker, idle workers pull the next
+   pending job from the pool's shared queue, so a slow job delays only
+   its own worker; AU scenarios default to the vectorized array engine
+   in the registries.  A job is either a replica ensemble (seeds fused
+   into one run) or an input group: index-adjacent scenarios sharing
+   seed, graph family and graph parameters (the lanes of a pairing),
+   which build the graph, the start configuration and the churn stream
+   once and then run one by one, each on its own rng restored to the
+   state the build left.  Grouping has no switch: a grouped row equals
+   the solo row.
 
 A scenario that raises is folded into a failed result (``stabilized
 False``, ``detail`` holding the error) rather than aborting the
@@ -55,7 +55,6 @@ from repro.analysis.monitors import OutputChangeMonitor
 from repro.analysis.restabilization import RestabilizationTracker, pulse_tightness
 from repro.analysis.stabilization import settle, settle_output
 from repro.campaigns.cache import ResultCache
-from repro.campaigns.dispatch import make_dispatcher
 from repro.campaigns.spec import (
     ALGORITHM_FACTORIES,
     PERMANENT_FAULT_KINDS,
@@ -623,7 +622,7 @@ def run_scenario(
     ``timeout_s`` arms a per-scenario wall-clock guard: a scenario that
     exceeds the budget stops between steps and reports the deterministic
     ``status="timeout"`` row from :func:`_timeout_result` instead of
-    hanging its shard.
+    hanging its worker.
 
     ``shared`` is an input memo, keyed by :func:`_input_key`, that the
     runner passes to every member of an input group: the first member
@@ -748,7 +747,7 @@ def load_checkpoint(path: str) -> Dict[str, ScenarioResult]:
     *index* with last-write-wins: a kill-and-resume cycle can
     legitimately append a second row for a scenario whose first row was
     interrupted (or re-run), and the later row is the authoritative one
-    — without the dedup, duplicate rows from a partially written shard
+    — without the dedup, duplicate rows from a partially written job
     leaked into resumed campaigns.
     """
     by_index: Dict[int, ScenarioResult] = {}
@@ -784,7 +783,7 @@ def _append_checkpoint(path: str, results: Iterable[ScenarioResult]) -> None:
     ``write`` on an ``O_APPEND`` descriptor followed by flush + fsync:
     one syscall means a crash cannot interleave a half-row between two
     whole ones, and the kernel's append atomicity keeps concurrent
-    shard flushes from interleaving either — the torn lines
+    job flushes from interleaving either — the torn lines
     :func:`load_checkpoint` must skip can now only come from a kill
     inside the one final write, never from buffering boundaries.
 
@@ -810,11 +809,11 @@ def _append_checkpoint(path: str, results: Iterable[ScenarioResult]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Sharded campaign driver.
+# Campaign driver.
 # ----------------------------------------------------------------------
 
 
-#: A job is the unit of work a shard executes atomically: a replica
+#: A job is the unit of work a worker executes atomically: a replica
 #: ensemble (scenarios differing only by seed, fused into one ensemble
 #: run) or an input group (index-adjacent scenarios sharing
 #: :func:`_input_key`, run one by one on the inputs the first built).
@@ -827,15 +826,6 @@ def _run_job(job: Job, timeout_s: Optional[float] = None) -> List[ScenarioResult
         return run_scenario_batch(job, timeout_s)
     shared: Dict = {}
     return [run_scenario(scenario, timeout_s, shared) for scenario in job]
-
-
-def _run_shard(
-    shard: Sequence[Job], timeout_s: Optional[float] = None
-) -> List[ScenarioResult]:
-    results: List[ScenarioResult] = []
-    for job in shard:
-        results.extend(_run_job(job, timeout_s))
-    return results
 
 
 def _make_jobs(pending: Sequence[Scenario], batch: bool) -> List[Job]:
@@ -879,12 +869,28 @@ def _make_jobs(pending: Sequence[Scenario], batch: bool) -> List[Job]:
     return jobs
 
 
+def _run_pool(
+    jobs: Sequence[Job], run_job: Callable[[Job], List[ScenarioResult]], workers: int
+) -> Iterable[List[ScenarioResult]]:
+    """Yield each job's results as a worker finishes it.
+
+    ``chunksize=1`` makes the pool's inbound queue a shared work queue:
+    an idle worker takes the next pending job, so one slow job delays
+    only its own worker.
+    """
+    import multiprocessing
+
+    if not jobs:
+        return
+    with multiprocessing.get_context().Pool(processes=workers) as pool:
+        yield from pool.imap_unordered(run_job, jobs, chunksize=1)
+
+
 def run_campaign(
     scenarios: Sequence[Scenario],
     workers: int = 1,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    shard_size: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     batch: bool = True,
     timeout_s: Optional[float] = None,
@@ -892,30 +898,29 @@ def run_campaign(
     cache: Optional[ResultCache] = None,
     stats: Optional[Dict[str, object]] = None,
 ) -> List[ScenarioResult]:
-    """Run a campaign through a pluggable dispatch backend.
+    """Run a campaign inline (``workers <= 1``) or over a worker pool.
 
     Returns one result per scenario, sorted by scenario index —
-    independent of ``workers``/``shard_size``/``dispatch``/completion
-    order *and* of ``batch`` (replica batching is an execution strategy
-    with bit-identical per-scenario results; pass ``batch=False`` to
-    run replica ensembles as solo scenarios, e.g. for the differential
-    CI shard), so downstream aggregation is reproducible bit for bit.
-    Each job is a replica ensemble or an input group (see
-    :func:`_make_jobs`): the lanes of a pairing share one graph, start
-    configuration and churn stream, built by the first member to run.
-    Input grouping has no switch; it changes no row, and it runs after
-    the cache lookup, so cached members never run.  ``timeout_s`` arms the
-    per-scenario wall-clock guard of :func:`run_scenario` in every
-    worker (timed-out scenarios yield deterministic ``status="timeout"``
-    rows; note the budget is per scenario, so the rows themselves stay
+    independent of ``workers``, completion order *and* ``batch``
+    (replica batching is an execution strategy with bit-identical
+    per-scenario results; pass ``batch=False`` to run replica ensembles
+    as solo scenarios, e.g. for the differential CI shard), so
+    downstream aggregation is reproducible bit for bit.  Each job is a
+    replica ensemble or an input group (see :func:`_make_jobs`): the
+    lanes of a pairing share one graph, start configuration and churn
+    stream, built by the first member to run.  Input grouping has no
+    switch; it changes no row, and it runs after the cache lookup, so
+    cached members never run.  Every finished job streams to the
+    checkpoint before the next ``progress`` call, so a kill loses at
+    most the jobs in flight.  ``timeout_s`` arms the per-scenario
+    wall-clock guard of :func:`run_scenario` in every worker (timed-out
+    scenarios yield deterministic ``status="timeout"`` rows; note the
+    budget is per scenario, so the rows themselves stay
     machine-independent while *which* scenarios time out does not).
 
-    ``dispatch`` picks the execution strategy by
-    :data:`~repro.campaigns.dispatch.DISPATCHER_NAMES` name; ``None``
-    keeps the historical behavior (inline ``serial`` at ``workers <=
-    1``, static ``shards`` above).  Because scenario results are pure
-    functions of their specs and aggregation re-sorts by index, every
-    backend produces bit-identical campaign results.
+    ``dispatch`` chooses nothing: it accepts ``None`` or the name the
+    worker count implies (``"serial"`` at ``workers <= 1``, ``"queue"``
+    above) and raises :class:`ValueError` on anything else.
 
     ``cache`` plugs in a content-addressed
     :class:`~repro.campaigns.cache.ResultCache`: before anything is
@@ -928,6 +933,12 @@ def run_campaign(
     a dict) is filled with the run's dispatch name and cache
     hit/miss/compute-seconds-saved counters for the campaign summary.
     """
+    implied = "serial" if workers <= 1 else "queue"
+    if dispatch not in (None, implied):
+        raise ValueError(
+            f"dispatch {dispatch!r} does not match workers={workers}: "
+            f"valid values are None and {implied!r}"
+        )
     done = load_checkpoint(checkpoint_path) if (resume and checkpoint_path) else {}
     wanted = {s.scenario_id for s in scenarios}
     results: Dict[str, ScenarioResult] = {
@@ -961,19 +972,14 @@ def run_campaign(
                 progress(completed, total)
         pending = misses
 
-    if dispatch is None:
-        dispatch = "serial" if workers <= 1 else "shards"
-        # The historical auto path ignored shard_size off the sharded
-        # branch; explicit backend picks keep make_dispatcher's
-        # stricter validation.
-        if dispatch != "shards":
-            shard_size = None
-    dispatcher = make_dispatcher(dispatch, workers=workers, shard_size=shard_size)
-
     jobs = _make_jobs(pending, batch)
     run_job = functools.partial(_run_job, timeout_s=timeout_s)
+    if workers <= 1:
+        finished = map(run_job, jobs)
+    else:
+        finished = _run_pool(jobs, run_job, workers)
     by_id = {s.scenario_id: s for s in pending}
-    for job_results in dispatcher.dispatch(jobs, run_job):
+    for job_results in finished:
         for result in job_results:
             results[result.scenario_id] = result
             if cache is not None:
@@ -989,11 +995,11 @@ def run_campaign(
             {
                 "campaign": scenarios[0].campaign if scenarios else "",
                 "scenarios": total,
-                "dispatch": dispatcher.name,
+                "dispatch": implied,
             }
         )
     if stats is not None:
-        stats["dispatch"] = dispatcher.name
+        stats["dispatch"] = implied
         stats["cache"] = (
             cache.run_stats.to_dict() if cache is not None else None
         )

@@ -5,7 +5,7 @@ workload (task), on *which* graph (family × parameters), under *which*
 adversary (scheduler × adversarial start × fault plan), on *which*
 engine, from *which* seed.  Scenarios are frozen, hashable, and
 JSON-round-trippable, so campaigns can be enumerated programmatically
-(:mod:`repro.campaigns.registry`), sharded across worker processes
+(:mod:`repro.campaigns.registry`), spread over worker processes
 (:mod:`repro.campaigns.runner`), checkpointed to JSONL, and resumed —
 all without ever re-deriving anything from ambient state.
 
@@ -974,9 +974,9 @@ class Scenario:
         """``graph_params`` as a plain dict."""
         return dict(self.graph_params)
 
-    def tag(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        """The value of tag ``key`` (``default`` when absent)."""
-        return dict(self.tags).get(key, default)
+    def tag(self, key: str) -> Optional[str]:
+        """The value of tag ``key`` (``None`` when absent)."""
+        return dict(self.tags).get(key)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable snapshot (see ``from_dict``)."""
@@ -1058,9 +1058,9 @@ class ScenarioResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tags", tuple((str(k), str(v)) for k, v in self.tags))
 
-    def tag(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        """The value of tag ``key`` (``default`` when absent)."""
-        return dict(self.tags).get(key, default)
+    def tag(self, key: str) -> Optional[str]:
+        """The value of tag ``key`` (``None`` when absent)."""
+        return dict(self.tags).get(key)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable snapshot (see ``from_dict``)."""

@@ -19,7 +19,7 @@ Subcommands regenerate the paper's artifacts from the terminal:
   engine lanes, state bits (exact at a sample diameter bound), and the
   Scenario axes each entry supports;
 * ``repro campaign {list,run,report}`` — registry-driven scenario
-  campaigns: sharded parallel sweeps over graph family × scheduler ×
+  campaigns: parallel sweeps over graph family × scheduler ×
   adversarial start × fault plan × engine × algorithm, checkpointed to
   JSONL and aggregated into ``BENCH_campaign_*.json`` artifacts.  The
   ``byzantine`` registry exercises the permanent-fault resilience
@@ -341,9 +341,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("--resume needs --checkpoint", file=sys.stderr)
         return 2
-    if args.shard_size is not None and args.shard_size < 1:
-        print("--shard-size must be >= 1", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
@@ -365,11 +362,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        shard_size=args.shard_size,
         progress=progress,
         batch=not args.no_batch,
         timeout_s=args.timeout,
-        dispatch=None if args.dispatch == "auto" else args.dispatch,
         cache=cache,
         stats=run_stats,
     )
@@ -459,7 +454,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.campaigns import DISPATCHER_NAMES, registry_names
+    from repro.campaigns import registry_names
     from repro.model.engine import ENGINE_NAMES
 
     engines = list(ENGINE_NAMES)
@@ -537,26 +532,20 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("list", help="list the campaign registries")
     c.set_defaults(fn=_cmd_campaign_list)
 
-    c = csub.add_parser("run", help="run a campaign sharded over worker processes")
+    c = csub.add_parser("run", help="run a campaign inline or over worker processes")
     c.add_argument(
         "--registry",
         required=True,
         choices=list(registry_names()),
         help="which campaign to run",
     )
-    c.add_argument("--workers", type=int, default=1, help="worker processes (shards)")
+    c.add_argument("--workers", type=int, default=1, help="worker processes (1 runs inline)")
     c.add_argument("--seed", type=int, default=0, help="campaign seed")
     c.add_argument(
         "--limit",
         type=int,
         default=None,
         help="run only the first N scenarios (debugging)",
-    )
-    c.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        help="scenarios per shard (default: balanced over workers)",
     )
     c.add_argument(
         "--checkpoint",
@@ -588,17 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-scenario wall-clock budget in seconds; scenarios "
         "over budget report deterministic status=timeout rows instead "
-        "of hanging their shard",
-    )
-    c.add_argument(
-        "--dispatch",
-        choices=["auto"] + list(DISPATCHER_NAMES),
-        default="auto",
-        help="execution backend: serial (inline), shards (static "
-        "sharding over a process pool), or queue (work-stealing shared "
-        "task queue); auto keeps the historical choice (serial at "
-        "--workers 1, shards above) — aggregates are bit-identical "
-        "across all backends",
+        "of hanging their worker",
     )
     c.add_argument(
         "--cache-dir",

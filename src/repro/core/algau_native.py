@@ -31,9 +31,7 @@ The kernels are written once as nopython-compatible Python.  At first
 use the module resolves the fastest available backend:
 
 1. ``numba`` — the Python kernels wrapped in ``numba.njit(cache=True)``
-   (``pip install .[native]``); ``prange`` parallelizes the lane loop
-   when ``REPRO_NATIVE_PARALLEL=1`` additionally requests
-   ``parallel=True``.
+   (``pip install .[native]``).
 2. ``cc`` — the identical C translation in ``_native_kernels.c``,
    compiled lazily with the host C compiler into a content-hash-keyed
    shared library under ``REPRO_NATIVE_CACHE_DIR`` (default
@@ -75,10 +73,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.csr import CSRAdjacency
 
 try:  # pragma: no cover - only bound when numba is installed
-    from numba import prange
     from numba.extending import register_jitable
 except ImportError:  # pragma: no cover - the common container case
-    prange = range
 
     def register_jitable(fn):
         return fn
@@ -219,7 +215,7 @@ def _delta_rows_impl(
     outwards_mask,
     cautious,
 ):
-    for i in prange(rows.shape[0]):
+    for i in range(rows.shape[0]):
         v = rows[i]
         out[i] = _delta_code(
             codes, indices, indptr[v], indptr[v + 1], codes[v],
@@ -429,10 +425,7 @@ class _NumbaBackend(_PythonBackend):
     def __init__(self):
         import numba
 
-        kwargs = {"cache": True, "nogil": True}
-        if os.environ.get("REPRO_NATIVE_PARALLEL", "") == "1":
-            kwargs["parallel"] = True
-        jit = numba.njit(**kwargs)
+        jit = numba.njit(cache=True, nogil=True)
         self.delta_rows = jit(_delta_rows_impl)
         self.goodness_counts = jit(_goodness_counts_impl)
         self.fold_pairs = jit(_fold_pairs_impl)
@@ -452,14 +445,14 @@ def _native_cache_dir() -> Path:
     return root / "repro-native"
 
 
-def compile_native_library(source: Path = _C_SOURCE) -> Path:
+def compile_native_library() -> Path:
     """Compile ``_native_kernels.c`` into a cached shared library.
 
     The output name is keyed by a hash of the source text, so kernel
     edits transparently rebuild while repeat runs reuse the cached
     ``.so``.  Tries ``$CC``, then ``cc``/``gcc``/``clang``.
     """
-    text = source.read_bytes()
+    text = _C_SOURCE.read_bytes()
     digest = hashlib.sha256(text).hexdigest()[:16]
     cache = _native_cache_dir()
     target = cache / f"native_kernels_{digest}.so"
@@ -473,7 +466,7 @@ def compile_native_library(source: Path = _C_SOURCE) -> Path:
         os.close(fd)
         try:
             subprocess.run(
-                [compiler, "-O3", "-fPIC", "-shared", "-o", tmp, str(source)],
+                [compiler, "-O3", "-fPIC", "-shared", "-o", tmp, str(_C_SOURCE)],
                 check=True,
                 capture_output=True,
             )

@@ -19,9 +19,10 @@ Two regimes, selected by the rates:
 Event counts per step are Poisson draws, so a rate is "expected events
 per sampled step".  The process mirrors the graph in its own
 dict-of-sets adjacency plus a swap-remove edge list — sampling never
-copies the topology (let alone a networkx graph) and connectivity
-preservation is a BFS over the mirror, O(n + m) per *candidate*, paid
-only for removal/leave events.
+copies the topology (let alone a networkx graph).  Leaves and edge
+removals never disconnect the alive part: each candidate is checked by
+a BFS over the mirror, O(n + m) per *candidate*, paid only for those
+events.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ import numpy as np
 from repro.graphs.dynamic import TopologyDelta, canonical_edge
 
 __all__ = ["ChurnProcess"]
+
+#: Attachment count for a joining node (capped by the alive count).
+JOIN_DEGREE = 2
+#: Candidates sampled for one event before it is skipped (and counted
+#: in :attr:`ChurnProcess.skipped_events`).
+MAX_ATTEMPTS = 64
 
 
 class ChurnProcess:
@@ -53,13 +60,12 @@ class ChurnProcess:
     initial_state:
         Zero-argument factory for the state a joining node starts in
         (the algorithm's rest state in every campaign use).
-    preserve_connectivity:
-        When set (default), leave/removal candidates that would
-        disconnect the *alive* part are rejected and resampled; an
-        event is skipped entirely once ``max_attempts`` candidates in a
-        row failed (logged in :attr:`skipped_events`).
-    join_degree:
-        Attachment count for joining nodes (capped by the alive count).
+
+    Leave and removal candidates that would disconnect the *alive* part
+    are rejected and resampled; an event is skipped entirely once
+    :data:`MAX_ATTEMPTS` candidates in a row failed (logged in
+    :attr:`skipped_events`).  A joining node attaches to
+    :data:`JOIN_DEGREE` alive nodes.
     """
 
     def __init__(
@@ -72,9 +78,6 @@ class ChurnProcess:
         join_rate: float = 0.0,
         leave_rate: float = 0.0,
         initial_state=None,
-        preserve_connectivity: bool = True,
-        join_degree: int = 2,
-        max_attempts: int = 64,
     ) -> None:
         for name, rate in (
             ("edge_add_rate", edge_add_rate),
@@ -94,9 +97,6 @@ class ChurnProcess:
         self.join_rate = float(join_rate)
         self.leave_rate = float(leave_rate)
         self.initial_state = initial_state
-        self.preserve_connectivity = bool(preserve_connectivity)
-        self.join_degree = int(join_degree)
-        self.max_attempts = int(max_attempts)
         self.skipped_events = 0
         self.events = 0
         self._rng = np.random.default_rng([int(seed), 0x6368726E])
@@ -233,7 +233,7 @@ class ChurnProcess:
             if not self._alive:
                 self.skipped_events += 1
                 continue
-            degree = min(self.join_degree, len(self._alive))
+            degree = min(JOIN_DEGREE, len(self._alive))
             picks = rng.choice(len(self._alive), size=degree, replace=False)
             hood = tuple(sorted(self._alive[int(i)] for i in picks))
             v = self._next_id
@@ -285,9 +285,9 @@ class ChurnProcess:
         rng = self._rng
         if len(self._alive) <= 2:
             return None
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             v = self._alive[int(rng.integers(len(self._alive)))]
-            if not self.preserve_connectivity or self._connected_without_node(v):
+            if self._connected_without_node(v):
                 return v
         return None
 
@@ -297,11 +297,11 @@ class ChurnProcess:
         rng = self._rng
         if not self._edges:
             return None
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             u, v = self._edges[int(rng.integers(len(self._edges)))]
             if u in joiners or v in joiners:
                 continue  # this step's attachments are off limits
-            if not self.preserve_connectivity or self._connected_without_edge(u, v):
+            if self._connected_without_edge(u, v):
                 return (u, v)
         return None
 
@@ -312,7 +312,7 @@ class ChurnProcess:
         candidates = len(self._alive) - len(joiners)
         if candidates < 2:
             return None
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             i, j = rng.integers(len(self._alive)), rng.integers(len(self._alive))
             u, v = self._alive[int(i)], self._alive[int(j)]
             if u == v or u in joiners or v in joiners:

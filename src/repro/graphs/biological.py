@@ -34,6 +34,9 @@ import numpy as np
 from repro.graphs.topology import Topology
 from repro.model.errors import TopologyError
 
+#: Largest per-axis displacement of a tissue cell from its grid point.
+TISSUE_JITTER = 0.25
+
 
 def quorum_colony(
     n: int,
@@ -66,14 +69,15 @@ def cell_tissue(
     height: int,
     rng: np.random.Generator,
     contact_radius: float = 1.6,
-    jitter: float = 0.25,
 ) -> Topology:
     """A tissue patch: cells on a jittered grid, connected when their
     centers lie within ``contact_radius``.
 
-    The jittered grid guarantees connectivity for ``radius >= 1 + 2·jitter``
-    while keeping the contact structure organic.
+    Each cell is displaced by at most :data:`TISSUE_JITTER` per axis,
+    which guarantees connectivity for ``radius >= 1 + 2·jitter`` while
+    keeping the contact structure organic.
     """
+    jitter = TISSUE_JITTER
     if width < 2 or height < 2:
         raise TopologyError("tissue needs at least a 2x2 patch")
     if contact_radius < 1 + 2 * jitter:

@@ -237,17 +237,15 @@ class Topology:
         return f"<Topology {self._name!r} n={self.n} m={self.m}>"
 
 
-def topology_from_edges(
-    edges: Iterable[Tuple[object, object]], name: str = "graph"
-) -> Topology:
-    """Build a :class:`Topology` from an edge list."""
+def topology_from_edges(edges: Iterable[Tuple[object, object]]) -> Topology:
+    """Build a :class:`Topology` named ``graph`` from an edge list."""
     graph = nx.Graph()
     graph.add_edges_from(edges)
-    return Topology(graph, name=name)
+    return Topology(graph, name="graph")
 
 
-def single_node_topology(name: str = "singleton") -> Topology:
+def single_node_topology() -> Topology:
     """The degenerate one-node network (useful for edge-case tests)."""
     graph = nx.Graph()
     graph.add_node(0)
-    return Topology(graph, name=name)
+    return Topology(graph, name="singleton")

@@ -115,7 +115,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
         monitors: Tuple[Monitor, ...] = (),
         intervention: Optional[Intervention] = None,
         incremental: bool = True,
-        track_enabled: bool = False,
     ):
         if not supports_array_engine(algorithm):
             raise ModelError(
@@ -134,7 +133,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
             monitors=monitors,
             intervention=intervention,
             incremental=incremental,
-            track_enabled=track_enabled,
         )
 
     # ------------------------------------------------------------------
@@ -267,13 +265,12 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
     def _records_unused(self) -> bool:
         """Whether nothing consumes per-step records: no monitors, no
-        intervention, no mask, no enabled tracking and a scheduler that
-        is not enabled-aware.  Only then may :meth:`advance` and
+        intervention, no mask and a scheduler that is not
+        enabled-aware.  Only then may :meth:`advance` and
         :meth:`run` skip the per-step :meth:`step` protocol."""
         return not (
             self.monitors
             or self.intervention is not None
-            or self._track_enabled
             or self._masked
             or self.scheduler.uses_enabled_view
         )

@@ -50,10 +50,8 @@ state.  The δ re-evaluation behind
 :meth:`ExecutionBase.enabled_count` / :meth:`ExecutionBase.is_quiescent`
 is proportional to the dirty set (O(activity) amortized, not O(n)),
 and the count/quiescence queries stay that cheap end to end
-(materializing the set itself costs O(enabled));
-``track_enabled=True`` stamps the post-step enabled count
-into every :class:`StepRecord`, and enabled-aware daemons (schedulers
-with ``uses_enabled_view``) receive the view each step through
+(materializing the set itself costs O(enabled)), and enabled-aware
+daemons (schedulers with ``uses_enabled_view``) receive the view each step through
 :meth:`~repro.model.scheduler.Scheduler.select`.
 
 Every engine counts its own *moves* (:attr:`ExecutionBase.moves`)
@@ -116,7 +114,7 @@ class StepRecord(Generic[Q]):
     decoded tuple.
     """
 
-    __slots__ = ("t", "activated", "_changed", "completed_round", "enabled")
+    __slots__ = ("t", "activated", "_changed", "completed_round")
 
     def __init__(
         self,
@@ -124,16 +122,11 @@ class StepRecord(Generic[Q]):
         activated: FrozenSet[int],
         changed: Changes,
         completed_round: bool,
-        enabled: Optional[int] = None,
     ):
         self.t = t
         self.activated = activated
         self._changed = changed
         self.completed_round = completed_round
-        #: Post-step enabled count (nodes whose ``δ`` would move them),
-        #: stamped only when the execution was built with
-        #: ``track_enabled=True``; ``None`` otherwise.
-        self.enabled = enabled
 
     @property
     def changed(self) -> ChangeTuples:
@@ -146,7 +139,7 @@ class StepRecord(Generic[Q]):
 
     def _fields(self) -> tuple:
         changed = self.changed
-        return (self.t, self.activated, changed, self.completed_round, self.enabled)
+        return (self.t, self.activated, changed, self.completed_round)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -159,8 +152,7 @@ class StepRecord(Generic[Q]):
     def __repr__(self) -> str:
         return (
             f"StepRecord(t={self.t!r}, activated={self.activated!r}, "
-            f"changed={self.changed!r}, completed_round={self.completed_round!r}, "
-            f"enabled={self.enabled!r})"
+            f"changed={self.changed!r}, completed_round={self.completed_round!r})"
         )
 
 
@@ -200,7 +192,6 @@ class ExecutionBase(ABC, Generic[Q]):
         monitors: Tuple[Monitor, ...] = (),
         intervention: Optional[Intervention] = None,
         incremental: bool = True,
-        track_enabled: bool = False,
     ):
         if initial_configuration.topology is not topology:
             raise ModelError("initial configuration belongs to a different topology")
@@ -214,7 +205,6 @@ class ExecutionBase(ABC, Generic[Q]):
         #: the pre-pipeline behavior the differential suite and the
         #: sparse-activation benchmark compare against.
         self.incremental = bool(incremental)
-        self._track_enabled = bool(track_enabled)
         self._t = 0
         #: Scheduler time base: schedulers see ``t - _sched_t0``, so a
         #: :meth:`reset_schedule` restarts their time axis (round-robin
@@ -534,7 +524,6 @@ class ExecutionBase(ABC, Generic[Q]):
             activated=activated,
             changed=changed,
             completed_round=completed_round,
-            enabled=self.enabled_count() if self._track_enabled else None,
         )
         self._t += 1
         for monitor in self.monitors:
@@ -743,7 +732,6 @@ def create_execution(
     intervention: Optional[Intervention] = None,
     engine: str = "object",
     incremental: bool = True,
-    track_enabled: bool = False,
 ) -> ExecutionBase:
     """Instantiate the requested execution engine over one contract.
 
@@ -762,9 +750,7 @@ def create_execution(
     compiled code; falls back to ``ArrayExecution`` with a warning when
     no native backend is available).
     ``incremental=False`` selects the naive full-recompute reference
-    path (bit-identical trajectories, O(n) steps);
-    ``track_enabled=True`` stamps the enabled count into every
-    :class:`StepRecord`.  Valid names live in :data:`ENGINE_FACTORIES`.
+    path (bit-identical trajectories, O(n) steps).  Valid names live in :data:`ENGINE_FACTORIES`.
     """
     cls = engine_class(engine)
     return cls(
@@ -776,5 +762,4 @@ def create_execution(
         monitors=monitors,
         intervention=intervention,
         incremental=incremental,
-        track_enabled=track_enabled,
     )

@@ -76,7 +76,6 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         monitors: Tuple[Monitor, ...] = (),
         intervention: Optional[Intervention] = None,
         incremental: bool = True,
-        track_enabled: bool = False,
     ):
         # The shared adjacency representation: the same cached
         # CSRAdjacency instance the array engine scatters over, viewed
@@ -105,7 +104,6 @@ class Execution(ExecutionBase[Q], Generic[Q]):
             monitors=monitors,
             intervention=intervention,
             incremental=incremental,
-            track_enabled=track_enabled,
         )
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ and joins/leaves; goodness reads the kernel's pair table.
 The phased slot
 ---------------
 Each call to :meth:`NetExecution._apply` advances virtual time by one
-*slot* (default 1.0) with three deterministic phases:
+*slot*, the unit of virtual time, with three deterministic phases:
 
 * ``T + 0.0`` — every activated actor takes its step, in ascending node
   order, reading its registers.  Deliveries from this step are still in
@@ -76,20 +76,18 @@ BROADCAST_PHASE = 0.5
 class NetExecution(ExecutionBase):
     """Message-passing engine: node actors over fair-lossy links.
 
-    Accepts the standard engine constructor arguments plus the net
-    knobs (``link_config``, ``noise_seed``, ``slot``).  Restrictions
-    relative to the simulation engines, all rejected eagerly:
+    Accepts the standard engine constructor arguments, except
+    ``incremental`` (there is no δ cache to maintain: every activated
+    actor evaluates its own transition), plus the net knobs
+    (``link_config``, ``noise_seed``).  Restrictions relative to the
+    simulation engines, all rejected eagerly:
 
     * the algorithm must be deterministic and expose a dense state
       ``encoding`` and a ``vector_kernel()`` (actors and messages hold
       constant-size integer codes);
-    * enabled-aware schedulers and ``track_enabled`` are unsupported —
-      an enabled-set view would require the omniscient shared memory
-      this runtime exists to remove.
-
-    ``incremental`` is accepted for constructor compatibility and
-    ignored: there is no δ cache to maintain, every activated actor
-    evaluates its own transition.
+    * enabled-aware schedulers are unsupported — an enabled-set view
+      would require the omniscient shared memory this runtime exists
+      to remove.
     """
 
     def __init__(
@@ -101,17 +99,9 @@ class NetExecution(ExecutionBase):
         rng: Optional[np.random.Generator] = None,
         monitors: Tuple[Monitor, ...] = (),
         intervention: Optional[Intervention] = None,
-        incremental: bool = True,
-        track_enabled: bool = False,
         link_config: Optional[LinkConfig] = None,
         noise_seed: int = 0,
-        slot: float = 1.0,
     ):
-        if track_enabled:
-            raise ModelError(
-                "the net runtime has no enabled-set view (it would require "
-                "omniscient shared memory); build it with track_enabled=False"
-            )
         if scheduler.uses_enabled_view:
             raise ModelError(
                 f"scheduler {type(scheduler).__name__} needs the enabled-set "
@@ -130,11 +120,8 @@ class NetExecution(ExecutionBase):
                 f"encoding and code-level kernel for constant-size "
                 f"messages; {algorithm.name} has none"
             )
-        if not (isinstance(slot, (int, float)) and slot > 0):
-            raise ModelError(f"slot must be > 0, got {slot!r}")
 
         self.link_config = link_config if link_config is not None else LinkConfig()
-        self.slot = float(slot)
         self.noise_rng = np.random.default_rng([int(noise_seed), 0x6E6574])
         self.network = MessageNetwork(self.link_config, self.noise_rng)
         self._kernel = algorithm.vector_kernel()
@@ -168,8 +155,6 @@ class NetExecution(ExecutionBase):
             rng=rng,
             monitors=monitors,
             intervention=intervention,
-            incremental=incremental,
-            track_enabled=False,
         )
 
     # ------------------------------------------------------------------
@@ -344,7 +329,7 @@ class NetExecution(ExecutionBase):
     def _broadcast(self, actor: NodeActor) -> None:
         """Stubbornly send ``actor``'s current state to every neighbor.
 
-        The sends depart together at ``now + BROADCAST_PHASE * slot``,
+        The sends depart together at ``now + BROADCAST_PHASE``,
         each with its own sequence number, and each draws its fate from
         the link model; each surviving copy is delivered a link latency
         later.
@@ -354,7 +339,7 @@ class NetExecution(ExecutionBase):
         first = self._seq + 1
         self._seq += len(neighbors)
         self.network.broadcast(
-            self.virtual_time + BROADCAST_PHASE * self.slot,
+            self.virtual_time + BROADCAST_PHASE,
             actor.node,
             neighbors,
             [(seq, code) for seq in range(first, self._seq + 1)],
@@ -449,9 +434,9 @@ class NetExecution(ExecutionBase):
 
     @property
     def virtual_time(self) -> float:
-        """The current virtual time: one ``slot`` per step that
-        activated an unmasked node."""
-        return self._slots * self.slot
+        """The current virtual time: one slot per step that activated
+        an unmasked node."""
+        return float(self._slots)
 
 
 def create_net_execution(
@@ -464,7 +449,6 @@ def create_net_execution(
     intervention: Optional[Intervention] = None,
     link_config: Optional[LinkConfig] = None,
     noise_seed: int = 0,
-    slot: float = 1.0,
 ) -> NetExecution:
     """Build a :class:`NetExecution` (mirrors
     :func:`~repro.model.engine.create_execution`'s shape, plus the link
@@ -479,5 +463,4 @@ def create_net_execution(
         intervention=intervention,
         link_config=link_config,
         noise_seed=noise_seed,
-        slot=slot,
     )

@@ -177,8 +177,8 @@ class Oscillating(ByzantineStrategy):
 
 
 class Targeted(ByzantineStrategy):
-    """Max-disruption play: every ``period`` steps each faulty node
-    greedily picks the turn that maximizes the proof-aligned
+    """Max-disruption play: every step each faulty node greedily picks
+    the turn that maximizes the proof-aligned
     :func:`~repro.core.potential.disorder_potential` of the resulting
     configuration (nodes decided in ascending id order, each seeing the
     previous choices; ties broken by turn order for determinism).
@@ -192,14 +192,7 @@ class Targeted(ByzantineStrategy):
 
     name = "targeted"
 
-    def __init__(self, period: int = 1):
-        if period < 1:
-            raise ModelError("targeted period must be >= 1")
-        self._period = period
-
     def states_at(self, execution, nodes, rng, t):
-        if t % self._period:
-            return NO_WRITES
         from repro.core.potential import disorder_gain
 
         kernel = execution.algorithm.vector_kernel()

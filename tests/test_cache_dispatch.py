@@ -1,12 +1,13 @@
-"""The content-addressed result cache and the dispatch seam.
+"""The content-addressed result cache and the runner's worker pool.
 
 Covers the canonical scenario content hash (golden pinned values over
 every engine, the net runtime, and the permanent-fault plans; hypothesis
 round-trip and no-collision properties), the sharded on-disk result
-store (atomicity, integrity verification, uncacheable statuses, gc),
-the pluggable dispatch backends (bit-identical aggregates across
-serial/shards/queue), the runner's cache integration (cold vs. warm
-bit-identity, hit/miss stats), and the ``repro cache`` CLI.
+store (atomicity, integrity verification, uncacheable statuses, gc,
+temp files of interrupted writes), the worker pool (bit-identical
+aggregates against the inline run), the runner's cache integration
+(cold vs. warm bit-identity, hit/miss stats), and the ``repro cache``
+CLI.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.campaigns import (
     CONTENT_HASH_VERSION,
-    DISPATCHER_NAMES,
     FaultPlan,
     ResultCache,
     Scenario,
@@ -31,18 +31,12 @@ from repro.campaigns import (
     build_campaign,
     default_cache_dir,
     load_checkpoint,
-    make_dispatcher,
     measured_payload,
     run_campaign,
     run_scenario,
 )
 from repro.campaigns import runner as runner_module
 from repro.campaigns.cache import UNCACHEABLE_STATUS
-from repro.campaigns.dispatch import (
-    ProcessPoolDispatcher,
-    QueueDispatcher,
-    SerialDispatcher,
-)
 from repro.cli import main
 
 
@@ -437,6 +431,27 @@ class TestResultCache:
         assert swept["removed"] == 3 and swept["freed_bytes"] > 0
         assert cache.stats()["entries"] == 0
 
+    def test_temp_file_of_an_interrupted_put_is_not_an_entry(self, tmp_path):
+        # A writer killed between mkstemp and os.replace leaves its temp
+        # file in the shard directory.
+        cache = ResultCache(str(tmp_path))
+        for seed in range(2):
+            scn = scenario(seed=seed)
+            cache.put(scn, result_for(scn))
+        shard = os.path.dirname(cache._entry_paths()[0])
+        temp = os.path.join(shard, ".tmp-killed.json")
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write('{"half": ')
+        assert cache.stats()["entries"] == 2
+        assert cache.verify() == []
+        assert cache.gc(86400.0) == {"removed": 0, "kept": 2, "freed_bytes": 0}
+        assert os.path.exists(temp)
+        old = os.path.getmtime(temp) - 7200.0
+        os.utime(temp, (old, old))
+        swept = cache.gc(3600.0)
+        assert swept == {"removed": 0, "kept": 2, "freed_bytes": 9}
+        assert not os.path.exists(temp)
+
     def test_sharded_layout(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         scn = scenario()
@@ -456,57 +471,35 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# Dispatch backends.
+# The worker pool.
 # ----------------------------------------------------------------------
 
 
-class TestDispatch:
-    def test_make_dispatcher_names(self):
-        assert isinstance(make_dispatcher("serial"), SerialDispatcher)
-        assert isinstance(
-            make_dispatcher("shards", workers=2), ProcessPoolDispatcher
-        )
-        assert isinstance(make_dispatcher("queue", workers=2), QueueDispatcher)
-        with pytest.raises(ValueError, match="valid dispatchers"):
-            make_dispatcher("carrier-pigeon")
-
-    def test_shard_size_is_rejected_off_the_sharded_backend(self):
-        with pytest.raises(ValueError, match="shard_size"):
-            make_dispatcher("serial", shard_size=3)
-        with pytest.raises(ValueError, match="shard_size"):
-            make_dispatcher("queue", workers=2, shard_size=3)
-        assert make_dispatcher("shards", workers=2, shard_size=3).shard_size == 3
-
-    def test_invalid_workers_and_shard_size(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_dispatcher("shards", workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            make_dispatcher("queue", workers=0)
-        with pytest.raises(ValueError, match="shard_size"):
-            make_dispatcher("shards", workers=2, shard_size=0)
-
-    def test_shard_packing_covers_all_jobs(self):
-        dispatcher = ProcessPoolDispatcher(workers=3, shard_size=2)
-        jobs = [[f"job{i}"] for i in range(7)]
-        shards = dispatcher.make_shards(jobs)
-        assert [job for shard in shards for job in shard] == jobs
-        assert all(len(shard) <= 2 for shard in shards)
-
+class TestPool:
     def test_empty_job_list(self):
-        for name in DISPATCHER_NAMES:
-            dispatcher = make_dispatcher(name, workers=2)
-            assert list(dispatcher.dispatch([], lambda job: [job])) == []
+        assert run_campaign([], workers=1) == []
+        assert run_campaign([], workers=2) == []
 
-    @pytest.mark.parametrize("dispatch", ["shards", "queue"])
-    def test_backends_agree_with_serial(self, dispatch):
+    def test_pool_agrees_with_serial(self):
         scenarios = build_campaign("micro")[:6]
-        reference = run_campaign(scenarios, dispatch="serial")
-        other = run_campaign(scenarios, workers=2, dispatch=dispatch)
+        reference = run_campaign(scenarios, workers=1)
+        pooled = run_campaign(scenarios, workers=2)
         baseline = aggregate_results("micro", scenarios, reference, 0)
-        candidate = aggregate_results("micro", scenarios, other, 0)
+        candidate = aggregate_results("micro", scenarios, pooled, 0)
         assert json.dumps(baseline, sort_keys=True) == json.dumps(
             candidate, sort_keys=True
         )
+
+    @pytest.mark.parametrize(
+        "workers, dispatch", [(1, "queue"), (2, "serial"), (2, "shards")]
+    )
+    def test_dispatch_must_name_what_the_worker_count_implies(
+        self, workers, dispatch
+    ):
+        with pytest.raises(ValueError, match="valid values"):
+            run_campaign(
+                build_campaign("micro")[:1], workers=workers, dispatch=dispatch
+            )
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +576,7 @@ class TestRunnerCacheIntegration:
         assert stats == {"dispatch": "serial", "cache": None}
 
     def test_unknown_dispatch_name_fails_fast(self):
-        with pytest.raises(ValueError, match="valid dispatchers"):
+        with pytest.raises(ValueError, match="valid values"):
             run_campaign(build_campaign("micro")[:1], dispatch="bogus")
 
 
@@ -656,8 +649,8 @@ class TestCacheCLI:
         warm = self.run_micro(tmp_path, "--no-cache")
         assert warm["meta"]["cache"] is None
 
-    def test_dispatch_flag(self, tmp_path):
-        artifact = self.run_micro(tmp_path, "--dispatch", "queue", "--workers", "2")
+    def test_workers_flag_reports_the_pool(self, tmp_path):
+        artifact = self.run_micro(tmp_path, "--workers", "2")
         assert artifact["meta"]["dispatch"] == "queue"
 
     def test_cache_stats_verify_gc(self, tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Covers the declarative spec (validation, JSON round-trips), the
 registries (determinism, uniqueness, the smoke campaign's CI
-contract), the sharded runner (worker-count-independent bit-identical
+contract), the pooled runner (worker-count-independent bit-identical
 aggregates, JSONL checkpointing, kill-and-resume), the new scenario
 axes (dynamic-topology perturbations, heterogeneous-degree biological
 graphs), and the campaign CLI.
@@ -229,9 +229,9 @@ class TestRunner:
     def test_aggregates_identical_across_worker_counts(self):
         scenarios = build_campaign("smoke")[:14]
         serial = run_campaign(scenarios, workers=1)
-        sharded = run_campaign(scenarios, workers=2, shard_size=3)
+        pooled = run_campaign(scenarios, workers=2)
         a = aggregate_results("smoke", scenarios, serial, 0)
-        b = aggregate_results("smoke", scenarios, sharded, 0)
+        b = aggregate_results("smoke", scenarios, pooled, 0)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_checkpoint_resume_skips_completed_scenarios(self, tmp_path, monkeypatch):
@@ -295,9 +295,9 @@ class TestRunner:
 
         scenarios = build_campaign("byzantine")[:4]  # two engine pairs
         serial = run_campaign(scenarios, workers=1)
-        sharded = run_campaign(scenarios, workers=2, shard_size=1)
+        pooled = run_campaign(scenarios, workers=2)
         a = aggregate_results("byzantine", scenarios, serial, 0)
-        b = aggregate_results("byzantine", scenarios, sharded, 0)
+        b = aggregate_results("byzantine", scenarios, pooled, 0)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["failure_count"] == 0
         assert verify_engine_pairing(a["rows"]) == []
@@ -334,6 +334,28 @@ class TestRunner:
             handle.write('{"scenario_id": "half-written')  # killed mid-write
         assert len(load_checkpoint(checkpoint)) == 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_finished_job_is_checkpointed_before_progress(
+        self, tmp_path, workers
+    ):
+        # A kill between two progress calls loses at most the jobs in
+        # flight: every call finds exactly `done` rows on disk.
+        scenarios = build_campaign("micro")
+        checkpoint = str(tmp_path / "progress.jsonl")
+        seen = []
+
+        def progress(done, total):
+            with open(checkpoint, encoding="utf-8") as handle:
+                seen.append((done, sum(1 for _ in handle)))
+
+        run_campaign(
+            scenarios, workers=workers, checkpoint_path=checkpoint, progress=progress
+        )
+        assert [done for done, _ in seen] == sorted(done for done, _ in seen)
+        assert all(done == rows for done, rows in seen)
+        assert seen[-1][0] == len(scenarios)
+        assert len(seen) == len(runner_module._make_jobs(scenarios, batch=True))
+
     def test_fresh_run_invalidates_stale_checkpoint(self, tmp_path):
         scenarios = build_campaign("micro")[:2]
         checkpoint = str(tmp_path / "progress.jsonl")
@@ -342,7 +364,7 @@ class TestRunner:
         assert len(load_checkpoint(checkpoint)) == 2  # not appended twice
 
     def test_resume_after_kill_mid_write_is_bit_identical(self, tmp_path):
-        """Regression: a shard checkpoint killed mid-write leaves a
+        """Regression: a checkpoint killed mid-write leaves a
         truncated, newline-less tail; the resumed run used to append its
         first row onto that garbage, silently destroying both rows (so a
         later resume re-ran — and duplicated — the scenario).  The
@@ -356,7 +378,7 @@ class TestRunner:
         checkpoint = str(tmp_path / "progress.jsonl")
         run_campaign(scenarios[:3], workers=1, checkpoint_path=checkpoint)
         with open(checkpoint, "a", encoding="utf-8") as handle:
-            # killed mid-shard, mid-write: no trailing newline
+            # killed mid-job, mid-write: no trailing newline
             handle.write('{"scenario_id": "half", "index": 3, "stabilized"')
         resumed = run_campaign(
             scenarios, workers=1, checkpoint_path=checkpoint, resume=True
@@ -423,9 +445,9 @@ class TestRunner:
         # ...but deep stacks stay bounded.
         assert len(result.detail) < runner_module.TRACEBACK_LIMIT + 200
         serial = run_campaign(scenarios, workers=1)
-        sharded = run_campaign(scenarios, workers=2, shard_size=1)
+        pooled = run_campaign(scenarios, workers=2)
         a = aggregate_results("test", scenarios, serial, 0)
-        b = aggregate_results("test", scenarios, sharded, 0)
+        b = aggregate_results("test", scenarios, pooled, 0)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["failure_count"] == 3
 
@@ -610,7 +632,7 @@ class TestCampaignCLI:
 class TestReplicaBatching:
     """The replica-batched campaign path: seed ensembles fused into one
     ReplicaBatchExecution run with per-scenario results bit-identical to
-    solo and sharded execution."""
+    solo and pooled execution."""
 
     def test_smoke_ensemble_aggregates_identical_across_strategies(self):
         scenarios = [s for s in build_campaign("smoke") if s.batch_replicas > 1]
@@ -621,10 +643,10 @@ class TestReplicaBatching:
         assert {s.engine for s in scenarios} == {"replica-batch", "native"}
         batched = run_campaign(scenarios, workers=1)
         solo = run_campaign(scenarios, workers=1, batch=False)
-        sharded = run_campaign(scenarios, workers=2, shard_size=3)
+        pooled = run_campaign(scenarios, workers=2)
         a = aggregate_results("smoke", scenarios, batched, 0)
         b = aggregate_results("smoke", scenarios, solo, 0)
-        c = aggregate_results("smoke", scenarios, sharded, 0)
+        c = aggregate_results("smoke", scenarios, pooled, 0)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
         assert a["failure_count"] == 0

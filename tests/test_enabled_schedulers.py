@@ -51,7 +51,7 @@ class _Inert(Algorithm[int, int]):
         return int(rng.integers(3))
 
 
-def _au_execution(scheduler, engine="object", seed=0, n=9, track_enabled=False):
+def _au_execution(scheduler, engine="object", seed=0, n=9):
     algorithm = ThinUnison(2)
     topology = ring(n)
     initial = random_configuration(algorithm, topology, np.random.default_rng(seed))
@@ -62,7 +62,6 @@ def _au_execution(scheduler, engine="object", seed=0, n=9, track_enabled=False):
         scheduler,
         rng=np.random.default_rng(seed + 1),
         engine=engine,
-        track_enabled=track_enabled,
     )
 
 
@@ -148,17 +147,11 @@ class TestLocallyCentralScheduler:
 
 class TestQuiescenceTracking:
     @pytest.mark.parametrize("engine", ["object", "array"])
-    def test_step_records_carry_enabled_counts(self, engine):
-        scheduler = SynchronousScheduler()
-        execution = _au_execution(scheduler, engine=engine, seed=17, track_enabled=True)
+    def test_enabled_count_matches_the_enabled_set_after_every_step(self, engine):
+        execution = _au_execution(SynchronousScheduler(), engine=engine, seed=17)
         for _ in range(25):
-            record = execution.step()
-            assert record.enabled == execution.enabled_count()
-            assert record.enabled == len(execution.enabled_nodes())
-
-    def test_untracked_records_leave_enabled_none(self):
-        execution = _au_execution(SynchronousScheduler(), seed=17)
-        assert execution.step().enabled is None
+            execution.step()
+            assert execution.enabled_count() == len(execution.enabled_nodes())
 
     def test_masked_nodes_are_never_enabled(self):
         execution = _au_execution(SynchronousScheduler(), seed=19)

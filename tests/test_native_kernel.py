@@ -924,7 +924,6 @@ class TestCompiledRoundFallbacks:
         "monitor": {"monitors": (Monitor(),)},
         "intervention": {"intervention": lambda e: None},
         "mask": {"mask": (2,)},
-        "track-enabled": {"track_enabled": True},
         "enabled-aware": {"scheduler": EnabledOnlyScheduler},
         "predicate": {"until": "lambda"},
         "naive": {"incremental": False},

@@ -417,21 +417,6 @@ class TestNetExecutionContract:
         with pytest.raises(ModelError, match="enabled"):
             self._execution(scheduler=EnabledOnlyScheduler())
 
-    def test_track_enabled_is_rejected(self):
-        from repro.net import NetExecution
-
-        topology = ring(6)
-        algorithm = ThinUnison(3)
-        with pytest.raises(ModelError, match="track_enabled"):
-            NetExecution(
-                topology,
-                algorithm,
-                uniform_configuration(algorithm, topology),
-                SynchronousScheduler(),
-                rng=np.random.default_rng(0),
-                track_enabled=True,
-            )
-
     def test_goodness_matches_the_object_predicate(self):
         # Every turn at node 0 of a uniform ring, including a faulty
         # turn whose edges are all protected.
@@ -495,14 +480,11 @@ class TestNetExecutionContract:
             assert after[other][0] > before[u][other][0]
 
     @pytest.mark.timeout(60)
-    @pytest.mark.parametrize("slot", [1.0, 0.1])
-    def test_virtual_time_is_slot_times_steps(self, slot):
-        execution = self._execution(
-            slot=slot, link_config=LinkConfig(jitter=0.9), noise_seed=3
-        )
+    def test_virtual_time_counts_one_slot_per_step(self):
+        execution = self._execution(link_config=LinkConfig(jitter=0.9), noise_seed=3)
         for t in range(1, 41):
             execution.step()
-            assert execution.virtual_time == t * slot
+            assert execution.virtual_time == t
 
     @pytest.mark.timeout(60)
     def test_half_slot_delay_lands_exactly_at_the_next_slot(self):

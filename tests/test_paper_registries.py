@@ -123,10 +123,10 @@ class TestFaultRecovery:
 def test_aggregates_identical_at_one_and_two_workers(name):
     scenarios = [s for s in build_campaign(name) if s.tag("trial") == "0"]
     serial = aggregate_results(name, scenarios, run_campaign(scenarios), 0)
-    sharded = aggregate_results(
-        name, scenarios, run_campaign(scenarios, workers=2, shard_size=2), 0
+    pooled = aggregate_results(
+        name, scenarios, run_campaign(scenarios, workers=2), 0
     )
-    assert json.dumps(serial, sort_keys=True) == json.dumps(sharded, sort_keys=True)
+    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
 
 class TestStaticTaskPipeline:

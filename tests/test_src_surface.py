@@ -10,6 +10,12 @@ exactly (a patch target, say) does.
 The one exception is a paper oracle that the tests use as an
 independent reference.  It goes into ``ALLOWED`` with a one-line
 reason, keyed by its qualified name.
+
+The same callers must also set every defaulted parameter of a public
+function or method: an option no non-test caller sets is a constant.
+A src function that only forwards its own parameter of the same name
+counts when its own parameter is set.  Paper parameters and knobs
+only tests turn go into ``OPTIONS_ALLOWED`` with a one-line reason.
 """
 
 from __future__ import annotations
@@ -161,3 +167,226 @@ def test_allow_list_names_only_uncalled_definitions():
 def test_no_src_module_is_an_island():
     _, islands = _scan()
     assert not islands, f"modules only tests reach: {islands}"
+
+
+# ----------------------------------------------------------------------
+# Options: every defaulted parameter is set by a non-test caller.
+# ----------------------------------------------------------------------
+
+#: Defaulted parameters no caller in ``src/``, ``benchmarks/``,
+#: ``examples/`` or ``perfbench/`` sets, keyed ``module.qualname:param``.
+OPTIONS_ALLOWED = {
+    "repro.cli.main:argv": "the entry point reads sys.argv; tests pass argv",
+    "repro.core.algau_native.NativeKernel.__init__:backend": (
+        "tests bind the un-jitted python lane as the reference"
+    ),
+    "repro.core.clock.CyclicClock.minus:j": "the group inverse of plus(value, j)",
+    "repro.core.levels.LevelSystem.__init__:k": (
+        "the paper's k; tests check a non-default level count"
+    ),
+    "repro.core.levels.LevelSystem.backward:j": (
+        "φ^{-j}, the inverse of forward(level, j)"
+    ),
+    "repro.faults.injection.perturb_topology:max_attempts": (
+        "retry budget of a rejection sampler"
+    ),
+    "repro.graphs.biological.quorum_colony:max_attempts": (
+        "retry budget of a rejection sampler"
+    ),
+    "repro.graphs.biological.cell_tissue:contact_radius": (
+        "tests drive the too-small-radius error"
+    ),
+    "repro.graphs.generators.damaged_clique:max_attempts": (
+        "retry budget of a rejection sampler; tests exhaust it"
+    ),
+    "repro.graphs.generators.random_connected:max_attempts": (
+        "retry budget of a rejection sampler"
+    ),
+    "repro.graphs.generators.random_regular:max_attempts": (
+        "retry budget of a rejection sampler"
+    ),
+    "repro.model.scheduler.RoundRobinScheduler.__init__:order": (
+        "tests pin an explicit round order"
+    ),
+    "repro.model.scheduler.ExplicitScheduler.__init__:repeat": (
+        "the adversarial scheduler as an explicit activation sequence"
+    ),
+    "repro.resilience.strategies.FrozenClock.__init__:level": (
+        "tests freeze the fault on a chosen level"
+    ),
+    "repro.resilience.strategies.RandomClock.__init__:period": (
+        "tests validate the period and run it off its default"
+    ),
+    "repro.resilience.strategies.Oscillating.__init__:period": (
+        "tests run the strategy off its default period"
+    ),
+    "repro.resilience.strategies.Noisy.__init__:p": "tests validate the probability",
+    "repro.tasks.le.AlgLE.__init__:p0": "the paper's coin bias p0 (Sec. 3.2)",
+    "repro.tasks.le.AlgLE.__init__:k_id": "the paper's identifier range k (Sec. 3.2)",
+    "repro.tasks.mis.AlgMIS.__init__:p0": "the paper's coin bias p0 (Sec. 3.1)",
+    "repro.tasks.mis.AlgMIS.__init__:k_id": "the paper's identifier range k (Sec. 3.1)",
+}
+
+
+def _signature(node: ast.AST, method: bool):
+    """``(positional names, defaulted names)`` of a def; ``self`` or
+    ``cls`` is dropped from a method's positional names."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults) :]
+    defaulted += [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list
+    )
+    if method and not static:
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def _callee_key(func: ast.AST, bases):
+    """The name a call reaches: a function's or method's name, a class
+    name for a constructor, the first base for ``super().__init__``."""
+    if isinstance(func, ast.Attribute):
+        value = func.value
+        if (
+            func.attr == "__init__"
+            and isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id == "super"
+        ):
+            return bases[0] if bases else None
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _unset_options():
+    """Qualified ``module.qualname:param`` of every defaulted parameter
+    of a public ``src/repro`` function or method that no non-test
+    caller sets."""
+    public = []  # (qualified name, callee key, parameter)
+    positional = {}  # callee key -> positional-name lists of its defs
+    for path in sorted(SRC.rglob("*.py")):
+        tree = _parse(path)
+        module = _module_name(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        key = node.name if sub.name == "__init__" else sub.name
+                        positional.setdefault(key, []).append(
+                            _signature(sub, method=True)[0]
+                        )
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional.setdefault(node.name, []).append(
+                    _signature(node, method=False)[0]
+                )
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    for param in _signature(node, method=False)[1]:
+                        qualified = f"{module}.{node.name}:{param}"
+                        public.append((qualified, node.name, param))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for sub in node.body:
+                    if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    if sub.name.startswith("_") and sub.name != "__init__":
+                        continue
+                    key = node.name if sub.name == "__init__" else sub.name
+                    for param in _signature(sub, method=True)[1]:
+                        public.append(
+                            (f"{module}.{node.name}.{sub.name}:{param}", key, param)
+                        )
+
+    known = set(positional)
+    set_directly = set()  # (callee key, param)
+    forwards = {}  # (enclosing key, param) -> {(callee key, param)}
+    kwargs_forwards = {}  # enclosing key -> {callee key}
+    wild = set()  # (enclosing key, param) forwarded into an unknown name
+
+    def visit(node, enclosing, params, kwarg, bases, cls, in_src):
+        if isinstance(node, ast.ClassDef):
+            bases = [_callee_key(b, ()) for b in node.bases]
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            kwarg = args.kwarg.arg if args.kwarg else None
+            enclosing = cls if node.name == "__init__" and cls else node.name
+        elif isinstance(node, ast.Call):
+            key = _callee_key(node.func, bases)
+            args = node.args
+            if key == "partial" and args:
+                key, args = _callee_key(args[0], bases), args[1:]
+            if key is not None:
+                passed = [(k.arg, k.value) for k in node.keywords if k.arg]
+                for names in positional.get(key, ()):
+                    for name, value in zip(names, args):
+                        if isinstance(value, ast.Starred):
+                            break
+                        passed.append((name, value))
+                for param, value in passed:
+                    forwarded = (
+                        in_src
+                        and isinstance(value, ast.Name)
+                        and value.id == param
+                        and param in params
+                    )
+                    if not forwarded:
+                        if key in known:
+                            set_directly.add((key, param))
+                    elif key in known:
+                        forwards.setdefault((enclosing, param), set()).add((key, param))
+                    elif isinstance(node.func, ast.Name):
+                        wild.add((enclosing, param))
+                for k in node.keywords:
+                    unpacked = k.value.id if isinstance(k.value, ast.Name) else None
+                    if k.arg is None and kwarg and unpacked == kwarg:
+                        kwargs_forwards.setdefault(enclosing, set()).add(key)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, params, kwarg, bases, cls, in_src)
+
+    for path in SRC.rglob("*.py"):
+        visit(_parse(path), None, set(), None, (), None, True)
+    for tree_name in CALLER_TREES:
+        for path in (ROOT / tree_name).rglob("*.py"):
+            visit(_parse(path), None, set(), None, (), None, False)
+
+    is_set = set(set_directly)
+    wild_params = set()
+    grown = True
+    while grown:
+        grown = False
+        for (enclosing, param) in list(is_set):
+            reached = set(forwards.get((enclosing, param), ()))
+            reached |= {(key, param) for key in kwargs_forwards.get(enclosing, ())}
+            if (enclosing, param) in wild and param not in wild_params:
+                wild_params.add(param)
+                grown = True
+            for target in reached - is_set:
+                is_set.add(target)
+                grown = True
+    return tuple(
+        qualified
+        for qualified, key, param in public
+        if (key, param) not in is_set and param not in wild_params
+    )
+
+
+def test_every_defaulted_parameter_has_a_non_test_caller():
+    unset = sorted(set(_unset_options()) - set(OPTIONS_ALLOWED))
+    assert not unset, (
+        "defaulted parameters no non-test caller sets (make them constants, "
+        f"or allow-list one with its reason): {unset}"
+    )
+
+
+def test_options_allow_list_names_only_unset_parameters():
+    stale = sorted(set(OPTIONS_ALLOWED) - set(_unset_options()))
+    assert not stale, f"allow-listed parameters that are gone or now set: {stale}"
