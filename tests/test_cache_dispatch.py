@@ -475,15 +475,22 @@ class TestResultCache:
 # ----------------------------------------------------------------------
 
 
-class TestPool:
+class TestDispatch:
     def test_empty_job_list(self):
         assert run_campaign([], workers=1) == []
         assert run_campaign([], workers=2) == []
 
-    def test_pool_agrees_with_serial(self):
+    @pytest.mark.parametrize(
+        "dispatch", [pytest.param(None, id="implied"), "queue"]
+    )
+    def test_backends_agree_with_serial(self, dispatch):
+        # The pool is the one backend above one worker; naming it or
+        # leaving it implied runs the same pool and reports its name.
         scenarios = build_campaign("micro")[:6]
         reference = run_campaign(scenarios, workers=1)
-        pooled = run_campaign(scenarios, workers=2)
+        stats = {}
+        pooled = run_campaign(scenarios, workers=2, dispatch=dispatch, stats=stats)
+        assert stats["dispatch"] == "queue"
         baseline = aggregate_results("micro", scenarios, reference, 0)
         candidate = aggregate_results("micro", scenarios, pooled, 0)
         assert json.dumps(baseline, sort_keys=True) == json.dumps(

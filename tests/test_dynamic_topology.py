@@ -36,7 +36,7 @@ from repro.campaigns.aggregate import MEASURED_COLUMNS, measured_payload
 from repro.campaigns.registry import registry_names
 from repro.core.algau import ThinUnison
 from repro.core.turns import Turn
-from repro.faults.churn import ChurnProcess
+from repro.faults.churn import JOIN_DEGREE, ChurnProcess
 from repro.faults.injection import (
     carry_configuration,
     perturb_topology,
@@ -313,6 +313,55 @@ class TestChurnProcess:
                 dyn.apply_delta(delta)
         assert churn.edge_count == dyn.m
         assert churn.alive_count == len(dyn.alive_nodes)
+
+    def test_leaves_and_removals_never_disconnect_the_alive_part(self):
+        # A removal- and leave-heavy stream on a ring: nearly every
+        # candidate would cut the graph, so only the connectivity check
+        # keeps it whole, and it must hold after every delta.
+        algorithm = ThinUnison(2)
+        churn = ChurnProcess(
+            ring(12),
+            seed=5,
+            edge_add_rate=0.3,
+            edge_remove_rate=2.0,
+            join_rate=0.3,
+            leave_rate=1.0,
+            initial_state=algorithm.initial_state,
+        )
+        dyn = DynamicTopology(ring(12))
+        removals = 0
+        for delta in churn.deltas(80):
+            if delta is None:
+                continue
+            dyn.apply_delta(delta)
+            removals += len(delta.remove_edges) + len(delta.leave)
+            assert dyn.is_connected()
+        assert removals > 0
+        assert churn.skipped_events > 0
+
+    def test_joins_attach_to_join_degree_alive_nodes(self):
+        algorithm = ThinUnison(2)
+        topology = make_graph("hub-colony", np.random.default_rng(4), n=16)
+        churn = ChurnProcess(
+            topology,
+            seed=9,
+            join_rate=1.0,
+            leave_rate=0.5,
+            initial_state=algorithm.initial_state,
+        )
+        dyn = DynamicTopology(topology)
+        joins = 0
+        for delta in churn.deltas(40):
+            if delta is None:
+                continue
+            alive = set(dyn.alive_nodes)
+            for _, hood, state in delta.join:
+                assert len(hood) == len(set(hood)) == JOIN_DEGREE
+                assert set(hood) <= alive
+                assert state == algorithm.initial_state()
+                joins += 1
+            dyn.apply_delta(delta)
+        assert joins > 0
 
     def test_parameter_validation(self):
         topology = ring(5)

@@ -146,7 +146,7 @@ class TestLocallyCentralScheduler:
 
 
 class TestQuiescenceTracking:
-    @pytest.mark.parametrize("engine", ["object", "array"])
+    @pytest.mark.parametrize("engine", ["object", "array", "native"])
     def test_enabled_count_matches_the_enabled_set_after_every_step(self, engine):
         execution = _au_execution(SynchronousScheduler(), engine=engine, seed=17)
         for _ in range(25):
