@@ -21,9 +21,11 @@ Codes are ``value + alpha``: tail codes ``0 .. alpha-1`` (deepest
 first), ring codes ``alpha .. alpha+K-1``, so the climb — including the
 climb-out from ``-1`` to ring value 0 — is literally ``code + 1``.
 
-Unlike the AlgAU kernel this one carries no goodness-count machinery
-(``pair_deltas`` / ``goodness_counts``): the campaign runner measures
-reset-tail stabilization through the configuration predicate
+Unlike the AlgAU kernel this one carries no pair table
+(``pair_unprotected`` / ``goodness_counts``), so the lanes'
+:class:`~repro.model.goodness.GoodnessLedger` never counts it: the
+campaign runner measures reset-tail stabilization through the
+configuration predicate
 :func:`~repro.baselines.reset_tail_unison.reset_tail_stable`, and
 :meth:`ArrayExecution.graph_is_good` falls back to the object-model
 predicate when a kernel lacks goodness support.

@@ -25,9 +25,6 @@ Shipped registries:
   families (including heterogeneous-degree biological graphs), both
   engines, schedulers, the full adversarial-start suite, and every
   fault kind (bursts, storms, dynamic-topology rewires);
-* ``dynamic`` — dynamic-topology focus: rewire and storm sweeps;
-* ``bio`` — biological topologies (quorum colonies, tissues,
-  proneural clusters, signaling-hub colonies);
 * ``full`` — the nightly-scale cross product over families ×
   schedulers × starts;
 * ``enabled-daemons`` — the enabled-aware daemon axes
@@ -459,74 +456,6 @@ def _smoke(builder: CampaignBuilder) -> None:
         start="random",
         max_rounds=80_000,
         group="mis@damaged-clique",
-    )
-
-
-@campaign("dynamic", "dynamic-topology focus: rewire and storm sweeps")
-def _dynamic(builder: CampaignBuilder) -> None:
-    graphs: Tuple[GraphSpec, ...] = (
-        (
-            "damaged-clique",
-            (("n", 12), ("diameter_bound", 2), ("damage", 0.4)),
-            2,
-        ),
-        ("quorum-colony", (("n", 12), ("diameter_bound", 2)), 2),
-        ("hub-colony", (("n", 12), ("hubs", 2)), 2),
-    )
-    for graph, params, d in graphs:
-        for remove, add in ((1, 1), (2, 2), (3, 1)):
-            for trial in range(3):
-                builder.add_au(
-                    graph,
-                    params,
-                    d,
-                    faults=FaultPlan(kind="rewire", remove=remove, add=add),
-                    group=f"rewire(-{remove}+{add})@{graph}",
-                    tags=(("trial", str(trial)),),
-                )
-        for fraction in (0.25, 0.5):
-            builder.add_au(
-                graph,
-                params,
-                d,
-                faults=FaultPlan(kind="storm", times=(4, 30, 60), fraction=fraction),
-                group=f"storm@{graph}",
-            )
-
-
-@campaign("bio", "biological topologies: clocks, tissues, SOP selection")
-def _bio(builder: CampaignBuilder) -> None:
-    for graph, params, d in BIO_GRAPHS:
-        for start in AU_STARTS:
-            builder.add_au(graph, params, d, start=start, group=f"au@{graph}")
-        builder.add_au(
-            graph,
-            params,
-            d,
-            faults=FaultPlan(kind="bursts", bursts=2, fraction=0.3),
-            group=f"au-bursts@{graph}",
-        )
-    builder.add(
-        "mis",
-        "proneural",
-        (("width", 4), ("height", 3)),
-        2,
-        scheduler="synchronous",
-        engine="object",
-        start="random",
-        max_rounds=80_000,
-        group="mis@proneural",
-    )
-    builder.add(
-        "le",
-        "quorum-colony",
-        (("n", 10), ("diameter_bound", 2)),
-        2,
-        scheduler="synchronous",
-        engine="object",
-        start="random",
-        max_rounds=40_000,
-        group="le@quorum-colony",
     )
 
 

@@ -284,7 +284,7 @@ def _goodness_counts_impl(codes, indptr, indices, is_faulty, pair_bad):
         if is_faulty[cv]:
             faulty += 1
         for e in range(indptr[v], indptr[v + 1]):
-            bad += pair_bad[cv, codes[indices[e]]]
+            bad += int(pair_bad[cv, codes[indices[e]]])
     return faulty, bad
 
 
@@ -304,9 +304,9 @@ def _fold_pairs_impl(
             u = indices[e]
             cu = codes[u]
             if in_diff[u]:
-                delta += pair_bad[cn, new_code_of[u]] - pair_bad[co, cu]
+                delta += int(pair_bad[cn, new_code_of[u]]) - int(pair_bad[co, cu])
             else:
-                delta += 2 * (pair_bad[cn, cu] - pair_bad[co, cu])
+                delta += 2 * (int(pair_bad[cn, cu]) - int(pair_bad[co, cu]))
         total += delta
     for i in range(diff.shape[0]):
         in_diff[diff[i]] = 0
@@ -338,9 +338,9 @@ def _fold_pairs_owner_impl(
             u = indices[e]
             cu = codes[u]
             if in_diff[u]:
-                delta += pair_bad[cn, new_code_of[u]] - pair_bad[co, cu]
+                delta += int(pair_bad[cn, new_code_of[u]]) - int(pair_bad[co, cu])
             else:
-                delta += 2 * (pair_bad[cn, cu] - pair_bad[co, cu])
+                delta += 2 * (int(pair_bad[cn, cu]) - int(pair_bad[co, cu]))
         bad_out[owner[v]] += delta
     for i in range(diff.shape[0]):
         in_diff[diff[i]] = 0

@@ -18,9 +18,9 @@ neighborhood.  Tiny activation sets (round-robin and friends)
 additionally take a scalar fast path (:meth:`CodeKernel.delta_one`)
 that bypasses numpy dispatch entirely, which is what makes sparse
 schedules scale with *activity* instead of ``n``.  The engine also
-keeps incremental goodness counts (faulty nodes + unprotected ordered
-pairs), so the AlgAU stabilization predicate answers in O(changes)
-amortized instead of rescanning the configuration, and
+folds every change into a :class:`~repro.model.goodness.GoodnessLedger`,
+so the AlgAU stabilization predicate answers in O(changes) amortized
+instead of rescanning the configuration, and
 ``run(until=graph_is_good)`` hands each round of a round-order daemon
 to one sequence-kernel call (:meth:`VectorKernel.run_sequence`).
 ``incremental=False`` restores the naive full-recompute reference
@@ -65,6 +65,7 @@ from repro.model.configuration import Configuration
 from repro.model.engine import Changes, ExecutionBase, Intervention, Monitor
 from repro.model.engine import RunResult, graph_is_good
 from repro.model.errors import ModelError
+from repro.model.goodness import GoodnessLedger
 from repro.model.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids
@@ -104,6 +105,9 @@ class ArrayExecution(ExecutionBase["Turn"]):
     #: evaluates δ scalar-by-scalar (no numpy dispatch at all) — the
     #: round-robin/rotating regime.
     SCALAR_ACTIVATION_MAX = 4
+
+    #: The native tier's compiled kernel (``None``: numpy kernels only).
+    _native = None
 
     def __init__(
         self,
@@ -149,9 +153,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         self._pending = self._codes.copy()
         self._enabled_mask = np.zeros(n, dtype=bool)
         self._enabled_count = 0
-        self._goodness: Optional[Tuple[int, int]] = None
-        self._in_diff = np.zeros(n, dtype=bool)  # scratch for goodness
-        self._new_code_of = np.zeros(n, dtype=np.int64)  # scratch
+        self._ledger = GoodnessLedger(self._native or self._kernel)  # counted lazily
 
     @property
     def configuration(self) -> Configuration:
@@ -187,8 +189,8 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
         Only the moved lanes are written and only their neighborhoods
         re-dirtied.  Up to :attr:`SCALAR_ACTIVATION_MAX` moved lanes take
-        the scalar goodness fold and per-row re-dirtying of
-        :meth:`_apply_scalar`; more take the vectorized fold and gather.
+        the per-move goodness fold and per-row re-dirtying of
+        :meth:`_write_scalar`; more take the vectorized fold and gather.
         """
         current = self._codes
         n = len(current)
@@ -209,12 +211,11 @@ class ArrayExecution(ExecutionBase["Turn"]):
             return
         self._state_epoch += 1
         if len(moved) <= self.SCALAR_ACTIVATION_MAX:
-            self._update_goodness_scalar(moved, old_codes, new_codes)
             self._write_scalar(moved, new_codes)
             return
         moved_rows = np.array(moved, dtype=np.int64)
-        new_diff = np.array(new_codes, dtype=np.int64)
-        self._update_goodness(moved_rows, np.array(old_codes, dtype=np.int64), new_diff)
+        old_diff, new_diff = np.array([old_codes, new_codes], dtype=np.int64)
+        self._ledger.fold(current, self._csr, moved_rows, old_diff, new_diff)
         current[moved_rows] = new_diff
         self._config_cache = None
         self._mark_dirty_rows(moved_rows)
@@ -374,16 +375,17 @@ class ArrayExecution(ExecutionBase["Turn"]):
             steps += applied
             if applied < len(order):
                 scheduler.hand_back(order[applied:])
-            if self._goodness == (0, 0):
+            if self._ledger.good:
                 return RunResult(steps, rounds.completed_rounds, True, "predicate")
 
     def _run_sequence(self, order: np.ndarray) -> int:
         """Apply ``order`` through the :meth:`_sequence` seam and fold
         its effect into the engine: goodness counts, moves, and one
         wholesale invalidation of the pending cache."""
-        counts = np.array([*self._goodness, 0], dtype=np.int64)
+        ledger = self._ledger
+        counts = np.array([*ledger.counts, 0], dtype=np.int64)
         applied = self._sequence(self._codes, self._csr, order, counts)
-        self._goodness = (int(counts[0]), int(counts[1]))
+        ledger.counts = (int(counts[0]), int(counts[1]))
         if counts[2]:
             self._moves += int(counts[2])
             self._config_cache = None
@@ -398,10 +400,10 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
     def _commit(self, diff: np.ndarray, new_diff: np.ndarray) -> Changes:
         """Apply the moved lanes: capture the change record (decoded
-        only if read), fold the goodness counts (which must read
-        pre-write codes), then write in place and drop the
-        decoded-configuration cache.  Callers handle their own
-        dirty-set bookkeeping."""
+        only if read), fold them into the goodness ledger (up to
+        :attr:`SCALAR_ACTIVATION_MAX` move by move), write them in place
+        and drop the decoded-configuration cache.  Callers handle their
+        own dirty-set bookkeeping."""
         codes = self._codes
         old_diff = codes[diff]
         if self._record_changes:
@@ -409,8 +411,11 @@ class ArrayExecution(ExecutionBase["Turn"]):
             changed = partial(_decode_changes, table, diff, old_diff, new_diff)
         else:
             changed = ()
-        self._update_goodness(diff, old_diff, new_diff)
-        codes[diff] = new_diff
+        if diff.size <= self.SCALAR_ACTIVATION_MAX:
+            self._write_moves(diff.tolist(), new_diff.tolist())
+        else:
+            self._ledger.fold(codes, self._csr, diff, old_diff, new_diff)
+            codes[diff] = new_diff
         self._moves += diff.size
         self._config_cache = None
         return changed
@@ -489,21 +494,30 @@ class ArrayExecution(ExecutionBase["Turn"]):
             changed = partial(_decode_changes, table, moved, old_codes, new_codes)
         else:
             changed = ()
-        self._update_goodness_scalar(moved, old_codes, new_codes)
         self._moves += len(moved)
         self._write_scalar(moved, new_codes)
         return changed
 
-    def _write_scalar(self, moved, new_codes) -> None:
-        """Write a few moved lanes one by one and re-dirty each one's
-        CSR neighborhood (the scalar counterpart of a vectorized write
-        plus :meth:`_mark_dirty_rows`)."""
+    def _write_moves(self, moved, new_codes) -> None:
+        """Write a few moved lanes one by one, folding each move into
+        the goodness ledger (while it counts) just before its write."""
         codes = self._codes
+        ledger = self._ledger
+        hoods = None if ledger.counts is None else self._csr.neighbor_lists()
+        for v, code in zip(moved, new_codes):
+            if hoods is not None:
+                neighbors = (codes.item(u) for u in hoods[v] if u != v)
+                ledger.move(codes.item(v), code, neighbors)
+            codes[v] = code
+
+    def _write_scalar(self, moved, new_codes) -> None:
+        """:meth:`_write_moves`, then re-dirty each one's CSR neighborhood
+        (the scalar counterpart of :meth:`_mark_dirty_rows`)."""
+        self._write_moves(moved, new_codes)
         dirty = self._dirty
         enabled_mask = self._enabled_mask
         neighborhood = self._csr.neighborhood
-        for v, code in zip(moved, new_codes):
-            codes[v] = code
+        for v in moved:
             hood = neighborhood(v)
             newly = hood[~dirty[hood]]
             if newly.size:
@@ -550,10 +564,9 @@ class ArrayExecution(ExecutionBase["Turn"]):
             self._enabled_mask = np.concatenate(
                 [self._enabled_mask, np.zeros(grow, dtype=bool)]
             )
-            self._in_diff = np.zeros(n, dtype=bool)
-            self._new_code_of = np.zeros(n, dtype=np.int64)
         encode = self._encoding.encode
         codes = self._codes
+        left_codes = [codes.item(v) for v in applied.left]
         if applied.left:
             rest = encode(self.algorithm.initial_state())
             for v in applied.left:
@@ -563,6 +576,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
             code = encode(state)
             codes[v] = code
             self._pending[v] = code
+        self._ledger.fold_delta(applied, codes.item, left_codes)
         # Fold the delta into the dirty set: exactly the rows whose
         # inclusive neighborhood (or state) changed — no wholesale
         # invalidation.
@@ -575,7 +589,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
             self._dirty_exact_rows(
                 np.fromiter(affected, dtype=np.int64, count=len(affected))
             )
-        self._goodness = None  # lazily recounted on the mutated graph
         self._config_cache = None
         return applied
 
@@ -665,76 +678,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
         return self._apply_dense(rows)
 
     # ------------------------------------------------------------------
-    # Incremental AlgAU goodness accounting.
-    # ------------------------------------------------------------------
-
-    def _update_goodness(
-        self, diff: np.ndarray, old_diff: np.ndarray, new_diff: np.ndarray
-    ) -> None:
-        """Fold one change set into the cached ``(faulty nodes,
-        unprotected ordered pairs)`` counts — O(deg(diff)) instead of a
-        full rescan.  Must run *before* the codes are written (the
-        neighbor gather reads pre-step codes)."""
-        if self._goodness is None:
-            return
-        if 4 * diff.size >= len(self._codes):
-            # Dense change set: a lazy full recount (one vectorized
-            # O(n + m) pass on the next query) beats per-pair deltas.
-            self._goodness = None
-            return
-        k2 = self._kernel.num_clocks
-        n_faulty, bad = self._goodness
-        n_faulty += int((new_diff >= k2).sum()) - int((old_diff >= k2).sum())
-        bad += self._pair_fold(diff, old_diff, new_diff)
-        self._goodness = (n_faulty, bad)
-
-    def _pair_fold(
-        self, diff: np.ndarray, old_diff: np.ndarray, new_diff: np.ndarray
-    ) -> int:
-        """The folded unprotected-pair delta of one change set: ordered
-        pairs whose row moved, plus the symmetric reverses of pairs
-        whose column did not move (protection is symmetric; the self
-        pair row==col is trivially protected and contributes 0).  Reads
-        pre-write codes; the native tier overrides it with a compiled
-        fold."""
-        _, _, delta, col_changed = self._kernel.pair_deltas(
-            self._codes,
-            self._csr,
-            diff,
-            old_diff,
-            new_diff,
-            self._in_diff,
-            self._new_code_of,
-        )
-        return int(delta.sum()) + int(delta[~col_changed].sum())
-
-    def _update_goodness_scalar(self, moved, old_codes, new_codes) -> None:
-        if self._goodness is None:
-            return
-        kernel = self._kernel
-        pair_bad = kernel.pair_bad_rows()
-        k2 = kernel.num_clocks
-        n_faulty, bad = self._goodness
-        codes = self._codes  # pre-step codes (called before the writes)
-        new_of = dict(zip(moved, new_codes))
-        hoods = self._csr.neighbor_lists()
-        for v, old, new in zip(moved, old_codes, new_codes):
-            n_faulty += int(new >= k2) - int(old >= k2)
-            bad_new_row = pair_bad[new]
-            bad_old_row = pair_bad[old]
-            for u in hoods[v]:
-                if u == v:
-                    continue
-                u_old = int(codes[u])
-                u_new = new_of.get(u)
-                if u_new is None:
-                    delta = 2 * (bad_new_row[u_old] - bad_old_row[u_old])
-                else:
-                    delta = bad_new_row[u_new] - bad_old_row[u_old]
-                bad += delta
-        self._goodness = (n_faulty, bad)
-
-    # ------------------------------------------------------------------
     # Vectorized analysis fast paths.
     # ------------------------------------------------------------------
 
@@ -742,7 +685,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         """Vectorized stabilization predicate: equivalent to
         ``is_good_graph(algorithm, execution.configuration)`` without
         decoding the configuration — and, on the incremental pipeline,
-        answered from maintained counts in O(1) amortized."""
+        answered from the goodness ledger in O(1) amortized."""
         if not hasattr(self._kernel, "goodness_counts"):
             # Non-AlgAU kernels (e.g. the reset-tail lane) carry no
             # goodness machinery; defer to the base, whose clear
@@ -750,12 +693,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
             return super().graph_is_good()
         if not self.incremental:
             return self._kernel.is_good(self._codes, self._csr)
-        if self._goodness is None:
-            self._goodness = self._goodness_counts(self._codes, self._csr)
-        return self._goodness == (0, 0)
-
-    def _goodness_counts(self, codes: np.ndarray, csr) -> Tuple[int, int]:
-        """The full ``(faulty nodes, unprotected ordered pairs)`` scan
-        that seeds the incremental accounting — the native tier
-        overrides it with a compiled O(n + m) walk."""
-        return self._kernel.goodness_counts(codes, csr)
+        ledger = self._ledger
+        if ledger.counts is None:
+            ledger.recount(self._codes, self._csr)
+        return ledger.good

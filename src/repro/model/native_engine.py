@@ -1,21 +1,18 @@
 """The compiled-kernel execution tier (``engine="native"``).
 
 :class:`NativeExecution` is :class:`~repro.model.array_engine.ArrayExecution`
-with its five kernel seams rerouted to the compiled CSR-walking kernels
-of :mod:`repro.core.algau_native`:
+with its kernel seams rerouted to the compiled CSR-walking kernels of
+:mod:`repro.core.algau_native`:
 
 * :meth:`~repro.model.array_engine.ArrayExecution._evaluate` — batched δ
   as one compiled walk over the active lanes' neighborhoods, testing
   each sensed clock inline (no signal words, no numpy passes);
-* :meth:`~repro.model.array_engine.ArrayExecution._pair_fold` and
-  :meth:`~repro.model.replica_engine.ReplicaBatchExecution._fold_pair_counts`
-  — the incremental goodness folds of the engine and of the ensemble
-  runner;
-* :meth:`~repro.model.array_engine.ArrayExecution._goodness_counts` —
-  the full-scan seed;
 * :meth:`~repro.model.array_engine.ArrayExecution._sequence` — a
   round-order daemon's activations applied in turn, stopping on the
-  first good configuration (the array tier's whole-round runs).
+  first good configuration (the array tier's whole-round runs);
+* ``_native`` — the compiled kernel that the engine's
+  :class:`~repro.model.goodness.GoodnessLedger` binds, so its recount
+  and change-set fold are compiled walks.
 
 Everything else — the dirty-set pipeline, the ``run`` drivers,
 schedulers, monitors, masks, pokes, the enabled view — is inherited
@@ -24,7 +21,7 @@ differential suite checks this across graph × scheduler × fault
 combinations).  :class:`NativeReplicaBatchExecution` applies the same
 reroute to the block-diagonal CSR of the replica-batched ensemble
 runner, so Monte Carlo campaigns ride the compiled tier through the
-same seams.
+same seams (its goodness recount and per-replica fold included).
 
 Backend availability is resolved once per process by
 :func:`repro.core.algau_native.native_backend` (numba if installed,
@@ -37,6 +34,7 @@ runs included, on the list kernel).
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -49,34 +47,18 @@ class _NativeKernelMixin:
     """Reroutes the array-tier kernel seams to a :class:`NativeKernel`.
 
     Must precede the engine (or ensemble runner) base class in the MRO;
-    the base ``__init__`` builds the numpy :class:`VectorKernel` first
-    (its lookup tables are the source the native tables are extracted
-    from), then this mixin wraps it.
+    ``_native`` wraps the base's numpy :class:`VectorKernel` on first use.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._native = NativeKernel(self._kernel)
+    @cached_property
+    def _native(self) -> NativeKernel:
+        return NativeKernel(self._kernel)
 
     def _evaluate(self, codes, rows, csr) -> np.ndarray:
         return self._native.delta_rows(codes, csr, rows)
 
-    def _goodness_counts(self, codes, csr):
-        return self._native.goodness_counts(codes, csr)
-
     def _sequence(self, codes, csr, order, counts) -> int:
         return self._native.run_sequence(codes, csr, order, counts)
-
-    def _pair_fold(self, diff, old_diff, new_diff) -> int:
-        return self._native.fold_pair_delta(
-            self._codes,
-            self._csr,
-            diff,
-            old_diff,
-            new_diff,
-            self._in_diff,
-            self._new_code_of,
-        )
 
 
 class NativeExecution(_NativeKernelMixin, ArrayExecution):
@@ -85,6 +67,9 @@ class NativeExecution(_NativeKernelMixin, ArrayExecution):
 
 class NativeReplicaBatchExecution(_NativeKernelMixin, ReplicaBatchExecution):
     """The replica-batched ensemble runner on compiled kernels."""
+
+    def _goodness_counts(self, codes, csr):
+        return self._native.goodness_counts(codes, csr)
 
     def _fold_pair_counts(self, diff, old_diff, new_diff, owner) -> None:
         # The compiled fold scatters by the per-node owner table

@@ -195,8 +195,7 @@ class ReplicaBatchExecution:
         self._kernel = algorithm.vector_kernel()
 
     # ------------------------------------------------------------------
-    # Kernel seams (shared with the array tier; the native mixin
-    # reroutes both).
+    # Kernel seams (the native tier reroutes both).
     # ------------------------------------------------------------------
 
     def _evaluate(self, codes, rows, csr) -> np.ndarray:
@@ -470,7 +469,7 @@ class ReplicaBatchExecution:
     ) -> np.ndarray:
         """Fold one fused change set into the per-replica ``(faulty,
         unprotected-pairs)`` count vectors — the replica-indexed variant
-        of :meth:`ArrayExecution._update_goodness` (replica blocks are
+        of :meth:`~repro.model.goodness.GoodnessLedger.fold` (replica blocks are
         disjoint in the block CSR, so one shared
         :meth:`~repro.core.algau_vec.VectorKernel.pair_deltas` call
         covers every replica at once).  Must run before the codes are

@@ -11,7 +11,8 @@ state code and its neighbor registers, then broadcasts its code over the
 simulated links.  Codes are decoded through the encoding's
 ``turn_table`` only where callers need states (``configuration``,
 ``state_of``, ``StepRecord.changed``) and encoded only on loads, pokes
-and joins/leaves; goodness reads the kernel's pair table.
+and joins/leaves; a :class:`~repro.model.goodness.GoodnessLedger` over
+the kernel's pair table keeps the goodness counts.
 
 The phased slot
 ---------------
@@ -62,6 +63,7 @@ from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
 from repro.model.engine import ExecutionBase, Intervention, Monitor
 from repro.model.errors import ModelError
+from repro.model.goodness import GoodnessLedger
 from repro.model.scheduler import Scheduler
 from repro.net.links import LinkConfig, MessageNetwork, NetStats
 from repro.net.node import NodeActor
@@ -129,13 +131,6 @@ class NetExecution(ExecutionBase):
         self._delta = self._kernel.code_delta()
         self._encode = algorithm.encoding.encode
         self._turns = algorithm.encoding.turn_table
-        #: AlgAU's pair table for the goodness fold (``None`` for other
-        #: algorithms, whose ``graph_is_good`` raises).
-        self._pair_bad = (
-            self._kernel.pair_bad_rows()
-            if hasattr(self._kernel, "pair_unprotected")
-            else None
-        )
         self._seq = 0
         self._slots = 0
         self._pending_changes: list = []
@@ -165,7 +160,7 @@ class NetExecution(ExecutionBase):
         """Adopt ``configuration``: set actor states and refresh every
         register instantly (omniscient out-of-band write)."""
         self._config_cache = configuration
-        self._goodness: Optional[Tuple[int, int]] = None
+        self._ledger = GoodnessLedger(self._kernel)  # counted on first query
         for v, actor in self._actors.items():
             actor.state = self._encode(configuration[v])
         for v in self._actors:
@@ -218,31 +213,14 @@ class NetExecution(ExecutionBase):
         """The AlgAU stabilization predicate over the actors' codes:
         every actor able, every edge protected (``pair_unprotected``).
 
-        Answered from the ``(faulty actors, unprotected ordered pairs)``
-        counts that :meth:`_record_change` folds forward; loads, pokes,
-        crashes and topology deltas drop them for one full recount on
-        the next query."""
-        goodness = self._goodness
-        if goodness is None:
-            if self._pair_bad is None:
-                return super().graph_is_good()  # not AlgAU: raises
-            goodness = self._goodness = self._goodness_counts()
-        return goodness == (0, 0)
-
-    def _goodness_counts(self) -> Tuple[int, int]:
-        """The full scan behind :meth:`graph_is_good`'s counts."""
-        able = self._kernel.num_clocks
-        pair_bad = self._pair_bad
-        actors = self._actors
-        faulty = bad = 0
-        for actor in actors.values():
-            state = actor.state
-            if state >= able:
-                faulty += 1
-            row = pair_bad[state]
-            for u in actor.neighbors:
-                bad += row[actors[u].state]
-        return faulty, bad
+        Answered from the goodness ledger: counted once after a load, then
+        folded through every move, poke and topology delta."""
+        if not hasattr(self._kernel, "pair_unprotected"):
+            return super().graph_is_good()  # not AlgAU: raises
+        ledger = self._ledger
+        if ledger.counts is None:
+            ledger.recount(self.codes, self.topology.inclusive_csr())
+        return ledger.good
 
     @property
     def codes(self) -> np.ndarray:
@@ -265,10 +243,8 @@ class NetExecution(ExecutionBase):
             raise ModelError(f"cannot poke unknown nodes {sorted(unknown)}")
         self._state_epoch += 1
         self._config_cache = None
-        self._goodness = None
         for v, state in updates.items():
-            self._actors[int(v)].state = self._encode(state)
-            self._push_registers(int(v))
+            self._write(self._actors[int(v)], self._encode(state))
 
     def poke_codes(self, rows, codes) -> None:
         """Write actor codes in place (the permanent-fault entry point),
@@ -281,13 +257,20 @@ class NetExecution(ExecutionBase):
             if actor is None:
                 raise ModelError(f"cannot poke unknown node {v}")
             if actor.state != code:
-                actor.state = int(code)
-                self._push_registers(actor.node)
+                self._write(actor, int(code))
                 moved = True
         if moved:
             self._state_epoch += 1
             self._config_cache = None
-            self._goodness = None
+
+    def _write(self, actor: NodeActor, code: int) -> None:
+        """Poke ``code`` into ``actor``: fold the move, then push registers."""
+        actors = self._actors
+        self._ledger.move(
+            actor.state, code, [actors[u].state for u in actor.neighbors]
+        )
+        actor.state = code
+        self._push_registers(actor.node)
 
     def _refresh_pending(self) -> None:
         raise ModelError(
@@ -304,27 +287,13 @@ class NetExecution(ExecutionBase):
 
     def _record_change(self, node: int, old: int, new: int) -> None:
         """Count one actor's move (its state is already ``new``) and fold
-        it into the goodness counts, against its neighbors' current
+        it into the goodness ledger, against its neighbors' current
         states."""
         self._moves += 1
         if self._record_changes:
             self._pending_changes.append((node, self._turns[old], self._turns[new]))
-        goodness = self._goodness
-        if goodness is not None:
-            faulty, bad = goodness
-            able = self._kernel.num_clocks
-            bad_new = self._pair_bad[new]
-            bad_old = self._pair_bad[old]
-            actors = self._actors
-            delta = 0
-            for u in actors[node].neighbors:
-                state = actors[u].state
-                delta += bad_new[state] - bad_old[state]
-            # Protection is symmetric: the reverse ordered pairs move too.
-            self._goodness = (
-                faulty + (new >= able) - (old >= able),
-                bad + 2 * delta,
-            )
+        actors = self._actors
+        self._ledger.move(old, new, [actors[u].state for u in actors[node].neighbors])
 
     def _broadcast(self, actor: NodeActor) -> None:
         """Stubbornly send ``actor``'s current state to every neighbor.
@@ -388,6 +357,7 @@ class NetExecution(ExecutionBase):
                 actors[b].registers.pop(a, None)
         # Departed nodes become silent tombstones (rest state, no
         # neighbors, no message processing).
+        left_codes = [actors[v].state for v in applied.left]
         if applied.left:
             rest = self._encode(self.algorithm.initial_state())
             for v in applied.left:
@@ -409,8 +379,8 @@ class NetExecution(ExecutionBase):
         for v in refresh:
             if not actors[v].crashed:
                 self._push_registers(v)
+        self._ledger.fold_delta(applied, lambda v: actors[v].state, left_codes)
         self._config_cache = None
-        self._goodness = None
         return applied
 
     # ------------------------------------------------------------------
@@ -425,7 +395,6 @@ class NetExecution(ExecutionBase):
             raise ModelError(f"cannot crash unknown node {v}")
         self._actors[v].crashed = True
         self.mask_nodes(self._masked | {v})
-        self._goodness = None
 
     @property
     def stats(self) -> NetStats:

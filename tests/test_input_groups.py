@@ -43,7 +43,6 @@ LANE_FIELDS = ("engine", "runtime", "index")
 #: sha256 over ``(index, scenario_id, seed, group, tags, content_hash())``
 #: of every scenario of ``build_campaign(name, 0)``.
 REGISTRY_DIGESTS = {
-    "bio": "1ca21dbe316b113dd532141b782c01d7d3996704790849e18565dda3585b24a5",
     "byzantine": "915b27d10668e44637816f580c91a2aea7511264f810f73ccd227deb3db52864",
     "churn-phase": "50d50360d19b21914db25bd48849c80b0d759eed83d751ae9ecf93e476053b40",
     "cor12-synchronizer": (
@@ -52,7 +51,6 @@ REGISTRY_DIGESTS = {
     "dispatch-straggler": (
         "287b42083c2491cdb19e5a5ca13f6d71192d2e321352bd38fccb241cbf7a467a"
     ),
-    "dynamic": "dcd28f5ccfef7f9a4ef58c346c77034aef87dba965c272ac3a48aa1cf90d1190",
     "enabled-daemons": (
         "230b180bda816cdbe11b3f7e1b9f99d3722214166998dbd68a7f2504ea7c6e64"
     ),

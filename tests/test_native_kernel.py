@@ -729,7 +729,7 @@ def _assert_same_state(execution, reference):
         kernel.goodness_counts(execution.codes, execution.topology.inclusive_csr())
     )
     assert execution.graph_is_good() == reference.graph_is_good() == (counts == (0, 0))
-    assert execution._goodness == counts
+    assert execution._ledger.counts == counts
 
 
 @pytest.mark.parametrize("engine", ROUND_ENGINES)

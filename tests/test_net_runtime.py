@@ -41,6 +41,7 @@ from repro.graphs.biological import quorum_colony
 from repro.graphs.generators import random_connected, ring
 from repro.model.engine import create_execution
 from repro.model.errors import ModelError
+from repro.model.goodness import GoodnessLedger
 from repro.model.scheduler import (
     EnabledOnlyScheduler,
     ShuffledRoundRobinScheduler,
@@ -547,8 +548,8 @@ class TestNetExecutionContract:
 
 
 class TestGoodnessFold:
-    """``graph_is_good`` answers from counts folded per move; every
-    out-of-band write drops them for a recount."""
+    """``graph_is_good`` answers from the goodness ledger, folded
+    through every move, poke, crash and topology delta."""
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("noisy", [False, True])
@@ -588,11 +589,13 @@ class TestGoodnessFold:
             delta = churn.sample()
             if delta is not None:
                 execution.mutate_topology(delta)
-            folded += execution._goodness is not None
+            folded += execution._ledger.counts is not None
             execution.step()
             good = execution.graph_is_good()
             assert good == is_good_graph(algorithm, execution.configuration)
-            assert execution._goodness == execution._goodness_counts()
+            recount = GoodnessLedger(execution._kernel)
+            recount.recount(execution.codes, execution.topology.inclusive_csr())
+            assert execution._ledger.counts == recount.counts
         assert folded > 100
 
 

@@ -38,6 +38,7 @@ from repro.graphs.topology import topology_from_edges
 from repro.model.configuration import Configuration
 from repro.model.engine import create_execution
 from repro.model.errors import ModelError
+from repro.model.goodness import GoodnessLedger
 from repro.model.scheduler import (
     RandomSubsetScheduler,
     ShuffledRoundRobinScheduler,
@@ -563,11 +564,13 @@ class TestCodeSpaceContract:
             rows = rng.choice(execution.topology.n, size=count, replace=False)
             codes = rng.integers(execution.algorithm.encoding.size, size=count)
             execution.poke_codes(rows, codes)
-            recount = execution._goodness_counts(execution._codes, execution._csr)
+            ledger = GoodnessLedger(execution._native or execution._kernel)
+            ledger.recount(execution._codes, execution._csr)
+            recount = ledger.counts
             if count <= execution.SCALAR_ACTIVATION_MAX:
-                assert execution._goodness == recount
+                assert execution._ledger.counts == recount
             else:  # a dense change set may defer to a lazy recount
-                assert execution._goodness in (None, recount)
+                assert execution._ledger.counts in (None, recount)
             assert execution.graph_is_good() == (recount == (0, 0))
             execution.step()
 
