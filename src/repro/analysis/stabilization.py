@@ -112,8 +112,8 @@ def measure_au_stabilization(
     engine); since AlgAU is
     deterministic the measured trajectory — and therefore the reported
     rounds — is identical on every one.  Every engine answers the
-    per-step goodness predicate from incrementally maintained counts
-    (O(changes) amortized, no per-step O(n + m) configuration scan).
+    per-step goodness predicate from maintained counts: O(changes)
+    after a step of up to four movers, else one O(n + m) recount.
     """
     execution = create_execution(
         topology, algorithm, initial, scheduler, rng=rng, engine=engine

@@ -25,8 +25,6 @@ Shipped registries:
   families (including heterogeneous-degree biological graphs), both
   engines, schedulers, the full adversarial-start suite, and every
   fault kind (bursts, storms, dynamic-topology rewires);
-* ``full`` — the nightly-scale cross product over families ×
-  schedulers × starts;
 * ``enabled-daemons`` — the enabled-aware daemon axes
   (``enabled-only`` and ``locally-central``), engine-paired so the
   aggregation cross-checks that both backends drive the daemons off
@@ -279,7 +277,6 @@ BIO_GRAPHS: Tuple[GraphSpec, ...] = (
     ("quorum-colony", (("n", 12), ("diameter_bound", 2)), 2),
     ("hub-colony", (("n", 12), ("hubs", 2)), 2),
     ("cell-tissue", (("width", 3), ("height", 3)), 4),
-    ("proneural", (("width", 3), ("height", 3)), 2),
 )
 
 FAULT_GRAPHS: Tuple[GraphSpec, ...] = (
@@ -380,7 +377,7 @@ def _smoke(builder: CampaignBuilder) -> None:
                     group=f"au@{graph}",
                 )
     _fault_block(builder)
-    for graph, params, d in BIO_GRAPHS[:3]:
+    for graph, params, d in BIO_GRAPHS:
         for start in ("sign-split", "all-faulty"):
             builder.add_au(graph, params, d, start=start, group=f"au@{graph}")
     # A seed ensemble exercising the replica-batched Monte Carlo path
@@ -457,46 +454,6 @@ def _smoke(builder: CampaignBuilder) -> None:
         max_rounds=80_000,
         group="mis@damaged-clique",
     )
-
-
-@campaign("full", "nightly-scale cross product over every axis")
-def _full(builder: CampaignBuilder) -> None:
-    graphs: Tuple[GraphSpec, ...] = CORE_GRAPHS + BIO_GRAPHS + (
-        ("torus", (("rows", 4), ("cols", 4)), 4),
-        ("hypercube", (("dimension", 3),), 3),
-        ("caterpillar", (("spine", 5), ("legs_per_node", 1)), 6),
-        ("gnp", (("n", 16), ("p", 0.5)), 4),
-        ("regular", (("n", 16), ("degree", 5)), 4),
-    )
-    schedulers = ("synchronous", "shuffled-round-robin", "random-subset")
-    for graph, params, d in graphs:
-        for start in AU_STARTS:
-            for scheduler in schedulers:
-                builder.add_au(
-                    graph,
-                    params,
-                    d,
-                    scheduler=scheduler,
-                    engine=_alternating_engine(builder),
-                    start=start,
-                    group=f"au@{graph}",
-                )
-    _fault_block(builder)
-    for task, graph, params, d, budget in (
-        ("le", "damaged-clique", (("n", 16), ("diameter_bound", 2)), 2, 40_000),
-        ("mis", "proneural", (("width", 4), ("height", 4)), 2, 80_000),
-    ):
-        builder.add(
-            task,
-            graph,
-            params,
-            d,
-            scheduler="synchronous",
-            engine="object",
-            start="random",
-            max_rounds=budget,
-            group=f"{task}@{graph}",
-        )
 
 
 @campaign(

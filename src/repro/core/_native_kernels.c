@@ -162,15 +162,14 @@ void goodness_counts(const int64_t *codes, const int64_t *indptr,
     out2[1] = bad;
 }
 
-/* fold_pairs: unprotected-pair delta of one change set, folded with
- * the engines' double-count convention — once per ordered pair whose
- * row moved, plus the symmetric reverse of pairs whose column did not
- * move (weight 2), exactly matching VectorKernel.pair_deltas consumers.
- * `codes` must still hold the pre-write codes.  in_diff/new_code_of are
- * caller-owned length-n scratch (in_diff all-zero on entry, restored on
- * exit).  owner == NULL accumulates one scalar into bad_out[0]; with
- * owner (replica id per node) deltas scatter into bad_out[owner[v]] —
- * the replica-batched lane. */
+/* fold_pairs: unprotected-pair delta of one change set of the
+ * replica-batched lane, folded with the double-count convention — once
+ * per ordered pair whose row moved, plus the symmetric reverse of pairs
+ * whose column did not move (weight 2), exactly matching
+ * VectorKernel.pair_deltas consumers — and scattered by owner (replica
+ * id per node) into bad_out[owner[v]].  `codes` must still hold the
+ * pre-write codes.  in_diff/new_code_of are caller-owned length-n
+ * scratch (in_diff all-zero on entry, restored on exit). */
 void fold_pairs(const int64_t *codes, const int64_t *indptr,
                 const int64_t *indices, const int64_t *diff,
                 const int64_t *old_diff, const int64_t *new_diff,
@@ -195,7 +194,7 @@ void fold_pairs(const int64_t *codes, const int64_t *indptr,
             else
                 delta += 2 * (row_new[col_old] - row_old[col_old]);
         }
-        bad_out[owner ? owner[v] : 0] += delta;
+        bad_out[owner[v]] += delta;
     }
     for (int64_t i = 0; i < ndiff; i++)
         in_diff[diff[i]] = 0;

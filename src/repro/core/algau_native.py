@@ -14,9 +14,10 @@ Four kernels cover every seam the array-tier engines use:
   (the ``activated ∩ dirty`` incremental path) or all lanes at once;
 * ``goodness_counts`` — the full ``(faulty, unprotected pairs)`` scan
   that seeds incremental goodness accounting;
-* ``fold_pairs`` — the per-step pair-delta fold, in a scalar flavor
-  (array engine) and an ``owner``-scattered flavor (the replica-batch
-  block-diagonal CSR, one counter per replica);
+* ``fold_pairs`` — the replica-batch lane's per-step pair-delta fold
+  over its block-diagonal CSR, scattered into one counter per replica
+  (the array and native engines fold a step of up to four movers move
+  by move in Python and recount after a larger one);
 * ``run_sequence`` — a sequential daemon's activations applied one
   after another (δ, write, goodness fold, move count per activation),
   stopping on the first good configuration: whole rounds of round-robin
@@ -288,31 +289,6 @@ def _goodness_counts_impl(codes, indptr, indices, is_faulty, pair_bad):
     return faulty, bad
 
 
-def _fold_pairs_impl(
-    codes, indptr, indices, diff, old_diff, new_diff, in_diff, new_code_of, pair_bad
-):
-    for i in range(diff.shape[0]):
-        in_diff[diff[i]] = 1
-        new_code_of[diff[i]] = new_diff[i]
-    total = 0
-    for i in range(diff.shape[0]):
-        v = diff[i]
-        co = old_diff[i]
-        cn = new_diff[i]
-        delta = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            cu = codes[u]
-            if in_diff[u]:
-                delta += int(pair_bad[cn, new_code_of[u]]) - int(pair_bad[co, cu])
-            else:
-                delta += 2 * (int(pair_bad[cn, cu]) - int(pair_bad[co, cu]))
-        total += delta
-    for i in range(diff.shape[0]):
-        in_diff[diff[i]] = 0
-    return total
-
-
 def _fold_pairs_owner_impl(
     codes,
     indptr,
@@ -382,16 +358,6 @@ class _ArrayKernels:
         )
         return int(faulty), int(bad)
 
-    def fold_pairs(
-        self, codes, indptr, indices, diff, old_diff, new_diff, in_diff, new_code_of
-    ) -> int:
-        return int(
-            self._backend.fold_pairs(
-                codes, indptr, indices, diff, old_diff, new_diff,
-                in_diff, new_code_of, self._tables.pair_bad,
-            )
-        )
-
     def fold_pairs_owner(
         self, codes, indptr, indices, diff, old_diff, new_diff,
         in_diff, new_code_of, owner, bad_out,
@@ -409,7 +375,6 @@ class _PythonBackend:
 
     delta_rows = staticmethod(_delta_rows_impl)
     goodness_counts = staticmethod(_goodness_counts_impl)
-    fold_pairs = staticmethod(_fold_pairs_impl)
     fold_pairs_owner = staticmethod(_fold_pairs_owner_impl)
     run_sequence = staticmethod(_run_sequence_impl)
 
@@ -428,7 +393,6 @@ class _NumbaBackend(_PythonBackend):
         jit = numba.njit(cache=True, nogil=True)
         self.delta_rows = jit(_delta_rows_impl)
         self.goodness_counts = jit(_goodness_counts_impl)
-        self.fold_pairs = jit(_fold_pairs_impl)
         self.fold_pairs_owner = jit(_fold_pairs_owner_impl)
         self.run_sequence = jit(_run_sequence_impl)
 
@@ -536,18 +500,6 @@ class _CKernels:
             self._is_faulty, *self._pair_bad, self._out_ptr,
         )
         return int(out[0]), int(out[1])
-
-    def fold_pairs(
-        self, codes, indptr, indices, diff, old_diff, new_diff, in_diff, new_code_of
-    ) -> int:
-        out = self._out
-        out[0] = 0
-        self._c.fold(
-            _ptr(codes), _ptr(indptr), _ptr(indices), _ptr(diff), _ptr(old_diff),
-            _ptr(new_diff), diff.shape[0], _ptr(in_diff), _ptr(new_code_of),
-            *self._pair_bad, None, self._out_ptr,
-        )
-        return int(out[0])
 
     def fold_pairs_owner(
         self, codes, indptr, indices, diff, old_diff, new_diff,
@@ -737,26 +689,6 @@ class NativeKernel:
     def goodness_counts(self, codes: np.ndarray, csr: "CSRAdjacency") -> Tuple[int, int]:
         return self.kernels.goodness_counts(codes, csr.indptr, csr.indices)
 
-    def fold_pair_delta(
-        self,
-        codes: np.ndarray,
-        csr: "CSRAdjacency",
-        diff: np.ndarray,
-        old_diff: np.ndarray,
-        new_diff: np.ndarray,
-        in_diff: np.ndarray,
-        new_code_of: np.ndarray,
-    ) -> int:
-        """The folded unprotected-pair delta of one change set, with the
-        engines' weight-2 convention for unmoved columns.  ``codes``
-        must still hold pre-write codes; ``in_diff``/``new_code_of`` are
-        the engine's scratch arrays (``in_diff`` all-False on entry,
-        restored on exit)."""
-        return self.kernels.fold_pairs(
-            codes, csr.indptr, csr.indices, diff, old_diff, new_diff,
-            in_diff.view(np.uint8), new_code_of,
-        )
-
     def fold_pair_delta_by_owner(
         self,
         codes: np.ndarray,
@@ -769,8 +701,12 @@ class NativeKernel:
         owner: np.ndarray,
         bad_out: np.ndarray,
     ) -> None:
-        """Replica-batch flavor: scatter each lane's delta into
-        ``bad_out[owner[lane]]`` (the per-replica pair counters)."""
+        """The folded unprotected-pair delta of one change set, scattered
+        into ``bad_out[owner[lane]]`` (the replica-batch lane's
+        per-replica pair counters), with the weight-2 convention for
+        unmoved columns.  ``codes`` must still hold pre-write codes;
+        ``in_diff``/``new_code_of`` are the caller's scratch arrays
+        (``in_diff`` all-False on entry, restored on exit)."""
         self.kernels.fold_pairs_owner(
             codes, csr.indptr, csr.indices, diff, old_diff, new_diff,
             in_diff.view(np.uint8), new_code_of, owner, bad_out,

@@ -18,11 +18,13 @@ neighborhood.  Tiny activation sets (round-robin and friends)
 additionally take a scalar fast path (:meth:`CodeKernel.delta_one`)
 that bypasses numpy dispatch entirely, which is what makes sparse
 schedules scale with *activity* instead of ``n``.  The engine also
-folds every change into a :class:`~repro.model.goodness.GoodnessLedger`,
-so the AlgAU stabilization predicate answers in O(changes) amortized
-instead of rescanning the configuration, and
-``run(until=graph_is_good)`` hands each round of a round-order daemon
-to one sequence-kernel call (:meth:`VectorKernel.run_sequence`).
+keeps a :class:`~repro.model.goodness.GoodnessLedger`: a step or poke
+of up to :attr:`ArrayExecution.SCALAR_ACTIVATION_MAX` movers folds into
+it move by move, a larger one drops its counts for one recount at the
+next query, so polling the AlgAU stabilization predicate never rescans
+after a sparse step.  ``run(until=graph_is_good)`` hands each round of
+a round-order daemon to one sequence-kernel call
+(:meth:`VectorKernel.run_sequence`).
 ``incremental=False`` restores the naive full-recompute reference
 (bit-identical trajectories; the differential suite compares the two).
 
@@ -190,22 +192,21 @@ class ArrayExecution(ExecutionBase["Turn"]):
         Only the moved lanes are written and only their neighborhoods
         re-dirtied.  Up to :attr:`SCALAR_ACTIVATION_MAX` moved lanes take
         the per-move goodness fold and per-row re-dirtying of
-        :meth:`_write_scalar`; more take the vectorized fold and gather.
+        :meth:`_write_scalar`; more drop the goodness counts for a
+        recount at the next query and re-dirty in one gather.
         """
         current = self._codes
         n = len(current)
         size = self._encoding.size
-        moved, old_codes, new_codes = [], [], []
+        moved, new_codes = [], []
         for v, code in zip(rows, codes):
             v, code = int(v), int(code)
             if not 0 <= v < n:
                 raise ModelError(f"cannot poke unknown node {v}")
             if not 0 <= code < size:
                 raise ModelError(f"code {code} out of range for |Q|={size}")
-            old = int(current[v])
-            if old != code:
+            if int(current[v]) != code:
                 moved.append(v)
-                old_codes.append(old)
                 new_codes.append(code)
         if not moved:
             return
@@ -214,9 +215,8 @@ class ArrayExecution(ExecutionBase["Turn"]):
             self._write_scalar(moved, new_codes)
             return
         moved_rows = np.array(moved, dtype=np.int64)
-        old_diff, new_diff = np.array([old_codes, new_codes], dtype=np.int64)
-        self._ledger.fold(current, self._csr, moved_rows, old_diff, new_diff)
-        current[moved_rows] = new_diff
+        self._ledger.counts = None
+        current[moved_rows] = new_codes
         self._config_cache = None
         self._mark_dirty_rows(moved_rows)
 
@@ -400,21 +400,21 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
     def _commit(self, diff: np.ndarray, new_diff: np.ndarray) -> Changes:
         """Apply the moved lanes: capture the change record (decoded
-        only if read), fold them into the goodness ledger (up to
-        :attr:`SCALAR_ACTIVATION_MAX` move by move), write them in place
-        and drop the decoded-configuration cache.  Callers handle their
-        own dirty-set bookkeeping."""
+        only if read), write them in place and drop the
+        decoded-configuration cache.  Up to :attr:`SCALAR_ACTIVATION_MAX`
+        moves fold into the goodness ledger one by one; a larger change
+        set drops its counts, and the next query recounts them.  Callers
+        handle their own dirty-set bookkeeping."""
         codes = self._codes
-        old_diff = codes[diff]
         if self._record_changes:
             table = self._encoding.turn_table
-            changed = partial(_decode_changes, table, diff, old_diff, new_diff)
+            changed = partial(_decode_changes, table, diff, codes[diff], new_diff)
         else:
             changed = ()
         if diff.size <= self.SCALAR_ACTIVATION_MAX:
             self._write_moves(diff.tolist(), new_diff.tolist())
         else:
-            self._ledger.fold(codes, self._csr, diff, old_diff, new_diff)
+            self._ledger.counts = None
             codes[diff] = new_diff
         self._moves += diff.size
         self._config_cache = None
@@ -685,7 +685,9 @@ class ArrayExecution(ExecutionBase["Turn"]):
         """Vectorized stabilization predicate: equivalent to
         ``is_good_graph(algorithm, execution.configuration)`` without
         decoding the configuration — and, on the incremental pipeline,
-        answered from the goodness ledger in O(1) amortized."""
+        answered from the goodness ledger: in O(1) while it counts, by
+        one recount after a change set of more than
+        :attr:`SCALAR_ACTIVATION_MAX` moves."""
         if not hasattr(self._kernel, "goodness_counts"):
             # Non-AlgAU kernels (e.g. the reset-tail lane) carry no
             # goodness machinery; defer to the base, whose clear

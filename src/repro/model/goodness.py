@@ -3,10 +3,15 @@
 AlgAU's stabilization predicate is "the graph is good": every node able
 and every edge protected.  :class:`GoodnessLedger` keeps the counts
 behind it, ``(faulty nodes, unprotected ordered pairs)``, and folds
-moves, change sets and topology deltas into them instead of rescanning.
-Pairs count once per direction; a node's self pair is always protected.
-The object lane keeps its own ``Turn``-level count as the differential
-oracle.
+single moves and resolved topology deltas into them.  The array and
+native lanes fold a step or poke move by move up to
+:attr:`~repro.model.array_engine.ArrayExecution.SCALAR_ACTIVATION_MAX`
+(4) movers; a larger change set drops the counts, and the next query
+recounts them.  So polling the predicate costs O(changes) after a step
+of up to 4 movers, and otherwise one O(n + m) recount at the next
+query.  Pairs count once per direction; a node's self pair is always
+protected.  The object lane keeps its own ``Turn``-level count as the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -20,15 +25,13 @@ class GoodnessLedger:
     compiled :class:`~repro.core.algau_native.NativeKernel`.
 
     ``counts`` is ``None`` until the first :meth:`recount` (kernels
-    without AlgAU's pair table never take one) and after a dense
-    :meth:`fold`; the folds skip while it is.
+    without AlgAU's pair table never take one) and after a lane drops
+    it for a larger change set; the folds skip while it is.
     """
 
     def __init__(self, kernel) -> None:
         self._kernel = kernel
         self.counts = None
-        self._in_diff = np.zeros(0, dtype=bool)
-        self._new_code_of = np.zeros(0, dtype=np.int64)
 
     @property
     def good(self) -> bool:
@@ -56,33 +59,6 @@ class GoodnessLedger:
         faulty, bad = self.counts
         # Protection is symmetric: the reverse ordered pairs move too.
         self.counts = (faulty + (new >= able) - (old >= able), bad + 2 * delta)
-
-    def fold(self, codes, csr, diff, old_diff, new_diff) -> None:
-        """Fold the change set ``diff`` (moved rows, with their old and
-        new codes) over the pre-write ``codes``.  A change set of a
-        quarter of the nodes or more defers to a recount on the next
-        query instead: one O(n + m) pass beats per-pair deltas there."""
-        if self.counts is None:
-            return
-        n = len(codes)
-        if 4 * diff.size >= n:
-            self.counts = None
-            return
-        if len(self._in_diff) != n:
-            self._in_diff = np.zeros(n, dtype=bool)
-            self._new_code_of = np.zeros(n, dtype=np.int64)
-        args = (codes, csr, diff, old_diff, new_diff, self._in_diff, self._new_code_of)
-        if hasattr(self._kernel, "fold_pair_delta"):
-            pairs = self._kernel.fold_pair_delta(*args)
-        else:
-            # Each moved row's pairs, plus the reverses of the pairs
-            # whose column did not move (a moved column's row has them).
-            _, _, delta, col_changed = self._kernel.pair_deltas(*args)
-            pairs = int(delta.sum()) + int(delta[~col_changed].sum())
-        able = self._able
-        faulty, bad = self.counts
-        faulty += int((new_diff >= able).sum()) - int((old_diff >= able).sum())
-        self.counts = (faulty, bad + pairs)
 
     def fold_delta(self, applied, code_of, left_codes) -> None:
         """Fold a resolved :class:`~repro.graphs.dynamic.AppliedDelta`

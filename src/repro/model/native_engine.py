@@ -12,7 +12,7 @@ with its kernel seams rerouted to the compiled CSR-walking kernels of
   first good configuration (the array tier's whole-round runs);
 * ``_native`` — the compiled kernel that the engine's
   :class:`~repro.model.goodness.GoodnessLedger` binds, so its recount
-  and change-set fold are compiled walks.
+  is a compiled walk.
 
 Everything else — the dirty-set pipeline, the ``run`` drivers,
 schedulers, monitors, masks, pokes, the enabled view — is inherited

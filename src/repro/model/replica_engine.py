@@ -468,8 +468,7 @@ class ReplicaBatchExecution:
         self, diff: np.ndarray, old_diff: np.ndarray, new_diff: np.ndarray
     ) -> np.ndarray:
         """Fold one fused change set into the per-replica ``(faulty,
-        unprotected-pairs)`` count vectors — the replica-indexed variant
-        of :meth:`~repro.model.goodness.GoodnessLedger.fold` (replica blocks are
+        unprotected-pairs)`` count vectors (replica blocks are
         disjoint in the block CSR, so one shared
         :meth:`~repro.core.algau_vec.VectorKernel.pair_deltas` call
         covers every replica at once).  Must run before the codes are

@@ -9,8 +9,8 @@ every delta, poke and step, the lane's folded ``(faulty nodes,
 unprotected ordered pairs)`` must equal a full recount by the numpy
 kernel, and ``graph_is_good`` must equal the object-level predicate
 :func:`~repro.core.predicates.is_good_graph` on the lane's
-configuration.  The array lane runs the numpy fold and the native lane
-each available backend's compiled fold.
+configuration.  The array lane recounts with the numpy kernel and the
+native lane with each available backend's compiled kernel.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from repro.model.scheduler import (
 )
 from repro.net import create_net_execution
 
-#: Colony families at about 24 nodes: large enough that a five-row
-#: change set takes the vectorized fold instead of a deferred recount.
+#: Colony families at about 24 nodes: a step there moves anywhere from
+#: one node (folded move by move) to most of the colony (the counts
+#: dropped for a recount at the next query).
 FAMILIES = {
     "hub-colony": lambda rng: signaling_hub_colony(24, rng),
     "quorum-colony": lambda rng: quorum_colony(24, 2, rng),
@@ -89,7 +90,8 @@ def _check(execution, algorithm):
             np.array(execution.codes), execution.topology.inclusive_csr()
         )
     )
-    # A dense change set may defer to a recount on the next query.
+    # A change set of more than four rows defers to a recount on the
+    # next query.
     assert ledger.counts in (None, recount)
     good = is_good_graph(algorithm, execution.configuration)
     assert execution.graph_is_good() == good
@@ -143,8 +145,8 @@ def test_folded_counts_equal_a_recount(
             if delta is not None:
                 execution.mutate_topology(delta)
         elif op == "poke":
-            # Up to four rows fold move by move, more in one vectorized
-            # fold.
+            # Up to four rows fold move by move; more drop the counts for
+            # a recount on the next query.
             count = min(int(rng.integers(1, 7)), len(alive))
             rows = rng.choice(alive, size=count, replace=False)
             execution.poke_codes(rows, rng.integers(0, size, count))

@@ -57,7 +57,6 @@ REGISTRY_DIGESTS = {
     "fault-recovery": (
         "7ebfc300f1a87946f8bca9ba9faec265db7904d4db287f070027b970100f12de"
     ),
-    "full": "2a5c8c7e3a34d855c5d7b5de5edd7e598930b7ad4b58109f757702342cef5b36",
     "micro": "cc75717a5817badee84be4af5cb2bfdd0d65adf66d223b04c0281d6cedde56eb",
     "native-pairing": (
         "9b2ad5234cc2467e1955c633df87341a11cecfc6ec6564700a5cf15ce9ad2281"

@@ -1,8 +1,8 @@
 """Differential validation of the compiled native kernel tier.
 
 The ``native`` engine reroutes the kernel seams of the array tier —
-batched δ, the pair-goodness fold, the full goodness scan, the
-round-sequence kernel — to the CSR-walking kernels of
+batched δ, the full goodness scan, the round-sequence kernel, and the
+replica lane's pair-goodness fold — to the CSR-walking kernels of
 :mod:`repro.core.algau_native`.  Everything here checks the same
 contract the array engine owes the object model: *bit identity*.
 Three layers:
@@ -224,12 +224,14 @@ def test_goodness_and_fold_lanes_agree_property(d, n, seed):
     bad_before = kernel.goodness_counts(codes, csr)[1]
     bad_after = kernel.goodness_counts(new, csr)[1]
     assert vec_fold == bad_after - bad_before
+    owner = np.zeros(n, dtype=np.int64)  # one replica owns every node
     for name, lane in _lanes(kernel).items():
         scratch = np.zeros(n, dtype=bool)
-        fold = lane.fold_pair_delta(
-            codes, csr, diff, old_diff, new_diff, scratch, new_code_of
+        bad_out = np.zeros(1, dtype=np.int64)
+        lane.fold_pair_delta_by_owner(
+            codes, csr, diff, old_diff, new_diff, scratch, new_code_of, owner, bad_out
         )
-        assert fold == vec_fold, name
+        assert bad_out[0] == vec_fold, name
         assert not scratch.any(), name  # restored on exit
 
 
@@ -292,13 +294,17 @@ def test_bound_tables_agree_with_per_call_binding(backend, d):
             new_diff = rng.integers(0, size, len(diff))
             scratch = np.zeros(csr.n, dtype=bool)
             new_code_of = np.zeros(csr.n, dtype=np.int64)
-            fold = bound.fold_pair_delta(
-                codes, csr, diff, codes[diff], new_diff, scratch, new_code_of
+            owner = np.zeros(csr.n, dtype=np.int64)  # one replica
+            folds = np.zeros((2, 1), dtype=np.int64)
+            bound.fold_pair_delta_by_owner(
+                codes, csr, diff, codes[diff], new_diff, scratch, new_code_of,
+                owner, folds[0],
             )
-            assert fold == unbound().fold_pairs(
+            unbound().fold_pairs_owner(
                 codes, csr.indptr, csr.indices, diff, codes[diff], new_diff,
-                scratch.view(np.uint8), new_code_of,
+                scratch.view(np.uint8), new_code_of, owner, folds[1],
             )
+            assert folds[0, 0] == folds[1, 0]
     assert len(csr._buf) > len(buffer)  # the patches regrew the buffers
 
 

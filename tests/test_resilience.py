@@ -555,8 +555,9 @@ class TestCodeSpaceContract:
     @pytest.mark.parametrize("count", range(1, 8))
     @pytest.mark.parametrize("engine", ["array", "native"])
     def test_poked_goodness_counts_match_a_recount(self, engine, count):
-        # Up to SCALAR_ACTIVATION_MAX moved rows fold goodness scalar by
-        # scalar, more take the vectorized fold; both must stay exact.
+        # Up to SCALAR_ACTIVATION_MAX moved rows fold goodness move by
+        # move and must stay exact; more drop the counts, and the next
+        # query must recount them exactly.
         execution = _lane_execution(engine, None)
         rng = np.random.default_rng(count)
         for _ in range(20):
@@ -569,7 +570,7 @@ class TestCodeSpaceContract:
             recount = ledger.counts
             if count <= execution.SCALAR_ACTIVATION_MAX:
                 assert execution._ledger.counts == recount
-            else:  # a dense change set may defer to a lazy recount
+            else:  # a larger change set defers to a lazy recount
                 assert execution._ledger.counts in (None, recount)
             assert execution.graph_is_good() == (recount == (0, 0))
             execution.step()
