@@ -17,6 +17,12 @@ hold still, so this module makes topology a *mutable engine concern*:
   (:class:`~repro.core.algau_vec.VectorKernel`,
   :class:`~repro.core.algau_native.NativeKernel`) take the CSR per
   call, so the compiled tiers ride the patched arrays unchanged.
+* :class:`ResolvedDelta` — one delta validated and spliced once, by
+  :meth:`DynamicTopology.resolve`, holding the post-delta rows and
+  CSR arrays.  Every other :class:`DynamicTopology` on the same base
+  graph, at the same version, *replays* it
+  (:meth:`DynamicTopology.replay`) instead of re-deriving it: the
+  lanes of a campaign input group share one resolved churn stream.
 
 Membership semantics are tombstoned: node ids are never renumbered.  A
 node that *leaves* keeps its id — its incident edges are stripped, its
@@ -32,6 +38,7 @@ setting (Dubois et al. for unison).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,6 +148,45 @@ class AppliedDelta:
             self.removed_edges or self.added_edges or self.joined or self.left
         )
 
+    @cached_property
+    def affected(self) -> np.ndarray:
+        """The touched, left and joined nodes, ascending, as a read-only
+        ``int64`` array: every row a delta dirties.  Cached, so the
+        lanes replaying one resolution share it."""
+        nodes = set(self.touched)
+        nodes.update(self.left)
+        nodes.update(v for v, _ in self.joined)
+        rows = np.array(sorted(nodes), dtype=np.int64)
+        rows.flags.writeable = False
+        return rows
+
+
+@dataclass(frozen=True, eq=False)
+class ResolvedDelta:
+    """A delta resolved once, for replay on any topology at the same
+    point of the same stream.
+
+    :meth:`DynamicTopology.resolve` builds it on a private topology of
+    ``base``, at topology ``version`` (the version the delta applies
+    to).  ``rows`` holds the post-delta inclusive rows of the touched,
+    left and joined nodes as ``(node, row)`` pairs in ascending node
+    order, so joined rows come last; ``m`` is the post-delta edge
+    count.  ``indptr``, ``indices`` and ``row_index`` are the post-delta
+    inclusive CSR, read-only: every replaying topology shares them."""
+
+    applied: AppliedDelta
+    base: object
+    version: int
+    rows: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    m: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    row_index: np.ndarray
+
+    @property
+    def is_empty(self) -> bool:
+        return self.applied.is_empty
+
 
 class MutableCSR(CSRAdjacency):
     """An inclusive CSR whose rows can be spliced in place.
@@ -217,6 +263,25 @@ class MutableCSR(CSRAdjacency):
         self.indices = self._buf[:nnz]
         self.row_index = np.repeat(np.arange(new_n, dtype=np.int64), lengths)
 
+    def adopt(
+        self, indptr: np.ndarray, indices: np.ndarray, row_index: np.ndarray
+    ) -> None:
+        """Take over a CSR resolved elsewhere.  ``indptr`` and
+        ``row_index`` are shared as they are (nothing writes them in
+        place); ``indices`` is copied into the spare buffer, which then
+        swaps in, so a later :meth:`patch` splices from ``indices`` as
+        usual."""
+        nnz = len(indices)
+        if nnz > len(self._spare):
+            self._spare = np.empty(max(2 * len(self._spare), nnz), dtype=np.int64)
+        out = self._spare
+        out[:nnz] = indices
+        self._spare = self._buf
+        self._buf = out
+        self.indptr = indptr
+        self.indices = out[:nnz]
+        self.row_index = row_index
+
 
 class DynamicTopology:
     """A mutable topology duck-typing the engine-facing slice of
@@ -225,7 +290,9 @@ class DynamicTopology:
     The inclusive neighbor rows (``[v, *open neighborhood ascending]``)
     are the canonical structure, held as plain lists shared by value
     with the :class:`MutableCSR`'s ``neighbor_lists()`` cache — a delta
-    patches both representations in one pass.  Unlike the frozen class
+    patches both representations in one pass.  The CSR is built only
+    once :meth:`inclusive_csr` is called; a reader of the rows alone
+    (:meth:`inclusive_rows`) never pays for it.  Unlike the frozen class
     there is no connectivity requirement: churn may momentarily
     disconnect the alive part (the goodness predicate and all engines
     are well-defined regardless), and left nodes remain as isolated
@@ -234,6 +301,7 @@ class DynamicTopology:
 
     __slots__ = (
         "name",
+        "_base",
         "_rows",
         "_left",
         "_nodes",
@@ -245,6 +313,7 @@ class DynamicTopology:
 
     def __init__(self, base) -> None:
         self.name = f"{base.name}~dyn"
+        self._base = base
         csr = base.inclusive_csr()
         # Private copies: the base topology's CSR/list caches are shared
         # across executions (differential pairs), so never alias them.
@@ -298,7 +367,7 @@ class DynamicTopology:
         )
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(u for u in self._rows[v] if u != v)
+        return tuple(self._rows[v][1:])
 
     def inclusive_neighbors(self, v: int) -> Tuple[int, ...]:
         return tuple(self._rows[v])
@@ -309,6 +378,11 @@ class DynamicTopology:
     def has_edge(self, u: int, v: int) -> bool:
         u, v = int(u), int(v)
         return u != v and v in self._rows[u][1:]
+
+    def inclusive_rows(self) -> List[List[int]]:
+        """The live inclusive neighbor rows; deltas update them in
+        place, so a holder of this list sees every mutation."""
+        return self._rows
 
     def inclusive_csr(self) -> MutableCSR:
         if self._csr is None:
@@ -490,20 +564,76 @@ class DynamicTopology:
         self._version += 1
         self._diameter = None
 
-        if self._csr is not None:
-            changed = {v: rows[v] for v in touched}
-            for v in delta.leave:
-                changed[v] = rows[v]
-            self._csr.patch(changed, [rows[v] for v, _, _ in delta.join])
-            self._csr._lists = rows
-
-        return AppliedDelta(
+        applied = AppliedDelta(
             removed_edges=tuple(removed),
             added_edges=tuple(added),
             joined=tuple((v, state) for v, _, state in delta.join),
             left=tuple(delta.leave),
             touched=tuple(sorted(touched)),
         )
+        if self._csr is not None:
+            self._csr.patch(
+                {v: rows[v] for v in applied.affected.tolist() if v < old_n},
+                [rows[v] for v, _, _ in delta.join],
+            )
+            self._csr._lists = rows
+        return applied
+
+    def resolve(self, delta: TopologyDelta) -> ResolvedDelta:
+        """Apply ``delta`` (validating it, as :meth:`apply_delta` does)
+        and record the result for :meth:`replay`."""
+        version = self._version
+        csr = self.inclusive_csr()
+        applied = self.apply_delta(delta)
+        indices = csr.indices.copy()
+        for array in (csr.indptr, indices, csr.row_index):
+            array.flags.writeable = False
+        return ResolvedDelta(
+            applied=applied,
+            base=self._base,
+            version=version,
+            rows=tuple((v, tuple(self._rows[v])) for v in applied.affected.tolist()),
+            m=self._m,
+            indptr=csr.indptr,
+            indices=indices,
+            row_index=csr.row_index,
+        )
+
+    def replay(self, resolved: ResolvedDelta) -> AppliedDelta:
+        """Land a delta resolved on another topology of the same base
+        graph: swap in its rows and adopt its CSR arrays.  The topology
+        must sit at the version the delta was resolved at."""
+        if resolved.base is not self._base or resolved.version != self._version:
+            raise TopologyError(
+                f"cannot replay a delta resolved at v{resolved.version} of "
+                f"{resolved.base.name!r} onto {self!r}"
+            )
+        applied = resolved.applied
+        if applied.is_empty:
+            return applied
+        rows = self._rows
+        n = len(rows)
+        for v, row in resolved.rows:
+            if v < n:
+                rows[v] = list(row)
+            else:
+                rows.append(list(row))
+        self._left.update(applied.left)
+        if applied.joined:
+            self._nodes = tuple(range(len(rows)))
+        self._m = resolved.m
+        self._version += 1
+        self._diameter = None
+        if self._csr is not None:
+            self._csr.adopt(resolved.indptr, resolved.indices, resolved.row_index)
+        return applied
+
+    def apply(self, delta) -> AppliedDelta:
+        """:meth:`replay` a :class:`ResolvedDelta`; :meth:`apply_delta`
+        a plain :class:`TopologyDelta`."""
+        if isinstance(delta, ResolvedDelta):
+            return self.replay(delta)
+        return self.apply_delta(delta)
 
     def __repr__(self) -> str:
         return (

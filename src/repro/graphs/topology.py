@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -171,6 +171,12 @@ class Topology:
 
     def degree(self, v: int) -> int:
         return len(self._csr.neighbor_lists()[v]) - 1
+
+    def inclusive_rows(self) -> List[List[int]]:
+        """The inclusive neighborhoods as Python lists, one per node
+        (the CSR's cached :meth:`~repro.graphs.csr.CSRAdjacency.neighbor_lists`;
+        shared, so never mutate them)."""
+        return self._csr.neighbor_lists()
 
     def inclusive_csr(self) -> CSRAdjacency:
         """The inclusive-neighborhood CSR (see :mod:`repro.graphs.csr`

@@ -61,6 +61,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.graphs.dynamic import DynamicTopology
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
@@ -538,8 +539,6 @@ class ArrayExecution(ExecutionBase["Turn"]):
         Copy-on-first-mutate matters: the construction-time CSR is
         cached on the topology and shared across executions
         (differential pairs), so it must never be patched in place."""
-        from repro.graphs.dynamic import DynamicTopology
-
         top = self.topology
         if not isinstance(top, DynamicTopology):
             top = DynamicTopology(top)
@@ -550,7 +549,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
     def _apply_topology_delta(self, delta):
         dyn = self._ensure_dynamic_topology()
         old_n = len(self._codes)
-        applied = dyn.apply_delta(delta)  # patches self._csr in place
+        applied = dyn.apply(delta)  # patches or adopts into self._csr in place
         n = dyn.n
         if n > old_n:
             grow = n - old_n
@@ -580,15 +579,8 @@ class ArrayExecution(ExecutionBase["Turn"]):
         # Fold the delta into the dirty set: exactly the rows whose
         # inclusive neighborhood (or state) changed — no wholesale
         # invalidation.
-        affected = sorted(
-            set(applied.touched)
-            | set(applied.left)
-            | {v for v, _ in applied.joined}
-        )
-        if affected:
-            self._dirty_exact_rows(
-                np.fromiter(affected, dtype=np.int64, count=len(affected))
-            )
+        if applied.affected.size:
+            self._dirty_exact_rows(applied.affected)
         self._config_cache = None
         return applied
 

@@ -86,6 +86,7 @@ from typing import (
 
 import numpy as np
 
+from repro.graphs.dynamic import AppliedDelta
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
@@ -418,9 +419,12 @@ class ExecutionBase(ABC, Generic[Q]):
         masked like a crash (ids are never renumbered, so dense code
         vectors and round bookkeeping stay valid).  Returns the
         resolved :class:`~repro.graphs.dynamic.AppliedDelta`.
-        """
-        from repro.graphs.dynamic import AppliedDelta
 
+        ``delta`` may also be a :class:`~repro.graphs.dynamic.ResolvedDelta`
+        resolved on the same base graph: the private topology then
+        replays its rows and CSR instead of validating and splicing the
+        delta again (see :meth:`~repro.graphs.dynamic.DynamicTopology.replay`).
+        """
         if delta.is_empty:
             return AppliedDelta((), (), (), (), ())
         applied = self._apply_topology_delta(delta)

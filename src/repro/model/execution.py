@@ -39,6 +39,7 @@ from typing import Dict, FrozenSet, Generic, List, Mapping, Optional, Tuple, Typ
 
 import numpy as np
 
+from repro.graphs.dynamic import DynamicTopology
 from repro.model.configuration import Configuration
 from repro.model.engine import (
     ExecutionBase,
@@ -77,10 +78,10 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         intervention: Optional[Intervention] = None,
         incremental: bool = True,
     ):
-        # The shared adjacency representation: the same cached
-        # CSRAdjacency instance the array engine scatters over, viewed
-        # as Python lists for per-node iteration.
-        self._hoods = topology.inclusive_csr().neighbor_lists()
+        # The shared adjacency representation: the inclusive rows the
+        # array engine's CSR caches, as Python lists for per-node
+        # iteration.
+        self._hoods = topology.inclusive_rows()
         # The pending-action cache is only sound when replaying a
         # cached action skips no coin toss.
         self._use_cache = bool(incremental) and getattr(
@@ -263,20 +264,19 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         """Convert the (possibly shared) frozen topology into a private
         :class:`~repro.graphs.dynamic.DynamicTopology` on first
         mutation; the neighbor-list view then aliases the dynamic rows,
-        so subsequent deltas patch it in place."""
-        from repro.graphs.dynamic import DynamicTopology
-
+        so subsequent deltas update it in place.  The lane reads only
+        the rows, so its topology never builds a CSR."""
         top = self.topology
         if not isinstance(top, DynamicTopology):
             top = DynamicTopology(top)
             self.topology = top
-            self._hoods = top.inclusive_csr().neighbor_lists()
+            self._hoods = top.inclusive_rows()
         return top
 
     def _apply_topology_delta(self, delta):
         dyn = self._ensure_dynamic_topology()
         states = list(self._configuration.states())
-        applied = dyn.apply_delta(delta)
+        applied = dyn.apply(delta)
         if applied.left:
             rest = self.algorithm.initial_state()
             for v in applied.left:
@@ -290,9 +290,7 @@ class Execution(ExecutionBase[Q], Generic[Q]):
         # Fold the delta into the dirty set: exactly the rows whose
         # inclusive neighborhood (or state) changed, not the whole
         # pipeline.
-        dirtied = set(applied.touched)
-        dirtied.update(applied.left)
-        dirtied.update(v for v, _ in applied.joined)
+        dirtied = applied.affected.tolist()
         self._dirty.update(dirtied)
         self._enabled.difference_update(dirtied)
         self._goodness = None  # lazily recounted on the mutated graph

@@ -58,6 +58,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
+from repro.graphs.dynamic import DynamicTopology
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
@@ -328,8 +329,9 @@ class NetExecution(ExecutionBase):
     # ------------------------------------------------------------------
 
     def _apply_topology_delta(self, delta):
-        """Map a :class:`~repro.graphs.dynamic.TopologyDelta` onto the
-        actor world: removed edges tear down their directed link pairs
+        """Map a :class:`~repro.graphs.dynamic.TopologyDelta` (or its
+        :class:`~repro.graphs.dynamic.ResolvedDelta`) onto the actor
+        world: removed edges tear down their directed link pairs
         (and the registers riding on them), leaves silence an actor into
         a tombstone, joins spawn a fresh actor.  Added edges get their
         links lazily, on their first noisy send.
@@ -341,12 +343,10 @@ class NetExecution(ExecutionBase):
         In-flight deliveries from a removed neighbor are dropped by the
         actors' membership guard, not by scanning the message queues.
         """
-        from repro.graphs.dynamic import DynamicTopology
-
         if not isinstance(self.topology, DynamicTopology):
             self.topology = DynamicTopology(self.topology)
         dyn = self.topology
-        applied = dyn.apply_delta(delta)
+        applied = dyn.apply(delta)
         actors = self._actors
         links = self.network.links
         # Tear down removed (and leave-incident) edges: both directed

@@ -8,6 +8,9 @@ Covers the mutable-topology substrate end to end:
   (tombstoned leaves, consecutive joins, patched metrics);
 * :class:`~repro.graphs.dynamic.MutableCSR` splicing against a
   from-scratch rebuild;
+* :class:`~repro.graphs.dynamic.ResolvedDelta` replay against applying
+  the same :class:`~repro.faults.churn.ChurnProcess` stream, on the
+  ``churn-phase`` colony families;
 * :class:`~repro.faults.churn.ChurnProcess` determinism and
   internal-consistency invariants;
 * engine differentials: object/array/native step-for-step under one
@@ -23,8 +26,12 @@ Covers the mutable-topology substrate end to end:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.restabilization import (
     RestabilizationTracker,
@@ -33,8 +40,10 @@ from repro.analysis.restabilization import (
 )
 from repro.campaigns import FaultPlan, Scenario, run_scenario
 from repro.campaigns.aggregate import MEASURED_COLUMNS, measured_payload
-from repro.campaigns.registry import registry_names
+from repro.campaigns.registry import CHURN_GRAPHS, registry_names
+from repro.core import algau_native
 from repro.core.algau import ThinUnison
+from repro.core.algau_native import NativeBackendError
 from repro.core.turns import Turn
 from repro.faults.churn import JOIN_DEGREE, ChurnProcess
 from repro.faults.injection import (
@@ -53,6 +62,7 @@ from repro.graphs.generators import complete_graph, make_graph, ring
 from repro.graphs.properties import diameter, summary
 from repro.model.engine import create_execution
 from repro.model.errors import ModelError
+from repro.model.native_engine import NativeExecution
 from repro.model.scheduler import RoundRobinScheduler, SynchronousScheduler
 
 
@@ -249,6 +259,162 @@ class TestMutableCSR:
         csr.patch({})
         assert np.array_equal(csr.indptr, indptr)
         assert np.array_equal(csr.indices, indices)
+
+
+def _churn_graph(graph, seed):
+    family, params, _ = graph
+    return make_graph(family, np.random.default_rng(seed), **dict(params))
+
+
+def _churn_stream(topology, *, seed, rate, membership, steps):
+    """A ``churn-phase``-style stream: ``rate`` split evenly between the
+    two event kinds of the regime, ``None`` on quiet steps."""
+    half = rate / 2.0
+    if membership:
+        rates = dict(
+            join_rate=half, leave_rate=half, initial_state=ThinUnison(2).initial_state
+        )
+    else:
+        rates = dict(edge_add_rate=half, edge_remove_rate=half)
+    return list(ChurnProcess(topology, seed=seed, **rates).deltas(steps))
+
+
+def _churn_deltas(topology, **stream):
+    """The non-empty deltas of :func:`_churn_stream`."""
+    return [delta for delta in _churn_stream(topology, **stream) if delta is not None]
+
+
+def _assert_same_topology(got, want):
+    assert got._rows == want._rows
+    assert got.left_nodes == want.left_nodes
+    assert (got.n, got.m, got.version, got.nodes) == (
+        want.n,
+        want.m,
+        want.version,
+        want.nodes,
+    )
+    assert got.edges == want.edges
+    got_csr, want_csr = got.inclusive_csr(), want.inclusive_csr()
+    for name in ("indptr", "indices", "row_index"):
+        assert np.array_equal(getattr(got_csr, name), getattr(want_csr, name)), name
+    assert got_csr.neighbor_lists() is got._rows
+
+
+class TestResolvedReplay:
+    """One topology resolves a stream; another, on the same base graph,
+    replays it and must end up exactly where applying the stream puts a
+    third."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graph=st.sampled_from(CHURN_GRAPHS),
+        membership=st.booleans(),
+        rate=st.floats(min_value=0.05, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        prefix=st.integers(min_value=0, max_value=40),
+        built=st.booleans(),
+    )
+    def test_replay_matches_apply(self, graph, membership, rate, seed, prefix, built):
+        """``prefix`` deltas replay, the rest apply as plain deltas on
+        top of the adopted arrays; ``built`` says whether the replaying
+        topology has its CSR before the stream (the array lanes) or
+        builds it lazily afterwards (the object lane)."""
+        base = _churn_graph(graph, seed)
+        deltas = _churn_deltas(
+            base, seed=seed, rate=rate, membership=membership, steps=40
+        )
+        # The whole stream resolves first, as the runner's does.
+        resolver = DynamicTopology(base)
+        stream = [resolver.resolve(delta) for delta in deltas[:prefix]]
+        applied, replayed = DynamicTopology(base), DynamicTopology(base)
+        applied.inclusive_csr()
+        if built:
+            replayed.inclusive_csr()
+        for i, delta in enumerate(deltas):
+            want = applied.apply_delta(delta)
+            if i < prefix:
+                resolved = stream[i]
+                assert resolved.version == i and resolved.base is base
+                assert replayed.replay(resolved) == want
+            else:
+                assert replayed.apply_delta(delta) == want
+            if built:
+                _assert_same_topology(replayed, applied)
+        _assert_same_topology(replayed, applied)
+
+    def _resolved(self, base, count=2):
+        deltas = _churn_deltas(base, seed=3, rate=1.0, membership=True, steps=40)
+        resolver = DynamicTopology(base)
+        return [resolver.resolve(delta) for delta in deltas[:count]]
+
+    def test_replay_out_of_order_raises(self):
+        base = _churn_graph(CHURN_GRAPHS[0], 3)
+        first, second = self._resolved(base)
+        dyn = DynamicTopology(base)
+        with pytest.raises(TopologyError):
+            dyn.replay(second)
+        dyn.replay(first)
+        with pytest.raises(TopologyError):
+            dyn.replay(first)  # already past it
+        assert dyn.version == 1
+        dyn.replay(second)
+        assert dyn.version == 2
+
+    def test_replay_onto_another_base_graph_raises(self):
+        base = _churn_graph(CHURN_GRAPHS[1], 3)
+        (first,) = self._resolved(base, count=1)
+        twin = _churn_graph(CHURN_GRAPHS[1], 3)  # equal graph, other object
+        assert twin.edges == base.edges
+        with pytest.raises(TopologyError):
+            DynamicTopology(twin).replay(first)
+        algorithm = ThinUnison(2)
+        start = random_configuration(algorithm, twin, np.random.default_rng(0))
+        lane = _execution("array", twin, algorithm, start)
+        with pytest.raises(TopologyError):
+            lane.mutate_topology(first)
+
+    @pytest.mark.parametrize("backend", ["python", "cc", "numba"])
+    def test_lanes_step_alike_on_one_resolution(self, backend):
+        """The object, array and native lanes replay one resolved stream
+        and step like an object lane that applies it plain, so the
+        numpy δ and each native backend run on the adopted read-only
+        arrays."""
+        try:
+            kernels = algau_native._BUILDERS[backend]()
+        except (ImportError, OSError, NativeBackendError):
+            pytest.skip(f"the {backend} backend is unavailable")
+        algorithm = ThinUnison(2)
+        base = _churn_graph(CHURN_GRAPHS[1], 7)
+        start = random_configuration(algorithm, base, np.random.default_rng(7))
+        stream = _churn_stream(base, seed=7, rate=1.0, membership=True, steps=60)
+        resolver = DynamicTopology(base)
+        reference = _execution("object", base, algorithm, start)
+        lanes = [_execution(e, base, algorithm, start) for e in ("object", "array")]
+        # The compiled kernel is built during construction, from the
+        # resolved backend.
+        with mock.patch.object(algau_native, "_RESOLVED", kernels):
+            native = NativeExecution(base, algorithm, start, SynchronousScheduler())
+        assert native._native.backend is kernels
+        lanes.append(native)
+        for step, delta in enumerate(stream):
+            if delta is not None:
+                reference.mutate_topology(delta)
+                resolved = resolver.resolve(delta)
+                for lane in lanes:
+                    lane.mutate_topology(resolved)
+            reference.step()
+            for lane in lanes:
+                lane.step()
+                assert _states(lane) == _states(reference), (type(lane), step)
+                assert lane.graph_is_good() == reference.graph_is_good()
+
+    def test_stored_arrays_are_read_only(self):
+        base = _churn_graph(CHURN_GRAPHS[2], 5)
+        for resolved in self._resolved(base):
+            for array in (resolved.indptr, resolved.indices, resolved.row_index):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
 
 class TestChurnProcess:

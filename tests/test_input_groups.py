@@ -26,6 +26,7 @@ from repro.campaigns import (
 )
 from repro.campaigns import runner as runner_module
 from repro.faults.churn import ChurnProcess
+from repro.graphs.dynamic import DynamicTopology, TopologyDelta
 
 #: Registries whose pairings are engine or runtime lanes of one cell.
 LANE_PAIRED = (
@@ -183,10 +184,16 @@ class TestJobs:
                     assert all(s.batch_replicas == 1 for s in job)
 
     def test_a_group_builds_its_inputs_once(self, monkeypatch):
+        """Each group samples its graph and draws its churn stream once,
+        and resolves each non-empty delta once: the lanes only replay,
+        so no lane validates a delta in ``apply_delta``."""
         scenarios = build_campaign("churn-phase")[:8]  # two 4-lane pairings
-        graphs, streams = [], []
+        graphs, streams, drawn, resolved, lane_applies = [], [], [], [], []
         real_make_graph = runner_module.make_graph
         real_deltas = ChurnProcess.deltas
+        real_resolve = DynamicTopology.resolve
+        real_apply_delta = DynamicTopology.apply_delta
+        resolving = []
 
         def make_graph(family, rng, **params):
             graphs.append(family)
@@ -194,12 +201,32 @@ class TestJobs:
 
         def deltas(process, steps):
             streams.append(steps)
-            return real_deltas(process, steps)
+            for delta in real_deltas(process, steps):
+                if delta is not None:
+                    drawn.append(delta)
+                yield delta
+
+        def resolve(topology, delta):
+            resolved.append(delta)
+            resolving.append(topology)
+            try:
+                return real_resolve(topology, delta)
+            finally:
+                resolving.pop()
+
+        def apply_delta(topology, delta):
+            if not resolving:
+                lane_applies.append(delta)
+            return real_apply_delta(topology, delta)
 
         monkeypatch.setattr(runner_module, "make_graph", make_graph)
         monkeypatch.setattr(ChurnProcess, "deltas", deltas)
+        monkeypatch.setattr(DynamicTopology, "resolve", resolve)
+        monkeypatch.setattr(DynamicTopology, "apply_delta", apply_delta)
         run_campaign(scenarios)
         assert len(graphs) == len(streams) == 2
+        assert drawn and [id(d) for d in resolved] == [id(d) for d in drawn]
+        assert lane_applies == []
 
 
 class TestGroupedRowsEqualSolo:
@@ -235,6 +262,27 @@ class TestGroupedRowsEqualSolo:
         grouped = run_campaign(scenarios, workers=workers)
         assert [r.status for r in grouped] == ["", "", "error", "error", "", ""]
         assert "synthetic unusable sample" in grouped[3].detail
+        assert _rows(grouped) == _rows(solo)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_invalid_delta_folds_like_solo(self, monkeypatch, workers):
+        """A delta that does not fit the graph stays unresolved, so every
+        lane reaches it and fails in ``apply_delta``, grouped or not."""
+        scenarios = build_campaign("churn-phase")[:4]  # one 4-lane pairing
+        real_deltas = ChurnProcess.deltas
+
+        def deltas(process, steps):
+            stream = list(real_deltas(process, steps))
+            stream[steps // 2] = TopologyDelta(leave=(10**6,))
+            return iter(stream)
+
+        monkeypatch.setattr(ChurnProcess, "deltas", deltas)
+        solo = [run_scenario(s) for s in scenarios]
+        grouped = run_campaign(scenarios, workers=workers)
+        assert [r.status for r in grouped] == ["error"] * 4
+        assert "TopologyError: leave names unknown node 1000000" in grouped[0].detail
+        assert "in mutate_topology" in grouped[0].detail  # a lane's frame
+        assert "in apply_delta" in grouped[0].detail
         assert _rows(grouped) == _rows(solo)
 
     def test_a_partial_cache_hit_equals_solo(self, tmp_path, monkeypatch):
