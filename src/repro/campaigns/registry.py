@@ -398,8 +398,8 @@ def _smoke(builder: CampaignBuilder) -> None:
     # The compiled kernel tier rides every CI run: a fault-free slice
     # of the core families on ``engine="native"`` (which degrades to
     # the array tier with a warning on compiler-less runners, so the
-    # campaign stays green either way) plus one batched ensemble on
-    # the native replica lane.
+    # campaign stays green either way) plus four seed trials, each run
+    # solo on the native lane.
     for graph, params, d in (CORE_GRAPHS[0], CORE_GRAPHS[4]):
         for start in ("random", "all-faulty"):
             builder.add_au(
@@ -418,7 +418,6 @@ def _smoke(builder: CampaignBuilder) -> None:
             engine="native",
             group="au-native-ensemble@damaged-clique",
             tags=(("trial", str(trial)),),
-            batch_replicas=4,
         )
     for n in (4, 8):
         builder.add(

@@ -77,7 +77,7 @@ from repro.graphs.topology import Topology
 from repro.model.configuration import Configuration
 from repro.model.engine import Monitor, create_execution, graph_is_good
 from repro.model.errors import TopologyError
-from repro.model.replica_engine import ReplicaSpec
+from repro.model.replica_engine import ReplicaBatchExecution, ReplicaSpec
 from repro.resilience.adversary import (
     PermanentFaultAdversary,
     select_faulty_nodes,
@@ -735,10 +735,7 @@ def run_scenario_batch(
         by_id[scenario.scenario_id] = run_scenario(scenario)
     if specs:
         try:
-            from repro.model.native_engine import replica_batch_execution_class
-
-            batch_cls = replica_batch_execution_class(scenarios[0].engine)
-            batch = batch_cls.from_replicas(algorithm, specs)
+            batch = ReplicaBatchExecution.from_replicas(algorithm, specs)
             outcomes = batch.run_ensemble(max_rounds=scenarios[0].max_rounds)
         except Exception:
             return [run_scenario(scenario) for scenario in scenarios]

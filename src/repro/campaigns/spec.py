@@ -702,8 +702,9 @@ class Scenario:
     #: ensembles of at most this many replicas.  Batching is a pure
     #: execution strategy — per-replica results are bit-identical to
     #: solo runs — so the value never enters ``scenario_id`` or the
-    #: aggregates.  Only fault-free AU scenarios on the vectorized
-    #: engines under oblivious schedulers qualify.
+    #: aggregates.  Only fault-free AU scenarios on the ``array`` or
+    #: ``replica-batch`` engine under oblivious schedulers qualify (a
+    #: ``native`` seed ensemble runs its trials solo, which is faster).
     batch_replicas: int = 1
     #: The algorithm axis: an :data:`ALGORITHM_FACTORIES` name.  The
     #: empty default resolves to the task's paper algorithm
@@ -804,9 +805,9 @@ class Scenario:
                     f"(got fault kind {self.faults.kind!r}); faulted "
                     "scenarios keep the per-scenario engines"
                 )
-            if self.engine == "object":
+            if self.engine not in ("array", "replica-batch"):
                 raise ValueError(
-                    "replica batching rides the vectorized backends; use "
+                    "replica batching rides the numpy array tier; use "
                     "engine='array' or 'replica-batch' with "
                     "batch_replicas > 1"
                 )

@@ -1,6 +1,6 @@
 /* Native AlgAU kernels over CSR neighborhoods.
  *
- * This is the C lane of repro.core.algau_native: the same four kernels
+ * This is the C lane of repro.core.algau_native: the same three kernels
  * the module also ships as numba-jittable Python, compiled lazily with
  * the host C compiler when numba is not importable (see the module
  * docstring for the backend resolution order).  The two lanes must stay
@@ -10,9 +10,8 @@
  * x random CSR neighborhoods.
  *
  * Conventions shared with the Python lane:
- *   - codes/indptr/indices/rows/diff/order arrays are int64,
- *     C-contiguous;
- *   - boolean tables (masks, has_twin, in_diff) are uint8;
+ *   - codes/indptr/indices/rows/order arrays are int64, C-contiguous;
+ *   - boolean tables (masks, has_twin, is_faulty) are uint8;
  *   - pair_bad is int8 (so deltas live in {-1, 0, 1} without wrapping);
  *   - 2-D tables are row-major with row stride k2 (masks) or size
  *     (pair_bad);
@@ -160,42 +159,4 @@ void goodness_counts(const int64_t *codes, const int64_t *indptr,
     }
     out2[0] = faulty;
     out2[1] = bad;
-}
-
-/* fold_pairs: unprotected-pair delta of one change set of the
- * replica-batched lane, folded with the double-count convention — once
- * per ordered pair whose row moved, plus the symmetric reverse of pairs
- * whose column did not move (weight 2), exactly matching
- * VectorKernel.pair_deltas consumers — and scattered by owner (replica
- * id per node) into bad_out[owner[v]].  `codes` must still hold the
- * pre-write codes.  in_diff/new_code_of are caller-owned length-n
- * scratch (in_diff all-zero on entry, restored on exit). */
-void fold_pairs(const int64_t *codes, const int64_t *indptr,
-                const int64_t *indices, const int64_t *diff,
-                const int64_t *old_diff, const int64_t *new_diff,
-                int64_t ndiff, uint8_t *in_diff, int64_t *new_code_of,
-                const int8_t *pair_bad, int64_t size, const int64_t *owner,
-                int64_t *bad_out)
-{
-    for (int64_t i = 0; i < ndiff; i++) {
-        in_diff[diff[i]] = 1;
-        new_code_of[diff[i]] = new_diff[i];
-    }
-    for (int64_t i = 0; i < ndiff; i++) {
-        int64_t v = diff[i];
-        const int8_t *row_old = pair_bad + old_diff[i] * size;
-        const int8_t *row_new = pair_bad + new_diff[i] * size;
-        int64_t delta = 0;
-        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
-            int64_t u = indices[e];
-            int64_t col_old = codes[u];
-            if (in_diff[u])
-                delta += row_new[new_code_of[u]] - row_old[col_old];
-            else
-                delta += 2 * (row_new[col_old] - row_old[col_old]);
-        }
-        bad_out[owner[v]] += delta;
-    }
-    for (int64_t i = 0; i < ndiff; i++)
-        in_diff[diff[i]] = 0;
 }

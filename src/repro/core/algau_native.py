@@ -8,16 +8,14 @@ directly and test each sensed clock against the per-code window masks
 inline, so the per-step cost is one tight loop over the active lanes'
 neighborhoods with no intermediate arrays.
 
-Four kernels cover every seam the array-tier engines use:
+Three kernels cover every seam the native engine uses:
 
 * ``delta_rows`` — batched Table 1 transition for an explicit lane set
   (the ``activated ∩ dirty`` incremental path) or all lanes at once;
 * ``goodness_counts`` — the full ``(faulty, unprotected pairs)`` scan
-  that seeds incremental goodness accounting;
-* ``fold_pairs`` — the replica-batch lane's per-step pair-delta fold
-  over its block-diagonal CSR, scattered into one counter per replica
-  (the array and native engines fold a step of up to four movers move
-  by move in Python and recount after a larger one);
+  that seeds incremental goodness accounting (the engine's goodness
+  ledger folds a step of up to four movers move by move in Python and
+  recounts after a larger one);
 * ``run_sequence`` — a sequential daemon's activations applied one
   after another (δ, write, goodness fold, move count per activation),
   stopping on the first good configuration: whole rounds of round-robin
@@ -48,7 +46,7 @@ factory falls back to the numpy tier with a warning.
 Every backend has one seam, ``bind(tables)``: it returns the backend's
 entry points with one kernel's constant Table 1 arrays bound, so a call
 passes only what changes between calls — the codes, the CSR arrays and
-the row or change arrays.  :class:`NativeKernel` binds once per kernel.
+the row or order arrays.  :class:`NativeKernel` binds once per kernel.
 On graphs of a dozen nodes a kernel call costs a few microseconds, and
 converting an array to a ``ctypes`` address costs about two, so the
 ``cc`` lane converts the ten tables once instead of on every call.
@@ -289,39 +287,6 @@ def _goodness_counts_impl(codes, indptr, indices, is_faulty, pair_bad):
     return faulty, bad
 
 
-def _fold_pairs_owner_impl(
-    codes,
-    indptr,
-    indices,
-    diff,
-    old_diff,
-    new_diff,
-    in_diff,
-    new_code_of,
-    pair_bad,
-    owner,
-    bad_out,
-):
-    for i in range(diff.shape[0]):
-        in_diff[diff[i]] = 1
-        new_code_of[diff[i]] = new_diff[i]
-    for i in range(diff.shape[0]):
-        v = diff[i]
-        co = old_diff[i]
-        cn = new_diff[i]
-        delta = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            cu = codes[u]
-            if in_diff[u]:
-                delta += int(pair_bad[cn, new_code_of[u]]) - int(pair_bad[co, cu])
-            else:
-                delta += 2 * (int(pair_bad[cn, cu]) - int(pair_bad[co, cu]))
-        bad_out[owner[v]] += delta
-    for i in range(diff.shape[0]):
-        in_diff[diff[i]] = 0
-
-
 # ----------------------------------------------------------------------
 # Backends.
 # ----------------------------------------------------------------------
@@ -330,7 +295,7 @@ def _fold_pairs_owner_impl(
 class _ArrayKernels:
     """An array-taking backend's kernels (the ``python`` and ``numba``
     lanes) with one kernel's Table 1 arrays bound: the per-call
-    arguments are the codes, the CSR and the row or change arrays."""
+    arguments are the codes, the CSR and the row or order arrays."""
 
     def __init__(self, backend, tables: NativeTables):
         t = tables
@@ -358,15 +323,6 @@ class _ArrayKernels:
         )
         return int(faulty), int(bad)
 
-    def fold_pairs_owner(
-        self, codes, indptr, indices, diff, old_diff, new_diff,
-        in_diff, new_code_of, owner, bad_out,
-    ) -> None:
-        self._backend.fold_pairs_owner(
-            codes, indptr, indices, diff, old_diff, new_diff,
-            in_diff, new_code_of, self._tables.pair_bad, owner, bad_out,
-        )
-
 
 class _PythonBackend:
     """The un-jitted kernels — correctness reference, test-only lane."""
@@ -375,7 +331,6 @@ class _PythonBackend:
 
     delta_rows = staticmethod(_delta_rows_impl)
     goodness_counts = staticmethod(_goodness_counts_impl)
-    fold_pairs_owner = staticmethod(_fold_pairs_owner_impl)
     run_sequence = staticmethod(_run_sequence_impl)
 
     def bind(self, tables: NativeTables) -> _ArrayKernels:
@@ -393,7 +348,6 @@ class _NumbaBackend(_PythonBackend):
         jit = numba.njit(cache=True, nogil=True)
         self.delta_rows = jit(_delta_rows_impl)
         self.goodness_counts = jit(_goodness_counts_impl)
-        self.fold_pairs_owner = jit(_fold_pairs_owner_impl)
         self.run_sequence = jit(_run_sequence_impl)
 
 
@@ -457,7 +411,7 @@ class _CKernels:
 
     ``ndarray.ctypes.data`` costs about as much as a small kernel call,
     so the constant tables (and a private output buffer) are converted
-    once here; only the codes, the CSR and the row or change arrays —
+    once here; only the codes, the CSR and the row or order arrays —
     which the engines replace between calls (``MutableCSR.patch`` swaps
     its buffers) — are converted per call.  The tables object is held so
     the bound addresses stay valid.
@@ -501,16 +455,6 @@ class _CKernels:
         )
         return int(out[0]), int(out[1])
 
-    def fold_pairs_owner(
-        self, codes, indptr, indices, diff, old_diff, new_diff,
-        in_diff, new_code_of, owner, bad_out,
-    ) -> None:
-        self._c.fold(
-            _ptr(codes), _ptr(indptr), _ptr(indices), _ptr(diff), _ptr(old_diff),
-            _ptr(new_diff), diff.shape[0], _ptr(in_diff), _ptr(new_code_of),
-            *self._pair_bad, _ptr(owner), _ptr(bad_out),
-        )
-
 
 class _CBackend:
     """``_native_kernels.c`` compiled on demand and bound via ctypes."""
@@ -527,9 +471,6 @@ class _CBackend:
         self.goodness = lib.goodness_counts
         self.goodness.restype = None
         self.goodness.argtypes = [p, p, p, i64, p, p, i64, p]
-        self.fold = lib.fold_pairs
-        self.fold.restype = None
-        self.fold.argtypes = [p] * 6 + [i64] + [p] * 3 + [i64] + [p, p]
         self.sequence = lib.run_sequence
         self.sequence.restype = i64
         self.sequence.argtypes = (
@@ -688,26 +629,3 @@ class NativeKernel:
 
     def goodness_counts(self, codes: np.ndarray, csr: "CSRAdjacency") -> Tuple[int, int]:
         return self.kernels.goodness_counts(codes, csr.indptr, csr.indices)
-
-    def fold_pair_delta_by_owner(
-        self,
-        codes: np.ndarray,
-        csr: "CSRAdjacency",
-        diff: np.ndarray,
-        old_diff: np.ndarray,
-        new_diff: np.ndarray,
-        in_diff: np.ndarray,
-        new_code_of: np.ndarray,
-        owner: np.ndarray,
-        bad_out: np.ndarray,
-    ) -> None:
-        """The folded unprotected-pair delta of one change set, scattered
-        into ``bad_out[owner[lane]]`` (the replica-batch lane's
-        per-replica pair counters), with the weight-2 convention for
-        unmoved columns.  ``codes`` must still hold pre-write codes;
-        ``in_diff``/``new_code_of`` are the caller's scratch arrays
-        (``in_diff`` all-False on entry, restored on exit)."""
-        self.kernels.fold_pairs_owner(
-            codes, csr.indptr, csr.indices, diff, old_diff, new_diff,
-            in_diff.view(np.uint8), new_code_of, owner, bad_out,
-        )

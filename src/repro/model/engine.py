@@ -745,8 +745,8 @@ def create_execution(
     :class:`~repro.model.array_engine.ArrayExecution` (the algorithm
     must expose the vectorized backend — currently
     :class:`~repro.core.algau.ThinUnison`); ``engine="replica-batch"``
-    builds the same ``ArrayExecution`` (seed ensembles on any vectorized
-    engine are batched by the campaign runner through
+    builds the same ``ArrayExecution`` (``array`` and ``replica-batch``
+    seed ensembles are batched by the campaign runner through
     :class:`~repro.model.replica_engine.ReplicaBatchExecution`);
     ``engine="native"`` builds the compiled kernel tier
     (:class:`~repro.model.native_engine.NativeExecution` — bit-identical

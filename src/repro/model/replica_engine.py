@@ -11,10 +11,11 @@ strategy for fault-free seed ensembles: it holds the code vectors of
 ``R`` independent replicas as one flat array, concatenates their CSR
 neighborhoods into one block-diagonal adjacency, and advances every
 live replica's activated lanes in a single fused Table 1 kernel pass
-per ensemble step.  δ and the goodness seed go through the array
-tier's kernel seams (the kernel's packed-signal
-:meth:`~repro.core.algau_vec.CodeKernel.delta_rows` and its goodness
-scan), which the native tier reroutes to its compiled kernels.
+per ensemble step: the kernel's packed-signal
+:meth:`~repro.core.algau_vec.CodeKernel.delta_rows` for δ and its
+goodness scan for the seed counts.  Only the numpy kernel runs here;
+a native seed ensemble runs solo, on
+:class:`~repro.model.native_engine.NativeExecution`.
 
 Per replica the runner keeps exactly the state the per-scenario path
 keeps: its own scheduler instance, its own ``SeedSequence``-derived rng
@@ -195,16 +196,6 @@ class ReplicaBatchExecution:
         self._kernel = algorithm.vector_kernel()
 
     # ------------------------------------------------------------------
-    # Kernel seams (the native tier reroutes both).
-    # ------------------------------------------------------------------
-
-    def _evaluate(self, codes, rows, csr) -> np.ndarray:
-        return self._kernel.delta_rows(codes, csr, rows)
-
-    def _goodness_counts(self, codes, csr):
-        return self._kernel.goodness_counts(codes, csr)
-
-    # ------------------------------------------------------------------
     # Ensemble construction.
     # ------------------------------------------------------------------
 
@@ -274,7 +265,7 @@ class ReplicaBatchExecution:
         # the goodness counts (one bincount per step).
         self._move_counts = np.zeros(len(reps), dtype=np.int64)
         for rep, spec in zip(reps, specs):
-            faulty, bad = self._goodness_counts(
+            faulty, bad = self._kernel.goodness_counts(
                 self._flat[rep.offset : rep.offset + rep.n],
                 spec.topology.inclusive_csr(),
             )
@@ -453,7 +444,7 @@ class ReplicaBatchExecution:
         moved."""
         codes = self._flat
         active = codes[rows]
-        new = self._evaluate(codes, rows, self._block_csr)
+        new = self._kernel.delta_rows(codes, self._block_csr, rows)
         moved = new != active
         if not moved.any():
             return None
@@ -486,20 +477,6 @@ class ReplicaBatchExecution:
             self._faulty_counts += np.bincount(
                 owner, weights=faulty_delta, minlength=count
             ).astype(np.int64)
-        self._fold_pair_counts(diff, old_diff, new_diff, owner)
-        return np.unique(owner)
-
-    def _fold_pair_counts(
-        self,
-        diff: np.ndarray,
-        old_diff: np.ndarray,
-        new_diff: np.ndarray,
-        owner: np.ndarray,
-    ) -> None:
-        """Fold the unprotected-pair deltas of one fused change set into
-        ``self._bad_counts`` (``owner[i]`` is the replica of lane
-        ``diff[i]``).  Reads pre-write codes; the native tier overrides
-        it with a compiled owner-scattered fold."""
         _, counts, delta, col_changed = self._kernel.pair_deltas(
             self._flat,
             self._block_csr,
@@ -516,5 +493,6 @@ class ReplicaBatchExecution:
         # reverse), folded in one bincount.
         delta *= 2 - col_changed.view(np.int8)
         self._bad_counts += np.bincount(
-            pair_owner, weights=delta, minlength=len(self._bad_counts)
+            pair_owner, weights=delta, minlength=count
         ).astype(np.int64)
+        return np.unique(owner)

@@ -111,8 +111,8 @@ class TestSpec:
             },
             {"diameter_bound": 0},
             {"max_rounds": 0},
-            # Replica batching: AU only, fault-free, vectorized engines,
-            # oblivious schedulers.
+            # Replica batching: AU only, fault-free, the numpy array
+            # engines, oblivious schedulers.
             {"batch_replicas": 0},
             {"task": "le", "engine": "object", "batch_replicas": 2},
             {
@@ -120,6 +120,7 @@ class TestSpec:
                 "batch_replicas": 2,
             },
             {"engine": "object", "batch_replicas": 2},
+            {"engine": "native", "batch_replicas": 2},
             {"scheduler": "enabled-only", "batch_replicas": 2},
         ],
     )
@@ -636,11 +637,11 @@ class TestReplicaBatching:
 
     def test_smoke_ensemble_aggregates_identical_across_strategies(self):
         scenarios = [s for s in build_campaign("smoke") if s.batch_replicas > 1]
-        assert len(scenarios) >= 2  # the smoke registry ships ensembles
-        # Two fused ensembles: the replica-batch one and the native-
-        # engine one (batch_key includes the engine).
-        assert len({s.batch_key() for s in scenarios}) == 2
-        assert {s.engine for s in scenarios} == {"replica-batch", "native"}
+        assert len(scenarios) >= 2  # the smoke registry ships an ensemble
+        # One fused ensemble, on the replica-batch engine.
+        assert len({s.batch_key() for s in scenarios}) == 1
+        assert {s.engine for s in scenarios} == {"replica-batch"}
+        assert len(runner_module._make_jobs(scenarios, batch=True)) == 1
         batched = run_campaign(scenarios, workers=1)
         solo = run_campaign(scenarios, workers=1, batch=False)
         pooled = run_campaign(scenarios, workers=2)

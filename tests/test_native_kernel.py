@@ -1,11 +1,10 @@
 """Differential validation of the compiled native kernel tier.
 
 The ``native`` engine reroutes the kernel seams of the array tier —
-batched δ, the full goodness scan, the round-sequence kernel, and the
-replica lane's pair-goodness fold — to the CSR-walking kernels of
-:mod:`repro.core.algau_native`.  Everything here checks the same
-contract the array engine owes the object model: *bit identity*.
-Three layers:
+batched δ, the full goodness scan and the round-sequence kernel — to
+the CSR-walking kernels of :mod:`repro.core.algau_native`.  Everything
+here checks the same contract the array engine owes the object model:
+*bit identity*.  Three layers:
 
 * kernel lanes — the pure-Python reference lane, the resolved compiled
   backend, the packed-signal ``delta_rows``, and the scalar
@@ -19,7 +18,8 @@ Three layers:
   the step loop, and both engines' whole-round
   ``run(until=graph_is_good)`` must equal the per-step run;
 * plumbing — registry, CLI, fallback-when-unavailable, the frontier
-  CSR builders, and the replica-batch lane.
+  CSR builders, and smoke's native seed trials, run solo, against the
+  numpy replica ensemble.
 
 Compiled-backend tests skip when no backend resolves (no numba, no C
 compiler); the Python and list lanes keep the kernel logic covered
@@ -73,12 +73,7 @@ from repro.model.engine import (
     graph_is_good,
 )
 from repro.model.errors import TopologyError
-from repro.model.native_engine import (
-    NativeExecution,
-    NativeReplicaBatchExecution,
-    native_execution_class,
-    replica_batch_execution_class,
-)
+from repro.model.native_engine import NativeExecution, native_execution_class
 from repro.model.replica_engine import ReplicaBatchExecution, ReplicaSpec
 from repro.model.scheduler import (
     EnabledOnlyScheduler,
@@ -196,8 +191,9 @@ def test_delta_lanes_agree_property(d, n, algorithm_name, seed):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_goodness_and_fold_lanes_agree_property(d, n, seed):
-    """goodness_counts and the pair fold agree across lanes, and the
-    fold equals the brute-force goodness difference of the step."""
+    """goodness_counts agrees across lanes, and the numpy pair fold (the
+    replica ensemble's) equals the brute-force goodness difference of
+    the step."""
     rng = np.random.default_rng(seed)
     algorithm = ThinUnison(d)
     kernel = algorithm.vector_kernel()
@@ -224,15 +220,6 @@ def test_goodness_and_fold_lanes_agree_property(d, n, seed):
     bad_before = kernel.goodness_counts(codes, csr)[1]
     bad_after = kernel.goodness_counts(new, csr)[1]
     assert vec_fold == bad_after - bad_before
-    owner = np.zeros(n, dtype=np.int64)  # one replica owns every node
-    for name, lane in _lanes(kernel).items():
-        scratch = np.zeros(n, dtype=bool)
-        bad_out = np.zeros(1, dtype=np.int64)
-        lane.fold_pair_delta_by_owner(
-            codes, csr, diff, old_diff, new_diff, scratch, new_code_of, owner, bad_out
-        )
-        assert bad_out[0] == vec_fold, name
-        assert not scratch.any(), name  # restored on exit
 
 
 def _backend_lanes():
@@ -254,8 +241,8 @@ def _backend_lanes():
 @pytest.mark.parametrize("backend", _backend_lanes())
 @pytest.mark.parametrize("d", [1, 3])
 def test_bound_tables_agree_with_per_call_binding(backend, d):
-    """A :class:`NativeKernel` binds its tables once; its δ, goodness
-    and fold equal a fresh per-call binding (every pointer taken at the
+    """A :class:`NativeKernel` binds its tables once; its δ and
+    goodness equal a fresh per-call binding (every pointer taken at the
     call, as before binding existed) on random codes, also after
     :meth:`MutableCSR.patch` swaps and regrows the CSR buffers."""
     from repro.graphs.dynamic import MutableCSR
@@ -290,21 +277,6 @@ def test_bound_tables_agree_with_per_call_binding(backend, d):
             assert bound.goodness_counts(codes, csr) == unbound().goodness_counts(
                 codes, csr.indptr, csr.indices
             )
-            diff = rows[: max(1, len(rows) // 2)]
-            new_diff = rng.integers(0, size, len(diff))
-            scratch = np.zeros(csr.n, dtype=bool)
-            new_code_of = np.zeros(csr.n, dtype=np.int64)
-            owner = np.zeros(csr.n, dtype=np.int64)  # one replica
-            folds = np.zeros((2, 1), dtype=np.int64)
-            bound.fold_pair_delta_by_owner(
-                codes, csr, diff, codes[diff], new_diff, scratch, new_code_of,
-                owner, folds[0],
-            )
-            unbound().fold_pairs_owner(
-                codes, csr.indptr, csr.indices, diff, codes[diff], new_diff,
-                scratch.view(np.uint8), new_code_of, owner, folds[1],
-            )
-            assert folds[0, 0] == folds[1, 0]
     assert len(csr._buf) > len(buffer)  # the patches regrew the buffers
 
 
@@ -428,9 +400,6 @@ class TestBackendResolution:
         monkeypatch.setattr(algau_native, "_RESOLVED", None)
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert native_execution_class() is ArrayExecution
-        with pytest.warns(RuntimeWarning, match="fall back"):
-            cls = replica_batch_execution_class("native")
-        assert cls is ReplicaBatchExecution
         # create_execution(engine="native") rides the same fallback.
         topology = ring(6)
         algorithm = ThinUnison(1)
@@ -452,8 +421,6 @@ class TestBackendResolution:
     @needs_backend
     def test_available_backend_selects_native_classes(self):
         assert native_execution_class() is NativeExecution
-        assert replica_batch_execution_class("native") is NativeReplicaBatchExecution
-        assert replica_batch_execution_class("replica-batch") is ReplicaBatchExecution
 
 
 # ----------------------------------------------------------------------
@@ -1044,47 +1011,44 @@ class TestCompiledRoundScenarios:
         assert sequence_calls
 
 
-@needs_backend
-class TestNativeReplicaBatch:
-    def test_ensemble_outcomes_match_numpy_ensemble(self):
-        algorithm = ThinUnison(2)
-        families = [
-            lambda rng: ring(9),
-            lambda rng: damaged_clique(10, 2, rng, damage=0.4),
-        ]
-        batches = []
-        for cls in (ReplicaBatchExecution, NativeReplicaBatchExecution):
-            specs = []
-            for i in range(6):
-                rng = np.random.default_rng(4000 + 11 * i)
-                topology = families[i % 2](rng)
-                initial = random_configuration(algorithm, topology, rng)
-                scheduler = (
-                    SynchronousScheduler()
-                    if i % 3 == 0
-                    else ShuffledRoundRobinScheduler()
-                )
-                specs.append(ReplicaSpec(topology, initial, scheduler, rng))
-            batches.append(cls.from_replicas(algorithm, specs))
-        numpy_outcomes = batches[0].run_ensemble(max_rounds=4000)
-        native_outcomes = batches[1].run_ensemble(max_rounds=4000)
-        assert native_outcomes == numpy_outcomes
+def test_smoke_native_trials_run_solo_like_the_numpy_ensemble():
+    """Smoke's native seed trials run solo, one ``run_scenario`` each;
+    a numpy replica ensemble over the same replica specs (graph, start,
+    scheduler and rng built as the runner builds them) gives the same
+    rows."""
+    from repro.campaigns.registry import build_campaign
+    from repro.campaigns.runner import (
+        _algorithm_spec,
+        _initial_configuration,
+        run_scenario,
+    )
+    from repro.campaigns.spec import make_scheduler
+    from repro.graphs.generators import make_graph
 
-    def test_runner_selects_the_native_batch_class(self):
-        from repro.campaigns.registry import build_campaign
-        from repro.campaigns.runner import run_campaign
-
-        scenarios = [
-            s
-            for s in build_campaign("smoke")
-            if s.engine == "native" and s.batch_replicas > 1
-        ]
-        assert scenarios, "smoke must carry a native replica ensemble"
-        solo = run_campaign(scenarios, workers=1, batch=False)
-        batched = run_campaign(scenarios, workers=1, batch=True)
-        assert [r.stabilized for r in solo] == [r.stabilized for r in batched]
-        assert [r.rounds for r in solo] == [r.rounds for r in batched]
-        assert [r.steps for r in solo] == [r.steps for r in batched]
+    scenarios = [
+        s
+        for s in build_campaign("smoke")
+        if s.group == "au-native-ensemble@damaged-clique"
+    ]
+    assert len(scenarios) == 4
+    assert {s.engine for s in scenarios} == {"native"}
+    assert {s.batch_replicas for s in scenarios} == {1}
+    solo = [run_scenario(s) for s in scenarios]
+    algorithm = _algorithm_spec(scenarios[0]).make(scenarios[0].diameter_bound)
+    specs = []
+    for s in scenarios:
+        rng = np.random.default_rng(s.seed)
+        topology = make_graph(s.graph, rng, **s.params())
+        initial = _initial_configuration(s, algorithm, topology, rng)
+        scheduler = make_scheduler(s.scheduler)
+        specs.append(ReplicaSpec(topology, initial, scheduler, rng))
+    ensemble = ReplicaBatchExecution.from_replicas(algorithm, specs).run_ensemble(
+        max_rounds=scenarios[0].max_rounds
+    )
+    assert all(r.stabilized for r in solo)
+    assert [(r.stabilized, r.rounds, r.steps, r.moves) for r in solo] == [
+        (o.stabilized, o.rounds, o.steps, o.moves) for o in ensemble
+    ]
 
 
 # ----------------------------------------------------------------------
