@@ -41,7 +41,7 @@ from repro.core.algau import ThinUnison
 from repro.faults.injection import random_configuration
 from repro.graphs.generators import ring
 from repro.model.scheduler import SynchronousScheduler
-from repro.net import LinkConfig, create_net_execution
+from repro.net import LinkConfig, NetExecution
 
 #: The loss sweep measured on the ring cell (rate → slowdown bound: a
 #: net run at that loss rate must stabilize within this multiple of the
@@ -65,7 +65,7 @@ def _loss_sweep() -> list:
     )
     rows = []
     for loss in LOSS_RATES:
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             ThinUnison(6),
             initial,

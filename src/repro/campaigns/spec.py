@@ -102,9 +102,9 @@ RUNTIMES: Tuple[str, ...] = ("sim", "net")
 NET_PARAM_KEYS: Tuple[str, ...] = ("delay", "jitter", "loss", "duplicate")
 
 #: Fault kinds the net runtime supports: permanent faults map onto
-#: actor-level faults (crash = silenced timers, byzantine = omniscient
+#: node-level faults (crash = silenced timers, byzantine = omniscient
 #: register rewrites); dynamic-topology kinds map deltas onto link
-#: creation/teardown and actor spawn/stop; the transient kinds would
+#: creation/teardown and node join/leave; the transient kinds would
 #: need a semantics for in-flight messages that the differential
 #: contract does not cover yet.
 NET_FAULT_KINDS: Tuple[str, ...] = (

@@ -29,7 +29,7 @@ Subcommands regenerate the paper's artifacts from the terminal:
   ``thm11-*``, ``thm13-le-scaling``, ``thm14-mis-scaling`` and
   ``cor12-synchronizer`` registries are the paper's scaling sweeps;
 * ``repro net run`` — one AlgAU run on the message-passing runtime:
-  per-node actors exchanging clock messages over fair-lossy
+  nodes exchanging clock messages over fair-lossy
   links (``--delay/--jitter/--loss/--duplicate``), with a per-round
   goodness trace and message statistics.
 
@@ -86,18 +86,45 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0 if check.passed else 1
 
 
-def _cmd_au(args: argparse.Namespace) -> int:
+def _au_start(args: argparse.Namespace):
+    """The seeded rng, graph, AlgAU instance and adversarial start of
+    ``repro au`` and ``repro net run``."""
     from repro.core.algau import ThinUnison
-    from repro.core.predicates import good_nodes
     from repro.faults.injection import au_adversarial_suite
     from repro.graphs.generators import bounded_diameter_family
-    from repro.model.engine import create_execution
-    from repro.model.scheduler import ShuffledRoundRobinScheduler
 
     rng = np.random.default_rng(args.seed)
     topology = bounded_diameter_family(args.diameter_bound, args.nodes, rng)
     algorithm = ThinUnison(args.diameter_bound)
     initial = au_adversarial_suite(algorithm, topology, rng)[args.start]
+    return rng, topology, algorithm, initial
+
+
+def _trace_until_good(execution, max_rounds: int, extra=lambda: "") -> bool:
+    """Run ``execution`` round by round until its graph is good, printing
+    each round's good nodes (followed by ``extra()``); False, with a
+    message on stderr, once ``max_rounds`` is exceeded."""
+    from repro.core.predicates import good_nodes
+
+    n = execution.topology.n
+    while not execution.graph_is_good():
+        execution.run_rounds(1)
+        good = len(good_nodes(execution.algorithm, execution.configuration))
+        print(
+            f"round {execution.completed_rounds:4d}: good nodes "
+            f"{good}/{n}{extra()}"
+        )
+        if execution.completed_rounds > max_rounds:
+            print("did not stabilize within the budget", file=sys.stderr)
+            return False
+    return True
+
+
+def _cmd_au(args: argparse.Namespace) -> int:
+    from repro.model.engine import create_execution
+    from repro.model.scheduler import ShuffledRoundRobinScheduler
+
+    rng, topology, algorithm, initial = _au_start(args)
     execution = create_execution(
         topology,
         algorithm,
@@ -111,32 +138,17 @@ def _cmd_au(args: argparse.Namespace) -> int:
         f"start={args.start} states={algorithm.state_space_size()} "
         f"engine={args.engine}"
     )
-    while not execution.graph_is_good():
-        execution.run_rounds(1)
-        good = len(good_nodes(algorithm, execution.configuration))
-        print(
-            f"round {execution.completed_rounds:4d}: good nodes "
-            f"{good}/{topology.n}"
-        )
-        if execution.completed_rounds > args.max_rounds:
-            print("did not stabilize within the budget", file=sys.stderr)
-            return 1
+    if not _trace_until_good(execution, args.max_rounds):
+        return 1
     print(f"stabilized (good graph) after {execution.completed_rounds} rounds")
     return 0
 
 
 def _cmd_net_run(args: argparse.Namespace) -> int:
-    from repro.core.algau import ThinUnison
-    from repro.core.predicates import good_nodes
-    from repro.faults.injection import au_adversarial_suite
-    from repro.graphs.generators import bounded_diameter_family
     from repro.model.scheduler import SynchronousScheduler
-    from repro.net import LinkConfig, create_net_execution
+    from repro.net import LinkConfig, NetExecution
 
-    rng = np.random.default_rng(args.seed)
-    topology = bounded_diameter_family(args.diameter_bound, args.nodes, rng)
-    algorithm = ThinUnison(args.diameter_bound)
-    initial = au_adversarial_suite(algorithm, topology, rng)[args.start]
+    rng, topology, algorithm, initial = _au_start(args)
     try:
         link_config = LinkConfig(
             delay=args.delay,
@@ -147,7 +159,7 @@ def _cmd_net_run(args: argparse.Namespace) -> int:
     except Exception as error:
         print(f"bad link configuration: {error}", file=sys.stderr)
         return 2
-    execution = create_net_execution(
+    execution = NetExecution(
         topology,
         algorithm,
         initial,
@@ -160,19 +172,13 @@ def _cmd_net_run(args: argparse.Namespace) -> int:
         f"{topology.name}: n={topology.n} D={args.diameter_bound} "
         f"start={args.start} links={link_config} runtime=net"
     )
-    while not execution.graph_is_good():
-        execution.run_rounds(1)
-        good = len(good_nodes(algorithm, execution.configuration))
-        stats = execution.stats
-        print(
-            f"round {execution.completed_rounds:4d}: good nodes "
-            f"{good}/{topology.n}  sent {stats.messages_sent} "
-            f"dropped {stats.messages_dropped}"
-        )
-        if execution.completed_rounds > args.max_rounds:
-            print("did not stabilize within the budget", file=sys.stderr)
-            return 1
     stats = execution.stats
+    if not _trace_until_good(
+        execution,
+        args.max_rounds,
+        lambda: f"  sent {stats.messages_sent} dropped {stats.messages_dropped}",
+    ):
+        return 1
     per_node_round = stats.per_node_round(
         topology.n, max(1, execution.completed_rounds)
     )

@@ -73,7 +73,7 @@ class CodeDelta:
 
     * :meth:`__call__` — one node, with the masks as Python ints (the
       scalar ``delta_one``, the list ``run_sequence`` kernel, the net
-      lane's actors): two integer ANDs per transition;
+      lane's nodes): two integer ANDs per transition;
     * :meth:`rows` — a batch of nodes over an inclusive CSR, with the
       masks split into ``⌈|Q|/64⌉`` ``uint64`` words: the signal
       ``S_v`` of every node is OR-reduced word by word over its

@@ -4,9 +4,10 @@ The simulation engines of :mod:`repro.model` evaluate AlgAU under the
 paper's shared-memory abstraction: an activated node reads its
 neighbors' states directly out of the configuration.  This package
 replaces that abstraction with an executable deployment model — each
-node is an actor holding only its own AlgAU state, neighbors exchange
-constant-size clock messages over simulated fair-lossy links
-(configurable delay, jitter, reordering, loss, duplication), and every
+node holds only its own AlgAU state and what it last heard from each
+neighbor, neighbors exchange constant-size clock messages over
+simulated fair-lossy links (configurable delay, jitter, reordering,
+loss, duplication), and every
 message in flight waits in one virtual-time delivery queue, so every
 run is seeded and fully deterministic.
 
@@ -17,12 +18,12 @@ Modules:
   fairness guarantee) and :class:`MessageNetwork`, the queue of
   in-flight deliveries (a FIFO of broadcasts under noiseless links, a
   heap otherwise);
-* :mod:`repro.net.node` — the per-node actor: neighbor-state
-  registers, one AlgAU transition per activation, stubborn broadcast;
 * :mod:`repro.net.runtime` — :class:`NetExecution`, the
-  :class:`~repro.model.engine.ExecutionBase` implementation driving the
-  actors (so schedulers, monitors, adversaries, and the ``run`` driver
-  compose unchanged), and :func:`create_net_execution`;
+  :class:`~repro.model.engine.ExecutionBase` implementation over a
+  register table (one code, one neighborhood and one
+  last-writer-wins register per neighbor for each node; one AlgAU
+  transition and one stubborn broadcast per activation), so schedulers,
+  monitors, adversaries, and the ``run`` driver compose unchanged;
 * :mod:`repro.net.adapter` — :class:`NetAdapter`, mapping campaign
   :class:`~repro.campaigns.spec.Scenario` axes onto the runtime.
 
@@ -35,7 +36,7 @@ system still stabilizes, with a bounded slowdown.
 
 from repro.net.adapter import NetAdapter
 from repro.net.links import FairLossyLink, LinkConfig, MessageNetwork, NetStats
-from repro.net.runtime import NetExecution, create_net_execution
+from repro.net.runtime import NetExecution
 
 __all__ = [
     "FairLossyLink",
@@ -44,5 +45,4 @@ __all__ = [
     "NetAdapter",
     "NetExecution",
     "NetStats",
-    "create_net_execution",
 ]

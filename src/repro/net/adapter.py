@@ -14,13 +14,14 @@ the spec's simulation-era axes onto the deployment model:
   sequence bit-identical to the simulation lane.  Enabled-aware daemons
   have no deployment analogue (a timer cannot see remote enabledness)
   and are rejected at spec validation.
-* **FaultPlan kinds → actor-level faults.**  ``crash`` masks the faulty
-  actors — their timers stop firing, so they stop acting *and
-  broadcasting* and their registers freeze; ``byzantine`` runs the
+* **FaultPlan kinds → node-level faults.**  ``crash`` masks the faulty
+  nodes — their timers stop firing, so they stop acting *and
+  broadcasting*, their codes freeze, and their neighbors' registers of
+  them keep the last message heard; ``byzantine`` runs the
   standard :class:`~repro.resilience.adversary.PermanentFaultAdversary`,
-  whose per-step state overrides reach the actors through the runtime's
-  instant register refresh (the omniscient-adversary convention: it
-  rewrites memories, not messages).
+  whose per-step state overrides reach the neighbors through the
+  runtime's instant register refresh (the omniscient-adversary
+  convention: it rewrites memories, not messages).
 * **seeds → noise.**  The scenario seed doubles as the link-noise seed;
   the noise stream is namespaced away from the parity stream, so a
   noiseless net scenario consumes exactly the simulation lane's draws.
@@ -43,7 +44,7 @@ from repro.model.configuration import Configuration
 from repro.model.engine import Intervention, Monitor
 from repro.model.scheduler import Scheduler
 from repro.net.links import LinkConfig
-from repro.net.runtime import NetExecution, create_net_execution
+from repro.net.runtime import NetExecution
 
 
 class NetAdapter:
@@ -69,7 +70,7 @@ class NetAdapter:
         standard order) so the net lane consumes the stream exactly as
         the simulation lane does.
         """
-        return create_net_execution(
+        return NetExecution(
             topology,
             algorithm,
             initial_configuration,

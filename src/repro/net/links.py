@@ -7,7 +7,7 @@ is delivered infinitely often.  We realize the fairness half
 constructively — each directed edge tracks its consecutive-drop streak
 and force-delivers after :attr:`LinkConfig.max_consecutive_loss` drops —
 so liveness of the stubborn-broadcast protocol in
-:mod:`repro.net.node` is a property of the model, not of luck.
+:mod:`repro.net.runtime` is a property of the model, not of luck.
 
 All durations are expressed in *slot units*: one activation step of the
 runtime is one slot (see :mod:`repro.net.runtime` for the phase
@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.model.errors import ModelError
 
-#: Copies of one send sharing a delivery instant: ``(time, order of the
-#: first copy, sender, receivers, payloads)``.
-Batch = Tuple[float, int, int, Sequence[int], Sequence[object]]
+#: Copies of one broadcast sharing a delivery instant: ``(time, order of
+#: the first copy, sender, receivers, payload)``.
+Batch = Tuple[float, int, int, Sequence[int], object]
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,12 @@ class FairLossyLink:
 @dataclass
 class NetStats:
     """Cumulative message-layer counters of one network (its consumer
-    counts ``messages_delivered`` and, in the AlgAU runtime, ``acts``)."""
+    counts ``messages_delivered``)."""
 
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
     messages_duplicated: int = 0
-    acts: int = 0
 
     def per_node_round(self, n: int, rounds: int) -> float:
         """Messages sent per node per completed round (0 when no round
@@ -164,12 +163,12 @@ class MessageNetwork:
     """In-flight messages over lazily created per-edge fair-lossy links.
 
     The unit of the queues is a *batch* ``(time, order, sender,
-    receivers, payloads)``: copies of one broadcast that share a
+    receivers, payload)``: copies of one broadcast that share a
     delivery instant.  ``time`` is the caller's departure instant plus
     the link latency; ``order`` numbers the batch's first copy, and
     copies are numbered in send order, so deliveries leave
-    :meth:`due_batches` (and, copy by copy, :meth:`due`) in ``(time,
-    send order)`` order.  Two queues keep that order:
+    :meth:`due_batches` in ``(time, send order)`` order.  Two queues
+    keep that order:
 
     * the *outbox*, a FIFO, while the config is noiseless and departures
       never decrease.  The latency is then one fixed ``delay``, so
@@ -200,26 +199,17 @@ class MessageNetwork:
         self._outbox: Optional[Deque[Batch]] = deque() if config.is_noiseless else None
         self._last_departure = float("-inf")
 
-    def send(
-        self, departure: float, sender: int, receiver: int, payload: object
-    ) -> None:
-        """Send one message; schedule each surviving copy for delivery."""
-        self.broadcast(departure, sender, (receiver,), (payload,))
-
     def broadcast(
-        self,
-        departure: float,
-        sender: int,
-        receivers: Sequence[int],
-        payloads: Sequence[object],
+        self, departure: float, sender: int, receivers: Sequence[int], payload: object
     ) -> None:
-        """Send ``payloads[i]`` to ``receivers[i]`` for every ``i``, all
-        departing at ``departure``, in that send order."""
+        """Send ``payload`` to every receiver, all copies departing at
+        ``departure``, in the order of ``receivers``; schedule each
+        surviving copy for delivery."""
         stats = self.stats
         stats.messages_sent += len(receivers)
         if self._fixed_delay is not None:
             time = departure + self._fixed_delay
-            batch = (time, self._order + 1, sender, receivers, payloads)
+            batch = (time, self._order + 1, sender, receivers, payload)
             self._order += len(receivers)
             outbox = self._outbox
             if outbox is not None:
@@ -232,7 +222,7 @@ class MessageNetwork:
                 self._outbox = None
             heapq.heappush(self._heap, batch)
             return
-        for receiver, payload in zip(receivers, payloads):
+        for receiver in receivers:
             link = self.links.get((sender, receiver))
             if link is None:
                 link = self.links[(sender, receiver)] = FairLossyLink(self.config)
@@ -245,7 +235,7 @@ class MessageNetwork:
                 self._order += 1
                 heapq.heappush(
                     self._heap,
-                    (departure + latency, self._order, sender, (receiver,), (payload,)),
+                    (departure + latency, self._order, sender, (receiver,), payload),
                 )
 
     def due_batches(self, until: float) -> Iterator[Batch]:
@@ -257,11 +247,3 @@ class MessageNetwork:
         heap = self._heap
         while heap and heap[0][0] <= until:
             yield heapq.heappop(heap)
-
-    def due(self, until: float) -> Iterator[Tuple[float, int, int, int, object]]:
-        """:meth:`due_batches` copy by copy: ``(time, order, sender,
-        receiver, payload)``."""
-        for time, order, sender, receivers, payloads in self.due_batches(until):
-            for receiver, payload in zip(receivers, payloads):
-                yield time, order, sender, receiver, payload
-                order += 1

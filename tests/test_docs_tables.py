@@ -10,6 +10,8 @@ as does editing a capability declaration without touching the docs.
 
 from __future__ import annotations
 
+import glob
+import importlib
 import os
 import re
 
@@ -17,6 +19,7 @@ from repro.campaigns.spec import ALGORITHM_FACTORIES, FAULT_KINDS, algorithm_nam
 from repro.model.engine import ENGINE_FACTORIES, engine_class
 
 DOCS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "docs")
+SRC_DIR = os.path.join(DOCS_DIR, "..", "src", "repro")
 
 
 def _read(page):
@@ -181,3 +184,58 @@ class TestBenchmarkInventory:
             match = re.fullmatch(r"BENCH_campaign_(.+)\.json", artifact)
             needle = match.group(1) if match else artifact
             assert needle in source, artifact
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module, or an attribute path inside the
+    longest importable module prefix of it."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as error:
+            if not module.startswith(str(error.name)):
+                raise  # a missing dependency, not a missing name
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+class TestNameDrift:
+    """Every ``repro.`` name the docs or the docstrings cite resolves by
+    import plus ``getattr``, so a rename or a deletion cannot leave a
+    dangling reference behind."""
+
+    #: A backticked dotted name in markdown: `` `repro.net.runtime` ``.
+    MARKDOWN = re.compile(r"`(repro(?:\.\w+)+)`")
+    #: The target of a Sphinx role, with or without an explicit title:
+    #: ``:class:`~repro.net.links.LinkConfig` `` or
+    #: ``:meth:`title <repro.graphs.topology.Topology.from_csr>` ``.
+    ROLE = re.compile(
+        r":(?:mod|class|func|meth|attr|data|exc):`(?:[^`<]*<)?~?(repro(?:\.\w+)+)>?`"
+    )
+
+    def _unresolved(self, paths, pattern):
+        cited = {}
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                for name in pattern.findall(handle.read()):
+                    cited.setdefault(name, os.path.relpath(path, SRC_DIR))
+        assert cited, "the pattern found no references: it has rotted"
+        return sorted(
+            f"{where}: {name}" for name, where in cited.items() if not _resolves(name)
+        )
+
+    def test_docs_and_readme_names_resolve(self):
+        pages = glob.glob(os.path.join(DOCS_DIR, "*.md"))
+        pages.append(os.path.join(DOCS_DIR, "..", "README.md"))
+        assert self._unresolved(pages, self.MARKDOWN) == []
+
+    def test_docstring_role_targets_resolve(self):
+        sources = glob.glob(os.path.join(SRC_DIR, "**", "*.py"), recursive=True)
+        assert self._unresolved(sources, self.ROLE) == []

@@ -37,7 +37,7 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
 )
-from repro.net import create_net_execution
+from repro.net import NetExecution
 
 #: Colony families at about 24 nodes: a step there moves anywhere from
 #: one node (folded move by move) to most of the colony (the counts
@@ -74,7 +74,7 @@ def _lanes():
 def _execution(lane, backend, topology, algorithm, start, scheduler, seed):
     rng = np.random.default_rng(seed)
     if lane == "net":
-        return create_net_execution(topology, algorithm, start, scheduler, rng=rng)
+        return NetExecution(topology, algorithm, start, scheduler, rng=rng)
     if lane == "array":
         return ArrayExecution(topology, algorithm, start, scheduler, rng=rng)
     # The compiled kernel is built during construction, from the

@@ -51,7 +51,7 @@ from repro.net import (
     FairLossyLink,
     LinkConfig,
     MessageNetwork,
-    create_net_execution,
+    NetExecution,
 )
 
 #: SHA-256 of the canonical JSON of the seed-0 ``net-smoke`` aggregates.
@@ -65,6 +65,16 @@ class _PoisonRng:
         raise AssertionError(f"rng.{name} consumed on a noiseless path")
 
 
+def _copies(net, until):
+    """``net.due_batches(until)`` copy by copy: ``(time, order, sender,
+    receiver, payload)``, copies numbered in send order."""
+    return [
+        (time, order + i, sender, receiver, payload)
+        for time, order, sender, receivers, payload in net.due_batches(until)
+        for i, receiver in enumerate(receivers)
+    ]
+
+
 # ----------------------------------------------------------------------
 # The message network.
 # ----------------------------------------------------------------------
@@ -73,28 +83,28 @@ class _PoisonRng:
 class TestMessageNetwork:
     def test_deliveries_pop_in_time_then_send_order(self):
         net = MessageNetwork(LinkConfig(), _PoisonRng())
-        net.send(2.0, 0, 1, "a")
-        net.send(1.0, 0, 1, "b")
-        net.send(2.0, 1, 0, "c")
-        net.send(1.0, 2, 0, "d")
-        net.send(1.0, 0, 1, "e")
-        assert [entry[4] for entry in net.due(1.5)] == ["b", "d", "e"]
-        assert [entry[4] for entry in net.due(1.5)] == []
-        due = list(net.due(2.0))
+        net.broadcast(2.0, 0, (1,), "a")
+        net.broadcast(1.0, 0, (1, 2), "b")
+        net.broadcast(2.0, 1, (0,), "c")
+        net.broadcast(1.0, 2, (0,), "d")
+        net.broadcast(1.0, 0, (1,), "e")
+        assert [batch[4] for batch in net.due_batches(1.5)] == ["b", "d", "e"]
+        assert [batch[4] for batch in net.due_batches(1.5)] == []
+        due = list(net.due_batches(2.0))
         assert [(when, payload) for when, _, _, _, payload in due] == [
             (2.0, "a"),
             (2.0, "c"),
         ]
-        assert net.stats.messages_sent == 5
+        assert net.stats.messages_sent == 6
 
     @pytest.mark.parametrize("delay", [0.0, 0.3, 0.5, 0.7, 1.5])
     @pytest.mark.parametrize("rewind", [False, True])
     def test_noiseless_deliveries_keep_the_heap_order(self, delay, rewind):
-        """Under a fixed delay, sends and broadcasts with non-decreasing
-        departures (the runtime's) leave ``due`` in exactly the order of
-        a heap of ``(time, send order)``, in every drain window; with
-        ``rewind`` one departure goes backwards halfway and the network
-        falls back to its heap for the rest."""
+        """Under a fixed delay, broadcasts with non-decreasing departures
+        (the runtime's) leave ``due_batches``, copy by copy, in exactly
+        the order of a heap of ``(time, send order)``, in every drain
+        window; with ``rewind`` one departure goes backwards halfway and
+        the network falls back to its heap for the rest."""
         import heapq
 
         rng = np.random.default_rng(int(10 * delay) + rewind)
@@ -108,12 +118,9 @@ class TestMessageNetwork:
             at = departure - 2.0 if rewind and step == 100 else departure
             sender = int(rng.integers(0, 6))
             receivers = tuple(int(r) for r in rng.integers(0, 6, rng.integers(1, 5)))
-            payloads = [f"m{sent + i}" for i in range(len(receivers))]
-            if len(receivers) == 1 and rng.random() < 0.5:
-                net.send(at, sender, receivers[0], payloads[0])
-            else:
-                net.broadcast(at, sender, receivers, payloads)
-            for receiver, payload in zip(receivers, payloads):
+            payload = f"b{step}"
+            net.broadcast(at, sender, receivers, payload)
+            for receiver in receivers:
                 sent += 1
                 heapq.heappush(reference, (at + delay, sent, sender, receiver, payload))
             if rng.random() < 0.4:
@@ -121,10 +128,10 @@ class TestMessageNetwork:
                 expected = []
                 while reference and reference[0][0] <= until:
                     expected.append(heapq.heappop(reference))
-                assert list(net.due(until)) == expected
+                assert _copies(net, until) == expected
             if not rewind:
                 assert net._outbox is not None  # the FIFO path ran
-        assert list(net.due(float("inf"))) == sorted(reference)
+        assert _copies(net, float("inf")) == sorted(reference)
         assert net.stats.messages_sent == sent
         assert (net._outbox is None) == rewind
 
@@ -133,7 +140,7 @@ class TestMessageNetwork:
         from repro.graphs.dynamic import TopologyDelta
 
         topology = ring(6)
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             ThinUnison(3),
             uniform_configuration(ThinUnison(3), topology),
@@ -226,7 +233,7 @@ def _parity_pair(topology, d, scheduler_cls, start, seed, make=ThinUnison):
         rng=np.random.default_rng(seed + 1),
         engine="array",
     )
-    net = create_net_execution(
+    net = NetExecution(
         topology,
         make(d),
         initial,
@@ -305,7 +312,7 @@ class TestNoisyTrajectoryPins:
         topology = ring(12)
         algorithm = ThinUnison(6)
         initial = random_configuration(algorithm, topology, np.random.default_rng(3))
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             ThinUnison(6),
             initial,
@@ -341,7 +348,7 @@ class TestNoisyLinks:
         )
 
         def rounds_under(config):
-            execution = create_net_execution(
+            execution = NetExecution(
                 topology,
                 ThinUnison(5),
                 initial,
@@ -380,7 +387,7 @@ class TestNoisyLinks:
         )
         rounds = []
         for noise_seed in (1, 2):
-            execution = create_net_execution(
+            execution = NetExecution(
                 topology,
                 ThinUnison(4),
                 initial,
@@ -395,6 +402,56 @@ class TestNoisyLinks:
         assert all(r >= 1 for r in rounds)
 
 
+class TestLastWriterWins:
+    @pytest.mark.timeout(120)
+    def test_stale_deliveries_never_roll_a_register_back(self):
+        """Under jitter, duplication and loss, late duplicates and older
+        reordered copies do arrive, yet after every slot each register
+        holds the newest message its sender got through to it."""
+        topology = ring(8)
+        algorithm = ThinUnison(4)
+        execution = NetExecution(
+            topology,
+            algorithm,
+            random_configuration(algorithm, topology, np.random.default_rng(1)),
+            SynchronousScheduler(),
+            rng=np.random.default_rng(2),
+            link_config=LinkConfig(jitter=2.5, duplicate=0.4, loss=0.2),
+            noise_seed=3,
+        )
+        network = execution.network
+        drain = network.due_batches
+        delivered = []
+
+        def recording(until):
+            for batch in drain(until):
+                delivered.append(batch)
+                yield batch
+
+        network.due_batches = recording
+        registers = execution._registers
+        heard = set()
+        stale = duplicates = 0
+        for _ in range(200):
+            before = [dict(table) for table in registers]
+            delivered.clear()
+            execution.step()
+            newest = {}
+            for _, _, sender, receivers, message in delivered:
+                (receiver,) = receivers  # noisy links: one copy per batch
+                key = (receiver, sender)
+                seq = message[0]
+                duplicates += (key, seq) in heard
+                heard.add((key, seq))
+                current = newest.get(key, before[receiver][sender])
+                stale += seq < current[0]
+                newest[key] = max(current, message)
+            for u in topology.nodes:
+                for v in topology.neighbors(u):
+                    assert registers[u][v] == newest.get((u, v), before[u][v])
+        assert stale > 0 and duplicates > 0
+
+
 # ----------------------------------------------------------------------
 # NetExecution contract edges.
 # ----------------------------------------------------------------------
@@ -405,7 +462,7 @@ class TestNetExecutionContract:
         topology = ring(6)
         algorithm = ThinUnison(3)
         initial = uniform_configuration(algorithm, topology)
-        return create_net_execution(
+        return NetExecution(
             topology,
             algorithm,
             initial,
@@ -424,7 +481,7 @@ class TestNetExecutionContract:
         topology = ring(6)
         algorithm = ThinUnison(3)
         uniform = uniform_configuration(algorithm, topology)
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             algorithm,
             uniform,
@@ -443,7 +500,7 @@ class TestNetExecutionContract:
     def test_goodness_is_algau_only(self):
         topology = ring(6)
         algorithm = ResetTailUnison.for_diameter_bound(3)
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             algorithm,
             uniform_configuration(algorithm, topology),
@@ -460,22 +517,22 @@ class TestNetExecutionContract:
             execution.poke_states({99: None})
 
     @pytest.mark.timeout(60)
-    def test_crash_node_freezes_the_actor(self):
+    def test_crash_node_freezes_the_node(self):
         execution = self._execution()
-        actors = execution._actors
+        registers = execution._registers
         execution.run_rounds(2)
-        before = {u: dict(actors[u].registers) for u in (1, 3)}
-        assert all(2 in registers for registers in before.values())
-        frozen = actors[2].state
+        before = {u: dict(registers[u]) for u in (1, 3)}
+        assert all(2 in table for table in before.values())
+        frozen = execution._codes[2]
         execution.crash_node(2)
         execution.run_rounds(3)
         # A crashed node never acts, so its neighbors' registers of it
         # keep its last message while their other neighbor keeps
         # refreshing theirs with newer sequence numbers.
-        assert 2 in execution._masked
-        assert actors[2].state == frozen
+        assert 2 in execution._masked and execution._silent[2]
+        assert execution._codes[2] == frozen
         for u, other in ((1, 0), (3, 4)):
-            after = actors[u].registers
+            after = registers[u]
             assert after[2] == before[u][2]
             assert after[2][1] == frozen
             assert after[other][0] > before[u][other][0]
@@ -493,7 +550,7 @@ class TestNetExecutionContract:
         initial = random_configuration(
             ThinUnison(3), topology, np.random.default_rng(5)
         )
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             ThinUnison(3),
             initial,
@@ -501,7 +558,6 @@ class TestNetExecutionContract:
             rng=np.random.default_rng(0),
             link_config=LinkConfig(delay=0.5),
         )
-        actors = execution._actors
         for t in range(8):
             sent_before = execution._seq
             execution.step()
@@ -510,9 +566,9 @@ class TestNetExecutionContract:
             # register carries a sequence number of slot t's broadcasts.
             for u in topology.nodes:
                 for v in topology.neighbors(u):
-                    seq, code = actors[u].registers[v]
+                    seq, code = execution._registers[u][v]
                     assert sent_before < seq <= execution._seq
-                    assert code == actors[v].state
+                    assert code == execution._codes[v]
 
     @pytest.mark.timeout(120)
     def test_changes_list_nodes_in_ascending_order_after_joins(self):
@@ -523,7 +579,7 @@ class TestNetExecutionContract:
             initial = random_configuration(
                 algorithm, topology, np.random.default_rng(seed)
             )
-            execution = create_net_execution(
+            execution = NetExecution(
                 topology,
                 ThinUnison(5),
                 initial,
@@ -559,7 +615,7 @@ class TestGoodnessFold:
         algorithm = ThinUnison(2)
         topology = quorum_colony(12, 2, rng)
         link = LinkConfig(loss=0.3, jitter=0.4, delay=0.5) if noisy else LinkConfig()
-        execution = create_net_execution(
+        execution = NetExecution(
             topology,
             algorithm,
             random_configuration(algorithm, topology, rng),
@@ -580,7 +636,7 @@ class TestGoodnessFold:
         size = algorithm.encoding.size
         folded = 0
         for t in range(300):
-            live = [v for v, actor in execution._actors.items() if not actor.crashed]
+            live = [v for v, silent in enumerate(execution._silent) if not silent]
             if t % 11 == 5:
                 rows = rng.choice(live, size=min(2, len(live)), replace=False)
                 execution.poke_codes(rows, rng.integers(0, size, len(rows)))

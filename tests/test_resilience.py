@@ -44,7 +44,7 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
 )
-from repro.net.runtime import create_net_execution
+from repro.net.runtime import NetExecution
 from repro.resilience import (
     BYZANTINE_STRATEGIES,
     Crash,
@@ -500,7 +500,7 @@ def _lane_execution(lane, intervention, seed=21):
     topology = damaged_clique(14, 3, rng, damage=0.4)
     algorithm = ThinUnison(3)
     initial = random_configuration(algorithm, topology, rng)
-    build = create_net_execution if lane == "net" else create_execution
+    build = NetExecution if lane == "net" else create_execution
     kwargs = {} if lane == "net" else {"engine": lane}
     return build(
         topology,

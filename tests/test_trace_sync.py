@@ -28,7 +28,7 @@ from repro.model.scheduler import (
     ShuffledRoundRobinScheduler,
     SynchronousScheduler,
 )
-from repro.net.runtime import create_net_execution
+from repro.net.runtime import NetExecution
 from repro.sync.synchronizer import SyncState, Synchronizer
 
 
@@ -98,7 +98,7 @@ class TestScheduleReplay:
         )
         assert any(r.changed for r in records)
         schedule = ExplicitScheduler([sorted(r.activated) for r in records])
-        build = create_net_execution if engine == "net" else create_execution
+        build = NetExecution if engine == "net" else create_execution
         extra = {} if engine == "net" else {"engine": engine}
         replay = build(
             execution.topology,

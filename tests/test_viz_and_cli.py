@@ -120,3 +120,16 @@ class TestCLI:
         )
         out = capsys.readouterr().out
         assert "stabilized" in out
+
+    @pytest.mark.parametrize("links", [[], ["--loss", "0.3", "--jitter", "0.5"]])
+    def test_net_run_command(self, capsys, links):
+        net_run = ["net", "run", "--diameter-bound", "2", "--nodes", "8"]
+        assert main(net_run + links) == 0
+        out = capsys.readouterr().out
+        assert "runtime=net" in out
+        assert "stabilized (good graph) after" in out
+        assert "messages: sent" in out and "per node-round" in out
+
+    def test_net_run_rejects_a_bad_link(self, capsys):
+        assert main(["net", "run", "--nodes", "6", "--loss", "1.5"]) == 2
+        assert "bad link configuration" in capsys.readouterr().err
