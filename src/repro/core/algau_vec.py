@@ -470,9 +470,10 @@ class VectorKernel(CodeKernel):
         incremental goodness accounting.  The graph is good iff both
         counts are zero (pairs are counted once per direction; self
         pairs are trivially protected and contribute nothing)."""
-        k2 = self.num_clocks
-        faulty = int((codes >= k2).sum())
-        bad = int(
-            self.pair_unprotected[codes[csr.row_index], codes[csr.indices]].sum()
-        )
+        faulty = int(np.count_nonzero(codes >= self.num_clocks))
+        # One flat ``take`` on the raveled table: the ordered pair
+        # ``(a, b)`` sits at ``a * |Q| + b``.
+        pairs = codes.take(csr.row_index) * self.size
+        pairs += codes.take(csr.indices)
+        bad = int(np.count_nonzero(self.pair_unprotected.ravel().take(pairs)))
         return faulty, bad

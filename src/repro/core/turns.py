@@ -26,10 +26,12 @@ class Turn:
 
     Turns are interned and immutable: ``Turn(level, faulty)`` returns
     the one shared instance of its ``(level, faulty)`` pair (pickling
-    and copying included), so equality is identity and set and dict
-    lookups never call back into Python.  The hash is
-    ``hash((level, faulty))``, computed once per pair; set iteration
-    order, which some outputs follow, is therefore that of the pairs.
+    and copying included), so equality is identity (the default,
+    C-level comparison).  Hashing is not C-level: ``__hash__`` is a
+    Python method returning ``hash((level, faulty))``, computed once per
+    pair, so every set or dict lookup of a turn calls back into Python
+    once.  Set iteration order, which some outputs follow, is therefore
+    that of the pairs.
     """
 
     __slots__ = ("level", "faulty", "_hash")

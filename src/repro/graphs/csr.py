@@ -20,7 +20,9 @@ one numpy pass with :func:`csr_from_edges` (the one CSR builder), and
 every execution on the topology shares it.  The Python
 :meth:`neighbor_lists` view is derived lazily from the same arrays and
 cached alongside them; :func:`bfs_levels` walks it for the metric
-helpers (diameter, distance, ball).
+helpers (diameter, distance, ball).  :func:`is_connected`, the
+constructor's check, walks the flat arrays instead, so a topology
+whose engines only read the arrays never builds the lists.
 """
 
 from __future__ import annotations
@@ -110,6 +112,26 @@ def csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> CSRAdjacency:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return CSRAdjacency(indptr, np.ascontiguousarray(cols))
+
+
+def is_connected(csr: CSRAdjacency) -> bool:
+    """Whether every node is reachable from node 0.  Walks flat Python
+    copies of the two arrays, so it leaves no :meth:`neighbor_lists`
+    cache behind on a graph whose engines never read it."""
+    indices = csr.indices.tolist()
+    indptr = csr.indptr.tolist()
+    seen = bytearray(csr.n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for u in indices[indptr[v] + 1 : indptr[v + 1]]:
+            if not seen[u]:
+                seen[u] = 1
+                reached += 1
+                stack.append(u)
+    return reached == csr.n
 
 
 def bfs_levels(

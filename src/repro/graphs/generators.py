@@ -15,7 +15,9 @@ name encodes the parameters, which keeps experiment tables readable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import random
+from itertools import chain
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -166,16 +168,89 @@ def random_connected(
     raise TopologyError(f"G({n}, {p}) failed to produce a connected graph")
 
 
+def _suitable(edges: Set[Tuple[int, int]], potential: Dict[int, int]) -> bool:
+    """Whether the leftover stubs ``potential`` can still pair into an
+    edge not in ``edges`` (networkx's ``_suitable``, verbatim: the
+    inner loop's swap of ``s1`` is part of its outcome)."""
+    if not potential:
+        return True
+    for s1 in potential:
+        for s2 in potential:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _pairing_edges(
+    n: int, degree: int, draw: random.Random
+) -> Optional[Set[Tuple[int, int]]]:
+    """One pairing attempt of networkx's ``random_regular_graph``
+    (``_try_creation``), with the same ``draw.shuffle`` calls: ``None``
+    when the leftover stubs cannot pair, else the edge set as
+    ``(min, max)`` pairs."""
+    edges: Set[Tuple[int, int]] = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        potential: Dict[int, int] = {}
+        draw.shuffle(stubs)
+        stubiter = iter(stubs)
+        for s1, s2 in zip(stubiter, stubiter):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                potential[s1] = potential.get(s1, 0) + 1
+                potential[s2] = potential.get(s2, 0) + 1
+        if not _suitable(edges, potential):
+            return None
+        stubs = [node for node, count in potential.items() for _ in range(count)]
+    return edges
+
+
+def _regular_pairs(n: int, degree: int, draw: random.Random) -> np.ndarray:
+    """The ``(m, 2)`` edge array of networkx's ``random_regular_graph``
+    under ``draw``, in its ``edges()`` order: pairing attempts until one
+    succeeds, then the set's iteration order, stably sorted by the lower
+    endpoint.  The edge set is freed on return, before the CSR build."""
+    edges = _pairing_edges(n, degree, draw)
+    while edges is None:
+        edges = _pairing_edges(n, degree, draw)
+    pairs = np.fromiter(
+        chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+    ).reshape(-1, 2)
+    return pairs[np.argsort(pairs[:, 0], kind="stable")]
+
+
 def random_regular(
     n: int, degree: int, rng: np.random.Generator, max_attempts: int = 200
 ) -> Topology:
-    """A connected random ``degree``-regular graph."""
+    """A connected random ``degree``-regular graph, built without a
+    networkx graph.
+
+    Each attempt seeds a :class:`random.Random` from ``rng`` and runs
+    networkx's pairing algorithm (``random_regular_graph``) on it, draw
+    for draw, retrying a failed pairing as networkx does; a
+    disconnected result costs a new attempt.  The edge set goes
+    straight into :meth:`Topology.from_edge_arrays` in the order
+    networkx's ``edges()`` would list it: set iteration order, stably
+    sorted by the lower endpoint.  So every graph equals
+    ``Topology(nx.random_regular_graph(degree, n, seed))``, edge order
+    included.
+    """
+    if (n * degree) % 2:
+        raise TopologyError(f"regular graph needs n * d even, got n={n}, d={degree}")
+    if not 0 <= degree < n:
+        raise TopologyError(f"regular graph needs 0 <= d < n, got n={n}, d={degree}")
     for _ in range(max_attempts):
-        seed = int(rng.integers(2**31))
+        pairs = _regular_pairs(n, degree, random.Random(int(rng.integers(2**31))))
         try:
-            return Topology(
-                nx.random_regular_graph(degree, n, seed=seed),
-                name=f"regular(n={n}, d={degree})",
+            return Topology.from_edge_arrays(
+                f"regular(n={n}, d={degree})", n, pairs[:, 0], pairs[:, 1]
             )
         except TopologyError:
             continue

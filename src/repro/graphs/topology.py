@@ -1,10 +1,13 @@
 """Immutable network topologies for stone age executions.
 
 A :class:`Topology` *is* its inclusive CSR adjacency (see
-:mod:`repro.graphs.csr`): the constructor checks the graph, then builds
-``indptr``/``indices`` in one numpy pass from its edge list.  A
-:mod:`networkx` graph is only an input format: it is read once and
-never aliased, and :attr:`Topology.graph` rebuilds an equivalent one on
+:mod:`repro.graphs.csr`).  Its one checked constructor,
+:meth:`Topology.from_edge_arrays`, takes the edges as two endpoint
+arrays, rejects self-loops and disconnected graphs, and builds
+``indptr``/``indices`` in one numpy pass; the edge order is kept as
+given.  A :mod:`networkx` graph is only an input format: ``Topology(graph)``
+reads it once into edge arrays (never aliasing it) and takes the same
+checked route, and :attr:`Topology.graph` rebuilds an equivalent one on
 demand.  Node labels are normalized to the integers ``0 .. n-1`` in
 sorted label order; the original labels are preserved in
 :attr:`labels`.  Everything else — neighbor tuples, the edge list, the
@@ -21,7 +24,7 @@ from typing import Iterable, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CSRAdjacency, bfs_levels, csr_from_edges
+from repro.graphs.csr import CSRAdjacency, bfs_levels, csr_from_edges, is_connected
 from repro.model.errors import TopologyError
 
 
@@ -37,8 +40,10 @@ class Topology:
     name:
         Optional label used in reports.
 
-    :meth:`from_csr` wraps prebuilt CSR arrays instead (no checks, no
-    networkx) — the route of the frontier-scale families.
+    :meth:`from_edge_arrays` builds one from endpoint arrays with the
+    same checks and no networkx graph; :meth:`from_csr` wraps prebuilt
+    CSR arrays instead (no checks) — the route of the frontier-scale
+    families.
     """
 
     __slots__ = (
@@ -58,8 +63,6 @@ class Topology:
 
     def __init__(self, graph: nx.Graph, name: str = "graph"):
         n = graph.number_of_nodes()
-        if n == 0:
-            raise TopologyError("topology must contain at least one node")
         order = list(graph)
         endpoints = chain.from_iterable(graph.edges())
         # Labels keep their type (numpy ints, bools), so only the Python
@@ -74,13 +77,29 @@ class Topology:
             graph_order = tuple(code[v] for v in order)
             endpoints = (code[v] for v in endpoints)
         pairs = np.fromiter(endpoints, dtype=np.int64).reshape(-1, 2)
-        src, dst = pairs[:, 0], pairs[:, 1]
+        self._build(name, n, pairs[:, 0], pairs[:, 1], labels, graph_order)
+
+    @classmethod
+    def from_edge_arrays(
+        cls, name: str, n: int, src: np.ndarray, dst: np.ndarray
+    ) -> "Topology":
+        """The topology on nodes ``0 .. n-1`` whose ``i``-th edge is
+        ``(src[i], dst[i])`` (int64 arrays, each edge once).  Self-loops
+        and disconnected graphs raise :class:`TopologyError`;
+        :attr:`edges` lists the edges in the given order."""
+        topology = cls.__new__(cls)
+        topology._build(name, n, src, dst, None, None)
+        return topology
+
+    def _build(self, name, n, src, dst, labels, graph_order) -> None:
+        if n == 0:
+            raise TopologyError("topology must contain at least one node")
         if np.any(src == dst):
             raise TopologyError("self-loops are not allowed")
         csr = csr_from_edges(n, src, dst)
-        if len(bfs_levels(csr.neighbor_lists(), 0)) < n:
+        if not is_connected(csr):
             raise TopologyError("topology must be connected")
-        # The relabelled graph's ``edges()`` order, in ``(min, max)`` form.
+        # The edges in the given order, in ``(min, max)`` form.
         edge_array = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
         self._setup(name, csr, labels, edge_array, graph_order)
 
@@ -129,8 +148,9 @@ class Topology:
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Every edge once, as ``(min, max)``, in the input graph's
-        ``edges()`` order."""
+        """Every edge once, as ``(min, max)``, in the order given: a
+        networkx input's ``edges()`` order, or row order after
+        :meth:`from_csr`."""
         if self._edges is None:
             if self._edge_array is None:
                 csr = self._csr

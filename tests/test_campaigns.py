@@ -439,10 +439,10 @@ class TestRunner:
         ]
         result = run_scenario(scenarios[0])
         assert not result.stabilized
-        assert result.detail.startswith("error: NetworkXError")
+        assert result.detail.startswith("error: TopologyError")
         # The raising frame survives truncation (that is the point of
         # carrying the traceback at all)...
-        assert 'raise nx.NetworkXError("n * d must be even")' in result.detail
+        assert 'raise TopologyError(f"regular graph needs n * d even' in result.detail
         # ...but deep stacks stay bounded.
         assert len(result.detail) < runner_module.TRACEBACK_LIMIT + 200
         serial = run_campaign(scenarios, workers=1)

@@ -55,7 +55,7 @@ from repro.faults.injection import (
     uniform_configuration,
 )
 from repro.graphs.csr import CSRAdjacency
-from repro.graphs.dynamic import DynamicTopology, TopologyDelta
+from repro.graphs.dynamic import DynamicTopology, MutableCSR, TopologyDelta
 from repro.graphs.frontier import (
     FRONTIER_FAMILIES,
     frontier_colony,
@@ -182,6 +182,48 @@ def test_delta_lanes_agree_property(d, n, algorithm_name, seed):
             assert np.array_equal(
                 lane.delta_rows(codes, csr, rows), scalar[rows]
             ), name
+
+
+def _fancy_index_counts(kernel, codes, csr):
+    """The numpy goodness recount as first written: a 2-D fancy index
+    into ``pair_unprotected`` and a boolean sum."""
+    faulty = int((codes >= kernel.num_clocks).sum())
+    bad = int(kernel.pair_unprotected[codes[csr.row_index], codes[csr.indices]].sum())
+    return faulty, bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_goodness_counts_equal_the_fancy_index_recount(d, n, seed):
+    """The flat-``take`` recount equals the 2-D fancy-index one on
+    random codes, also on a ``MutableCSR`` after ``patch`` (a spliced
+    row and an appended node) and after ``adopt``."""
+    rng = np.random.default_rng(seed)
+    kernel = ThinUnison(d).vector_kernel()
+    size = kernel.size
+
+    def check(csr):
+        codes = rng.integers(0, size, csr.n)
+        assert kernel.goodness_counts(codes, csr) == _fancy_index_counts(
+            kernel, codes, csr
+        )
+
+    base = _random_inclusive_csr(rng, n)
+    check(base)
+    mutable = MutableCSR(base.indptr.copy(), base.indices.copy())
+    check(mutable)
+    rows = [list(row) for row in base.neighbor_lists()]
+    u = int(rng.integers(n))
+    joiner = [n, u]
+    mutable.patch({u: rows[u] + [n]}, [joiner])
+    check(mutable)
+    other = _random_inclusive_csr(rng, n + 3)
+    mutable.adopt(other.indptr, other.indices, other.row_index)
+    check(mutable)
 
 
 @settings(max_examples=40, deadline=None)

@@ -118,6 +118,16 @@ def test_every_family_is_covered():
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 def test_family_matches_the_networkx_construction(family, recorded):
     topology = make_graph(family, np.random.default_rng(3), **FAMILY_PARAMS[family])
+    if family == "regular":
+        # Built without a networkx graph: the reference is networkx's
+        # own generator under the seed of the first (connected) attempt.
+        assert not recorded
+        params = FAMILY_PARAMS[family]
+        seed = int(np.random.default_rng(3).integers(2**31))
+        graph = nx.random_regular_graph(params["degree"], params["n"], seed=seed)
+        assert nx.is_connected(graph)
+        assert_matches_reference(topology, _Reference(graph))
+        return
     assert recorded and recorded[-1][0] is topology
     for built, reference in recorded:
         assert_matches_reference(built, reference)
@@ -220,3 +230,19 @@ def test_from_csr_frontier_graph_has_the_full_interface():
     u, v = topology.edges[0]
     assert topology.has_edge(u, v) and topology.has_edge(v, u)
     assert topology.distance(u, v) == 1
+
+
+def test_from_edge_arrays_checks_and_keeps_the_given_order():
+    src = np.array([3, 0, 2], dtype=np.int64)
+    dst = np.array([1, 2, 1], dtype=np.int64)
+    built = Topology.from_edge_arrays("arrays", 4, src, dst)
+    assert built.edges == ((1, 3), (0, 2), (1, 2))
+    assert built.inclusive_neighbors(1) == (1, 2, 3)
+    for n, edges, message in (
+        (0, [], "at least one node"),
+        (3, [(0, 1), (1, 1)], "self-loops"),
+        (4, [(0, 1), (2, 3)], "connected"),
+    ):
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        with pytest.raises(TopologyError, match=message):
+            Topology.from_edge_arrays("arrays", n, pairs[:, 0], pairs[:, 1])
